@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use uavdc_core::{Alg2Planner, CandidateSet, Planner};
-use uavdc_geom::{KdTree, Point2, SpatialGrid};
+use uavdc_geom::{Point2, SpatialGrid};
 use uavdc_graph::christofides::christofides;
 use uavdc_graph::matching::{min_weight_perfect_matching_with, MatchingBackend};
 use uavdc_graph::DistMatrix;
@@ -19,18 +19,10 @@ fn bench_spatial_index(c: &mut Criterion) {
     group.bench_function("grid_build_5000", |b| {
         b.iter(|| SpatialGrid::build(&pts, 50.0))
     });
-    group.bench_function("kdtree_build_5000", |b| b.iter(|| KdTree::build(&pts)));
     let grid = SpatialGrid::build(&pts, 50.0);
-    let tree = KdTree::build(&pts);
     group.bench_function("grid_query_radius_50", |b| {
         let mut buf = Vec::new();
         b.iter(|| grid.query_radius_into(Point2::new(500.0, 500.0), 50.0, &mut buf));
-    });
-    group.bench_function("kdtree_query_radius_50", |b| {
-        b.iter(|| tree.query_radius(Point2::new(500.0, 500.0), 50.0));
-    });
-    group.bench_function("kdtree_k_nearest_8", |b| {
-        b.iter(|| tree.k_nearest(Point2::new(500.0, 500.0), 8));
     });
     group.finish();
 }

@@ -3,8 +3,8 @@
 //! The build environment is fully offline (DESIGN.md §11), so instead of
 //! serde this module implements exactly the subset the baseline files
 //! need: the full JSON grammar into an owned tree with `BTreeMap` objects
-//! (deterministic iteration order, per the workspace nondeterminism
-//! rule). It is a reader for trusted, repo-generated artefacts — errors
+//! (deterministic iteration order; `clippy.toml` bans hash containers).
+//! It is a reader for trusted, repo-generated artefacts — errors
 //! carry byte offsets for debugging, not resilience against adversarial
 //! input.
 

@@ -18,6 +18,18 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp
+    )
+)]
 
 pub mod compare;
 pub mod json;
@@ -154,8 +166,11 @@ fn run_once(spec: AlgorithmSpec, scenario: &Scenario, check: bool) -> (f64, f64,
     let start = Instant::now();
     let plan = spec.plan(scenario);
     let dt = start.elapsed().as_secs_f64();
+    #[expect(
+        clippy::panic,
+        reason = "the harness fails fast on invalid plans by design"
+    )]
     plan.validate(scenario)
-        // lint:allow(panic-site): the harness fails fast on invalid plans by design
         .unwrap_or_else(|e| panic!("{} produced invalid plan: {e}", spec.label()));
     if check {
         let outcome = simulate(scenario, &plan, &SimConfig::default());
@@ -186,10 +201,10 @@ fn average_point(
     let n = cfg.num_instances.max(1);
     let mut results = vec![(0.0, 0.0, 0.0, 0.0); n];
     if cfg.parallel_instances && n > 1 {
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4);
-        let _ = threads;
+        #[expect(
+            clippy::expect_used,
+            reason = "Err only when a worker thread panicked; re-raising is correct"
+        )]
         crossbeam::thread::scope(|scope| {
             for (i, slot) in results.iter_mut().enumerate() {
                 let seed = cfg.base_seed + i as u64;
@@ -200,7 +215,6 @@ fn average_point(
                 });
             }
         })
-        // lint:allow(panic-site): Err only when a worker thread panicked; re-raising is correct
         .expect("instance thread panicked");
     } else {
         for (i, slot) in results.iter_mut().enumerate() {
@@ -337,7 +351,10 @@ pub fn run_wind_sweep(cfg: &HarnessConfig) -> Vec<DataPoint> {
             })
             .plan(&derated);
             runtime += started.elapsed().as_secs_f64();
-            // lint:allow(panic-site): the harness fails fast on invalid plans by design
+            #[expect(
+                clippy::expect_used,
+                reason = "the harness fails fast on invalid plans by design"
+            )]
             plan.validate(&derated).expect("valid derated plan");
             let sim_cfg = SimConfig {
                 wind: WindModel::uniform(1.0, 1.5, seed ^ 0x77aa),
@@ -391,7 +408,10 @@ pub fn run_fleet_sweep(cfg: &HarnessConfig) -> Vec<DataPoint> {
             )
             .plan_fleet(&scenario);
             runtime += started.elapsed().as_secs_f64();
-            // lint:allow(panic-site): the harness fails fast on invalid plans by design
+            #[expect(
+                clippy::expect_used,
+                reason = "the harness fails fast on invalid plans by design"
+            )]
             fleet.validate(&scenario).expect("valid fleet plan");
             gb += megabytes_as_gb(fleet.collected_volume());
             busiest += fleet.max_energy(&scenario).value();

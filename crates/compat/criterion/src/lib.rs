@@ -9,6 +9,19 @@
 //! `cargo bench` keeps producing comparable relative numbers offline
 //! and so `cargo test`/`clippy --all-targets` can build bench targets.
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp
+    )
+)]
+
 use std::fmt::Display;
 use std::hint;
 use std::time::{Duration, Instant};

@@ -6,6 +6,19 @@
 //! `crossbeam::thread::scope` + `Scope::spawn` are provided — the
 //! only crossbeam API the planners use.
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp
+    )
+)]
+
 pub mod thread {
     use std::thread::ScopedJoinHandle;
 

@@ -16,6 +16,19 @@
 //! - `prop_assume!` skips the current case (`continue`) rather than
 //!   tracking a rejection quota.
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp
+    )
+)]
+
 pub mod test_runner {
     /// Shim of `proptest::test_runner::Config` (re-exported from the
     /// prelude as `ProptestConfig`).

@@ -12,6 +12,19 @@
 //! same stream on every platform and every run. Nothing here reads
 //! entropy from the OS; there is deliberately no `thread_rng`.
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp
+    )
+)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// Seedable generator constructors (shim of `rand::SeedableRng`).

@@ -1194,7 +1194,7 @@ mod tests {
         plan.validate(&s).unwrap();
         // All four devices collected exactly once.
         assert_eq!(plan.collected_volume(), MegaBytes(1800.0));
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for stop in &plan.stops {
             for (dev, _) in &stop.collected {
                 assert!(seen.insert(*dev), "device collected twice");

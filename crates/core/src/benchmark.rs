@@ -623,7 +623,7 @@ mod tests {
         );
         let plan = BenchmarkPlanner.plan(&s);
         plan.validate(&s).unwrap();
-        let collected: std::collections::HashSet<u32> = plan
+        let collected: std::collections::BTreeSet<u32> = plan
             .stops
             .iter()
             .flat_map(|st| st.collected.iter().map(|&(d, _)| d.0))

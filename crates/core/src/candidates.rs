@@ -261,7 +261,7 @@ mod tests {
         let s = scenario_with(vec![(10.0, 10.0, 500.0), (90.0, 90.0, 300.0)], 15.0);
         let cs = CandidateSet::build(&s, 5.0);
         assert!(!cs.is_empty());
-        let mut covered_devices = std::collections::HashSet::new();
+        let mut covered_devices = std::collections::BTreeSet::new();
         for c in &cs.candidates {
             assert!(!c.covered.is_empty());
             for &v in &c.covered {
@@ -357,7 +357,7 @@ mod tests {
         );
         let cs = CandidateSet::build(&s, 4.0);
         let dj = cs.disjoint_by_volume(&s);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for c in &dj.candidates {
             for &v in &c.covered {
                 assert!(seen.insert(v), "device {v} covered twice in disjoint set");

@@ -83,6 +83,10 @@ pub enum EngineMode {
 pub fn num_threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "sanctioned thread-count override; worker count never changes plan output"
+        )]
         if let Ok(v) = std::env::var("UAVDC_THREADS") {
             if let Ok(n) = v.parse::<usize>() {
                 if n >= 1 {
@@ -143,6 +147,10 @@ where
     let chunk = n.div_ceil(threads);
     let mut results: Vec<Option<E>> = Vec::new();
     results.resize_with(threads, || None);
+    #[expect(
+        clippy::expect_used,
+        reason = "Err only when a worker thread panicked; re-raising is correct"
+    )]
     crossbeam::thread::scope(|scope| {
         for (t, slot) in results.iter_mut().enumerate() {
             let lo = (t * chunk).min(n);
@@ -162,7 +170,6 @@ where
             });
         }
     })
-    // lint:allow(panic-site): Err only when a worker thread panicked; re-raising is correct
     .expect("candidate evaluation thread panicked");
     results
         .into_iter()
@@ -212,6 +219,10 @@ where
     let chunk = n.div_ceil(threads);
     let mut results: Vec<Vec<R>> = Vec::new();
     results.resize_with(threads, Vec::new);
+    #[expect(
+        clippy::expect_used,
+        reason = "Err only when a worker thread panicked; re-raising is correct"
+    )]
     crossbeam::thread::scope(|scope| {
         for (t, slot) in results.iter_mut().enumerate() {
             let lo = (t * chunk).min(n);
@@ -222,7 +233,6 @@ where
             });
         }
     })
-    // lint:allow(panic-site): Err only when a worker thread panicked; re-raising is correct
     .expect("candidate evaluation thread panicked");
     results.into_iter().flatten().collect()
 }
@@ -648,7 +658,10 @@ impl LazyHeap {
             if !cohort.is_empty() && entry_ratio(top) < cohort_min - RATIO_BAND {
                 break;
             }
-            // lint:allow(panic-site): peek above proves the heap is non-empty
+            #[expect(
+                clippy::expect_used,
+                reason = "peek above proves the heap is non-empty"
+            )]
             let entry = self.heap.pop().expect("heap entry vanished after peek");
             *pops += 1;
             let c = entry_cand(entry) as usize;

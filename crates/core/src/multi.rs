@@ -201,6 +201,10 @@ fn kmeans_partition(scenario: &Scenario, m: usize) -> Vec<Vec<usize>> {
     }
     // Farthest-point seeding.
     let mut centers: Vec<Point2> = Vec::with_capacity(m);
+    #[expect(
+        clippy::expect_used,
+        reason = "n > 0 is checked at the top of this function"
+    )]
     let first = (0..n)
         .min_by(|&a, &b| {
             cmp_f64(
@@ -208,10 +212,13 @@ fn kmeans_partition(scenario: &Scenario, m: usize) -> Vec<Vec<usize>> {
                 pts[b].distance_sq(scenario.depot),
             )
         })
-        // lint:allow(panic-site): n > 0 is checked at the top of this function
         .expect("non-empty");
     centers.push(pts[first]);
     while centers.len() < m {
+        #[expect(
+            clippy::expect_used,
+            reason = "n > 0 is checked at the top of this function"
+        )]
         let far = (0..n)
             .max_by(|&a, &b| {
                 let da = centers
@@ -224,7 +231,6 @@ fn kmeans_partition(scenario: &Scenario, m: usize) -> Vec<Vec<usize>> {
                     .fold(f64::INFINITY, f64::min);
                 cmp_f64(da, db).then(a.cmp(&b))
             })
-            // lint:allow(panic-site): n > 0 is checked at the top of this function
             .expect("non-empty");
         centers.push(pts[far]);
     }
@@ -233,9 +239,9 @@ fn kmeans_partition(scenario: &Scenario, m: usize) -> Vec<Vec<usize>> {
     for _ in 0..25 {
         let mut changed = false;
         for (i, p) in pts.iter().enumerate() {
+            #[expect(clippy::expect_used, reason = "FleetConfig guarantees m >= 1")]
             let best = (0..m)
                 .min_by(|&a, &b| cmp_f64(centers[a].distance_sq(*p), centers[b].distance_sq(*p)))
-                // lint:allow(panic-site): FleetConfig guarantees m >= 1
                 .expect("m >= 1");
             if assignment[i] != best {
                 assignment[i] = best;

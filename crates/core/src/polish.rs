@@ -39,11 +39,15 @@ pub fn polish_plan(plan: &mut CollectionPlan, scenario: &Scenario) -> Joules {
     let order: Vec<usize> = tour.iter().skip(1).map(|&(_, i)| i).collect();
     let stops = std::mem::take(&mut plan.stops);
     let mut slots: Vec<Option<crate::plan::HoverStop>> = stops.into_iter().map(Some).collect();
-    plan.stops = order
+    #[expect(
+        clippy::expect_used,
+        reason = "order is a permutation of stop indices by construction"
+    )]
+    let reordered = order
         .into_iter()
-        // lint:allow(panic-site): order is a permutation of stop indices by construction
         .map(|i| slots[i].take().expect("each stop appears once in the tour"))
         .collect();
+    plan.stops = reordered;
     (before - plan.travel_energy(scenario)).clamp_non_negative()
 }
 

@@ -373,8 +373,11 @@ pub fn hooks_active() -> bool {
 #[inline]
 pub fn debug_check_plan(ctx: &str, scenario: &Scenario, plan: &CollectionPlan, profile: Profile) {
     if hooks_active() {
+        #[expect(
+            clippy::panic,
+            reason = "aborting on a violated paper invariant is this hook's entire purpose"
+        )]
         if let Err(v) = check_plan(scenario, plan, profile) {
-            // lint:allow(panic-site): aborting on a violated paper invariant is this hook's entire purpose
             panic!("{ctx}: paper invariant violated: {v}");
         }
     }
@@ -384,8 +387,11 @@ pub fn debug_check_plan(ctx: &str, scenario: &Scenario, plan: &CollectionPlan, p
 #[inline]
 pub fn debug_check_fleet(ctx: &str, scenario: &Scenario, fleet: &FleetPlan, profile: Profile) {
     if hooks_active() {
+        #[expect(
+            clippy::panic,
+            reason = "aborting on a violated paper invariant is this hook's entire purpose"
+        )]
         if let Err(v) = check_fleet(scenario, fleet, profile) {
-            // lint:allow(panic-site): aborting on a violated paper invariant is this hook's entire purpose
             panic!("{ctx}: paper invariant violated: {v}");
         }
     }
@@ -396,8 +402,11 @@ pub fn debug_check_fleet(ctx: &str, scenario: &Scenario, fleet: &FleetPlan, prof
 #[inline]
 pub fn debug_check_aux_graph(ctx: &str, aux: &AuxGraph) {
     if hooks_active() {
+        #[expect(
+            clippy::panic,
+            reason = "aborting on a violated paper invariant is this hook's entire purpose"
+        )]
         if let Err(v) = check_aux_graph(aux) {
-            // lint:allow(panic-site): aborting on a violated paper invariant is this hook's entire purpose
             panic!("{ctx}: paper invariant violated: {v}");
         }
     }

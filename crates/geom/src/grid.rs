@@ -264,7 +264,7 @@ mod tests {
             assert!(g.cell_center(*c).distance(sensor) <= 15.0);
         }
         // ...and no non-returned cell center is.
-        let returned: std::collections::HashSet<_> = cells.iter().copied().collect();
+        let returned: std::collections::BTreeSet<_> = cells.iter().copied().collect();
         for c in g.cells() {
             if g.cell_center(c).distance(sensor) <= 15.0 {
                 assert!(returned.contains(&c), "missing cell {c:?}");

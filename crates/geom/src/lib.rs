@@ -29,12 +29,23 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp
+    )
+)]
 
 mod aabb;
 mod disc;
 mod grid;
 mod hull;
-mod kdtree;
 mod order;
 mod point;
 mod polyline;
@@ -44,7 +55,6 @@ pub use aabb::Aabb;
 pub use disc::{disc_disc_overlap_area, Disc};
 pub use grid::{CellId, GridSpec};
 pub use hull::{convex_hull, polygon_area};
-pub use kdtree::KdTree;
 pub use order::{cmp_f64, cmp_f64_desc, TotalF64};
 pub use point::{Point2, Point3};
 pub use polyline::{distance_matrix, path_length, tour_length};

@@ -94,8 +94,11 @@ pub fn christofides_with_obs(
     }
     // 3. Eulerian circuit of MST ∪ matching (all degrees now even, and the
     // union is connected because the MST spans).
+    #[expect(
+        clippy::expect_used,
+        reason = "Euler circuit existence is a theorem here — MST spans and the matching evens all degrees"
+    )]
     let circuit =
-        // lint:allow(panic-site): Euler circuit existence is a theorem here — MST spans and the matching evens all degrees
         euler_circuit(n, &edges, 0).expect("MST ∪ matching is connected with even degrees");
     // 4. Shortcut repeated vertices.
     let order = shortcut_circuit(&circuit);

@@ -94,8 +94,12 @@ pub fn brute_force_length(m: &DistMatrix) -> f64 {
         for w in perm.windows(2) {
             len += m.get(w[0], w[1]);
         }
-        // lint:allow(panic-site): perm is (1..n) with n >= 2, never empty
-        len += m.get(*perm.last().unwrap(), 0);
+        #[expect(
+            clippy::unwrap_used,
+            reason = "perm is (1..n) with n >= 2, never empty"
+        )]
+        let last = *perm.last().unwrap();
+        len += m.get(last, 0);
         if len < best {
             best = len;
         }

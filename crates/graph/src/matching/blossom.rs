@@ -193,10 +193,13 @@ impl Solver {
     /// cycle re-oriented so the position is even (so the alternating path
     /// inside the blossom pairs up correctly).
     fn get_pr(&mut self, b: usize, xr: usize) -> usize {
+        #[expect(
+            clippy::expect_used,
+            reason = "blossom structure invariant — callers pass a sub-blossom of b"
+        )]
         let pr = self.flower[b]
             .iter()
             .position(|&f| f == xr)
-            // lint:allow(panic-site): blossom structure invariant — callers pass a sub-blossom of b
             .expect("xr must be in flower");
         if pr % 2 == 1 {
             self.flower[b][1..].reverse();

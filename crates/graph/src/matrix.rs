@@ -51,8 +51,11 @@ impl DistMatrix {
     /// non-finite.
     pub fn from_raw(n: usize, data: Vec<f64>) -> Self {
         assert_eq!(data.len(), n * n, "buffer must hold n*n weights");
+        #[expect(
+            clippy::float_cmp,
+            reason = "exact-zero diagonal is the documented storage invariant"
+        )]
         for i in 0..n {
-            // lint:allow(float-eq): exact-zero diagonal is the documented storage invariant
             assert_eq!(data[i * n + i], 0.0, "diagonal entry {i} must be zero");
             for j in (i + 1)..n {
                 let w = data[i * n + j];
@@ -105,8 +108,11 @@ impl DistMatrix {
             w.is_finite() && w >= 0.0,
             "weight must be finite and >= 0, got {w}"
         );
+        #[expect(
+            clippy::float_cmp,
+            reason = "exact-zero diagonal is the documented storage invariant"
+        )]
         if i == j {
-            // lint:allow(float-eq): exact-zero diagonal is the documented storage invariant
             assert_eq!(w, 0.0, "diagonal must stay zero");
             return;
         }

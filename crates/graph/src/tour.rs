@@ -68,11 +68,14 @@ impl Tour {
     /// # Panics
     /// Panics when `start` is not on the tour.
     pub fn rotate_to_start(&mut self, start: usize) {
+        #[expect(
+            clippy::panic,
+            reason = "documented API contract (see `# Panics` above); callers pass tour vertices"
+        )]
         let pos = self
             .order
             .iter()
             .position(|&v| v == start)
-            // lint:allow(panic-site): documented API contract (see `# Panics` above); callers pass tour vertices
             .unwrap_or_else(|| panic!("vertex {start} not on tour"));
         self.order.rotate_left(pos);
     }

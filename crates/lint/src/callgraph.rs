@@ -5,10 +5,16 @@
 //! edges, each node records the *local* hazard sites the interprocedural
 //! rules propagate:
 //!
-//! * panic sites (`unwrap`/`expect`/`panic!`-family) and indexing sites,
-//! * effect sites (time reads, unseeded RNG, hash-order containers,
-//!   ambient env reads),
+//! * indexing sites,
+//! * effect sites (wall-clock reads),
 //! * unit escapes (`.value()` / `Unit(..).0`) for raw-`f64` flow.
+//!
+//! Panic-family calls, hash-order containers and env reads are not
+//! collected: clippy requires a local justification at every such site
+//! in library code (`unwrap_used`, `panic`, `disallowed_types`,
+//! `disallowed_methods`; see the root `clippy.toml`), so none of them can
+//! be an unjustified source to propagate. The `rand` shim has no
+//! entropy-seeded constructor, so unseeded RNG cannot occur either.
 //!
 //! A site that carries a justified pragma is collected with
 //! `justified = true`: it still exists in the graph (the `--graph` dump
@@ -20,31 +26,6 @@ use crate::lexer::TokKind;
 use crate::resolve::{extract_calls, CallSite, FileCtx, FnId, Workspace};
 use crate::{FileKind, Rule};
 use std::fmt::Write as _;
-
-/// Classification of an effect source for messages and pragma mapping.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EffectKind {
-    /// `Instant::now` / `SystemTime::now`.
-    Time,
-    /// `thread_rng` / `from_entropy`.
-    Rng,
-    /// `HashMap` / `HashSet` / `RandomState`.
-    HashOrder,
-    /// `env::var` / `var_os` / `vars`.
-    Env,
-}
-
-impl EffectKind {
-    /// Human label used in witness messages (with article).
-    pub fn label(self) -> &'static str {
-        match self {
-            EffectKind::Time => "a wall-clock read",
-            EffectKind::Rng => "an unseeded RNG",
-            EffectKind::HashOrder => "a hash-order container",
-            EffectKind::Env => "an ambient env read",
-        }
-    }
-}
 
 /// One local hazard site inside a function body.
 #[derive(Clone, Debug)]
@@ -67,12 +48,10 @@ pub struct Node {
     pub opaque_calls: usize,
     /// Raw call sites (kept for wrap detection in unit-flow).
     pub calls: Vec<(CallSite, Vec<FnId>)>,
-    /// Panic-family sites (`unwrap`/`expect`/macros).
-    pub panic_sites: Vec<Site>,
     /// Indexing sites (`expr[..]`).
     pub index_sites: Vec<Site>,
-    /// Effect sites with their kind.
-    pub effect_sites: Vec<(EffectKind, Site)>,
+    /// Wall-clock read sites (`Instant::now` / `SystemTime::now`).
+    pub effect_sites: Vec<Site>,
     /// Spawn sites (`scope.spawn` / `thread::spawn`) with closure body
     /// ranges (lint v4 concurrency layer).
     pub spawn_sites: Vec<crate::concurrency::SpawnSite>,
@@ -115,14 +94,13 @@ impl CallGraph {
 
     /// Builds the graph and collects hazard sites.
     ///
-    /// `allowed(file, rule, line, mark)` reports whether a pragma
-    /// suppresses `rule` at `line`; with `mark = true` the pragma is
-    /// also marked used (so site justifications count against the
-    /// unused-allow meta-rule). `index_audited(norm)` implements the
-    /// bounds-audited baseline for indexing sites.
+    /// `allowed(file, rule, line)` reports whether a pragma suppresses
+    /// `rule` at `line` and marks it used (so site justifications count
+    /// against the unused-allow meta-rule). `index_audited(norm)`
+    /// implements the bounds-audited baseline for indexing sites.
     pub fn build(
         ws: &Workspace,
-        mut allowed: impl FnMut(usize, Rule, usize, bool) -> bool,
+        mut allowed: impl FnMut(usize, Rule, usize) -> bool,
         index_audited: impl Fn(&str) -> bool,
     ) -> CallGraph {
         let mut nodes = Vec::new();
@@ -135,7 +113,6 @@ impl CallGraph {
                     callees: Vec::new(),
                     opaque_calls: 0,
                     calls: Vec::new(),
-                    panic_sites: Vec::new(),
                     index_sites: Vec::new(),
                     effect_sites: Vec::new(),
                     spawn_sites: Vec::new(),
@@ -168,7 +145,7 @@ impl CallGraph {
                             lo,
                             hi,
                             &mut node,
-                            |rule, line, mark| allowed(fi, rule, line, mark),
+                            |rule, line| allowed(fi, rule, line),
                             &index_audited,
                         );
                     }
@@ -177,13 +154,9 @@ impl CallGraph {
                     // and the shim's spawns are exactly what the lock
                     // rules patrol.
                     if file.kind == FileKind::Library && !fun.in_test {
-                        crate::concurrency::collect_sites(
-                            file,
-                            lo,
-                            hi,
-                            &mut node,
-                            |rule, line, mark| allowed(fi, rule, line, mark),
-                        );
+                        crate::concurrency::collect_sites(file, lo, hi, &mut node, |rule, line| {
+                            allowed(fi, rule, line)
+                        });
                     }
                 }
                 index.insert(id, nodes.len());
@@ -246,16 +219,13 @@ impl CallGraph {
             }
             let live = |sites: &[Site]| sites.iter().filter(|s| !s.justified).count();
             let justified = |sites: &[Site]| sites.iter().filter(|s| s.justified).count();
-            let effects: Vec<Site> = node.effect_sites.iter().map(|(_, s)| s.clone()).collect();
             let _ = write!(
                 out,
-                " panics={}+{} indexing={}+{} effects={}+{}{}",
-                live(&node.panic_sites),
-                justified(&node.panic_sites),
+                " indexing={}+{} effects={}+{}{}",
                 live(&node.index_sites),
                 justified(&node.index_sites),
-                live(&effects),
-                justified(&effects),
+                live(&node.effect_sites),
+                justified(&node.effect_sites),
                 if node.unit_escape.is_some() {
                     " unit-escape"
                 } else {
@@ -316,56 +286,24 @@ impl CallGraph {
     }
 }
 
-const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
-
-/// Scans a body token range for hazard sites. `allowed(rule, line, mark)`
-/// checks (and with `mark = true`, consumes) a pragma.
+/// Scans a body token range for hazard sites. `allowed(rule, line)`
+/// checks (and consumes) a pragma.
 fn collect_hazards(
     file: &FileCtx,
     lo: usize,
     hi: usize,
     node: &mut Node,
-    mut allowed: impl FnMut(Rule, usize, bool) -> bool,
+    mut allowed: impl FnMut(Rule, usize) -> bool,
     index_audited: &impl Fn(&str) -> bool,
 ) {
     let toks = &file.lexed.toks;
     let hi = hi.min(toks.len());
-    let env_sanctioned = crate::env_read_sanctioned(&file.norm);
     let audited = index_audited(&file.norm);
     for i in lo..hi {
         if file.model.tok_in_test.get(i).copied().unwrap_or(false) {
             continue;
         }
         let t = &toks[i];
-        // Panic-family macro.
-        if t.kind == TokKind::Ident
-            && PANIC_MACROS.contains(&t.text.as_str())
-            && toks.get(i + 1).is_some_and(|x| x.is_punct("!"))
-        {
-            let justified =
-                allowed(Rule::PanicSite, t.line, false) || allowed(Rule::PanicReach, t.line, true);
-            node.panic_sites.push(Site {
-                line: t.line,
-                what: format!("`{}!`", t.text),
-                justified,
-            });
-        }
-        // `.unwrap()` / `.expect(`.
-        if t.is_punct(".")
-            && toks
-                .get(i + 1)
-                .is_some_and(|x| x.is_ident("unwrap") || x.is_ident("expect"))
-            && toks.get(i + 2).is_some_and(|x| x.is_punct("("))
-        {
-            let line = toks[i + 1].line;
-            let justified =
-                allowed(Rule::PanicSite, line, false) || allowed(Rule::PanicReach, line, true);
-            node.panic_sites.push(Site {
-                line,
-                what: format!("`{}()`", toks[i + 1].text),
-                justified,
-            });
-        }
         // Indexing: `ident[` / `)[` / `][`.
         if t.is_punct("[")
             && i > 0
@@ -373,70 +311,23 @@ fn collect_hazards(
                 || toks[i - 1].is_punct(")")
                 || toks[i - 1].is_punct("]"))
         {
-            let justified = audited || allowed(Rule::PanicReach, t.line, true);
+            let justified = audited || allowed(Rule::PanicReach, t.line);
             node.index_sites.push(Site {
                 line: t.line,
                 what: "indexing".into(),
                 justified,
             });
         }
-        // Effects.
-        let mut effect: Option<(EffectKind, String, Rule, usize)> = None;
-        if t.kind == TokKind::Ident {
-            match t.text.as_str() {
-                "thread_rng" | "from_entropy" => {
-                    effect = Some((
-                        EffectKind::Rng,
-                        format!("`{}`", t.text),
-                        Rule::Nondeterminism,
-                        t.line,
-                    ));
-                }
-                "HashMap" | "HashSet" | "RandomState" => {
-                    effect = Some((
-                        EffectKind::HashOrder,
-                        format!("`{}`", t.text),
-                        Rule::Nondeterminism,
-                        t.line,
-                    ));
-                }
-                "Instant" | "SystemTime"
-                    if toks.get(i + 1).is_some_and(|x| x.is_punct("::"))
-                        && toks.get(i + 2).is_some_and(|x| x.is_ident("now")) =>
-                {
-                    effect = Some((
-                        EffectKind::Time,
-                        format!("`{}::now`", t.text),
-                        Rule::EffectTaint,
-                        t.line,
-                    ));
-                }
-                "env"
-                    if !env_sanctioned
-                        && toks.get(i + 1).is_some_and(|x| x.is_punct("::"))
-                        && toks.get(i + 2).is_some_and(|x| {
-                            x.is_ident("var") || x.is_ident("var_os") || x.is_ident("vars")
-                        }) =>
-                {
-                    effect = Some((EffectKind::Env, "`env::var`".into(), Rule::EnvRead, t.line));
-                }
-                _ => {}
-            }
-        }
-        if let Some((kind, what, site_rule, line)) = effect {
-            // A pragma for the per-file rule that also covers this site
-            // (nondeterminism, env-read) is honoured without re-marking;
-            // an `effect-taint` pragma is marked used here.
-            let justified = (site_rule != Rule::EffectTaint && allowed(site_rule, line, false))
-                || allowed(Rule::EffectTaint, line, true);
-            node.effect_sites.push((
-                kind,
-                Site {
-                    line,
-                    what,
-                    justified,
-                },
-            ));
+        // Wall-clock reads.
+        if (t.is_ident("Instant") || t.is_ident("SystemTime"))
+            && toks.get(i + 1).is_some_and(|x| x.is_punct("::"))
+            && toks.get(i + 2).is_some_and(|x| x.is_ident("now"))
+        {
+            node.effect_sites.push(Site {
+                line: t.line,
+                what: format!("`{}::now`", t.text),
+                justified: allowed(Rule::EffectTaint, t.line),
+            });
         }
         // Unit escapes: `.value()` and `Unit(..).0`.
         if node.unit_escape.is_none() {

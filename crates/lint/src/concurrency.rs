@@ -36,7 +36,7 @@
 //! and the enclosing statement for temporaries; lock identity is the
 //! receiver's trailing field name qualified by the defining crate.
 
-use crate::callgraph::{CallGraph, EffectKind, Node, Site};
+use crate::callgraph::{CallGraph, Node, Site};
 use crate::dataflow::{self, ReachInfo};
 use crate::lexer::{Tok, TokKind};
 use crate::resolve::{CallSite, FileCtx, Workspace};
@@ -119,14 +119,14 @@ const PAR_TARGETS: [&str; 4] = [
 /// Scans a body token range for concurrency hazard sites. Unlike the v3
 /// hazard collector this is *not* gated by `obs_sanctioned` — the
 /// recorder's Mutex and the compat shim's spawns are exactly what the
-/// lock rules must see. `allowed(rule, line, mark)` checks (and with
-/// `mark = true`, consumes) a pragma.
+/// lock rules must see. `allowed(rule, line)` checks (and consumes) a
+/// pragma.
 pub(crate) fn collect_sites(
     file: &FileCtx,
     lo: usize,
     hi: usize,
     node: &mut Node,
-    mut allowed: impl FnMut(Rule, usize, bool) -> bool,
+    mut allowed: impl FnMut(Rule, usize) -> bool,
 ) {
     let toks = &file.lexed.toks;
     let hi = hi.min(toks.len());
@@ -154,7 +154,7 @@ pub(crate) fn collect_sites(
                 tok: i + 1,
                 what: receiver_tail(toks, i),
                 live: guard_live_range(toks, hi, i + 1),
-                justified: allowed(Rule::LockAcrossSpawn, line, true),
+                justified: allowed(Rule::LockAcrossSpawn, line),
             });
         }
         // Relaxed atomic ordering.
@@ -166,7 +166,7 @@ pub(crate) fn collect_sites(
             node.atomic_sites.push(Site {
                 line: t.line,
                 what: "`Ordering::Relaxed`".into(),
-                justified: allowed(Rule::AtomicOrdering, t.line, true),
+                justified: allowed(Rule::AtomicOrdering, t.line),
             });
         }
     }
@@ -335,7 +335,7 @@ pub(crate) fn check(
     ws: &Workspace,
     graph: &CallGraph,
     entries: &[usize],
-    effect_reach: &[Option<ReachInfo<(EffectKind, Site)>>],
+    effect_reach: &[Option<ReachInfo<Site>>],
     mut allowed: impl FnMut(usize, Rule, usize) -> bool,
 ) -> Vec<Finding> {
     let mut findings = Vec::new();
@@ -838,7 +838,7 @@ fn par_purity_arg(
     env: &FnEnv,
     call: &CallSite,
     (alo, ahi): (usize, usize),
-    effect_reach: &[Option<ReachInfo<(EffectKind, Site)>>],
+    effect_reach: &[Option<ReachInfo<Site>>],
     allowed: &mut impl FnMut(usize) -> bool,
     findings: &mut Vec<Finding>,
 ) {
@@ -863,7 +863,7 @@ fn par_purity_arg(
         for t in ws.resolve(fi, &probe) {
             let Some(ix) = graph.node_of(t) else { continue };
             if let Some(info) = &effect_reach[ix] {
-                let (kind, site) = &info.payload;
+                let site = &info.payload;
                 let src_file = &ws.files[graph.nodes[info.source].id.0];
                 if !allowed(toks[alo].line) {
                     findings.push(Finding {
@@ -871,10 +871,9 @@ fn par_purity_arg(
                         line: toks[alo].line,
                         rule: Rule::ParPurity,
                         message: format!(
-                            "`{}` passed to `{}` can reach {} ({} at {}:{}) via {}; parallel arguments must be effect-pure, or justify with lint:allow(par-purity)",
+                            "`{}` passed to `{}` can reach a wall-clock read ({} at {}:{}) via {}; parallel arguments must be effect-pure, or justify with lint:allow(par-purity)",
                             name,
                             call.name,
-                            kind.label(),
                             site.what,
                             src_file.path.display(),
                             site.line,
@@ -1025,7 +1024,7 @@ fn par_purity_arg(
                 let Some(info) = &effect_reach[ix] else {
                     continue;
                 };
-                let (kind, site) = &info.payload;
+                let site = &info.payload;
                 let src_file = &ws.files[graph.nodes[info.source].id.0];
                 if !allowed(c2.line) {
                     findings.push(Finding {
@@ -1033,10 +1032,9 @@ fn par_purity_arg(
                         line: c2.line,
                         rule: Rule::ParPurity,
                         message: format!(
-                            "parallel closure passed to `{}` calls `{}`, which can reach {} ({} at {}:{}) via {}; parallel arguments must be effect-pure, or justify with lint:allow(par-purity)",
+                            "parallel closure passed to `{}` calls `{}`, which can reach a wall-clock read ({} at {}:{}) via {}; parallel arguments must be effect-pure, or justify with lint:allow(par-purity)",
                             call.name,
                             c2.name,
-                            kind.label(),
                             site.what,
                             src_file.path.display(),
                             site.line,

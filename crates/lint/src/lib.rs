@@ -17,23 +17,25 @@
 //! Rules:
 //!
 //! * [`Rule::FloatOrd`] — `partial_cmp` comparators (NaN-unsafe) and
-//!   `==`/`!=` against float literals. The one approved home for float
-//!   ordering is `uavdc_geom::{cmp_f64, cmp_f64_desc, TotalF64}`.
-//! * [`Rule::PanicSite`] — `unwrap()/expect()/panic!/unreachable!/...`
-//!   in library code, which can abort a planner mid-tour.
-//! * [`Rule::Nondeterminism`] — `thread_rng`/`from_entropy` (unseeded
-//!   randomness) and `HashMap`/`HashSet` (iteration order can leak into
-//!   planner output) in library code.
+//!   `==`/`!=` against float literals, `0.0` included (clippy's
+//!   `float_cmp` exempts zero). The one approved home for float ordering
+//!   is `uavdc_geom::{cmp_f64, cmp_f64_desc, TotalF64}`.
 //! * [`Rule::RawQuantity`] — public signatures/fields in the planner
 //!   crates that take or return bare `f64` under a dimension-vocabulary
 //!   name (`energy`, `budget`, `dist`, `len`, `speed`, …) instead of the
 //!   `uavdc-net::units` newtypes (`Joules`, `Meters`, `Seconds`, …).
 //! * [`Rule::UnitUnwrap`] — `.value()` / `Unit(..).0` escapes from the
 //!   unit layer outside the declared perf-critical modules.
-//! * [`Rule::FloatEq`] — `==`/`!=`/`assert_eq!` on `f64` values outside
-//!   `#[cfg(test)]`.
-//! * [`Rule::EnvRead`] — `env::var` outside the sanctioned threading
-//!   helper, so planner behaviour cannot depend on ambient state.
+//!
+//! Panic sites, hash-order containers, ambient env reads and float
+//! equality are clippy's job, not this tool's: the root `clippy.toml`
+//! bans `std::env::var{,_os,s}` and `HashMap`/`HashSet`/`RandomState`,
+//! and every library crate root warns on `unwrap_used`, `expect_used`,
+//! `panic`, `unreachable`, `todo`, `unimplemented` and `float_cmp`
+//! outside `cfg(test)`. A sanctioned site carries
+//! `#[expect(clippy::…, reason = "…")]` on the narrowest statement, and
+//! `cargo clippy --workspace --all-targets -- -D warnings` fails on both
+//! unjustified sites and stale expectations.
 //!
 //! Since PR 6 the tool is *workspace-wide*: a resolver ([`resolve`])
 //! maps every `fn` to a `(crate, module)` coordinate and resolves call
@@ -42,11 +44,14 @@
 //! layer ([`dataflow`]) propagates them. Four interprocedural rules run
 //! on top (introduced with JSON schema `uavdc-lint/3`):
 //!
-//! * [`Rule::EffectTaint`] — nondeterminism sources (time, unseeded
-//!   RNG, hash-order iteration, env reads) reachable from public
-//!   planner entry points, with the shortest witness call path.
-//! * [`Rule::PanicReach`] — panic and non-audited indexing sites
-//!   reachable from planner entry points, same witness format.
+//! * [`Rule::EffectTaint`] — wall-clock reads reachable from public
+//!   planner entry points, with the shortest witness call path. (The
+//!   other nondeterminism sources cannot occur unjustified: clippy bans
+//!   hash containers and env reads, and the `rand` shim has no
+//!   entropy-seeded constructor.)
+//! * [`Rule::PanicReach`] — non-audited indexing sites reachable from
+//!   planner entry points, same witness format. (`unwrap`/`panic!`-family
+//!   sites need a local clippy justification, so they never propagate.)
 //! * [`Rule::UnitFlow`] — raw `f64` produced by `.value()` escapes
 //!   tracked across function boundaries until re-wrapped in a unit
 //!   newtype.
@@ -71,7 +76,7 @@
 //! line directly above (doc comments are never pragmas):
 //!
 //! ```text
-//! // lint:allow(panic-site): index is in range by construction of `order`
+//! // lint:allow(panic-reach): index is in range by construction of `order`
 //! ```
 //!
 //! The reason after the colon is mandatory, and pragmas that suppress
@@ -80,6 +85,19 @@
 //!
 //! Exit codes of the CLI: `0` clean, `1` findings, `2` I/O or usage
 //! error.
+
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp
+    )
+)]
 
 pub mod callgraph;
 pub mod concurrency;
@@ -98,27 +116,16 @@ pub enum Rule {
     /// NaN-unsafe float ordering: `partial_cmp` outside the approved
     /// helper module, or `==`/`!=` against a float literal.
     FloatOrd,
-    /// `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!`
-    /// in library code.
-    PanicSite,
-    /// Unseeded randomness or hash-order-dependent containers in
-    /// library code.
-    Nondeterminism,
     /// Bare `f64` under a dimension-vocabulary name in a public
     /// signature or field of a planner crate.
     RawQuantity,
     /// `.value()` / `Unit(..).0` escape from the unit layer outside a
     /// declared perf-critical module.
     UnitUnwrap,
-    /// `==`/`!=`/`assert_eq!` on `f64` values outside `#[cfg(test)]`.
-    FloatEq,
-    /// `env::var` outside the sanctioned configuration helpers.
-    EnvRead,
-    /// A nondeterminism source (time, unseeded RNG, hash order, env)
-    /// reachable from a public planner entry point through the call
-    /// graph.
+    /// A wall-clock read reachable from a public planner entry point
+    /// through the call graph.
     EffectTaint,
-    /// A panic or indexing site reachable from a public planner entry
+    /// A non-audited indexing site reachable from a public planner entry
     /// point through the call graph.
     PanicReach,
     /// A raw `f64` produced by a unit escape (`.value()` / `Unit(..).0`)
@@ -151,12 +158,8 @@ impl Rule {
     pub fn name(self) -> &'static str {
         match self {
             Rule::FloatOrd => "float-ord",
-            Rule::PanicSite => "panic-site",
-            Rule::Nondeterminism => "nondeterminism",
             Rule::RawQuantity => "raw-quantity",
             Rule::UnitUnwrap => "unit-unwrap",
-            Rule::FloatEq => "float-eq",
-            Rule::EnvRead => "env-read",
             Rule::EffectTaint => "effect-taint",
             Rule::PanicReach => "panic-reach",
             Rule::UnitFlow => "unit-flow",
@@ -174,12 +177,8 @@ impl Rule {
     pub fn from_name(name: &str) -> Option<Rule> {
         match name {
             "float-ord" => Some(Rule::FloatOrd),
-            "panic-site" => Some(Rule::PanicSite),
-            "nondeterminism" => Some(Rule::Nondeterminism),
             "raw-quantity" => Some(Rule::RawQuantity),
             "unit-unwrap" => Some(Rule::UnitUnwrap),
-            "float-eq" => Some(Rule::FloatEq),
-            "env-read" => Some(Rule::EnvRead),
             "effect-taint" => Some(Rule::EffectTaint),
             "panic-reach" => Some(Rule::PanicReach),
             "unit-flow" => Some(Rule::UnitFlow),
@@ -195,18 +194,14 @@ impl Rule {
     }
 
     /// All rules that scan source directly (pragma meta-rules excluded):
-    /// the seven per-file rules, the four interprocedural rules of
+    /// the three per-file rules, the four interprocedural rules of
     /// schema `uavdc-lint/3`, and the four concurrency rules added by
     /// schema `uavdc-lint/4`.
-    pub fn all_source_rules() -> [Rule; 15] {
+    pub fn all_source_rules() -> [Rule; 11] {
         [
             Rule::FloatOrd,
-            Rule::PanicSite,
-            Rule::Nondeterminism,
             Rule::RawQuantity,
             Rule::UnitUnwrap,
-            Rule::FloatEq,
-            Rule::EnvRead,
             Rule::EffectTaint,
             Rule::PanicReach,
             Rule::UnitFlow,
@@ -230,8 +225,8 @@ impl fmt::Display for Rule {
 pub enum FileKind {
     /// Library source: every rule applies.
     Library,
-    /// Tests, benches, examples, binaries: panic and nondeterminism
-    /// rules are relaxed; float ordering still applies.
+    /// Tests, benches, examples, binaries: only float ordering applies,
+    /// and their fns are never planner entry points or hazard sites.
     TestLike,
 }
 
@@ -438,17 +433,6 @@ fn is_allowed(allows: &mut [Allow], rule: Rule, finding_line: usize) -> bool {
     false
 }
 
-/// Like [`is_allowed`] but without consuming the pragma: used when a
-/// per-file rule already owns (and marks) the pragma and an
-/// interprocedural rule merely honours it.
-fn allowed_peek(allows: &[Allow], rule: Rule, finding_line: usize) -> bool {
-    allows.iter().any(|a| {
-        a.rule == Some(rule)
-            && a.has_reason
-            && (a.line == finding_line || a.line + 1 == finding_line)
-    })
-}
-
 /// Paths (workspace-relative, `/`-separated suffixes) where `float-ord`
 /// does not apply: the approved total-order helper itself.
 const FLOAT_ORD_EXEMPT: [&str; 1] = ["crates/geom/src/order.rs"];
@@ -481,18 +465,6 @@ pub const PERF_CRITICAL_MODULES: [&str; 9] = [
     "crates/core/src/repair.rs",
 ];
 
-/// The sanctioned homes for `env::var`: the threading configuration
-/// helper (`UAVDC_THREADS`) and the observability toggle (`UAVDC_OBS`,
-/// read once through `uavdc_obs::env_enabled`).
-const ENV_READ_SANCTIONED: [&str; 2] = ["crates/core/src/greedy.rs", "crates/obs/src/lib.rs"];
-
-/// Is `env::var` sanctioned in this file? Shared with the call-graph
-/// hazard collector so `effect-taint` and `env-read` agree on the
-/// boundary.
-pub(crate) fn env_read_sanctioned(norm: &str) -> bool {
-    path_ends(norm, &ENV_READ_SANCTIONED)
-}
-
 /// Crates whose public functions are planner entry points for the
 /// interprocedural rules (effect-taint, panic-reach): the algorithm
 /// core, the orienteering solvers, and the mission simulator.
@@ -509,7 +481,7 @@ const ENTRY_CRATES: [&str; 3] = [
 /// see DESIGN.md §13 and §16). This is a *ratchet*:
 /// new files start outside the list, so fresh indexing-heavy code must
 /// either be audited in or carry per-site pragmas.
-const INDEX_AUDITED: [&str; 52] = [
+const INDEX_AUDITED: [&str; 51] = [
     "crates/bench/src/json.rs",
     "crates/bench/src/lib.rs",
     "crates/core/src/alg1.rs",
@@ -528,7 +500,6 @@ const INDEX_AUDITED: [&str; 52] = [
     "crates/core/src/validate.rs",
     "crates/geom/src/aabb.rs",
     "crates/geom/src/hull.rs",
-    "crates/geom/src/kdtree.rs",
     "crates/geom/src/order.rs",
     "crates/geom/src/polyline.rs",
     "crates/geom/src/spatial.rs",
@@ -637,48 +608,12 @@ fn path_ends(norm: &str, suffixes: &[&str]) -> bool {
     suffixes.iter().any(|p| norm.ends_with(p))
 }
 
-const PANIC_IDENTS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
-const NONDET_IDENTS: [&str; 5] = [
-    "thread_rng",
-    "from_entropy",
-    "HashMap",
-    "HashSet",
-    "RandomState",
-];
-const FLOAT_ASSERTS: [&str; 4] = [
-    "assert_eq",
-    "assert_ne",
-    "debug_assert_eq",
-    "debug_assert_ne",
-];
-
 /// Is token `j` (skipping one leading unary minus) a float literal?
 fn float_lit_at(toks: &[Tok], mut j: usize) -> Option<&Tok> {
     if toks.get(j).is_some_and(|t| t.is_punct("-")) {
         j += 1;
     }
     toks.get(j).filter(|t| t.kind == TokKind::Float)
-}
-
-/// Do the tokens ending at `i` (exclusive) spell `.value()`?
-fn value_call_ends_at(toks: &[Tok], i: usize) -> bool {
-    i >= 4
-        && toks[i - 1].is_punct(")")
-        && toks[i - 2].is_punct("(")
-        && toks[i - 3].is_ident("value")
-        && toks[i - 4].is_punct(".")
-}
-
-/// Do the tokens starting at `j` (skipping a unary minus) begin an
-/// `ident.value()` chain?
-fn value_call_starts_at(toks: &[Tok], mut j: usize) -> bool {
-    if toks.get(j).is_some_and(|t| t.is_punct("-")) {
-        j += 1;
-    }
-    toks.get(j).is_some_and(|t| t.kind == TokKind::Ident)
-        && toks.get(j + 1).is_some_and(|t| t.is_punct("."))
-        && toks.get(j + 2).is_some_and(|t| t.is_ident("value"))
-        && toks.get(j + 3).is_some_and(|t| t.is_punct("("))
 }
 
 /// Scan one file's contents in isolation. `display_path` is used for
@@ -762,7 +697,7 @@ pub fn analyze(inputs: Vec<AnalysisInput>, scope: ScanScope) -> Vec<Finding> {
     findings
 }
 
-/// The seven per-file rules (schema 2 semantics, unchanged).
+/// The three per-file rules: float-ord, raw-quantity, unit-unwrap.
 fn per_file_rules(
     ctx: &resolve::FileCtx,
     scope: ScanScope,
@@ -780,7 +715,6 @@ fn per_file_rules(
     let raw_quantity_in_scope = force || path_in(norm, &RAW_QUANTITY_CRATES);
     let unit_unwrap_in_scope =
         (force || path_in(norm, &UNIT_UNWRAP_CRATES)) && !path_ends(norm, &PERF_CRITICAL_MODULES);
-    let env_sanctioned = env_read_sanctioned(norm);
     let library = kind == FileKind::Library;
 
     let mut push = |allows: &mut [Allow], line: usize, rule: Rule, message: String| {
@@ -796,9 +730,6 @@ fn per_file_rules(
 
     // --- Token-stream rules -------------------------------------------
     for (i, t) in toks.iter().enumerate() {
-        let in_test = model.tok_in_test[i];
-        let lib_code = library && !in_test;
-
         // float-ord: applies to all code, test or not.
         if !float_ord_exempt {
             if t.is_ident("partial_cmp") {
@@ -827,128 +758,61 @@ fn per_file_rules(
             }
         }
 
-        if lib_code {
-            // panic-site.
-            if t.kind == TokKind::Ident
-                && PANIC_IDENTS.contains(&t.text.as_str())
-                && toks.get(i + 1).is_some_and(|x| x.is_punct("!"))
-            {
-                push(
-                    &mut *allows,
-                    t.line,
-                    Rule::PanicSite,
-                    format!(
-                        "`{}!` in library code can abort a planner mid-tour; return a typed error or justify with lint:allow",
-                        t.text
-                    ),
-                );
-            }
+        // unit-unwrap: library non-test code in its declared crates.
+        if unit_unwrap_in_scope && library && !model.tok_in_test[i] {
             if t.is_punct(".")
-                && toks
-                    .get(i + 1)
-                    .is_some_and(|x| x.is_ident("unwrap") || x.is_ident("expect"))
+                && toks.get(i + 1).is_some_and(|x| x.is_ident("value"))
                 && toks.get(i + 2).is_some_and(|x| x.is_punct("("))
-            {
-                push(
-                    &mut *allows,
-                    toks[i + 1].line,
-                    Rule::PanicSite,
-                    format!(
-                        "`{}()` in library code can abort a planner mid-tour; return a typed error or justify with lint:allow",
-                        toks[i + 1].text
-                    ),
-                );
-            }
-
-            // nondeterminism.
-            if t.kind == TokKind::Ident && NONDET_IDENTS.contains(&t.text.as_str()) {
-                push(
-                    &mut *allows,
-                    t.line,
-                    Rule::Nondeterminism,
-                    format!(
-                        "`{}` is a nondeterminism hazard (unseeded RNG or hash-order iteration); use seeded RNGs / BTree containers or justify with lint:allow",
-                        t.text
-                    ),
-                );
-            }
-
-            // env-read. `var_os`/`vars` are the same ambient-state read
-            // through a different accessor (a fault-injection config
-            // probed via `env::var_os`, say, is exactly as non-replayable
-            // as one parsed from `env::var`).
-            if !env_sanctioned
-                && t.is_ident("env")
-                && toks.get(i + 1).is_some_and(|x| x.is_punct("::"))
-                && toks.get(i + 2).is_some_and(|x| {
-                    x.is_ident("var") || x.is_ident("var_os") || x.is_ident("vars")
-                })
+                && toks.get(i + 3).is_some_and(|x| x.is_punct(")"))
             {
                 push(
                     &mut *allows,
                     t.line,
-                    Rule::EnvRead,
-                    "`env::var` makes planner behaviour depend on ambient state; thread configuration through explicit parameters or justify with lint:allow"
+                    Rule::UnitUnwrap,
+                    "`.value()` escapes the unit layer; keep raw-f64 math inside a declared perf-critical module (DESIGN.md \u{a7}9) or justify with lint:allow"
                         .into(),
                 );
             }
-
-            // unit-unwrap.
-            if unit_unwrap_in_scope {
-                if t.is_punct(".")
-                    && toks.get(i + 1).is_some_and(|x| x.is_ident("value"))
-                    && toks.get(i + 2).is_some_and(|x| x.is_punct("("))
-                    && toks.get(i + 3).is_some_and(|x| x.is_punct(")"))
+            // `Unit(expr).0`: close paren directly before `.0`, whose
+            // matching open is preceded by a unit type name.
+            if t.is_punct(".")
+                && toks
+                    .get(i + 1)
+                    .is_some_and(|x| x.kind == TokKind::Int && x.text == "0")
+                && i > 0
+                && toks[i - 1].is_punct(")")
+            {
+                let mut depth = 0i64;
+                let mut k = i - 1;
+                loop {
+                    match toks[k].text.as_str() {
+                        ")" => depth += 1,
+                        "(" => {
+                            depth -= 1;
+                            if depth == 0 {
+                                break;
+                            }
+                        }
+                        _ => {}
+                    }
+                    if k == 0 {
+                        break;
+                    }
+                    k -= 1;
+                }
+                if k > 0
+                    && toks[k - 1].kind == TokKind::Ident
+                    && UNIT_TYPES.contains(&toks[k - 1].text.as_str())
                 {
                     push(
                         &mut *allows,
                         t.line,
                         Rule::UnitUnwrap,
-                        "`.value()` escapes the unit layer; keep raw-f64 math inside a declared perf-critical module (DESIGN.md \u{a7}9) or justify with lint:allow"
-                            .into(),
+                        format!(
+                            "`{}(..).0` escapes the unit layer; keep raw-f64 math inside a declared perf-critical module (DESIGN.md \u{a7}9) or justify with lint:allow",
+                            toks[k - 1].text
+                        ),
                     );
-                }
-                // `Unit(expr).0`: close paren directly before `.0`, whose
-                // matching open is preceded by a unit type name.
-                if t.is_punct(".")
-                    && toks
-                        .get(i + 1)
-                        .is_some_and(|x| x.kind == TokKind::Int && x.text == "0")
-                    && i > 0
-                    && toks[i - 1].is_punct(")")
-                {
-                    let mut depth = 0i64;
-                    let mut k = i - 1;
-                    loop {
-                        match toks[k].text.as_str() {
-                            ")" => depth += 1,
-                            "(" => {
-                                depth -= 1;
-                                if depth == 0 {
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                        if k == 0 {
-                            break;
-                        }
-                        k -= 1;
-                    }
-                    if k > 0
-                        && toks[k - 1].kind == TokKind::Ident
-                        && UNIT_TYPES.contains(&toks[k - 1].text.as_str())
-                    {
-                        push(
-                            &mut *allows,
-                            t.line,
-                            Rule::UnitUnwrap,
-                            format!(
-                                "`{}(..).0` escapes the unit layer; keep raw-f64 math inside a declared perf-critical module (DESIGN.md \u{a7}9) or justify with lint:allow",
-                                toks[k - 1].text
-                            ),
-                        );
-                    }
                 }
             }
         }
@@ -1009,101 +873,6 @@ fn per_file_rules(
                         fld.owner, fld.name
                     ),
                 );
-            }
-        }
-    }
-
-    // float-eq: per-function f64 symbol tables.
-    if library {
-        for f in &model.fns {
-            if f.in_test {
-                continue;
-            }
-            let Some((lo, hi)) = f.body else { continue };
-            let syms = parser::f64_symbols(f, toks);
-            let is_sym = |t: &Tok| t.kind == TokKind::Ident && syms.iter().any(|s| s == &t.text);
-            // A symbol directly followed by `.` or `(` is a method call /
-            // field access / call whose result type is unknown — not an
-            // f64 operand (`data.len()` must not count as float).
-            let sym_operand = |j: usize| {
-                toks.get(j).is_some_and(&is_sym)
-                    && !toks
-                        .get(j + 1)
-                        .is_some_and(|t| t.is_punct(".") || t.is_punct("(") || t.is_punct("::"))
-            };
-            let mut i = lo;
-            while i < hi.min(toks.len()) {
-                let t = &toks[i];
-                if (t.is_punct("==") || t.is_punct("!=")) && !model.tok_in_test[i] {
-                    // Literal comparisons are float-ord's territory.
-                    let lit_adjacent = (i > 0 && toks[i - 1].kind == TokKind::Float)
-                        || float_lit_at(toks, i + 1).is_some();
-                    let left = i > 0 && (sym_operand(i - 1) || value_call_ends_at(toks, i));
-                    let right = {
-                        let j = if toks.get(i + 1).is_some_and(|t| t.is_punct("-")) {
-                            i + 2
-                        } else {
-                            i + 1
-                        };
-                        sym_operand(j) || value_call_starts_at(toks, i + 1)
-                    };
-                    if !lit_adjacent && (left || right) {
-                        push(
-                            &mut *allows,
-                            t.line,
-                            Rule::FloatEq,
-                            format!(
-                                "`{}` on f64 values outside #[cfg(test)]; compare with a tolerance (uavdc_geom::approx_eq) or justify with lint:allow",
-                                t.text
-                            ),
-                        );
-                    }
-                }
-                // assert_eq!/assert_ne! on float operands in library code.
-                if t.kind == TokKind::Ident
-                    && FLOAT_ASSERTS.contains(&t.text.as_str())
-                    && toks.get(i + 1).is_some_and(|x| x.is_punct("!"))
-                    && toks.get(i + 2).is_some_and(|x| x.is_punct("("))
-                    && !model.tok_in_test[i]
-                {
-                    let mut depth = 0i64;
-                    let mut j = i + 2;
-                    let mut floaty = false;
-                    while j < hi.min(toks.len()) {
-                        match toks[j].text.as_str() {
-                            "(" => depth += 1,
-                            ")" => {
-                                depth -= 1;
-                                if depth == 0 {
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                        if toks[j].kind == TokKind::Float
-                            || sym_operand(j)
-                            || (toks[j].is_ident("value")
-                                && toks.get(j + 1).is_some_and(|x| x.is_punct("(")))
-                        {
-                            floaty = true;
-                        }
-                        j += 1;
-                    }
-                    if floaty {
-                        push(
-                            &mut *allows,
-                            t.line,
-                            Rule::FloatEq,
-                            format!(
-                                "`{}!` on float operands outside #[cfg(test)]; use a tolerance check or justify with lint:allow",
-                                t.text
-                            ),
-                        );
-                    }
-                    i = j;
-                    continue;
-                }
-                i += 1;
             }
         }
     }
@@ -1174,13 +943,7 @@ fn interprocedural_rules(
 ) -> Vec<Finding> {
     let graph = callgraph::CallGraph::build(
         ws,
-        |fi, rule, line, mark| {
-            if mark {
-                is_allowed(&mut allows[fi], rule, line)
-            } else {
-                allowed_peek(&allows[fi], rule, line)
-            }
-        },
+        |fi, rule, line| is_allowed(&mut allows[fi], rule, line),
         index_audited,
     );
     let mut findings = Vec::new();
@@ -1191,15 +954,15 @@ fn interprocedural_rules(
     // --- effect-taint: nearest unjustified effect source reachable from
     // each entry point, reported at the entry point with the shortest
     // witness call path.
-    let effect_sources: Vec<(usize, (callgraph::EffectKind, callgraph::Site))> = graph
+    let effect_sources: Vec<(usize, callgraph::Site)> = graph
         .nodes
         .iter()
         .enumerate()
         .filter_map(|(n, node)| {
             node.effect_sites
                 .iter()
-                .find(|(_, s)| !s.justified)
-                .map(|(k, s)| (n, (*k, s.clone())))
+                .find(|s| !s.justified)
+                .map(|s| (n, s.clone()))
         })
         .collect();
     let effect_reach = dataflow::reach(&graph, &effect_sources);
@@ -1207,7 +970,7 @@ fn interprocedural_rules(
         let Some(info) = &effect_reach[e] else {
             continue;
         };
-        let (kind, site) = &info.payload;
+        let site = &info.payload;
         let (fi, ni) = graph.nodes[e].id;
         let fun = &ws.files[fi].model.fns[ni];
         let src_file = &ws.files[graph.nodes[info.source].id.0];
@@ -1217,9 +980,8 @@ fn interprocedural_rules(
                 line: fun.line,
                 rule: Rule::EffectTaint,
                 message: format!(
-                    "public planner entry `{}` can reach {} ({} at {}:{}) via {}; make the chain effect-clean or justify with lint:allow(effect-taint)",
+                    "public planner entry `{}` can reach a wall-clock read ({} at {}:{}) via {}; make the chain effect-clean or justify with lint:allow(effect-taint)",
                     fun.name,
-                    kind.label(),
                     site.what,
                     src_file.path.display(),
                     site.line,
@@ -1229,18 +991,15 @@ fn interprocedural_rules(
         }
     }
 
-    // --- panic-reach: same shape over panic and (non-audited) indexing
-    // sites.
+    // --- panic-reach: same shape over non-audited indexing sites.
     let panic_sources: Vec<(usize, callgraph::Site)> = graph
         .nodes
         .iter()
         .enumerate()
         .filter_map(|(n, node)| {
-            node.panic_sites
+            node.index_sites
                 .iter()
-                .chain(node.index_sites.iter())
-                .filter(|s| !s.justified)
-                .min_by_key(|s| s.line)
+                .find(|s| !s.justified)
                 .map(|s| (n, s.clone()))
         })
         .collect();
@@ -1427,7 +1186,10 @@ fn interprocedural_rules(
 }
 
 /// Recursively collect workspace `.rs` files under `root`, skipping
-/// build output and VCS metadata.
+/// build output, VCS metadata, and nested packages that declare their
+/// own `[workspace]` (such as `perfbench/`): planners cannot call into
+/// them, and name-based call resolution would otherwise link planner
+/// entry points to their same-named fns.
 pub fn collect_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
     let mut stack = vec![root.to_path_buf()];
@@ -1442,6 +1204,7 @@ pub fn collect_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
                     || name == ".git"
                     || name == "results"
                     || name == "results_quick"
+                    || is_nested_workspace(&path)
                 {
                     continue;
                 }
@@ -1453,6 +1216,12 @@ pub fn collect_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     }
     files.sort();
     Ok(files)
+}
+
+/// Does `dir` hold a `Cargo.toml` with its own `[workspace]` table?
+fn is_nested_workspace(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|m| m.lines().any(|l| l.trim() == "[workspace]"))
 }
 
 /// Read every `.rs` file under `root` into [`AnalysisInput`]s with
@@ -1480,14 +1249,14 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
 }
 
 /// The `--graph` dump for a set of inputs: builds the same call graph
-/// the interprocedural rules use (pragmas honoured, never consumed) and
-/// renders it deterministically.
+/// the interprocedural rules use (pragmas honoured) and renders it
+/// deterministically.
 pub fn graph_dump(inputs: Vec<AnalysisInput>) -> String {
-    let (ctxs, allows) = build_contexts(inputs);
+    let (ctxs, mut allows) = build_contexts(inputs);
     let ws = resolve::Workspace::build(ctxs);
     let graph = callgraph::CallGraph::build(
         &ws,
-        |fi, rule, line, _mark| allowed_peek(&allows[fi], rule, line),
+        |fi, rule, line| is_allowed(&mut allows[fi], rule, line),
         index_audited,
     );
     graph.dump(&ws)
@@ -1755,8 +1524,6 @@ mod tests {
         let f = scan_lib(src);
         assert!(f.iter().any(|x| x.rule == Rule::FloatOrd && x.line == 2));
         assert!(f.iter().any(|x| x.rule == Rule::FloatOrd && x.line == 3));
-        // line 2 also has .unwrap() => panic-site
-        assert!(f.iter().any(|x| x.rule == Rule::PanicSite && x.line == 2));
     }
 
     #[test]
@@ -1786,55 +1553,60 @@ mod tests {
     }
 
     #[test]
-    fn panic_rule_skips_tests_benches_and_cfg_test_modules() {
-        let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { None::<u8>.unwrap(); }\n}\n";
+    fn library_rules_skip_tests_benches_and_cfg_test_modules() {
+        let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t(e: Joules) -> f64 { e.value() }\n}\n";
         assert!(
-            scan_lib(src).iter().all(|x| x.rule != Rule::PanicSite),
+            scan_lib(src).iter().all(|x| x.rule != Rule::UnitUnwrap),
             "cfg(test) module must be exempt"
         );
         let f = scan_source(
-            Path::new("crates/demo/tests/t.rs"),
-            "fn g() { None::<u8>.unwrap(); }\n",
-            classify(Path::new("crates/demo/tests/t.rs")),
+            Path::new("crates/core/tests/t.rs"),
+            "fn g(e: Joules) -> f64 { e.value() }\n",
+            classify(Path::new("crates/core/tests/t.rs")),
             ScanScope::Workspace,
         );
         assert!(f.is_empty(), "integration tests are exempt: {f:?}");
     }
 
     #[test]
-    fn nondeterminism_rule_flags_hash_containers_and_unseeded_rngs() {
-        let src = "use std::collections::HashMap;\nfn f() { let _ = rand::thread_rng(); }\n";
-        let f = scan_lib(src);
-        assert_eq!(
-            f.iter().filter(|x| x.rule == Rule::Nondeterminism).count(),
-            2
-        );
-    }
-
-    #[test]
     fn allow_pragma_suppresses_and_requires_reason() {
-        let ok = "fn f(x: Option<u8>) -> u8 {\n    // lint:allow(panic-site): checked non-empty above\n    x.unwrap()\n}\n";
+        let ok = "fn f(e: Joules) -> f64 {\n    // lint:allow(unit-unwrap): boundary formatting only\n    e.value()\n}\n";
         assert!(scan_lib(ok).is_empty(), "{:?}", scan_lib(ok));
 
         let no_reason =
-            "fn f(x: Option<u8>) -> u8 {\n    // lint:allow(panic-site)\n    x.unwrap()\n}\n";
+            "fn f(e: Joules) -> f64 {\n    // lint:allow(unit-unwrap)\n    e.value()\n}\n";
         let f = scan_lib(no_reason);
         assert!(f.iter().any(|x| x.rule == Rule::MalformedAllow));
         assert!(
-            f.iter().any(|x| x.rule == Rule::PanicSite),
+            f.iter().any(|x| x.rule == Rule::UnitUnwrap),
             "malformed pragma must not suppress"
         );
 
-        let unused = "// lint:allow(panic-site): nothing here\nfn f() {}\n";
+        let unused = "// lint:allow(unit-unwrap): nothing here\nfn f() {}\n";
         let f = scan_lib(unused);
         assert!(f.iter().any(|x| x.rule == Rule::UnusedAllow));
+    }
+
+    #[test]
+    fn pragmas_for_rules_moved_to_clippy_are_malformed() {
+        // panic-site, nondeterminism, env-read and float-eq are clippy
+        // lints now; a leftover pragma naming one is an unknown rule and
+        // must be reported rather than silently accepted.
+        for rule in ["panic-site", "nondeterminism", "env-read", "float-eq"] {
+            let src = format!(
+                "fn f(x: Option<u8>) -> u8 {{\n    // lint:allow({rule}): checked non-empty above\n    x.unwrap()\n}}\n"
+            );
+            let f = scan_lib(&src);
+            assert_eq!(f.len(), 1, "{rule}: {f:?}");
+            assert_eq!((f[0].rule, f[0].line), (Rule::MalformedAllow, 2), "{rule}");
+        }
     }
 
     #[test]
     fn doc_comments_are_never_pragmas() {
         // Doc prose quoting the pragma syntax must not register as an
         // (unused) pragma.
-        let src = "/// Suppress with `lint:allow(panic-site): reason`.\nfn f() {}\n";
+        let src = "/// Suppress with `lint:allow(float-ord): reason`.\nfn f() {}\n";
         assert!(scan_lib(src).is_empty(), "{:?}", scan_lib(src));
     }
 
@@ -1846,10 +1618,10 @@ mod tests {
 
     #[test]
     fn char_literals_and_lifetimes_do_not_confuse_the_lexer() {
-        let src = "fn f<'a>(s: &'a str) -> char {\n    let c = '\"';\n    let _x: &'static str = s;\n    c\n}\nfn g() { None::<u8>.unwrap(); }\n";
+        let src = "fn f<'a>(s: &'a str) -> char {\n    let c = '\"';\n    let _x: &'static str = s;\n    c\n}\nfn g(v: f64) -> bool { v == 0.5 }\n";
         let f = scan_lib(src);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, Rule::PanicSite);
+        assert_eq!(f[0].rule, Rule::FloatOrd);
         assert_eq!(f[0].line, 6);
     }
 
@@ -1907,42 +1679,6 @@ mod tests {
     }
 
     #[test]
-    fn float_eq_flags_known_f64_comparisons_outside_tests() {
-        let src = "fn f(a: f64, b: f64) -> bool { a == b }\n";
-        assert!(scan_lib(src).iter().any(|x| x.rule == Rule::FloatEq));
-        let src = "fn f(e: Joules, g: Joules) -> bool { e.value() == g.value() }\n";
-        assert!(scan_lib(src).iter().any(|x| x.rule == Rule::FloatEq));
-        let src = "fn f(e: f64) { assert_eq!(e, 1.5); }\n";
-        assert!(scan_lib(src).iter().any(|x| x.rule == Rule::FloatEq));
-        // Int comparisons and test code are exempt.
-        assert!(scan_lib("fn f(a: usize, b: usize) -> bool { a == b }\n")
-            .iter()
-            .all(|x| x.rule != Rule::FloatEq));
-        let test_src =
-            "#[cfg(test)]\nmod tests {\n    fn f(a: f64, b: f64) -> bool { a == b }\n}\n";
-        assert!(scan_lib(test_src).iter().all(|x| x.rule != Rule::FloatEq));
-    }
-
-    #[test]
-    fn env_read_flags_ambient_configuration() {
-        let src = "fn f() { let _ = std::env::var(\"UAVDC_THREADS\"); }\n";
-        assert!(scan_lib(src).iter().any(|x| x.rule == Rule::EnvRead));
-        // The sanctioned threading helper is exempt by path.
-        assert!(scan_scoped("crates/core/src/greedy.rs", src)
-            .iter()
-            .all(|x| x.rule != Rule::EnvRead));
-        // So is the observability toggle (`UAVDC_OBS` in env_enabled).
-        let obs_src = "fn f() { let _ = std::env::var(\"UAVDC_OBS\"); }\n";
-        assert!(scan_scoped("crates/obs/src/lib.rs", obs_src)
-            .iter()
-            .all(|x| x.rule != Rule::EnvRead));
-        // The exemption is by exact path, not the whole crate.
-        assert!(scan_scoped("crates/obs/src/other.rs", obs_src)
-            .iter()
-            .any(|x| x.rule == Rule::EnvRead));
-    }
-
-    #[test]
     fn report_json_has_stable_schema() {
         let f = vec![Finding {
             path: PathBuf::from("a.rs"),
@@ -1952,7 +1688,7 @@ mod tests {
         }];
         let j = report_json(&f);
         assert!(j.starts_with("{\"schema\":\"uavdc-lint/4\""));
-        assert!(j.contains("\"rules\":[\"float-ord\",\"panic-site\",\"nondeterminism\",\"raw-quantity\",\"unit-unwrap\",\"float-eq\",\"env-read\",\"effect-taint\",\"panic-reach\",\"unit-flow\",\"obs-twin\",\"par-purity\",\"lock-across-spawn\",\"atomic-ordering\",\"shared-accumulator\"]"));
+        assert!(j.contains("\"rules\":[\"float-ord\",\"raw-quantity\",\"unit-unwrap\",\"effect-taint\",\"panic-reach\",\"unit-flow\",\"obs-twin\",\"par-purity\",\"lock-across-spawn\",\"atomic-ordering\",\"shared-accumulator\"]"));
         assert!(j.ends_with("\"count\":1}"));
     }
 

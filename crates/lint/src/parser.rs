@@ -8,9 +8,7 @@
 //!   return type, body token range),
 //! * every named `struct`/`enum-variant` field (owner, name, type,
 //!   visibility),
-//! * which tokens sit inside a `#[cfg(test)]` region,
-//! * per-function `f64` symbol tables (parameters and explicitly-typed
-//!   `let` bindings) for the float-equality rule.
+//! * which tokens sit inside a `#[cfg(test)]` region.
 //!
 //! The parser is brace/angle-tracked and never panics: on anything it does
 //! not understand (macro definitions, exotic syntax) it simply advances,
@@ -637,54 +635,6 @@ fn join(toks: &[Tok]) -> String {
         .join(" ")
 }
 
-/// Collects the identifiers of `f64`-typed values visible in a function:
-/// parameters whose type mentions `f64` and `let` bindings with an
-/// explicit `f64` annotation inside the body.
-pub fn f64_symbols(sig: &FnSig, toks: &[Tok]) -> Vec<String> {
-    let mut syms: Vec<String> = Vec::new();
-    for p in &sig.params {
-        if type_has_f64(&p.ty) {
-            syms.extend(p.names.iter().cloned());
-        }
-    }
-    if let Some((lo, hi)) = sig.body {
-        let body = &toks[lo.min(toks.len())..hi.min(toks.len())];
-        // `let [mut] name : … f64 … =` — explicit annotation only.
-        let mut k = 0;
-        while k + 3 < body.len() {
-            if body[k].is_ident("let") {
-                let mut j = k + 1;
-                if body.get(j).is_some_and(|t| t.is_ident("mut")) {
-                    j += 1;
-                }
-                if let (Some(name), Some(colon)) = (body.get(j), body.get(j + 1)) {
-                    if name.kind == TokKind::Ident && colon.is_punct(":") {
-                        // Annotation runs to the `=` or `;`.
-                        let mut m = j + 2;
-                        let mut has = false;
-                        while let Some(t) = body.get(m) {
-                            if t.is_punct("=") || t.is_punct(";") {
-                                break;
-                            }
-                            if t.is_ident("f64") {
-                                has = true;
-                            }
-                            m += 1;
-                        }
-                        if has {
-                            syms.push(name.text.clone());
-                        }
-                    }
-                }
-            }
-            k += 1;
-        }
-    }
-    syms.sort();
-    syms.dedup();
-    syms
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -758,15 +708,6 @@ mod tests {
         assert!(!m.fns.iter().find(|f| f.name == "live2").unwrap().in_test);
         assert!(m.line_in_test(&toks, 4));
         assert!(!m.line_in_test(&toks, 6));
-    }
-
-    #[test]
-    fn f64_symbols_from_params_and_lets() {
-        let src = "fn f(a: f64, b: u32, (c, d): (f64, f64)) { let e: f64 = 1.0; let g = 2.0; let mut h: Vec<f64> = vec![]; }";
-        let (m, toks) = model(src);
-        let syms = f64_symbols(&m.fns[0], &toks);
-        // `g` has no annotation; `b` is not f64.
-        assert_eq!(syms, vec!["a", "c", "d", "e", "h"]);
     }
 
     #[test]

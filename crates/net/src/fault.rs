@@ -5,7 +5,8 @@
 //! randomness or reading ambient state. The runtime injector that draws
 //! from it (`uavdc-sim`'s `FaultPlan`) is constructed explicitly from a
 //! config plus a seed, so two missions with the same `(config, seed)`
-//! replay bit-identically and the workspace env-read lint stays clean —
+//! replay bit-identically and clippy's `disallowed_methods` ban on env
+//! reads (root `clippy.toml`) stays satisfied —
 //! fault intensity is always passed in by the caller, never pulled from
 //! the environment.
 

@@ -192,9 +192,12 @@ impl Scenario {
     /// Panics when the altitude exceeds the transmission range; call
     /// [`Scenario::validate`] first to surface that as an error, or use
     /// [`Scenario::try_coverage_radius`] on untrusted inputs.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented API contract; validate()/try_coverage_radius() are the fallible paths"
+    )]
     pub fn coverage_radius(&self) -> Meters {
         self.try_coverage_radius()
-            // lint:allow(panic-site): documented API contract; validate()/try_coverage_radius() are the fallible paths
             .expect("altitude exceeds transmission range; scenario is invalid")
     }
 

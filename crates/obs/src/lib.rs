@@ -24,6 +24,18 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp
+    )
+)]
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -683,6 +695,10 @@ impl Recorder for CollectingRecorder {
 /// use it to decide between [`NoopRecorder`] and [`CollectingRecorder`].
 /// Library code never consults it — recorders are always passed in
 /// explicitly, so the toggle cannot change planning behaviour.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one sanctioned UAVDC_OBS read; it picks a recorder and never reaches planning"
+)]
 pub fn env_enabled() -> bool {
     static ENABLED: OnceLock<bool> = OnceLock::new();
     *ENABLED.get_or_init(|| match std::env::var("UAVDC_OBS") {

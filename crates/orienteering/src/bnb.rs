@@ -101,7 +101,10 @@ impl Search<'_> {
         );
         let inst = self.inst;
         let depot = inst.depot();
-        // lint:allow(panic-site): dfs is always entered with the depot pushed
+        #[expect(
+            clippy::expect_used,
+            reason = "dfs is always entered with the depot pushed"
+        )]
         let last = *path.last().expect("path holds at least the depot");
 
         // Current path closes into a feasible tour (reachability prunes

@@ -162,7 +162,10 @@ fn randomized_construction(
         if candidates.is_empty() {
             return tour;
         }
-        // lint:allow(float-eq): sentinel comparison against the exact f64::MAX assigned above
+        #[expect(
+            clippy::float_cmp,
+            reason = "sentinel comparison against the exact f64::MAX assigned above"
+        )]
         let threshold = if best_ratio == f64::MAX {
             f64::MAX
         } else {

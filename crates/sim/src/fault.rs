@@ -57,8 +57,11 @@ impl FaultPlan {
     /// # Panics
     /// Panics when `cfg` fails [`FaultConfig::validate`].
     pub fn new(cfg: FaultConfig, seed: u64) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "constructor contract violation, mirrors WindModel::uniform"
+        )]
         if let Err(e) = cfg.validate() {
-            // lint:allow(panic-site): constructor contract violation, mirrors WindModel::uniform
             panic!("invalid FaultConfig: {e}");
         }
         let active = !cfg.is_none();

@@ -61,7 +61,7 @@ fn orienteering_budget_bounds_plan_energy() {
 fn disjoint_candidates_have_exclusive_coverage() {
     let s = scenario(4);
     let dj = CandidateSet::build(&s, 20.0).disjoint_by_volume(&s);
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = std::collections::BTreeSet::new();
     for c in &dj.candidates {
         for &v in &c.covered {
             assert!(
