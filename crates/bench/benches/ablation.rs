@@ -45,6 +45,7 @@ fn bench_matching_backends(c: &mut Criterion) {
     let m = DistMatrix::from_euclidean(&pts);
     for (name, backend) in [
         ("blossom", MatchingBackend::Blossom),
+        ("auto", MatchingBackend::Auto),
         ("greedy", MatchingBackend::Greedy),
     ] {
         group.bench_function(name, |b| {

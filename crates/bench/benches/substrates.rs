@@ -1,12 +1,14 @@
 //! Microbenchmarks of the substrate crates: spatial index queries,
-//! candidate-set construction, Christofides, blossom matching, and the
-//! discrete-event simulator.
+//! candidate-set construction, Christofides, perfect matching (dense
+//! blossom vs the certified sparse `Auto` path on the benchmark
+//! heuristic's real odd set), and the discrete-event simulator.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use uavdc_core::{Alg2Planner, CandidateSet, Planner};
 use uavdc_geom::{Point2, SpatialGrid};
 use uavdc_graph::christofides::christofides;
 use uavdc_graph::matching::{min_weight_perfect_matching_with, MatchingBackend};
+use uavdc_graph::mst::{odd_degree_vertices, prim_mst};
 use uavdc_graph::DistMatrix;
 use uavdc_net::generator::{uniform, ScenarioParams};
 use uavdc_sim::{simulate, SimConfig};
@@ -50,10 +52,23 @@ fn bench_graph_algorithms(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("christofides", n), &m, |b, m| {
             b.iter(|| christofides(m));
         });
-        // Matching on an even subset.
-        let even = m.submatrix(&(0..(n & !1)).collect::<Vec<_>>());
-        group.bench_with_input(BenchmarkId::new("blossom_matching", n), &even, |b, m| {
-            b.iter(|| min_weight_perfect_matching_with(m, MatchingBackend::Blossom));
+    }
+    // The benchmark heuristic's matching: the MST odd set of depot + 500
+    // uniform devices in 1 km² (~210 vertices).
+    let scenario = uniform(&ScenarioParams::default(), 1);
+    let pts: Vec<(f64, f64)> = std::iter::once(scenario.depot)
+        .chain(scenario.devices.iter().map(|d| d.pos))
+        .map(|p| (p.x, p.y))
+        .collect();
+    let m = DistMatrix::from_euclidean(&pts);
+    let odd = odd_degree_vertices(pts.len(), &prim_mst(&m).edges);
+    let sub = m.submatrix(&odd);
+    for (name, backend) in [
+        ("blossom_matching", MatchingBackend::Blossom),
+        ("auto_matching", MatchingBackend::Auto),
+    ] {
+        group.bench_with_input(BenchmarkId::new(name, odd.len()), &sub, |b, m| {
+            b.iter(|| min_weight_perfect_matching_with(m, backend, &uavdc_obs::NOOP));
         });
     }
     group.finish();

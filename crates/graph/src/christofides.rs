@@ -3,9 +3,10 @@
 //! The paper's Algorithm 2, Algorithm 3 and benchmark heuristic all invoke
 //! `TSP(S)` — a Christofides tour over the current hovering-location set —
 //! inside their selection loops, so this implementation is a planner hot
-//! path. The matching step dominates; use [`ChristofidesConfig::fast`] to
-//! trade the optimal blossom matching for the greedy one when exactness of
-//! the matching is not required (ablation benches quantify the gap).
+//! path. On large odd sets the matching step dominates; the default
+//! [`MatchingBackend::Auto`] solves it on a sparse nearest-neighbour edge
+//! set and certifies the result against the complete graph (see
+//! [`crate::matching`]), so the tour is the one the dense blossom gives.
 
 use crate::euler::{euler_circuit, shortcut_circuit};
 use crate::improve::two_opt;
@@ -32,16 +33,6 @@ impl Default for ChristofidesConfig {
     }
 }
 
-impl ChristofidesConfig {
-    /// Greedy matching, no polish: the fast approximate mode.
-    pub fn fast() -> Self {
-        ChristofidesConfig {
-            matching: MatchingBackend::Greedy,
-            polish: false,
-        }
-    }
-}
-
 /// Christofides tour over all vertices of `m` with default configuration.
 ///
 /// For a metric `m` (triangle inequality) the result without polishing is
@@ -57,7 +48,8 @@ pub fn christofides_with(m: &DistMatrix, cfg: &ChristofidesConfig) -> Tour {
 
 /// Like [`christofides_with`], reporting per-call size statistics to
 /// `rec`: a `christofides.calls` counter plus `christofides.n` and
-/// `christofides.odd_vertices` histograms. This function sits inside the
+/// `christofides.odd_vertices` histograms, and the `matching.*` counters
+/// of [`min_weight_perfect_matching_with`]. This function sits inside the
 /// planners' selection loops and runs thousands of times per plan, so it
 /// deliberately emits no spans — the callers wrap their loops in one span
 /// and read the aggregate histograms instead.
@@ -87,7 +79,7 @@ pub fn christofides_with_obs(
     rec.observe("christofides.odd_vertices", odd.len() as u64);
     if !odd.is_empty() {
         let sub = m.submatrix(&odd);
-        let matching = min_weight_perfect_matching_with(&sub, cfg.matching);
+        let matching = min_weight_perfect_matching_with(&sub, cfg.matching, rec);
         for (a, b) in matching.edges() {
             edges.push((odd[a], odd[b]));
         }
@@ -186,19 +178,6 @@ mod tests {
         );
         let polished = christofides(&m);
         assert!(polished.length(&m) <= raw.length(&m) + 1e-9);
-    }
-
-    #[test]
-    fn fast_mode_still_valid_tour() {
-        let pts: Vec<(f64, f64)> = (0..30)
-            .map(|i| ((i * 41 % 100) as f64, (i * 67 % 100) as f64))
-            .collect();
-        let m = DistMatrix::from_euclidean(&pts);
-        let t = christofides_with(&m, &ChristofidesConfig::fast());
-        assert_eq!(t.len(), 30);
-        let mut order = t.order().to_vec();
-        order.sort_unstable();
-        assert_eq!(order, (0..30).collect::<Vec<_>>());
     }
 
     proptest! {

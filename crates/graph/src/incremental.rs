@@ -496,7 +496,7 @@ fn christofides_order_cached(
             Some(pairs) => pairs,
             None => {
                 let sub = m.submatrix(&odd);
-                let matching = min_weight_perfect_matching_with(&sub, cfg.matching);
+                let matching = min_weight_perfect_matching_with(&sub, cfg.matching, rec);
                 let pairs = matching.edges();
                 if let Some(k) = key {
                     memo.insert(k, pairs.clone());

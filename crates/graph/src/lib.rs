@@ -7,9 +7,11 @@
 //!   subroutine of the paper's Algorithm 2, Algorithm 3, and benchmark
 //!   heuristic. Built here from its three ingredients:
 //!   [`mst::prim_mst`], a minimum-weight perfect matching
-//!   ([`matching::min_weight_perfect_matching`], exact DP for small
-//!   instances, an O(n³) blossom algorithm in general, plus a fast greedy
-//!   mode), and a Hierholzer Euler circuit ([`euler::euler_circuit`]).
+//!   ([`matching::min_weight_perfect_matching`]: exact DP for small
+//!   instances, otherwise a sparse blossom on nearest-neighbour edges
+//!   whose answer is certified equal to the dense O(n³) blossom's, which
+//!   is the fallback; plus a greedy mode), and a Hierholzer Euler circuit
+//!   ([`euler::euler_circuit`]).
 //! * **Tour construction heuristics** — nearest neighbour and cheapest
 //!   insertion ([`construction`]), the latter also exposing the O(n)
 //!   *insertion delta* used by the fast candidate-ranking mode of

@@ -6,23 +6,31 @@
 //! * [`MatchingBackend::ExactDp`] — bitmask dynamic programming,
 //!   `O(2^n · n)`; exact, for `n <= ~20`. Used as ground truth in tests.
 //! * [`MatchingBackend::Blossom`] — an `O(n³)` primal–dual blossom
-//!   algorithm (maximum-weight matching on transformed weights); exact for
-//!   any size this crate encounters.
+//!   algorithm (maximum-weight matching on transformed weights) on the
+//!   complete graph; exact for any size this crate encounters.
 //! * [`MatchingBackend::Greedy`] — greedy edge selection plus pairwise
 //!   2-exchange improvement; fast approximation used in the ablation
-//!   benches and as a fallback.
+//!   benches.
 //!
-//! [`MatchingBackend::Auto`] picks DP for tiny inputs and blossom
-//! otherwise.
+//! [`MatchingBackend::Auto`] picks DP for tiny inputs. Above that it runs
+//! a sparse blossom solver on a k-nearest-neighbour edge set and proves,
+//! with one pass over all pairs, that its answer is the unique optimum —
+//! hence the dense blossom's answer. When the proof fails it runs the
+//! dense blossom instead, so `Auto` and `Blossom` always return the same
+//! `mates`. The `matching.certified`, `matching.repairs` and
+//! `matching.fallbacks` counters report which way each call went.
 
 mod blossom;
+mod sparse;
 
 use crate::DistMatrix;
+use uavdc_obs::Recorder;
 
 /// Which matching algorithm to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum MatchingBackend {
-    /// DP for `n <= 16`, blossom otherwise.
+    /// DP for `n <= 16`; above that the certified sparse blossom, with
+    /// the dense blossom as fallback. Same `mates` as `Blossom`.
     #[default]
     Auto,
     /// Exact bitmask dynamic programming (`n <= 20` practical).
@@ -67,14 +75,22 @@ impl Matching {
 /// # Panics
 /// Panics when the vertex count is odd (no perfect matching exists).
 pub fn min_weight_perfect_matching(m: &DistMatrix) -> Matching {
-    min_weight_perfect_matching_with(m, MatchingBackend::Auto)
+    min_weight_perfect_matching_with(m, MatchingBackend::Auto, &uavdc_obs::NOOP)
 }
 
 /// Minimum-weight perfect matching with an explicit backend.
 ///
+/// `Auto` above the DP size reports to `rec`: `matching.certified` or
+/// `matching.fallbacks` (one per call), and `matching.repairs` (sparse
+/// re-solves after adding violated pairs).
+///
 /// # Panics
 /// Panics when the vertex count is odd.
-pub fn min_weight_perfect_matching_with(m: &DistMatrix, backend: MatchingBackend) -> Matching {
+pub fn min_weight_perfect_matching_with(
+    m: &DistMatrix,
+    backend: MatchingBackend,
+    rec: &dyn Recorder,
+) -> Matching {
     let n = m.len();
     assert!(
         n.is_multiple_of(2),
@@ -87,11 +103,21 @@ pub fn min_weight_perfect_matching_with(m: &DistMatrix, backend: MatchingBackend
         };
     }
     let mut result = match backend {
+        MatchingBackend::Auto if n <= 16 => exact_dp(m),
         MatchingBackend::Auto => {
-            if n <= 16 {
-                exact_dp(m)
-            } else {
-                blossom::min_weight_perfect_matching_blossom(m)
+            let attempt = sparse::certified_matching(m);
+            if attempt.repairs > 0 {
+                rec.add("matching.repairs", attempt.repairs);
+            }
+            match attempt.mates {
+                Some(mates) => {
+                    rec.add("matching.certified", 1);
+                    Matching { mates, weight: 0.0 }
+                }
+                None => {
+                    rec.add("matching.fallbacks", 1);
+                    blossom::min_weight_perfect_matching_blossom(m)
+                }
             }
         }
         MatchingBackend::ExactDp => exact_dp(m),
@@ -227,6 +253,7 @@ fn greedy_improved(m: &DistMatrix) -> Matching {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use uavdc_obs::NOOP;
 
     fn euclid(pts: &[(f64, f64)]) -> DistMatrix {
         DistMatrix::from_euclidean(pts)
@@ -255,7 +282,7 @@ mod tests {
             MatchingBackend::Blossom,
             MatchingBackend::Greedy,
         ] {
-            let r = min_weight_perfect_matching_with(&m, backend);
+            let r = min_weight_perfect_matching_with(&m, backend, &NOOP);
             assert_eq!(r.mates, vec![1, 0], "{backend:?}");
             assert_eq!(r.weight, 5.0, "{backend:?}");
         }
@@ -270,7 +297,7 @@ mod tests {
             MatchingBackend::Blossom,
             MatchingBackend::Greedy,
         ] {
-            let r = min_weight_perfect_matching_with(&m, backend);
+            let r = min_weight_perfect_matching_with(&m, backend, &NOOP);
             assert!(r.is_perfect());
             assert_eq!(r.weight, 2.0, "{backend:?}");
             assert_eq!(r.mates[0], 1);
@@ -289,13 +316,13 @@ mod tests {
         m.set(0, 3, 100.0);
         m.set(0, 2, 100.0);
         m.set(1, 3, 100.0);
-        let exact = min_weight_perfect_matching_with(&m, MatchingBackend::ExactDp);
-        let blossom = min_weight_perfect_matching_with(&m, MatchingBackend::Blossom);
+        let exact = min_weight_perfect_matching_with(&m, MatchingBackend::ExactDp, &NOOP);
+        let blossom = min_weight_perfect_matching_with(&m, MatchingBackend::Blossom, &NOOP);
         assert_eq!(exact.weight, 4.0);
         assert!((blossom.weight - exact.weight).abs() < 1e-9);
         // Greedy-with-improvement also escapes this particular trap via
         // 2-exchange, ending perfect regardless.
-        let greedy = min_weight_perfect_matching_with(&m, MatchingBackend::Greedy);
+        let greedy = min_weight_perfect_matching_with(&m, MatchingBackend::Greedy, &NOOP);
         assert!(greedy.is_perfect());
         assert!(greedy.weight <= 103.0);
     }
@@ -306,8 +333,8 @@ mod tests {
             .map(|i| ((i * 29 % 17) as f64, (i * 43 % 19) as f64))
             .collect();
         let m = euclid(&pts);
-        let dp = min_weight_perfect_matching_with(&m, MatchingBackend::ExactDp);
-        let bl = min_weight_perfect_matching_with(&m, MatchingBackend::Blossom);
+        let dp = min_weight_perfect_matching_with(&m, MatchingBackend::ExactDp, &NOOP);
+        let bl = min_weight_perfect_matching_with(&m, MatchingBackend::Blossom, &NOOP);
         assert!(bl.is_perfect());
         assert!(
             (bl.weight - dp.weight).abs() < 1e-6 * (1.0 + dp.weight),
@@ -325,8 +352,8 @@ mod tests {
             .map(|i| ((i * 37 % 100) as f64, (i * 61 % 100) as f64))
             .collect();
         let m = euclid(&pts);
-        let bl = min_weight_perfect_matching_with(&m, MatchingBackend::Blossom);
-        let gr = min_weight_perfect_matching_with(&m, MatchingBackend::Greedy);
+        let bl = min_weight_perfect_matching_with(&m, MatchingBackend::Blossom, &NOOP);
+        let gr = min_weight_perfect_matching_with(&m, MatchingBackend::Greedy, &NOOP);
         assert!(bl.is_perfect());
         assert!(gr.is_perfect());
         assert!(bl.weight <= gr.weight + 1e-6);
@@ -357,8 +384,8 @@ mod tests {
                 })
         ) {
             let m = euclid(&pts);
-            let dp = min_weight_perfect_matching_with(&m, MatchingBackend::ExactDp);
-            let bl = min_weight_perfect_matching_with(&m, MatchingBackend::Blossom);
+            let dp = min_weight_perfect_matching_with(&m, MatchingBackend::ExactDp, &NOOP);
+            let bl = min_weight_perfect_matching_with(&m, MatchingBackend::Blossom, &NOOP);
             prop_assert!(bl.is_perfect());
             prop_assert!((bl.weight - dp.weight).abs() < 1e-5 * (1.0 + dp.weight),
                 "blossom {} vs dp {}", bl.weight, dp.weight);
@@ -371,10 +398,10 @@ mod tests {
         ) {
             prop_assume!(!pts.is_empty());
             let m = euclid(&pts);
-            let gr = min_weight_perfect_matching_with(&m, MatchingBackend::Greedy);
+            let gr = min_weight_perfect_matching_with(&m, MatchingBackend::Greedy, &NOOP);
             prop_assert!(gr.is_perfect());
             if pts.len() <= 14 {
-                let dp = min_weight_perfect_matching_with(&m, MatchingBackend::ExactDp);
+                let dp = min_weight_perfect_matching_with(&m, MatchingBackend::ExactDp, &NOOP);
                 // Greedy is approximate but never better than exact.
                 prop_assert!(gr.weight >= dp.weight - 1e-9);
             }
