@@ -72,9 +72,6 @@ fn bench_orienteering_backends(c: &mut Criterion) {
     group.bench_function("grasp_default", |b| {
         b.iter(|| solve(&inst, Backend::Grasp(GraspConfig::default())))
     });
-    group.bench_function("grasp_fast", |b| {
-        b.iter(|| solve(&inst, Backend::Grasp(GraspConfig::fast())))
-    });
     group.finish();
 }
 

@@ -181,14 +181,17 @@ impl CandidateSet {
     /// setting for Algorithm 1.
     pub fn disjoint_by_volume(&self, scenario: &Scenario) -> CandidateSet {
         let volumes: Vec<MegaBytes> = scenario.devices.iter().map(|d| d.data).collect();
+        // One volume per candidate, computed once: the comparator only
+        // reads keys, so the stable sort order is the same as rescoring
+        // both sides of every comparison.
+        let keys: Vec<f64> = self
+            .candidates
+            .iter()
+            // lint:allow(unit-unwrap): cmp_f64_desc needs the raw values for its NaN-safe total order
+            .map(|c| c.coverage_volume(&volumes).value())
+            .collect();
         let mut order: Vec<usize> = (0..self.candidates.len()).collect();
-        order.sort_by(|&a, &b| {
-            // lint:allow(unit-unwrap): cmp_f64_desc needs the raw values for its NaN-safe total order
-            let va = self.candidates[a].coverage_volume(&volumes).value();
-            // lint:allow(unit-unwrap): cmp_f64_desc needs the raw values for its NaN-safe total order
-            let vb = self.candidates[b].coverage_volume(&volumes).value();
-            uavdc_geom::cmp_f64_desc(va, vb)
-        });
+        order.sort_by(|&a, &b| uavdc_geom::cmp_f64_desc(keys[a], keys[b]));
         let mut taken_device = vec![false; scenario.num_devices()];
         let mut kept = Vec::new();
         for i in order {

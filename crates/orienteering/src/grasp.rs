@@ -6,7 +6,8 @@
 //! shakes the solution by ejecting random vertices and refilling. Fully
 //! deterministic for a fixed seed.
 
-use crate::local::{best_insertion, fill_insertions, two_opt_cost};
+use crate::insertion::Insertions;
+use crate::local::{fill_insertions, two_opt_cost};
 use crate::{OrienteeringInstance, OrienteeringSolution};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -37,30 +38,14 @@ impl Default for GraspConfig {
     }
 }
 
-impl GraspConfig {
-    /// A lighter configuration for benchmarking large sweeps.
-    pub fn fast() -> Self {
-        GraspConfig {
-            iterations: 4,
-            alpha: 0.6,
-            ils_rounds: 3,
-            seed: 0x5eed_cafe,
-        }
-    }
-}
-
 /// GRASP/ILS solver. Always feasible; never worse than depot-only.
-// Outside tests the crate dispatches through solve_grasp_obs directly.
-#[cfg_attr(not(test), allow(dead_code))]
-pub fn solve_grasp(inst: &OrienteeringInstance, cfg: &GraspConfig) -> OrienteeringSolution {
-    solve_grasp_obs(inst, cfg, &uavdc_obs::NOOP)
-}
-
-/// Like [`solve_grasp`], reporting `grasp.iterations` (constructions run)
-/// and `grasp.improvements` (incumbent updates) to `rec`. Effort counters
-/// are accumulated locally and flushed once, so the recorder adds no work
-/// to the search loop itself.
-pub fn solve_grasp_obs(
+///
+/// Reports `grasp.iterations` (constructions run), `grasp.improvements`
+/// (incumbent updates) and `grasp.rescans` (full insertion rescans the
+/// [`Insertions`] caches fell back to) to `rec`. Effort counters are
+/// accumulated locally and flushed once, so the recorder adds no work to
+/// the search loop itself.
+pub fn solve_grasp(
     inst: &OrienteeringInstance,
     cfg: &GraspConfig,
     rec: &dyn uavdc_obs::Recorder,
@@ -75,14 +60,15 @@ pub fn solve_grasp_obs(
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let mut best = inst.trivial_solution();
     let mut improvements = 0u64;
+    let mut rescans = 0u64;
     for _ in 0..cfg.iterations.max(1) {
-        let mut tour = randomized_construction(inst, cfg.alpha, &mut rng);
+        let mut tour = randomized_construction(inst, cfg.alpha, &mut rng, &mut rescans);
         let mut cost = two_opt_cost(inst, &mut tour);
         let mut in_tour = vec![false; inst.len()];
         for &v in &tour {
             in_tour[v] = true;
         }
-        cost = fill_insertions(inst, &mut tour, &mut in_tour, cost);
+        cost = fill_insertions(inst, &mut tour, &mut in_tour, cost, &mut rescans);
         let prize = inst.tour_prize(&tour);
         if prize > best.prize {
             improvements += 1;
@@ -107,9 +93,9 @@ pub fn solve_grasp_obs(
                 tour.remove(i);
             }
             let c = two_opt_cost(inst, &mut tour);
-            let _ = fill_insertions(inst, &mut tour, &mut in_tour, c);
+            let _ = fill_insertions(inst, &mut tour, &mut in_tour, c, &mut rescans);
             let c = two_opt_cost(inst, &mut tour); // recomputes exactly
-            let cost = fill_insertions(inst, &mut tour, &mut in_tour, c);
+            let cost = fill_insertions(inst, &mut tour, &mut in_tour, c, &mut rescans);
             let prize = inst.tour_prize(&tour);
             if prize > best.prize + 1e-12 || (prize >= best.prize - 1e-12 && cost < best.cost) {
                 improvements += 1;
@@ -123,31 +109,30 @@ pub fn solve_grasp_obs(
     }
     rec.add("grasp.iterations", cfg.iterations.max(1) as u64);
     rec.add("grasp.improvements", improvements);
+    rec.add("grasp.rescans", rescans);
     best
 }
 
 /// Randomized greedy construction: repeatedly pick a random member of the
 /// restricted candidate list (feasible vertices whose ratio is within
-/// `alpha` of the best) and insert it at its cheapest position.
+/// `alpha` of the best) and insert it at its cheapest position, read from
+/// one [`Insertions`] cache kept current across the construction.
 fn randomized_construction(
     inst: &OrienteeringInstance,
     alpha: f64,
     rng: &mut SmallRng,
+    rescans: &mut u64,
 ) -> Vec<usize> {
-    let mut tour = vec![inst.depot()];
-    let mut in_tour = vec![false; inst.len()];
-    in_tour[inst.depot()] = true;
+    let depot = inst.depot();
+    let mut tour = vec![depot];
+    let mut cache = Insertions::new(inst, &tour, |v| v != depot && inst.prize(v) > 0.0);
     let mut cost = 0.0;
     let mut candidates: Vec<(usize, f64, usize, f64)> = Vec::new(); // (v, ratio, pos, delta)
     loop {
         candidates.clear();
         let mut best_ratio: f64 = -1.0;
-        #[allow(clippy::needless_range_loop)] // several arrays indexed by v
-        for v in 0..inst.len() {
-            if in_tour[v] || inst.prize(v) <= 0.0 {
-                continue;
-            }
-            let (delta, pos) = best_insertion(inst, &tour, v);
+        for &v in cache.tracked() {
+            let (delta, pos) = cache.get(v);
             if cost + delta > inst.budget + 1e-12 {
                 continue;
             }
@@ -160,6 +145,7 @@ fn randomized_construction(
             candidates.push((v, ratio, pos, delta));
         }
         if candidates.is_empty() {
+            *rescans += cache.rescans();
             return tour;
         }
         #[expect(
@@ -174,8 +160,7 @@ fn randomized_construction(
         let rcl: Vec<&(usize, f64, usize, f64)> =
             candidates.iter().filter(|c| c.1 >= threshold).collect();
         let pick = rcl[rng.gen_range(0..rcl.len())];
-        tour.insert(pick.2, pick.0);
-        in_tour[pick.0] = true;
+        cache.insert(inst, &mut tour, pick.2, pick.0);
         cost += pick.3;
     }
 }
@@ -188,6 +173,7 @@ mod tests {
     use proptest::prelude::*;
     use rand::Rng;
     use uavdc_graph::DistMatrix;
+    use uavdc_obs::NOOP;
 
     fn random_instance(seed: u64, n: usize, budget: f64) -> OrienteeringInstance {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -202,8 +188,8 @@ mod tests {
     fn deterministic_for_fixed_seed() {
         let inst = random_instance(7, 25, 120.0);
         let cfg = GraspConfig::default();
-        let a = solve_grasp(&inst, &cfg);
-        let b = solve_grasp(&inst, &cfg);
+        let a = solve_grasp(&inst, &cfg, &NOOP);
+        let b = solve_grasp(&inst, &cfg, &NOOP);
         assert_eq!(a, b);
     }
 
@@ -217,6 +203,7 @@ mod tests {
                     seed,
                     ..GraspConfig::default()
                 },
+                &NOOP,
             );
             assert!(inst.verify(&s), "seed {seed} produced invalid solution");
         }
@@ -228,7 +215,7 @@ mod tests {
         // must match or beat plain greedy.
         let inst = random_instance(3, 20, 100.0);
         let g = solve_greedy(&inst);
-        let s = solve_grasp(&inst, &GraspConfig::default());
+        let s = solve_grasp(&inst, &GraspConfig::default(), &NOOP);
         assert!(
             s.prize >= g.prize - 1e-9,
             "grasp {} < greedy {}",
@@ -246,6 +233,7 @@ mod tests {
                 iterations: 0,
                 ..GraspConfig::default()
             },
+            &NOOP,
         );
         assert!(inst.verify(&s));
     }
@@ -259,7 +247,7 @@ mod tests {
             budget in 10.0f64..300.0,
         ) {
             let inst = random_instance(seed, n, budget);
-            let grasp = solve_grasp(&inst, &GraspConfig::default());
+            let grasp = solve_grasp(&inst, &GraspConfig::default(), &NOOP);
             prop_assert!(inst.verify(&grasp));
             let exact = solve_exact(&inst);
             prop_assert!(grasp.prize <= exact.prize + 1e-9,

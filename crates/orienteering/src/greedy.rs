@@ -23,7 +23,7 @@ pub fn solve_greedy(inst: &OrienteeringInstance) -> OrienteeringSolution {
     let mut cost = 0.0;
     for _ in 0..8 {
         let before = tour.len();
-        let _ = fill_insertions(inst, &mut tour, &mut in_tour, cost);
+        let _ = fill_insertions(inst, &mut tour, &mut in_tour, cost, &mut 0);
         cost = two_opt_cost(inst, &mut tour); // recomputes the exact cost
                                               // Stop when a whole wave added nothing (2-opt can only free
                                               // budget, so a second chance is only useful after an insertion).

@@ -58,11 +58,13 @@ mod bnb;
 mod exact;
 mod grasp;
 mod greedy;
+mod insertion;
 mod local;
 mod problem;
 pub mod team;
 
 pub use grasp::GraspConfig;
+pub use insertion::{best_insertion, Insertions};
 pub use problem::{OrienteeringInstance, OrienteeringSolution};
 pub use team::{solve_team, TeamConfig, TeamSolution};
 
@@ -106,12 +108,12 @@ pub fn solve_obs(
         Backend::Exact => exact::solve_exact(inst),
         Backend::BranchAndBound => bnb::solve_bnb_obs(inst, rec),
         Backend::Greedy => greedy::solve_greedy(inst),
-        Backend::Grasp(cfg) => grasp::solve_grasp_obs(inst, &cfg, rec),
+        Backend::Grasp(cfg) => grasp::solve_grasp(inst, &cfg, rec),
         Backend::Auto => {
             if inst.len() <= 14 {
                 exact::solve_exact(inst)
             } else {
-                grasp::solve_grasp_obs(inst, &GraspConfig::default(), rec)
+                grasp::solve_grasp(inst, &GraspConfig::default(), rec)
             }
         }
     };

@@ -1,5 +1,6 @@
 //! Local-search building blocks shared by the greedy and GRASP solvers.
 
+use crate::insertion::Insertions;
 use crate::OrienteeringInstance;
 
 /// 2-opt cost reduction on a tour of *global* vertex indices, in place.
@@ -33,50 +34,27 @@ pub fn two_opt_cost(inst: &OrienteeringInstance, tour: &mut [usize]) -> f64 {
     inst.tour_cost(tour)
 }
 
-/// Marginal cost of inserting `v` at its best position, and that position.
-pub fn best_insertion(inst: &OrienteeringInstance, tour: &[usize], v: usize) -> (f64, usize) {
-    match tour.len() {
-        0 => (0.0, 0),
-        1 => (2.0 * inst.dist(tour[0], v), 1),
-        n => {
-            let mut best = f64::INFINITY;
-            let mut pos = 0;
-            for i in 0..n {
-                let a = tour[i];
-                let b = tour[(i + 1) % n];
-                let delta = inst.dist(a, v) + inst.dist(v, b) - inst.dist(a, b);
-                if delta < best {
-                    best = delta;
-                    // Inserting on the closing edge appends at the end so
-                    // the depot stays first.
-                    pos = i + 1;
-                }
-            }
-            (best, pos)
-        }
-    }
-}
-
 /// Greedily inserts every vertex that still fits, best prize/cost ratio
 /// first. `in_tour[v]` must reflect `tour` membership; both are updated.
-/// Returns the updated cost.
+/// Builds one [`Insertions`] cache for the call, so the fill costs
+/// O(n·L + k·n) for `k` insertions rather than a full rescan per step;
+/// the cache's full rescans are added to `rescans`. Returns the updated
+/// cost.
 pub fn fill_insertions(
     inst: &OrienteeringInstance,
     tour: &mut Vec<usize>,
     in_tour: &mut [bool],
     mut cost: f64,
+    rescans: &mut u64,
 ) -> f64 {
+    let mut cache = Insertions::new(inst, tour, |v| !in_tour[v] && inst.prize(v) > 0.0);
     loop {
         let mut best_v = usize::MAX;
         let mut best_pos = 0;
         let mut best_ratio = -1.0;
         let mut best_delta = 0.0;
-        #[allow(clippy::needless_range_loop)] // several arrays indexed by v
-        for v in 0..inst.len() {
-            if in_tour[v] || inst.prize(v) <= 0.0 {
-                continue;
-            }
-            let (delta, pos) = best_insertion(inst, tour, v);
+        for &v in cache.tracked() {
+            let (delta, pos) = cache.get(v);
             if cost + delta > inst.budget + 1e-12 {
                 continue;
             }
@@ -93,9 +71,10 @@ pub fn fill_insertions(
             }
         }
         if best_v == usize::MAX {
+            *rescans += cache.rescans();
             return cost;
         }
-        tour.insert(best_pos, best_v);
+        cache.insert(inst, tour, best_pos, best_v);
         in_tour[best_v] = true;
         cost += best_delta;
     }
@@ -128,22 +107,12 @@ mod tests {
     }
 
     #[test]
-    fn best_insertion_positions() {
-        let inst = square_instance(100.0);
-        // Inserting 1 into tour [0, 2] — both positions cost the same on a
-        // square; delta = d(0,1)+d(1,2)-d(0,2) = 2 - sqrt(2).
-        let (d, pos) = best_insertion(&inst, &[0, 2], 1);
-        assert!((d - (2.0 - 2f64.sqrt())).abs() < 1e-12);
-        assert!(pos == 1 || pos == 0);
-    }
-
-    #[test]
     fn fill_insertions_respects_budget() {
         let inst = square_instance(3.9); // full square needs 4.0
         let mut tour = vec![0];
         let mut in_tour = vec![false; 4];
         in_tour[0] = true;
-        let cost = fill_insertions(&inst, &mut tour, &mut in_tour, 0.0);
+        let cost = fill_insertions(&inst, &mut tour, &mut in_tour, 0.0, &mut 0);
         assert!(cost <= 3.9 + 1e-9);
         assert!(tour.len() < 4, "cannot fit every vertex in budget 3.9");
         assert!((inst.tour_cost(&tour) - cost).abs() < 1e-9);
@@ -155,7 +124,7 @@ mod tests {
         let mut tour = vec![0];
         let mut in_tour = vec![false; 4];
         in_tour[0] = true;
-        let cost = fill_insertions(&inst, &mut tour, &mut in_tour, 0.0);
+        let cost = fill_insertions(&inst, &mut tour, &mut in_tour, 0.0, &mut 0);
         assert_eq!(tour.len(), 4);
         assert!((cost - 4.0).abs() < 1e-9);
     }

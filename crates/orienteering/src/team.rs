@@ -12,6 +12,7 @@
 //! instances come from brute-force vertex-to-tour assignment over the
 //! single-tour exact solver (tests only).
 
+use crate::insertion::Insertions;
 use crate::local::two_opt_cost;
 use crate::OrienteeringInstance;
 use rand::rngs::SmallRng;
@@ -156,7 +157,9 @@ fn snapshot(inst: &OrienteeringInstance, tours: &[Vec<usize>], costs: &[f64]) ->
 }
 
 /// Best-ratio insertion across all tours until nothing fits; 2-opt
-/// compaction between waves.
+/// compaction between waves. Each wave keeps one [`Insertions`] cache per
+/// tour, built when the wave starts (after the caller's shake or rollback,
+/// or after the previous wave's compaction).
 fn fill_team(
     inst: &OrienteeringInstance,
     tours: &mut [Vec<usize>],
@@ -164,6 +167,10 @@ fn fill_team(
     in_tour: &mut [bool],
 ) {
     loop {
+        let mut caches: Vec<Insertions> = tours
+            .iter()
+            .map(|tour| Insertions::new(inst, tour, |v| !in_tour[v] && inst.prize(v) > 0.0))
+            .collect();
         let mut inserted = false;
         loop {
             // (vertex, tour, pos, delta) with the best prize/delta ratio.
@@ -172,8 +179,8 @@ fn fill_team(
                 if used || inst.prize(v) <= 0.0 {
                     continue;
                 }
-                for (t, tour) in tours.iter().enumerate() {
-                    let (delta, pos) = crate::local::best_insertion(inst, tour, v);
+                for (t, cache) in caches.iter().enumerate() {
+                    let (delta, pos) = cache.get(v);
                     if costs[t] + delta > inst.budget + 1e-12 {
                         continue;
                     }
@@ -196,7 +203,13 @@ fn fill_team(
             let Some((v, t, pos, delta, _)) = best else {
                 break;
             };
-            tours[t].insert(pos, v);
+            for (o, cache) in caches.iter_mut().enumerate() {
+                if o == t {
+                    cache.insert(inst, &mut tours[t], pos, v);
+                } else {
+                    cache.untrack(v);
+                }
+            }
             in_tour[v] = true;
             costs[t] += delta;
             inserted = true;
