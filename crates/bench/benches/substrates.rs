@@ -1,7 +1,8 @@
 //! Microbenchmarks of the substrate crates: spatial index queries,
-//! candidate-set construction, Christofides, perfect matching (dense
-//! blossom vs the certified sparse `Auto` path on the benchmark
-//! heuristic's real odd set), and the discrete-event simulator.
+//! candidate-set construction and dominance pruning, Christofides,
+//! perfect matching (dense blossom vs the certified sparse `Auto` path on
+//! the benchmark heuristic's real odd set), and the discrete-event
+//! simulator.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use uavdc_core::{Alg2Planner, CandidateSet, Planner};
@@ -37,6 +38,19 @@ fn bench_candidates(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("build", delta as u64), &delta, |b, &d| {
             b.iter(|| CandidateSet::build(&scenario, d));
         });
+        // Includes cloning the built set, which the pruning consumes.
+        let built = CandidateSet::build(&scenario, delta);
+        group.bench_with_input(
+            BenchmarkId::new("prune_dominated", delta as u64),
+            &built,
+            |b, built| {
+                b.iter(|| {
+                    let mut set = built.clone();
+                    set.prune_dominated();
+                    set
+                });
+            },
+        );
     }
     group.finish();
 }

@@ -2,12 +2,15 @@
 //!
 //! Section IV of the paper partitions the monitoring region into squares
 //! of edge `δ` and lets the UAV hover only at square centres. A square is
-//! a useful candidate only when its centre covers at least one device —
-//! with `δ = 5 m` and 500 devices that still leaves tens of thousands of
-//! candidates, so coverage sets are computed through the spatial index
-//! rather than by brute force.
+//! a useful candidate only when its centre covers at least one device.
+//! The set is built device by device: each device tests only the cells
+//! whose centre can lie within `R0` of it (about `π·R0²/δ²` of them), and
+//! the (cell, device) pairs are counting-sorted into per-cell lists that
+//! come out sorted, with no per-cell query or sort. Dominance pruning
+//! then keeps about 7% of the candidates on the paper instance at
+//! `δ = 10 m`.
 
-use uavdc_geom::{GridSpec, Point2, SpatialGrid};
+use uavdc_geom::{GridSpec, Point2};
 use uavdc_net::units::{MegaBytes, Meters, Seconds};
 use uavdc_net::Scenario;
 
@@ -55,8 +58,16 @@ impl CandidateSet {
     /// Builds the candidate set: partitions the region into `δ`-squares
     /// and keeps every square centre that covers at least one device.
     ///
+    /// A device covers a cell when
+    /// `device.distance_sq(cell_center) <= R0²`; devices outside the
+    /// region still cover the cells within reach. Each device enumerates
+    /// its cells through [`GridSpec::cells_with_center_within`], and a
+    /// counting sort on the cell index groups the pairs in row-major
+    /// order with each cell's devices ascending.
+    ///
     /// # Panics
-    /// Panics when `delta` is non-positive or non-finite.
+    /// Panics when `delta` is non-positive or non-finite, or when a
+    /// device position is not finite.
     pub fn build(scenario: &Scenario, delta: f64) -> Self {
         assert!(
             delta.is_finite() && delta > 0.0,
@@ -64,24 +75,53 @@ impl CandidateSet {
         );
         let r0 = scenario.coverage_radius();
         let grid = GridSpec::for_region(&scenario.region, delta);
-        let positions = scenario.device_positions();
-        // lint:allow(unit-unwrap): the geometry layer (SpatialGrid) is dimension-generic, radii in metres
-        let index = SpatialGrid::build(&positions, r0.value().max(delta));
-        let mut candidates = Vec::new();
-        let mut buf = Vec::new();
-        for cell in grid.cells() {
-            let center = grid.cell_center(cell);
-            // lint:allow(unit-unwrap): the geometry layer is dimension-generic, radii in metres
-            index.query_radius_into(center, r0.value(), &mut buf);
-            if buf.is_empty() {
-                continue;
+        let num_cells = grid.num_cells();
+        // The cells each device covers, device by device (device `v`'s
+        // run ends at `device_end[v]`), and per-cell counts shifted by one
+        // for the prefix sum below.
+        let mut cells: Vec<usize> = Vec::new();
+        let mut device_end: Vec<usize> = Vec::with_capacity(scenario.num_devices());
+        let mut start = vec![0u32; num_cells + 1];
+        for (v, device) in scenario.devices.iter().enumerate() {
+            assert!(
+                device.pos.is_finite(),
+                "device {v} position is not finite: {:?}",
+                device.pos
+            );
+            // lint:allow(unit-unwrap): the geometry layer (GridSpec) is dimension-generic, radii in metres
+            for cell in grid.cells_with_center_within(device.pos, r0.value()) {
+                let k = grid.linear_index(cell);
+                start[k + 1] += 1;
+                cells.push(k);
             }
-            let mut covered: Vec<u32> = buf.iter().map(|&i| i as u32).collect();
-            covered.sort_unstable();
-            candidates.push(Candidate {
-                pos: center,
-                covered,
-            });
+            device_end.push(cells.len());
+        }
+        let mut non_empty = 0;
+        for k in 0..num_cells {
+            non_empty += usize::from(start[k + 1] > 0);
+            start[k + 1] += start[k];
+        }
+        // Counting sort: devices arrive in ascending order, so each cell's
+        // list comes out sorted.
+        let mut next = start.clone();
+        let mut devices = vec![0u32; cells.len()];
+        let mut from = 0;
+        for (v, &to) in device_end.iter().enumerate() {
+            for &k in &cells[from..to] {
+                devices[next[k] as usize] = v as u32;
+                next[k] += 1;
+            }
+            from = to;
+        }
+        let mut candidates = Vec::with_capacity(non_empty);
+        for (k, cell) in grid.cells().enumerate() {
+            let covered = &devices[start[k] as usize..start[k + 1] as usize];
+            if !covered.is_empty() {
+                candidates.push(Candidate {
+                    pos: grid.cell_center(cell),
+                    covered: covered.to_vec(),
+                });
+            }
         }
         CandidateSet {
             delta,
@@ -103,75 +143,104 @@ impl CandidateSet {
     }
 
     /// Removes dominated candidates: a candidate is dropped when another
-    /// candidate covers a strict superset of its devices (or the same set,
-    /// keeping the first in grid order). Preserves the attainable data
-    /// volume while shrinking the search space.
+    /// candidate covers a strict superset of its devices, or the same set
+    /// at a lower index (the first in grid order survives). Preserves the
+    /// attainable data volume while shrinking the search space. An empty
+    /// coverage set is a strict subset of every non-empty one, so it
+    /// survives only when every candidate is empty, and then only the
+    /// first.
+    ///
+    /// Any dominator of candidate `i` covers every device of `i`, so only
+    /// the candidates covering `i`'s least-covered device are probed,
+    /// read from a flat device → candidate index. The probe starts at
+    /// `i`'s own place in that list and walks outward, because in a built
+    /// set the nearest cells are the likeliest dominators. A 64-bit
+    /// membership signature (bit `v mod 64` per device `v`) and the set
+    /// sizes reject most peers before any coverage list is read.
     pub fn prune_dominated(&mut self) {
-        let n = self.candidates.len();
-        // Bucket candidates by covered device to limit the quadratic
-        // comparison to candidates that can actually intersect. Device
-        // ids are dense, so a flat Vec indexed by id keeps the peer
-        // iteration order deterministic (a hash map's would not be).
-        let num_ids = self
-            .candidates
+        let cands = &self.candidates;
+        // CSR index: `by_device[start[v]..start[v + 1]]` lists the
+        // candidates covering device `v`, ascending. The counting pass
+        // also records each candidate's signature and size.
+        let mut start: Vec<u32> = vec![0];
+        let key: Vec<(u64, usize)> = cands
             .iter()
-            .flat_map(|c| c.covered.iter())
-            .map(|&v| v as usize + 1)
-            .max()
-            .unwrap_or(0);
-        let mut by_device: Vec<Vec<usize>> = vec![Vec::new(); num_ids];
-        for (i, c) in self.candidates.iter().enumerate() {
+            .map(|c| {
+                let mut sig = 0u64;
+                for &v in &c.covered {
+                    let v = v as usize;
+                    if v + 2 > start.len() {
+                        start.resize(v + 2, 0);
+                    }
+                    start[v + 1] += 1;
+                    sig |= 1 << (v % 64);
+                }
+                (sig, c.covered.len())
+            })
+            .collect();
+        let num_ids = start.len() - 1;
+        for v in 0..num_ids {
+            start[v + 1] += start[v];
+        }
+        let mut next = start.clone();
+        let mut by_device = vec![0u32; start[num_ids] as usize];
+        for (i, c) in cands.iter().enumerate() {
             for &v in &c.covered {
-                by_device[v as usize].push(i);
+                by_device[next[v as usize] as usize] = i as u32;
+                next[v as usize] += 1;
             }
         }
-        let mut dead = vec![false; n];
-        // Collapse exact-duplicate coverage sets up front (common at
-        // small δ, where many grid cells see the same devices): keep the
-        // first candidate in grid order — exactly what the pairwise
-        // equal-set rule below would converge to — in one O(n log n)
-        // pass instead of paying for duplicates in the bucket scans.
-        // A BTreeMap keyed on the sorted slice keeps this deterministic.
-        {
-            let mut seen: std::collections::BTreeMap<&[u32], usize> =
-                std::collections::BTreeMap::new();
-            for (i, c) in self.candidates.iter().enumerate() {
-                if seen.contains_key(c.covered.as_slice()) {
-                    dead[i] = true;
-                } else {
-                    seen.insert(c.covered.as_slice(), i);
+        // Candidates are visited in index order, so `next[v] - start[v]`
+        // is the place of the current candidate in device `v`'s list.
+        next.copy_from_slice(&start);
+        let keep: Vec<bool> = (0..cands.len())
+            .map(|i| {
+                let a = &cands[i].covered;
+                let (sig_a, len_a) = key[i];
+                let Some(pivot) = a
+                    .iter()
+                    .map(|&v| v as usize)
+                    .min_by_key(|&v| start[v + 1] - start[v])
+                else {
+                    return num_ids == 0 && i == 0;
+                };
+                let at = (next[pivot] - start[pivot]) as usize;
+                for &v in a {
+                    next[v as usize] += 1;
                 }
-            }
-        }
-        for i in 0..n {
-            if dead[i] {
-                continue;
-            }
-            // Candidates sharing the first device of i are the only
-            // possible dominators.
-            let first = self.candidates[i].covered[0];
-            if let Some(peers) = by_device.get(first as usize) {
-                for &j in peers {
-                    if i == j || dead[j] {
-                        continue;
+                let probe = &by_device[start[pivot] as usize..start[pivot + 1] as usize];
+                let dominates = |j: u32| {
+                    let j = j as usize;
+                    let (sig_b, len_b) = key[j];
+                    if sig_a & !sig_b != 0 || len_b < len_a || j == i {
+                        return false;
                     }
-                    let (a, b) = (&self.candidates[i].covered, &self.candidates[j].covered);
-                    if b.len() > a.len() && is_subset(a, b) {
-                        dead[i] = true;
-                        break;
+                    let b = &cands[j].covered;
+                    if len_b > len_a {
+                        is_subset(a, b)
+                    } else {
+                        j < i && *a == *b
                     }
-                    if a == b && j < i {
-                        dead[i] = true;
-                        break;
+                };
+                let (mut down, mut up) = (probe[..at].iter().rev(), probe[at..].iter());
+                loop {
+                    match (down.next(), up.next()) {
+                        (None, None) => return true,
+                        (d, u) => {
+                            if d.is_some_and(|&j| dominates(j)) || u.is_some_and(|&j| dominates(j))
+                            {
+                                return false;
+                            }
+                        }
                     }
                 }
-            }
-        }
+            })
+            .collect();
         let mut k = 0;
         self.candidates.retain(|_| {
-            let keep = !dead[k];
+            let kept = keep[k];
             k += 1;
-            keep
+            kept
         });
     }
 
@@ -346,6 +415,36 @@ mod tests {
         // First duplicate (x = 0) survives, later twins and the strict
         // subset are pruned, unrelated coverage is untouched.
         assert_eq!(kept, vec![0.0, 3.0]);
+    }
+
+    #[test]
+    fn prune_dominated_handles_empty_coverage_sets() {
+        let mk = |x: f64, covered: Vec<u32>| Candidate {
+            pos: Point2::new(x, 0.0),
+            covered,
+        };
+        let set = |candidates| CandidateSet {
+            delta: 1.0,
+            coverage_radius: Meters(1.0),
+            candidates,
+        };
+        // Any non-empty candidate dominates every empty one.
+        let mut mixed = set(vec![mk(0.0, vec![]), mk(1.0, vec![3]), mk(2.0, vec![])]);
+        mixed.prune_dominated();
+        let kept: Vec<f64> = mixed.candidates.iter().map(|c| c.pos.x).collect();
+        assert_eq!(kept, vec![1.0]);
+        // Among all-empty candidates the first survives.
+        let mut empty = set(vec![mk(0.0, vec![]), mk(1.0, vec![]), mk(2.0, vec![])]);
+        empty.prune_dominated();
+        let kept: Vec<f64> = empty.candidates.iter().map(|c| c.pos.x).collect();
+        assert_eq!(kept, vec![0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "device 1 position is not finite")]
+    fn non_finite_device_panics() {
+        let s = scenario_with(vec![(1.0, 1.0, 1.0), (f64::NAN, 1.0, 1.0)], 10.0);
+        let _ = CandidateSet::build(&s, 10.0);
     }
 
     #[test]

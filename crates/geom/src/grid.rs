@@ -150,9 +150,16 @@ impl GridSpec {
     /// This enumerates the candidate hovering locations that can cover a
     /// sensor at `p` with coverage radius `radius` — the set the paper
     /// bounds by `⌈π·R0²/δ²⌉` per sensor.
-    pub fn cells_with_center_within(&self, p: Point2, radius: f64) -> Vec<CellId> {
-        let mut out = Vec::new();
-        // Conservative index window around p.
+    ///
+    /// Cells come in row-major order. The test is
+    /// `cell_center(c).distance_sq(p) <= radius²`, run over a conservative
+    /// index window around `p`, so `p` may lie outside the grid. A
+    /// negative or non-finite `radius` yields no cells.
+    pub fn cells_with_center_within(
+        &self,
+        p: Point2,
+        radius: f64,
+    ) -> impl Iterator<Item = CellId> + '_ {
         let lo_x = ((p.x - radius - self.origin.x) / self.delta - 1.0)
             .floor()
             .max(0.0) as u32;
@@ -163,16 +170,16 @@ impl GridSpec {
             .clamp(0, self.nx as i64 - 1) as u32;
         let hi_y = (((p.y + radius - self.origin.y) / self.delta).ceil() as i64)
             .clamp(0, self.ny as i64 - 1) as u32;
+        // An empty row range empties the window.
+        let (lo_y, hi_y) = if radius.is_finite() && radius >= 0.0 {
+            (lo_y, hi_y)
+        } else {
+            (1, 0)
+        };
         let r2 = radius * radius;
-        for iy in lo_y..=hi_y {
-            for ix in lo_x..=hi_x {
-                let c = CellId { ix, iy };
-                if self.cell_center(c).distance_sq(p) <= r2 {
-                    out.push(c);
-                }
-            }
-        }
-        out
+        (lo_y..=hi_y)
+            .flat_map(move |iy| (lo_x..=hi_x).map(move |ix| CellId { ix, iy }))
+            .filter(move |&c| self.cell_center(c).distance_sq(p) <= r2)
     }
 
     /// Bounding box of the whole grid (may exceed the requested region when
@@ -258,7 +265,7 @@ mod tests {
     fn cells_within_radius_cover_sensor() {
         let g = grid_100x100_d10();
         let sensor = Point2::new(50.0, 50.0);
-        let cells = g.cells_with_center_within(sensor, 15.0);
+        let cells: Vec<CellId> = g.cells_with_center_within(sensor, 15.0).collect();
         // Every returned center is within the radius...
         for c in &cells {
             assert!(g.cell_center(*c).distance(sensor) <= 15.0);
@@ -276,10 +283,21 @@ mod tests {
     #[test]
     fn cells_within_radius_near_border() {
         let g = grid_100x100_d10();
-        let cells = g.cells_with_center_within(Point2::new(1.0, 1.0), 12.0);
+        let cells: Vec<CellId> = g
+            .cells_with_center_within(Point2::new(1.0, 1.0), 12.0)
+            .collect();
         assert!(cells.contains(&g.cell_at(0, 0)));
         for c in &cells {
             assert!(c.ix < g.nx() && c.iy < g.ny());
+        }
+    }
+
+    #[test]
+    fn cells_within_bad_radius_is_empty() {
+        let g = grid_100x100_d10();
+        let p = Point2::new(50.0, 50.0);
+        for r in [-1.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(g.cells_with_center_within(p, r).count(), 0, "radius {r}");
         }
     }
 
@@ -289,7 +307,9 @@ mod tests {
         // asymptotic bound with slack for boundary cells.
         let g = GridSpec::new(Point2::ORIGIN, 1000.0, 1000.0, 5.0);
         let r0 = 50.0;
-        let cells = g.cells_with_center_within(Point2::new(500.0, 500.0), r0);
+        let cells: Vec<CellId> = g
+            .cells_with_center_within(Point2::new(500.0, 500.0), r0)
+            .collect();
         let area_bound = std::f64::consts::PI * r0 * r0 / (5.0 * 5.0);
         assert!((cells.len() as f64) <= area_bound * 1.2 + 16.0);
         assert!((cells.len() as f64) >= area_bound * 0.8);

@@ -4,27 +4,28 @@
 //! `uavdc-core`: 2-D/3-D points, axis-aligned bounding boxes, the square
 //! grid partition of the monitoring region (the paper's `δ`-squares), disc
 //! coverage predicates (the UAV's hovering coverage circle of radius `R0`),
-//! and a uniform-grid spatial index for fast "all sensors within radius `r`
-//! of a hovering location" queries.
+//! and a uniform-grid spatial index for fast "all points within radius `r`
+//! of a query point" lookups.
 //!
 //! Everything here is deterministic and allocation-conscious: queries write
-//! into caller-provided buffers where it matters, and the spatial index is a
-//! flat bucket grid (no per-node boxing).
+//! into caller-provided buffers or yield iterators where it matters, and
+//! the spatial index is a flat bucket grid (no per-node boxing).
 //!
 //! # Example
 //!
 //! ```
-//! use uavdc_geom::{Point2, GridSpec, SpatialGrid};
+//! use uavdc_geom::{CellId, GridSpec, Point2};
 //!
 //! // A 100 m x 100 m region partitioned into 10 m squares.
 //! let grid = GridSpec::new(Point2::new(0.0, 0.0), 100.0, 100.0, 10.0);
 //! assert_eq!(grid.num_cells(), 100);
 //!
-//! // Index a few sensor positions and query coverage of a cell center.
-//! let sensors = vec![Point2::new(12.0, 13.0), Point2::new(95.0, 95.0)];
-//! let index = SpatialGrid::build(&sensors, 10.0);
-//! let covered = index.query_radius(grid.cell_center(grid.cell_at(1, 1)), 15.0);
-//! assert_eq!(covered, vec![0]);
+//! // The hovering locations that cover a sensor with R0 = 10 m: every
+//! // cell whose centre lies within 10 m of it, in row-major order.
+//! let sensor = Point2::new(12.0, 13.0);
+//! let cells: Vec<CellId> = grid.cells_with_center_within(sensor, 10.0).collect();
+//! assert_eq!(cells, vec![grid.cell_at(1, 0), grid.cell_at(0, 1), grid.cell_at(1, 1)]);
+//! assert_eq!(grid.cell_center(cells[2]), Point2::new(15.0, 15.0));
 //! ```
 
 #![warn(missing_docs)]

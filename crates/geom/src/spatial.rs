@@ -1,10 +1,12 @@
 //! Uniform-grid spatial index over a fixed point set.
 //!
-//! Coverage-set computation (`C(s_j)` for every candidate hovering location)
-//! is the hottest geometric operation in the planners: with `δ = 5 m` and
-//! 500 sensors there are ~40 000 candidate locations, each needing an
-//! "all sensors within `R0`" query. A flat bucket grid answers these in
-//! expected O(k) per query.
+//! Answers "all points within radius `r` of `q`" for query points that are
+//! not grid cells: the benchmark heuristic's per-device coverage lists,
+//! the sweep baseline's lattice stops, and device aggregation in
+//! `uavdc-net`'s topology builder. A flat bucket grid answers these in
+//! expected O(k) per query. (The planners' candidate grid does not query
+//! it: each device enumerates its own cells through
+//! [`GridSpec::cells_with_center_within`](crate::GridSpec::cells_with_center_within).)
 
 use crate::{Aabb, Point2};
 

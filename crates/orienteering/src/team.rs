@@ -189,11 +189,11 @@ fn fill_team(
                     } else {
                         inst.prize(v) / delta
                     };
+                    // `(v, t)` is visited in ascending order, so a near-tie
+                    // keeps the earlier pair.
                     let better = match best {
                         None => true,
-                        Some((bv, bt, _, _, br)) => {
-                            ratio > br + 1e-15 || (ratio >= br - 1e-15 && (v, t) < (bv, bt))
-                        }
+                        Some((_, _, _, _, br)) => ratio > br + 1e-15,
                     };
                     if better {
                         best = Some((v, t, pos, delta, ratio));
