@@ -1,20 +1,17 @@
 //! Noise-aware comparison of two baseline JSON artefacts
-//! (`planner_baseline`, `robustness_baseline`, `service_baseline`).
+//! (`planner_baseline`, `robustness_sweep`).
 //!
 //! The baseline file mixes two kinds of numbers. *Deterministic* fields —
-//! candidate counts, iteration counts, every evaluation counter, plan
-//! hashes, the lazy/exhaustive identity bit, the service's cache
-//! accounting — are products of the workspace's determinism discipline:
-//! any difference is a behaviour change and fails the comparison
-//! outright. *Timing* fields (`setup_ns`, `loop_ns`, the service's
-//! latency percentiles and plans/sec) are machine noise up to a point, so
-//! they are gated by a relative tolerance combined with a minimum
-//! absolute delta (tiny phases jitter by large ratios without meaning
-//! anything); throughput rates gate in the opposite direction (lower is
-//! the regression).
+//! candidate counts, iteration counts, every evaluation and tour counter,
+//! plan hashes, the lazy/exhaustive identity bit — are products of the
+//! workspace's determinism discipline: any difference is a behaviour
+//! change and fails the comparison outright. *Timing* fields (`setup_ns`,
+//! `loop_ns`) are machine noise up to a point, so they are gated by a
+//! relative tolerance combined with a minimum absolute delta (tiny phases
+//! jitter by large ratios without meaning anything).
 //!
 //! [`compare`] pairs entries by (figure, x value, algorithm, seed[,
-//! fault level][, engine]) and returns a [`CompareReport`];
+//! fault level]) and returns a [`CompareReport`];
 //! [`CompareReport::markdown`] renders the diff table CI posts to the
 //! job summary. Entries present on only one side and duplicate entry
 //! keys within one side are structural failures — nothing is silently
@@ -134,24 +131,15 @@ impl CompareReport {
 const HEADER_EXACT: [&str; 3] = ["schema", "mode", "scale"];
 
 /// Deterministic per-engine counters inside `lazy` / `exhaustive`.
-const ENGINE_COUNTERS: [&str; 5] = [
+const ENGINE_COUNTERS: [&str; 7] = [
     "evaluations",
     "marginal_evals",
     "delta_rescans",
     "fixups",
     "heap_pops",
+    "tour_patches",
+    "full_retours",
 ];
-
-/// Deterministic per-engine counters added by the planner-baseline `/3`
-/// schema (incremental tour maintenance). Compared exactly when both
-/// sides carry them; silently absent when either side predates the
-/// schema bump — the cross-version comparison below stays meaningful on
-/// the shared fields.
-const ENGINE_COUNTERS_V3: [&str; 2] = ["tour_patches", "full_retours"];
-
-/// Planner-baseline schema versions whose shared entry fields are
-/// directly comparable (the `/3` bump only *adds* the tour counters).
-const PLANNER_COMPAT: [&str; 2] = ["uavdc-planner-baseline/2", "uavdc-planner-baseline/3"];
 
 /// Timing fields inside `lazy` / `exhaustive`.
 const ENGINE_TIMINGS: [&str; 2] = ["setup_ns", "loop_ns"];
@@ -187,10 +175,6 @@ fn entry_key(e: &Json, x_label: &str) -> String {
     // ladder; the level disambiguates the key.
     if let Some(level) = e.get("fault_level") {
         let _ = write!(key, " level={}", render(Some(level)));
-    }
-    // Service entries run each tuple under both engines.
-    if let Some(engine) = e.get("engine") {
-        let _ = write!(key, " engine={}", render(Some(engine)));
     }
     key
 }
@@ -275,36 +259,6 @@ fn compare_timing(
     }
 }
 
-/// Gates a throughput rate (plans/sec): *lower* is the regression, so
-/// the tolerance applies to the relative drop below baseline. Rates have
-/// no meaningful absolute floor, so only `rel_tol` applies.
-fn compare_rate(
-    rows: &mut Vec<Row>,
-    cfg: &CompareConfig,
-    key: &str,
-    field: &str,
-    a: Option<&Json>,
-    b: Option<&Json>,
-) {
-    let (Some(base), Some(cur)) = (a.and_then(Json::as_f64), b.and_then(Json::as_f64)) else {
-        push_if_diff(rows, key, field, a, b); // malformed rates: hard diff
-        return;
-    };
-    if cur >= base || base <= 0.0 {
-        return; // faster is never a regression
-    }
-    let rel = (base - cur) / base;
-    if rel > cfg.rel_tol {
-        rows.push(Row {
-            key: key.to_string(),
-            field: field.to_string(),
-            baseline: format!("{base:.1}/s"),
-            current: format!("{cur:.1}/s (-{:.0}%)", rel * 100.0),
-            verdict: Verdict::TimingRegression,
-        });
-    }
-}
-
 /// Compares two parsed baseline documents.
 ///
 /// Returns `Err` only when a document is too malformed to walk (missing
@@ -320,18 +274,6 @@ pub fn compare(
     for field in HEADER_EXACT {
         let (a, b) = (baseline.get(field), current.get(field));
         if a != b {
-            if field == "schema" {
-                let (av, bv) = (
-                    a.and_then(Json::as_str).unwrap_or(""),
-                    b.and_then(Json::as_str).unwrap_or(""),
-                );
-                // The /2 -> /3 planner-baseline bump is additive-only;
-                // allow the cross-version diff so a schema bump can
-                // prove its counters and hashes unchanged.
-                if PLANNER_COMPAT.contains(&av) && PLANNER_COMPAT.contains(&bv) {
-                    continue;
-                }
-            }
             report.structural.push(format!(
                 "header `{field}` differs: baseline {} vs current {}",
                 render(a),
@@ -345,55 +287,6 @@ pub fn compare(
             render(baseline.get("seeds")),
             render(current.get("seeds"))
         ));
-    }
-
-    // The service baseline carries batch-wide results in its header:
-    // cache accounting is deterministic (hard diff), throughput is
-    // timing (gated with the regression direction inverted for the
-    // rate).
-    let schema = baseline.get("schema").and_then(Json::as_str).unwrap_or("");
-    let service = schema.starts_with("uavdc-service-baseline/");
-    if baseline.get("repeat") != current.get("repeat") {
-        report.structural.push(format!(
-            "header `repeat` differs: baseline {} vs current {}",
-            render(baseline.get("repeat")),
-            render(current.get("repeat"))
-        ));
-    }
-    if service {
-        diff_exact(
-            &mut report.rows,
-            "batch",
-            "cache",
-            baseline.get("cache"),
-            current.get("cache"),
-        );
-        let (bt, ct) = (baseline.get("throughput"), current.get("throughput"));
-        push_if_diff(
-            &mut report.rows,
-            "batch",
-            "throughput.requests",
-            bt.and_then(|t| t.get("requests")),
-            ct.and_then(|t| t.get("requests")),
-        );
-        compare_rate(
-            &mut report.rows,
-            cfg,
-            "batch",
-            "throughput.plans_per_sec",
-            bt.and_then(|t| t.get("plans_per_sec")),
-            ct.and_then(|t| t.get("plans_per_sec")),
-        );
-        for timing in ["wall_ns", "p50_latency_ns", "p99_latency_ns"] {
-            compare_timing(
-                &mut report.rows,
-                cfg,
-                "batch",
-                &format!("throughput.{timing}"),
-                bt.and_then(|t| t.get(timing)),
-                ct.and_then(|t| t.get(timing)),
-            );
-        }
     }
 
     let base_entries = baseline
@@ -419,10 +312,12 @@ pub fn compare(
         }
     }
 
-    // Robustness and service artefacts carry no per-entry timings: every
-    // entry field is deterministic, so they are diffed exactly, whatever
-    // their shape.
-    let all_deterministic = schema.starts_with("uavdc-robustness/") || service;
+    // Robustness artefacts carry no timings: every entry field is
+    // deterministic, so they are diffed exactly, whatever their shape.
+    let all_deterministic = baseline
+        .get("schema")
+        .and_then(Json::as_str)
+        .is_some_and(|s| s.starts_with("uavdc-robustness/"));
 
     let mut base_seen = std::collections::BTreeSet::new();
     for base in base_entries {
@@ -481,21 +376,6 @@ pub fn compare(
                     ce.and_then(|e| e.get(counter)),
                 );
             }
-            for counter in ENGINE_COUNTERS_V3 {
-                let (bv, cv) = (
-                    be.and_then(|e| e.get(counter)),
-                    ce.and_then(|e| e.get(counter)),
-                );
-                if bv.is_some() && cv.is_some() {
-                    push_if_diff(
-                        &mut report.rows,
-                        &key,
-                        &format!("{engine}.{counter}"),
-                        bv,
-                        cv,
-                    );
-                }
-            }
             for timing in ENGINE_TIMINGS {
                 compare_timing(
                     &mut report.rows,
@@ -521,9 +401,9 @@ mod tests {
     use super::*;
     use crate::json::parse;
 
-    fn doc(loop_ns: u64, evals: u64, hash: &str) -> Json {
+    fn fixture(loop_ns: u64, evals: u64, patches: u64, retours: u64, hash: &str) -> Json {
         parse(&format!(
-            r#"{{"schema": "uavdc-planner-baseline/2", "mode": "quick", "scale": 0.2,
+            r#"{{"schema": "uavdc-planner-baseline/3", "mode": "quick", "scale": 0.2,
                 "seeds": [39582], "threads": 2,
                 "entries": [
                   {{"figure": "fig4", "delta_m": 5, "algorithm": "Algorithm 2",
@@ -532,13 +412,19 @@ mod tests {
                     "plan_hash": "{hash}",
                     "lazy": {{"evaluations": {evals}, "marginal_evals": 5,
                              "delta_rescans": 0, "fixups": 0, "heap_pops": 30,
+                             "tour_patches": {patches}, "full_retours": {retours},
                              "setup_ns": 1000000, "loop_ns": {loop_ns}}},
                     "exhaustive": {{"evaluations": 1000, "marginal_evals": 0,
                              "delta_rescans": 0, "fixups": 0, "heap_pops": 0,
+                             "tour_patches": {patches}, "full_retours": {retours},
                              "setup_ns": 1000000, "loop_ns": 9000000}}}}
                 ]}}"#
         ))
         .expect("fixture parses")
+    }
+
+    fn doc(loop_ns: u64, evals: u64, hash: &str) -> Json {
+        fixture(loop_ns, evals, 40, 0, hash)
     }
 
     #[test]
@@ -628,64 +514,45 @@ mod tests {
         assert_eq!(r.paired_entries, 0);
     }
 
-    fn doc_v3(patches: u64, retours: u64, hash: &str) -> Json {
-        parse(&format!(
-            r#"{{"schema": "uavdc-planner-baseline/3", "mode": "quick", "scale": 0.2,
-                "seeds": [39582], "threads": 2,
-                "entries": [
-                  {{"figure": "fig4", "delta_m": 5, "algorithm": "Algorithm 2",
-                    "seed": 39582, "candidates": 100, "iterations": 10,
-                    "exhaustive_bound": 1000, "plans_identical": true,
-                    "plan_hash": "{hash}",
-                    "lazy": {{"evaluations": 120, "marginal_evals": 5,
-                             "delta_rescans": 0, "fixups": 0, "heap_pops": 30,
-                             "tour_patches": {patches}, "full_retours": {retours},
-                             "setup_ns": 1000000, "loop_ns": 8000000}},
-                    "exhaustive": {{"evaluations": 1000, "marginal_evals": 0,
-                             "delta_rescans": 0, "fixups": 0, "heap_pops": 0,
-                             "tour_patches": {patches}, "full_retours": {retours},
-                             "setup_ns": 1000000, "loop_ns": 9000000}}}}
-                ]}}"#
-        ))
-        .expect("fixture parses")
-    }
-
     #[test]
-    fn schema_bump_with_shared_fields_unchanged_is_clean() {
-        // A /2 baseline vs a /3 current: the added tour counters exist on
-        // one side only, so only the shared fields gate — exit clean when
-        // hashes and the v2 counters are frozen.
-        let v2 = doc(8_000_000, 120, "aa");
-        let v3 = doc_v3(40, 0, "aa");
-        let r = compare(&v2, &v3, &CompareConfig::default()).expect("walkable");
-        assert!(!r.has_divergence(), "{:?}", r);
-        assert_eq!(r.paired_entries, 1);
-        // And in the downgrade direction.
-        let r = compare(&v3, &v2, &CompareConfig::default()).expect("walkable");
-        assert!(!r.has_divergence());
-    }
-
-    #[test]
-    fn tour_counter_drift_diverges_when_both_sides_have_them() {
-        let a = doc_v3(40, 0, "aa");
-        let b = doc_v3(41, 0, "aa");
+    fn tour_counter_drift_diverges() {
+        let a = doc(8_000_000, 120, "aa");
+        let b = fixture(8_000_000, 120, 41, 0, "aa");
         let r = compare(&a, &b, &CompareConfig::default()).expect("walkable");
         assert!(r.has_divergence());
         assert!(r.rows.iter().any(|row| row.field == "lazy.tour_patches"));
-        let c = doc_v3(40, 2, "aa");
+        let c = fixture(8_000_000, 120, 40, 2, "aa");
         let r = compare(&a, &c, &CompareConfig::default()).expect("walkable");
         assert!(r.has_divergence());
         assert!(r.rows.iter().any(|row| row.field == "lazy.full_retours"));
     }
 
     #[test]
-    fn unrelated_schema_mismatch_is_still_structural() {
+    fn missing_tour_counter_diverges() {
+        let a = doc(8_000_000, 120, "aa");
+        let mut b = doc(8_000_000, 120, "aa");
+        if let Json::Obj(map) = &mut b {
+            if let Some(Json::Arr(entries)) = map.get_mut("entries") {
+                if let Json::Obj(entry) = &mut entries[0] {
+                    if let Some(Json::Obj(lazy)) = entry.get_mut("lazy") {
+                        lazy.remove("tour_patches");
+                    }
+                }
+            }
+        }
+        let r = compare(&a, &b, &CompareConfig::default()).expect("walkable");
+        assert!(r.has_divergence());
+        assert!(r.rows.iter().any(|row| row.field == "lazy.tour_patches"));
+    }
+
+    #[test]
+    fn schema_mismatch_is_structural() {
         let a = doc(8_000_000, 120, "aa");
         let mut b = doc(8_000_000, 120, "aa");
         if let Json::Obj(map) = &mut b {
             map.insert(
                 "schema".to_string(),
-                Json::Str("uavdc-service-baseline/1".to_string()),
+                Json::Str("uavdc-planner-baseline/2".to_string()),
             );
         }
         let r = compare(&a, &b, &CompareConfig::default()).expect("walkable");
@@ -762,92 +629,6 @@ mod tests {
             .structural
             .iter()
             .any(|s| s.contains("entry added (current only")));
-    }
-
-    fn service_doc(plans_per_sec: f64, evals: u64, hash: &str) -> Json {
-        parse(&format!(
-            r#"{{"schema": "uavdc-service-baseline/1", "mode": "quick", "scale": 0.2,
-                "seeds": [39582], "repeat": 2, "threads": 2,
-                "throughput": {{"requests": 4, "wall_ns": 50000000,
-                    "plans_per_sec": {plans_per_sec},
-                    "p50_latency_ns": 2000000, "p99_latency_ns": 8000000}},
-                "cache": {{"unique_instances": 1, "artifacts_built": 2,
-                    "requests_shared": 2}},
-                "entries": [
-                  {{"figure": "service", "capacity_j": 300000,
-                    "algorithm": "Algorithm 2", "seed": 39582, "engine": "lazy",
-                    "candidates": 100, "iterations": 10, "evaluations": {evals},
-                    "plan_hash": "{hash}"}},
-                  {{"figure": "service", "capacity_j": 300000,
-                    "algorithm": "Algorithm 2", "seed": 39582,
-                    "engine": "exhaustive", "candidates": 100, "iterations": 10,
-                    "evaluations": 1000, "plan_hash": "{hash}"}}
-                ]}}"#
-        ))
-        .expect("fixture parses")
-    }
-
-    #[test]
-    fn service_identical_documents_are_clean() {
-        let a = service_doc(80.0, 120, "aa");
-        let r = compare(&a, &a, &CompareConfig::default()).expect("walkable");
-        assert!(!r.has_divergence());
-        assert!(!r.has_timing_regression());
-        // The two engines of the tuple pair as distinct entries.
-        assert_eq!(r.paired_entries, 2);
-    }
-
-    #[test]
-    fn service_counter_or_hash_drift_diverges() {
-        let a = service_doc(80.0, 120, "aa");
-        let b = service_doc(80.0, 121, "aa");
-        let r = compare(&a, &b, &CompareConfig::default()).expect("walkable");
-        assert!(r.has_divergence());
-        assert!(r
-            .rows
-            .iter()
-            .any(|row| row.field == "evaluations" && row.key.contains("engine=lazy")));
-        let c = service_doc(80.0, 120, "bb");
-        let r = compare(&a, &c, &CompareConfig::default()).expect("walkable");
-        assert!(r.has_divergence());
-        assert!(r.rows.iter().any(|row| row.field == "plan_hash"));
-    }
-
-    #[test]
-    fn service_cache_accounting_is_deterministic() {
-        let a = service_doc(80.0, 120, "aa");
-        let mut b = service_doc(80.0, 120, "aa");
-        if let Json::Obj(map) = &mut b {
-            if let Some(Json::Obj(cache)) = map.get_mut("cache") {
-                cache.insert("requests_shared".to_string(), Json::Num(7.0));
-            }
-        }
-        let r = compare(&a, &b, &CompareConfig::default()).expect("walkable");
-        assert!(r.has_divergence());
-        assert!(r
-            .rows
-            .iter()
-            .any(|row| row.field == "cache.requests_shared"));
-    }
-
-    #[test]
-    fn service_throughput_drop_is_timing_not_divergence() {
-        let a = service_doc(80.0, 120, "aa");
-        let b = service_doc(20.0, 120, "aa"); // -75%, beyond 50% rel_tol
-        let r = compare(&a, &b, &CompareConfig::default()).expect("walkable");
-        assert!(!r.has_divergence());
-        assert!(r.has_timing_regression());
-        assert!(r
-            .rows
-            .iter()
-            .any(|row| row.field == "throughput.plans_per_sec"));
-        // Mild jitter passes; getting faster always passes.
-        let c = service_doc(60.0, 120, "aa"); // -25% < 50%
-        let r = compare(&a, &c, &CompareConfig::default()).expect("walkable");
-        assert!(!r.has_timing_regression());
-        let d = service_doc(200.0, 120, "aa");
-        let r = compare(&a, &d, &CompareConfig::default()).expect("walkable");
-        assert!(!r.has_timing_regression());
     }
 
     #[test]

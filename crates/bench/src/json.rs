@@ -45,14 +45,6 @@ impl Json {
         }
     }
 
-    /// The numeric payload, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// The numeric payload as an exact non-negative integer.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
@@ -360,7 +352,7 @@ mod tests {
     #[test]
     fn roundtrips_baseline_shape() {
         let doc = parse(
-            r#"{"schema": "uavdc-planner-baseline/2", "entries": [
+            r#"{"schema": "uavdc-planner-baseline/3", "entries": [
                 {"figure": "fig4", "delta_m": 5, "seed": 39582,
                  "plans_identical": true, "plan_hash": "00ff",
                  "lazy": {"evaluations": 1234, "loop_ns": 56789}}

@@ -33,7 +33,6 @@
 
 pub mod compare;
 pub mod json;
-pub mod service;
 
 use std::time::Instant;
 use uavdc_core::{
@@ -464,10 +463,25 @@ pub fn write_csv(
         writeln!(
             f,
             "{},{},{},{},{},{}",
-            p.x, p.algorithm, p.collected_gb, p.runtime_s, p.energy_used_j, p.stops
+            p.x,
+            csv_field(p.algorithm),
+            p.collected_gb,
+            p.runtime_s,
+            p.energy_used_j,
+            p.stops
         )?;
     }
     Ok(())
+}
+
+/// Quotes a CSV field that holds a comma, a quote or a line break,
+/// doubling inner quotes (RFC 4180); other fields pass through as is.
+fn csv_field(field: &str) -> std::borrow::Cow<'_, str> {
+    if field.contains([',', '"', '\n', '\r']) {
+        format!("\"{}\"", field.replace('"', "\"\"")).into()
+    } else {
+        field.into()
+    }
 }
 
 #[cfg(test)]
@@ -562,20 +576,28 @@ mod tests {
 
     #[test]
     fn csv_roundtrip_layout() {
-        let pts = vec![DataPoint {
+        let row = DataPoint {
             x: 5.0,
             algorithm: "Algorithm 2",
             collected_gb: 1.25,
             runtime_s: 0.01,
             energy_used_j: 1000.0,
             stops: 3.0,
-        }];
+        };
+        // A label holding a comma and quotes must stay one quoted field.
+        let quoted = DataPoint {
+            x: 2.0,
+            algorithm: "Fleet (Alg 2, \"sectors\")",
+            ..row.clone()
+        };
+        let pts = [row, quoted];
         let dir = std::env::temp_dir().join("uavdc_csv_test");
         let path = dir.join("fig.csv");
         write_csv(&path, "delta_m", &pts).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.starts_with("delta_m,algorithm,"));
         assert!(text.contains("5,Algorithm 2,1.25,0.01,1000,3"));
+        assert!(text.contains("2,\"Fleet (Alg 2, \"\"sectors\"\")\",1.25,0.01,1000,3"));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -5,7 +5,7 @@ use std::path::PathBuf;
 use std::process::Command;
 
 const BASELINE: &str = r#"{
-  "schema": "uavdc-planner-baseline/2",
+  "schema": "uavdc-planner-baseline/3",
   "mode": "quick",
   "scale": 0.2,
   "seeds": [39582],
@@ -15,9 +15,11 @@ const BASELINE: &str = r#"{
      "candidates": 100, "iterations": 12, "exhaustive_bound": 1200,
      "plans_identical": true, "plan_hash": "00aa11bb22cc33dd",
      "lazy": {"evaluations": 250, "marginal_evals": 30, "delta_rescans": 2,
-              "fixups": 1, "heap_pops": 60, "setup_ns": 2000000, "loop_ns": 8000000},
+              "fixups": 1, "heap_pops": 60, "tour_patches": 12, "full_retours": 0,
+              "setup_ns": 2000000, "loop_ns": 8000000},
      "exhaustive": {"evaluations": 1200, "marginal_evals": 0, "delta_rescans": 0,
-              "fixups": 0, "heap_pops": 0, "setup_ns": 2000000, "loop_ns": 30000000}}
+              "fixups": 0, "heap_pops": 0, "tour_patches": 12, "full_retours": 0,
+              "setup_ns": 2000000, "loop_ns": 30000000}}
   ]
 }"#;
 

@@ -648,7 +648,7 @@ fn grow_rows(dmat: &mut Vec<f64>, dcap: &mut usize, id: usize, m: usize) {
 /// insertion-cache repair, CELF-style heap selection. Produces the same
 /// state evolution — same plans, same operation counts — as
 /// [`run_exhaustive`] (property-tested in `tests/lazy_equivalence.rs`;
-/// the identical-output argument is in DESIGN.md §8 and §16). The
+/// the identical-output argument is in DESIGN.md §8 and §15). The
 /// individual operations are cheapened with the cached-distance machinery
 /// of `uavdc_graph::incremental`: each committed stop's distance column
 /// is computed once (vectorised) and banked in [`LazyPre`]'s matrix, so
@@ -1022,13 +1022,12 @@ impl Alg2Planner {
     /// optionally reusing a prebuilt candidate set instead of rebuilding
     /// it. `prepared` must be exactly what the cold path would build —
     /// `CandidateSet::build(scenario, config.delta)` followed by
-    /// `prune_dominated()` when `config.prune_dominated` is set — which is
-    /// what `uavdc-bench`'s artifact cache guarantees by keying on the
-    /// scenario layout fingerprint and `δ`. Cold and prepared runs then
+    /// `prune_dominated()` when `config.prune_dominated` is set — which an
+    /// [`ArtifactCache`](crate::ArtifactCache) keyed on the scenario
+    /// layout fingerprint and `δ` guarantees. Cold and prepared runs then
     /// share every instruction after setup, so plans and counters are
     /// bit-identical (property-tested in
-    /// `uavdc-bench/tests/service_cache_invisibility.rs`); only
-    /// `setup_ns` shrinks.
+    /// `tests/artifact_cache_invisibility.rs`); only `setup_ns` shrinks.
     pub fn plan_prepared_obs(
         &self,
         scenario: &Scenario,

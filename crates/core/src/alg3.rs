@@ -624,11 +624,10 @@ impl Alg3Planner {
     /// it. `prepared` must be exactly what the cold path would build —
     /// `CandidateSet::build(scenario, config.delta)` followed by
     /// `prune_dominated()` when `config.prune_dominated` is set (the
-    /// keying contract of `uavdc-bench`'s artifact cache). Cold and
-    /// prepared runs share every instruction after setup, so plans and
-    /// counters are bit-identical (property-tested in
-    /// `uavdc-bench/tests/service_cache_invisibility.rs`); only
-    /// `setup_ns` shrinks.
+    /// keying contract of an [`ArtifactCache`](crate::ArtifactCache)).
+    /// Cold and prepared runs share every instruction after setup, so
+    /// plans and counters are bit-identical (property-tested in
+    /// `tests/artifact_cache_invisibility.rs`); only `setup_ns` shrinks.
     pub fn plan_prepared_obs(
         &self,
         scenario: &Scenario,

@@ -33,8 +33,8 @@ pub struct BenchmarkPlanner;
 /// coverage lists plus the initial Christofides tour over depot + all
 /// devices. Depends only on the scenario *layout* (positions, coverage
 /// radius), never on the battery, so capacity sweeps over one instance
-/// can share it through `uavdc-bench`'s artifact cache (keyed by
-/// `Scenario::layout_fingerprint`).
+/// can share it through an [`ArtifactCache`](crate::ArtifactCache)
+/// keyed by `Scenario::layout_fingerprint`.
 #[derive(Clone, Debug)]
 pub struct BenchmarkSetup {
     /// Devices within `R0` of each device's position (by device index).
@@ -374,12 +374,11 @@ impl BenchmarkPlanner {
     /// optionally reusing a prebuilt [`BenchmarkSetup`] instead of
     /// rebuilding it. `prepared` must be exactly what
     /// [`BenchmarkSetup::build_obs`] would produce for this scenario (the
-    /// keying contract of `uavdc-bench`'s artifact cache). The pruning
-    /// loop runs on a clone of the artifact either way, so cold and
-    /// prepared runs share every instruction after setup and produce
-    /// bit-identical plans and counters (property-tested in
-    /// `uavdc-bench/tests/service_cache_invisibility.rs`); only
-    /// `setup_ns` shrinks.
+    /// keying contract of an [`ArtifactCache`](crate::ArtifactCache)).
+    /// The pruning loop runs on a clone of the artifact either way, so
+    /// cold and prepared runs share every instruction after setup and
+    /// produce bit-identical plans and counters (property-tested in
+    /// `tests/artifact_cache_invisibility.rs`); only `setup_ns` shrinks.
     pub fn plan_prepared_obs(
         &self,
         scenario: &Scenario,

@@ -1,21 +1,20 @@
 //! Thread-safe, plan-invisible cache of per-instance planner artifacts.
 //!
-//! The batch planning service (`uavdc-bench::service`) runs thousands of
-//! independent requests against a handful of distinct instances; the
-//! expensive part of each request is the *setup* — building and pruning
-//! the candidate set, or computing the benchmark's initial Christofides
-//! tour — and that setup depends only on the instance layout (and, for
-//! candidate sets, the grid edge `δ`), never on the battery capacity the
-//! request sweeps. [`ArtifactCache`] shares those artifacts across
-//! requests behind one mutex.
+//! The expensive part of a planning request is often its *setup* —
+//! building and pruning the candidate set, or computing the benchmark's
+//! initial Christofides tour — and that setup depends only on the
+//! instance layout (and, for candidate sets, the grid edge `δ`), never on
+//! the battery capacity a batch of requests sweeps. [`ArtifactCache`]
+//! shares those artifacts across requests behind one mutex; the planners
+//! take them through their `plan_prepared` entries.
 //!
 //! Invisibility contract: a cached artifact must be the value the cold
 //! path would rebuild, so cached and cold runs produce bit-identical
 //! plans and identical deterministic counters (property-tested in
-//! `uavdc-bench`'s `service_cache_invisibility` suite). The cache itself
-//! enforces the half it can: [`ArtifactCache::insert`] is first-writer-
-//! wins, so once a key is published every reader sees the same `Arc` and
-//! a racing duplicate build cannot swap the value mid-batch.
+//! `tests/artifact_cache_invisibility.rs`). The cache itself enforces
+//! the half it can: [`ArtifactCache::insert`] is first-writer-wins, so
+//! once a key is published every reader sees the same `Arc` and a racing
+//! duplicate build cannot swap the value mid-batch.
 //!
 //! Concurrency discipline (scanned by `uavdc-lint`'s v4 rules): the one
 //! mutex is held only for a map lookup or insert — never across a spawn,
@@ -30,9 +29,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// A keyed store of shared planner artifacts.
 ///
 /// Keys are caller-computed 64-bit fingerprints (see
-/// `Scenario::layout_fingerprint` in `uavdc-net` and the composed keys in
-/// `uavdc-bench::service`); values are handed out as [`Arc`] clones, so a
-/// hit costs one lock plus one reference-count bump.
+/// `Scenario::layout_fingerprint` in `uavdc-net`, mixed with `δ` for
+/// candidate sets); values are handed out as [`Arc`] clones, so a hit
+/// costs one lock plus one reference-count bump.
 #[derive(Debug, Default)]
 pub struct ArtifactCache<T> {
     /// `BTreeMap`, not `HashMap`: iteration (and therefore any report

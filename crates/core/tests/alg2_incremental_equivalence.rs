@@ -1,5 +1,5 @@
 //! Differential harness for Algorithm 2's incremental tour maintenance
-//! (DESIGN.md §16): across random scenarios, capacities and grid
+//! (DESIGN.md §15): across random scenarios, capacities and grid
 //! resolutions, the planner must emit **bit-identical**
 //! [`CollectionPlan`]s no matter which engine drives the greedy loop or
 //! how the tour cache is warmed:

@@ -116,60 +116,6 @@ pub fn or_opt(tour: &mut Tour, m: &DistMatrix) -> f64 {
     saved
 }
 
-/// 3-opt (restricted): tries the pure-reconnection 3-opt moves that 2-opt
-/// cannot reach — segment exchanges with reversals across three cut
-/// edges. Runs after [`two_opt`] for a tighter local optimum; costs
-/// O(n³) per sweep, so intended for tours up to a few hundred stops.
-/// Returns the total length reduction achieved.
-pub fn three_opt(tour: &mut Tour, m: &DistMatrix) -> f64 {
-    let n = tour.len();
-    if n < 6 {
-        return two_opt(tour, m);
-    }
-    let mut saved = 0.0;
-    for _ in 0..MAX_SWEEPS {
-        let mut improved = false;
-        // Cut edges after positions i, j, k (i < j < k).
-        'search: for i in 0..n - 2 {
-            for j in (i + 1)..n - 1 {
-                for k in (j + 1)..n {
-                    let order = tour.order();
-                    let a = order[i];
-                    let b = order[(i + 1) % n];
-                    let c = order[j];
-                    let d = order[(j + 1) % n];
-                    let e = order[k];
-                    let f = order[(k + 1) % n];
-                    let base = m.get(a, b) + m.get(c, d) + m.get(e, f);
-                    // The "or-3" reconnection: a-d ... e-b ... c-f
-                    // (segment exchange, both kept forward).
-                    let alt = m.get(a, d) + m.get(e, b) + m.get(c, f);
-                    if alt < base - 1e-10 {
-                        // new order: order[..=i] ++ order[j+1..=k] ++
-                        //            order[i+1..=j] ++ order[k+1..]
-                        let mut next = Vec::with_capacity(n);
-                        next.extend_from_slice(&order[..=i]);
-                        next.extend_from_slice(&order[j + 1..=k]);
-                        next.extend_from_slice(&order[i + 1..=j]);
-                        next.extend_from_slice(&order[k + 1..]);
-                        saved += base - alt;
-                        *tour.order_mut() = next;
-                        improved = true;
-                        continue 'search;
-                    }
-                }
-            }
-        }
-        // Interleave 2-opt (covers the reversal-type 3-opt moves cheaply).
-        let s2 = two_opt(tour, m);
-        saved += s2;
-        if !improved && s2 <= 0.0 {
-            break;
-        }
-    }
-    saved
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,63 +168,6 @@ mod tests {
         let mut order = t.order().to_vec();
         order.sort_unstable();
         assert_eq!(order, (0..12).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn three_opt_fixes_segment_exchange() {
-        // An instance where the optimal fix is exchanging two segments —
-        // exactly the move 2-opt cannot express without worsening first.
-        let pts = [
-            (0.0, 0.0),
-            (10.0, 0.0),
-            (20.0, 0.0),
-            (20.0, 10.0),
-            (10.0, 10.0),
-            (0.0, 10.0),
-            (0.0, 5.0),
-            (20.0, 5.0),
-        ];
-        let m = DistMatrix::from_euclidean(&pts);
-        let mut t = Tour::new(vec![0, 3, 2, 7, 1, 4, 5, 6]);
-        let before = t.length(&m);
-        let saved = three_opt(&mut t, &m);
-        assert!(saved > 0.0);
-        assert!((t.length(&m) - (before - saved)).abs() < 1e-9);
-        let mut order = t.order().to_vec();
-        order.sort_unstable();
-        assert_eq!(order, (0..8).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn three_opt_small_tours_delegate_to_two_opt() {
-        let m = DistMatrix::from_euclidean(&[(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]);
-        let mut t = Tour::new(vec![0, 2, 1, 3]);
-        three_opt(&mut t, &m);
-        assert!((t.length(&m) - 4.0).abs() < 1e-9);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-        #[test]
-        fn prop_three_opt_refines_two_opt_optimum(
-            pts in proptest::collection::vec((0.0f64..100.0, 0.0f64..100.0), 6..18),
-        ) {
-            // Starting from a 2-opt local optimum, 3-opt can only improve
-            // (each accepted move strictly shortens the tour). Note the
-            // two searches are NOT comparable from a *common* start: they
-            // follow different trajectories to different local optima.
-            let m = DistMatrix::from_euclidean(&pts);
-            let mut t = Tour::new((0..pts.len()).collect());
-            two_opt(&mut t, &m);
-            let two_opt_len = t.length(&m);
-            let saved = three_opt(&mut t, &m);
-            prop_assert!(t.length(&m) <= two_opt_len + 1e-9,
-                "3-opt {} worse than its 2-opt start {}", t.length(&m), two_opt_len);
-            prop_assert!((two_opt_len - t.length(&m) - saved).abs() < 1e-6);
-            let mut order = t.order().to_vec();
-            order.sort_unstable();
-            prop_assert_eq!(order, (0..pts.len()).collect::<Vec<_>>());
-        }
     }
 
     proptest! {

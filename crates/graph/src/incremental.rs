@@ -1,4 +1,4 @@
-//! Incremental Christofides tour maintenance (DESIGN.md §16).
+//! Incremental Christofides tour maintenance (DESIGN.md §15).
 //!
 //! The paper's Algorithm 2 grows its hovering-stop set one candidate at a
 //! time; re-running Christofides from scratch after every acceptance costs

@@ -1,5 +1,5 @@
 //! Differential property harness for incremental Christofides tour
-//! maintenance (`uavdc_graph::incremental`, DESIGN.md §16).
+//! maintenance (`uavdc_graph::incremental`, DESIGN.md §15).
 //!
 //! Every property drives randomized insert / remove / local-repair /
 //! checkpoint sequences through an [`IncrementalTour`] and proves the

@@ -478,7 +478,7 @@ const ENTRY_CRATES: [&str; 3] = [
 /// accepted as in-range by construction, backed by the invariant and
 /// property suites that already patrol them (energy feasibility, metric
 /// closure, matching validity, incremental-tour edge-cache exactness —
-/// see DESIGN.md §13 and §16). The sparse matcher indexes only by vertex,
+/// see DESIGN.md §13 and §15). The sparse matcher indexes only by vertex,
 /// node and edge ids it created itself, and `matching_fuzz.rs` checks it
 /// against the dense blossom on >= 1024 cases per instance family. The
 /// orienteering insertion cache indexes by vertex and tour position only,

@@ -281,40 +281,6 @@ impl Histogram {
     pub fn buckets(&self) -> &[u64; NUM_BUCKETS] {
         &self.buckets
     }
-
-    /// Deterministic `p`-quantile estimate (`p` a fraction in `[0, 1]`,
-    /// clamped): the inclusive upper bound of the log2 bucket containing
-    /// the `⌈p · count⌉`-th smallest observation, i.e. a value at least
-    /// `p` of the observations do not exceed. Resolution is the bucket
-    /// width (a factor of two), which is exactly the granularity the
-    /// histogram stores — the estimate is a pure function of the bucket
-    /// counts, so identical histograms always report identical
-    /// percentiles. Returns 0 for an empty histogram.
-    pub fn percentile(&self, p: f64) -> u64 {
-        percentile_of(self.count, self.buckets.iter().copied().enumerate(), p)
-    }
-}
-
-/// Shared percentile walk over `(bucket index, count)` pairs in index
-/// order; see [`Histogram::percentile`] for the estimator contract.
-fn percentile_of(count: u64, buckets: impl Iterator<Item = (usize, u64)>, p: f64) -> u64 {
-    if count == 0 {
-        return 0;
-    }
-    let rank = ((p.clamp(0.0, 1.0) * count as f64).ceil() as u64).clamp(1, count);
-    let mut seen = 0u64;
-    let mut last_hi = 0u64;
-    for (idx, n) in buckets {
-        if n == 0 {
-            continue;
-        }
-        seen += n;
-        last_hi = bucket_range(idx).1;
-        if seen >= rank {
-            break;
-        }
-    }
-    last_hi
 }
 
 /// One span node aggregated by path in a [`RunReport`].
@@ -349,15 +315,6 @@ pub struct HistogramStat {
     /// `(bucket index, observation count)` for non-empty buckets, in
     /// index order.
     pub buckets: Vec<(usize, u64)>,
-}
-
-impl HistogramStat {
-    /// Same estimator as [`Histogram::percentile`], over the sparse
-    /// bucket list a [`RunReport`] carries — the two always agree for the
-    /// same recorded data.
-    pub fn percentile(&self, p: f64) -> u64 {
-        percentile_of(self.count, self.buckets.iter().copied(), p)
-    }
 }
 
 /// Aggregated result of one instrumented run, in stable order: spans in
@@ -878,51 +835,6 @@ mod tests {
         let rep = r.report();
         assert_eq!(rep.counter("hits"), 400);
         assert_eq!(rep.histograms[0].count, 400);
-    }
-
-    #[test]
-    fn percentiles_walk_the_buckets() {
-        let mut h = Histogram::new();
-        assert_eq!(h.percentile(0.5), 0, "empty histogram reports 0");
-        for v in [0u64, 1, 2, 3, 100, 1000, 100_000] {
-            h.record(v);
-        }
-        // Ranks: p50 of 7 → 4th smallest (value 3, bucket [2,3]).
-        assert_eq!(h.percentile(0.5), 3);
-        // p99 of 7 → 7th smallest (100000, bucket [65536,131071]).
-        assert_eq!(h.percentile(0.99), 131_071);
-        // Extremes clamp to min/max bucket bounds.
-        assert_eq!(h.percentile(0.0), 0);
-        assert_eq!(h.percentile(1.0), 131_071);
-        assert_eq!(h.percentile(7.0), 131_071, "out-of-range p clamps");
-    }
-
-    #[test]
-    fn histogram_and_report_percentiles_agree() {
-        let r = CollectingRecorder::with_clock(Box::new(ManualClock::new()));
-        let mut h = Histogram::new();
-        for v in [5u64, 9, 17, 17, 4096, 70_000] {
-            r.observe("lat", v);
-            h.record(v);
-        }
-        let rep = r.report();
-        for p in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(rep.histograms[0].percentile(p), h.percentile(p), "p={p}");
-        }
-    }
-
-    #[test]
-    fn percentile_is_monotone_in_p() {
-        let mut h = Histogram::new();
-        for v in 0..200u64 {
-            h.record(v * v % 5000);
-        }
-        let mut prev = 0;
-        for i in 0..=100 {
-            let q = h.percentile(i as f64 / 100.0);
-            assert!(q >= prev, "p{i}: {q} < {prev}");
-            prev = q;
-        }
     }
 
     #[test]
