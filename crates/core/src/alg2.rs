@@ -37,17 +37,14 @@
 
 use crate::candidates::CandidateSet;
 use crate::greedy::{
-    self, DeviceIndex, EngineMode, EvalCounters, Fixup, InsertionCache, LazyHeap, PlanStats, Probe,
-    RepairDists,
+    self, DeviceIndex, DistanceBank, EngineMode, EvalCounters, Fixup, InsertionCache, LazyHeap,
+    PlanStats, Probe,
 };
 use crate::plan::{CollectionPlan, HoverStop};
 use crate::tourutil::{cheapest_insertion_point, closed_tour_length};
 use crate::Planner;
 use uavdc_geom::Point2;
-use uavdc_graph::incremental::{
-    cheapest_insertion_cached, cheapest_insertion_cached4, distances_to_point, IncrementalTour,
-    RetourPolicy,
-};
+use uavdc_graph::incremental::{IncrementalTour, RetourPolicy};
 use uavdc_net::units::Seconds;
 use uavdc_net::{DeviceId, Scenario};
 use uavdc_obs::{Recorder, Span};
@@ -541,34 +538,22 @@ fn lazy_compact(state: &mut GreedyState<'_>, inc: &mut IncrementalTour) -> bool 
 /// Input-derived accelerator structures for the lazy engine, built during
 /// the setup phase alongside the candidate set (each is a pure function
 /// of the scenario and candidates, independent of the greedy loop's
-/// progress): the inverted device→candidate index, candidate coordinate
-/// structure-of-arrays mirrors, the flattened coverage CSR with volumes
-/// and hover times preresolved, and the candidate × tour-point distance
-/// matrix backing store with its depot column (tour point id 0) filled.
-///
-/// The distance matrix is the loop's sqrt cache: row `c` holds candidate
-/// `c`'s distance to every tour point, indexed by the point's stable
-/// [`IncrementalTour`] id, written once when the point enters the tour
-/// and reused by every later repair, rescan and compaction rescan.
+/// progress): the inverted device→candidate index, the flattened coverage
+/// CSR with volumes and hover times preresolved, and the candidate ×
+/// tour-point [`DistanceBank`] with its depot column (tour point id 0)
+/// filled.
 struct LazyPre {
     index: DeviceIndex,
-    cand_xs: Vec<f64>,
-    cand_ys: Vec<f64>,
     cov_off: Vec<u32>,
     cov_dev: Vec<u32>,
     cov_data: Vec<f64>,
     cov_rate: Vec<f64>,
-    /// Row-major `m × dcap` distance matrix (rows padded to `dcap`).
-    dmat: Vec<f64>,
-    /// Row capacity in tour-point ids; doubles when the tour outgrows it.
-    dcap: usize,
+    bank: DistanceBank,
 }
 
 impl LazyPre {
     fn build(candidates: &CandidateSet, scenario: &Scenario) -> Self {
         let m = candidates.len();
-        let cand_xs: Vec<f64> = candidates.candidates.iter().map(|c| c.pos.x).collect();
-        let cand_ys: Vec<f64> = candidates.candidates.iter().map(|c| c.pos.y).collect();
         let bandwidth = scenario.radio.bandwidth.value();
         let mut cov_off: Vec<u32> = Vec::with_capacity(m + 1);
         cov_off.push(0);
@@ -584,63 +569,14 @@ impl LazyPre {
             }
             cov_off.push(cov_dev.len() as u32);
         }
-        let dcap = 64usize;
-        let mut dmat = vec![0.0f64; m * dcap];
-        let mut col: Vec<f64> = Vec::new();
-        distances_to_point(
-            &cand_xs,
-            &cand_ys,
-            scenario.depot.x,
-            scenario.depot.y,
-            &mut col,
-        );
-        for (c, &d) in col.iter().enumerate() {
-            dmat[c * dcap] = d;
-        }
         LazyPre {
             index: DeviceIndex::build(candidates, scenario.num_devices()),
-            cand_xs,
-            cand_ys,
             cov_off,
             cov_dev,
             cov_data,
             cov_rate,
-            dmat,
-            dcap,
+            bank: DistanceBank::new(candidates, scenario.depot),
         }
-    }
-}
-
-/// Doubles the distance-matrix row capacity until tour-point `id` fits,
-/// preserving row contents (free function over the two fields so callers
-/// holding shared borrows of [`LazyPre`]'s other fields can grow it).
-/// Tops candidate `cu`'s banked distance row up to every point column
-/// the bank holds, copying the missing tail from the per-point columns
-/// (`cols[idx][c]` — the `distances_to_point` batch computed when point
-/// `idx` entered the tour). Called right before a rescan reads the row;
-/// see `filled`'s declaration for why rows are not kept current eagerly.
-fn fill_row(dmat: &mut [f64], cap: usize, filled: &mut [u32], cols: &[Vec<f64>], cu: u32) {
-    let c = cu as usize;
-    let lo = filled[c] as usize;
-    let hi = cols.len();
-    if lo < hi {
-        let row = &mut dmat[c * cap..c * cap + hi];
-        for (idx, slot) in row.iter_mut().enumerate().take(hi).skip(lo) {
-            *slot = cols[idx][c];
-        }
-        filled[c] = hi as u32;
-    }
-}
-
-fn grow_rows(dmat: &mut Vec<f64>, dcap: &mut usize, id: usize, m: usize) {
-    while id >= *dcap {
-        let ncap = *dcap * 2;
-        let mut nmat = vec![0.0f64; m * ncap];
-        for c in 0..m {
-            nmat[c * ncap..c * ncap + *dcap].copy_from_slice(&dmat[c * *dcap..(c + 1) * *dcap]);
-        }
-        *dmat = nmat;
-        *dcap = ncap;
     }
 }
 
@@ -651,10 +587,10 @@ fn grow_rows(dmat: &mut Vec<f64>, dcap: &mut usize, id: usize, m: usize) {
 /// the identical-output argument is in DESIGN.md §8 and §15). The
 /// individual operations are cheapened with the cached-distance machinery
 /// of `uavdc_graph::incremental`: each committed stop's distance column
-/// is computed once (vectorised) and banked in [`LazyPre`]'s matrix, so
-/// per-commit cache repair, destroyed-argmin rescans
-/// ([`cheapest_insertion_cached`]) and compaction rescans are pure table
-/// arithmetic with no repeated square roots; marginals run over a
+/// is computed once (vectorised) and banked in [`LazyPre`]'s
+/// [`DistanceBank`], so per-commit cache repair, destroyed-argmin rescans
+/// and compaction rescans are pure table arithmetic with no repeated
+/// square roots; marginals run over a
 /// flattened coverage CSR, and compaction 2-opts the
 /// [`IncrementalTour`]'s cached matrix instead of recomputing point
 /// distances.
@@ -676,14 +612,11 @@ fn run_lazy(
     // distance matrix is written inside loops that read the others.
     let LazyPre {
         index,
-        cand_xs,
-        cand_ys,
         cov_off,
         cov_dev,
         cov_data,
         cov_rate,
-        dmat,
-        dcap,
+        bank,
     } = pre;
 
     // Branch-free twin of `GreedyState::marginal` over the prebuilt
@@ -738,7 +671,7 @@ fn run_lazy(
         if vol <= 0.0 {
             state.active[c] = false;
         } else {
-            let delta = 2.0 * dmat[c * *dcap];
+            let delta = 2.0 * bank.depot_dist(c);
             ins.set(c, delta, 1);
             heap.push(c, ratio_of(vol, t, delta));
         }
@@ -751,30 +684,7 @@ fn run_lazy(
     let mut dirty: Vec<u32> = Vec::new();
     let mut touched: Vec<u32> = Vec::new();
     let mut rescan: Vec<u32> = Vec::new();
-    let mut col: Vec<f64> = Vec::new();
     let mut pubbuf: Vec<(u32, f64)> = Vec::new();
-    // Column bank: `cols[id][c]` = candidate `c`'s distance to tour point
-    // `id`, kept alongside the row-major matrix. Rows serve the rescans
-    // (one candidate × whole tour, contiguous); columns serve the fixups
-    // (whole candidate range × three tour points, contiguous). Same
-    // values — each column is the `distances_to_point` batch the row
-    // entries are scattered from, and a candidate active now was active
-    // at every earlier insertion (deactivation is permanent), so its row
-    // never misses a bank value.
-    let mut cols: Vec<Vec<f64>> = Vec::new();
-    let mut depot_col = vec![0.0f64; m];
-    for (c, d) in depot_col.iter_mut().enumerate() {
-        *d = dmat[c * *dcap];
-    }
-    cols.push(depot_col);
-    // Rows are backfilled from the bank on demand, when a rescan is
-    // about to read them: `filled[c]` = number of leading point columns
-    // candidate `c`'s row holds. Writing the whole new column into every
-    // active row each commit would cost a cache line per candidate per
-    // iteration; a rescan instead tops up just the few columns its row
-    // is missing (values identical either way — both copy the same
-    // `distances_to_point` batch).
-    let mut filled = vec![1u32; m];
     let mut since_compact = 0;
     loop {
         counters.iterations += 1;
@@ -803,8 +713,7 @@ fn run_lazy(
         };
         // Canonical insertion position for the winner (the cache may
         // name a different edge of equal delta).
-        let pos =
-            cheapest_insertion_point(&state.tour_pts, state.candidates.candidates[winner].pos).1;
+        let pos = bank.cheapest_insertion(winner, &inc).1;
         let eval = Evaluation {
             cand: winner,
             ratio,
@@ -814,50 +723,31 @@ fn run_lazy(
         let drained = state.commit(eval, eta_h);
         // Mirror the commit into the incremental tour (its cached edge
         // lengths feed the repair distances below).
-        let id = inc.append_point((cand_xs[winner], cand_ys[winner]));
+        let id = inc.append_point(bank.pos(winner));
         inc.insert_id_at(id, pos);
-        grow_rows(dmat, dcap, id, m);
         since_compact += 1;
 
-        // Repair every active candidate's cached insertion delta in O(1):
-        // the new stop's distance column is computed once (vectorised),
-        // banked into the candidate's matrix row for all later rescans,
-        // and combined with the banked predecessor/successor distances;
-        // the two new tour edges come from the incremental tour's cache.
-        // Candidates whose argmin edge was destroyed collect for a
-        // cached-row rescan.
-        let ln = state.tour_pts.len();
-        let ida = inc.order()[pos - 1];
-        let idb = inc.order()[(pos + 1) % ln];
-        distances_to_point(cand_xs, cand_ys, cand_xs[winner], cand_ys[winner], &mut col);
-        debug_assert_eq!(id, cols.len());
-        let bank_a = &cols[ida];
-        let bank_b = &cols[idb];
-        let e_ap = inc.edge_costs()[pos - 1];
-        let e_pb = inc.edge_costs()[pos];
+        // Repair every active candidate's cached insertion delta in O(1)
+        // from the bank (the new stop's column is computed once,
+        // vectorised, and banked for all later rescans). Candidates whose
+        // argmin edge was destroyed collect for a banked-row rescan.
         tepoch = tepoch.wrapping_add(1);
         touched.clear();
         rescan.clear();
-        let cap = *dcap;
-        for c in 0..m {
-            if !state.active[c] {
-                continue;
-            }
-            counters.fixups += 1;
-            let d = RepairDists {
-                d_a: bank_a[c],
-                d_p: col[c],
-                d_b: bank_b[c],
-                e_ap,
-                e_pb,
-            };
-            match ins.apply_insertion_cols(c, d, pos) {
-                Fixup::Unchanged => {}
-                Fixup::Improved => touch(&mut tstamp, tepoch, &mut touched, c as u32),
-                Fixup::Invalidated => rescan.push(c as u32),
-            }
-        }
-        cols.push(std::mem::take(&mut col));
+        bank.insert_point(
+            &inc,
+            pos,
+            &mut ins,
+            |c| state.active[c],
+            |c, fix| {
+                counters.fixups += 1;
+                match fix {
+                    Fixup::Unchanged => {}
+                    Fixup::Improved => touch(&mut tstamp, tepoch, &mut touched, c as u32),
+                    Fixup::Invalidated => rescan.push(c as u32),
+                }
+            },
+        );
 
         // Re-evaluate the marginal reward of candidates sharing a
         // drained device; fully-drained ones deactivate (the exhaustive
@@ -888,33 +778,9 @@ fn run_lazy(
         if !rescan.is_empty() {
             counters.delta_rescans += rescan.len() as u64;
             counters.evaluations += rescan.len() as u64;
-            let order = inc.order();
-            let elen = inc.edge_costs();
-            for &cu in &rescan {
-                fill_row(dmat, cap, &mut filled, &cols, cu);
-            }
-            for ch in rescan.chunks(4) {
-                if let &[c0, c1, c2, c3] = ch {
-                    let row = |cu: u32| &dmat[cu as usize * cap..(cu as usize + 1) * cap];
-                    let out = cheapest_insertion_cached4(
-                        [row(c0), row(c1), row(c2), row(c3)],
-                        order,
-                        elen,
-                    );
-                    for (&cu, &(delta, p)) in ch.iter().zip(&out) {
-                        ins.set(cu as usize, delta, p as usize);
-                        touch(&mut tstamp, tepoch, &mut touched, cu);
-                    }
-                } else {
-                    for &cu in ch {
-                        let c = cu as usize;
-                        let (delta, p) =
-                            cheapest_insertion_cached(&dmat[c * cap..(c + 1) * cap], order, elen);
-                        ins.set(c, delta, p as usize);
-                        touch(&mut tstamp, tepoch, &mut touched, cu);
-                    }
-                }
-            }
+            bank.rescan(&rescan, &inc, &mut ins, |cu, _| {
+                touch(&mut tstamp, tepoch, &mut touched, cu)
+            });
         }
 
         // Publish fresh heap entries for every candidate whose caches
@@ -944,38 +810,11 @@ fn run_lazy(
                     .collect();
                 counters.delta_rescans += alive.len() as u64;
                 counters.evaluations += alive.len() as u64;
-                let order = inc.order();
-                let elen = inc.edge_costs();
                 pubbuf.clear();
-                for &cu in &alive {
-                    fill_row(dmat, cap, &mut filled, &cols, cu);
-                }
-                for ch in alive.chunks(4) {
-                    if let &[c0, c1, c2, c3] = ch {
-                        let row = |cu: u32| &dmat[cu as usize * cap..(cu as usize + 1) * cap];
-                        let out = cheapest_insertion_cached4(
-                            [row(c0), row(c1), row(c2), row(c3)],
-                            order,
-                            elen,
-                        );
-                        for (&cu, &(delta, p)) in ch.iter().zip(&out) {
-                            let c = cu as usize;
-                            ins.set(c, delta, p as usize);
-                            pubbuf.push((cu, ratio_of(cache_vol[c], cache_t[c], delta)));
-                        }
-                    } else {
-                        for &cu in ch {
-                            let c = cu as usize;
-                            let (delta, p) = cheapest_insertion_cached(
-                                &dmat[c * cap..(c + 1) * cap],
-                                order,
-                                elen,
-                            );
-                            ins.set(c, delta, p as usize);
-                            pubbuf.push((cu, ratio_of(cache_vol[c], cache_t[c], delta)));
-                        }
-                    }
-                }
+                bank.rescan(&alive, &inc, &mut ins, |cu, delta| {
+                    let c = cu as usize;
+                    pubbuf.push((cu, ratio_of(cache_vol[c], cache_t[c], delta)));
+                });
                 for &(cu, r) in &pubbuf {
                     heap.push(cu as usize, r);
                 }

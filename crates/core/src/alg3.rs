@@ -18,12 +18,14 @@
 
 use crate::candidates::CandidateSet;
 use crate::greedy::{
-    self, DeviceIndex, EngineMode, EvalCounters, Fixup, InsertionCache, LazyHeap, PlanStats, Probe,
+    self, DeviceIndex, DistanceBank, EngineMode, EvalCounters, Fixup, InsertionCache, LazyHeap,
+    PlanStats, Probe,
 };
 use crate::plan::{CollectionPlan, HoverStop};
 use crate::tourutil::{cheapest_insertion_point, closed_tour_length};
 use crate::Planner;
 use uavdc_geom::Point2;
+use uavdc_graph::incremental::{IncrementalTour, RetourPolicy};
 use uavdc_net::units::{MegaBytes, Seconds};
 use uavdc_net::{DeviceId, Scenario};
 use uavdc_obs::{Recorder, Span};
@@ -38,7 +40,8 @@ pub struct Alg3Config {
     pub k: usize,
     /// Drop dominated candidates before planning.
     pub prune_dominated: bool,
-    /// Parallelise candidate evaluation above this candidate count.
+    /// Parallelise the exhaustive engine's candidate scans above this
+    /// candidate count (the lazy engine scans serially).
     pub parallel_threshold: usize,
     /// Per-iteration evaluation strategy ([`EngineMode::Lazy`] default).
     pub engine: EngineMode,
@@ -371,7 +374,8 @@ fn run_exhaustive(
 /// Runs the lazy greedy loop over virtual locations. Caches `t_full` and
 /// the per-k `(τ, volume)` arrays per candidate (refreshed when a shared
 /// device drains), the cheapest-insertion delta (repaired in O(1) per
-/// tour insertion; sojourn extensions leave the tour untouched), and
+/// tour insertion from Algorithm 2's [`DistanceBank`], rescanned from its
+/// banked rows; sojourn extensions leave the tour untouched), and
 /// selects through the CELF heap whose keys are the unconditional max-k
 /// ratios — exact upper bounds that [`Probe::Feasible`] decays as the
 /// battery filters out deeper sojourns. Produces the same plans as
@@ -393,9 +397,15 @@ fn run_lazy(
     let b = scenario.radio.bandwidth.value();
     let m = state.candidates.len();
     let kp = config.k;
-    let parallel_threshold = config.parallel_threshold;
 
     let index = DeviceIndex::build(state.candidates, scenario.num_devices());
+    // Banked candidate → tour-point distances and the tour mirror whose
+    // stable point ids index them (the tour only grows: no compaction).
+    let mut bank = DistanceBank::new(state.candidates, scenario.depot);
+    let mut inc = IncrementalTour::new(
+        (scenario.depot.x, scenario.depot.y),
+        RetourPolicy::PatchOnly,
+    );
     let mut t_full = vec![0.0f64; m];
     let mut tau = vec![0.0f64; m * kp];
     let mut vol = vec![0.0f64; m * kp];
@@ -403,47 +413,45 @@ fn run_lazy(
     let mut heap = LazyHeap::new(m);
 
     // Mirrors the t_full / per-k (τ, vol) loops of
-    // `PartialState::evaluate` exactly (same iteration order, same ops).
-    let eval_marginal = |st: &PartialState<'_>, c: usize| -> (f64, Vec<f64>, Vec<f64>) {
-        let covered = &st.candidates.candidates[c].covered;
-        let mut tf = 0.0f64;
-        for &v in covered {
-            tf = tf.max(st.residual[v as usize] / b);
-        }
-        let mut taus = vec![0.0f64; kp];
-        let mut vols = vec![0.0f64; kp];
-        if tf > 0.0 {
-            for k in 1..=kp {
-                let t = tf * (k as f64) / (kp as f64);
-                taus[k - 1] = t;
-                vols[k - 1] = covered
-                    .iter()
-                    .map(|&v| st.residual[v as usize].min(b * t))
-                    .sum();
+    // `PartialState::evaluate` exactly (same iteration order, same ops),
+    // writing the per-k values into candidate `c`'s slices of `tau` and
+    // `vol` and returning `t_full`.
+    let eval_marginal =
+        |st: &PartialState<'_>, c: usize, taus: &mut [f64], vols: &mut [f64]| -> f64 {
+            let covered = &st.candidates.candidates[c].covered;
+            let mut tf = 0.0f64;
+            for &v in covered {
+                tf = tf.max(st.residual[v as usize] / b);
             }
-        }
-        (tf, taus, vols)
-    };
+            if tf > 0.0 {
+                for k in 1..=kp {
+                    let t = tf * (k as f64) / (kp as f64);
+                    taus[k - 1] = t;
+                    vols[k - 1] = covered
+                        .iter()
+                        .map(|&v| st.residual[v as usize].min(b * t))
+                        .sum();
+                }
+            } else {
+                taus.fill(0.0);
+                vols.fill(0.0);
+            }
+            tf
+        };
 
-    // Initial full evaluation (parallel when large).
-    let all: Vec<u32> = (0..m as u32).collect();
-    let marginals = greedy::chunked_map(&all, parallel_threshold, |&c| {
-        eval_marginal(state, c as usize)
-    });
-    let deltas = greedy::chunked_map(&all, parallel_threshold, |&c| {
-        cheapest_insertion_point(&state.tour_pts, state.candidates.candidates[c as usize].pos)
-    });
+    // Initial full evaluation; every insertion delta comes from the
+    // banked depot column (the depot-only tour's delta is `2·d`,
+    // bit-identical to `cheapest_insertion_point`).
     counters.marginal_evals += m as u64;
     counters.evaluations += m as u64;
     // Candidates already exhausted at the start: the exhaustive sweep
     // only deactivates them *after* the first commit, so record them now
     // and deactivate at the same point.
     let mut init_exhausted: Vec<u32> = Vec::new();
-    for (c, (tf, taus, vols)) in marginals.into_iter().enumerate() {
-        t_full[c] = tf;
-        tau[c * kp..(c + 1) * kp].copy_from_slice(&taus);
-        vol[c * kp..(c + 1) * kp].copy_from_slice(&vols);
-        ins.set(c, deltas[c].0, deltas[c].1);
+    for c in 0..m {
+        let ks = c * kp..(c + 1) * kp;
+        t_full[c] = eval_marginal(state, c, &mut tau[ks.clone()], &mut vol[ks]);
+        ins.set(c, 2.0 * bank.depot_dist(c), 1);
         if state.is_exhausted(c) {
             init_exhausted.push(c as u32);
         }
@@ -485,7 +493,7 @@ fn run_lazy(
             usize::MAX
         } else {
             // Canonical position (the cache may name an equal-delta edge).
-            cheapest_insertion_point(&state.tour_pts, state.candidates.candidates[winner].pos).1
+            bank.cheapest_insertion(winner, &inc).1
         };
         let eval = VirtualEval {
             cand: winner,
@@ -508,22 +516,23 @@ fn run_lazy(
         touched.clear();
         rescan.clear();
         if let Some(ins_pos) = inserted_at {
-            for c in 0..m {
-                if !state.active[c] || state.stop_of_candidate[c] != usize::MAX {
-                    continue;
-                }
-                counters.fixups += 1;
-                match ins.apply_insertion(
-                    c,
-                    state.candidates.candidates[c].pos,
-                    &state.tour_pts,
-                    ins_pos,
-                ) {
-                    Fixup::Unchanged => {}
-                    Fixup::Improved => touched.push(c as u32),
-                    Fixup::Invalidated => rescan.push(c as u32),
-                }
-            }
+            let id = inc.append_point(bank.pos(winner));
+            inc.insert_id_at(id, ins_pos);
+            let st = &*state;
+            bank.insert_point(
+                &inc,
+                ins_pos,
+                &mut ins,
+                |c| st.active[c] && st.stop_of_candidate[c] == usize::MAX,
+                |c, fix| {
+                    counters.fixups += 1;
+                    match fix {
+                        Fixup::Unchanged => {}
+                        Fixup::Improved => touched.push(c as u32),
+                        Fixup::Invalidated => rescan.push(c as u32),
+                    }
+                },
+            );
         }
 
         // Refresh marginals of candidates sharing a drained device.
@@ -537,10 +546,8 @@ fn run_lazy(
             }
             counters.marginal_evals += 1;
             counters.evaluations += 1;
-            let (tf, taus, vols) = eval_marginal(state, c);
-            t_full[c] = tf;
-            tau[c * kp..(c + 1) * kp].copy_from_slice(&taus);
-            vol[c * kp..(c + 1) * kp].copy_from_slice(&vols);
+            let ks = c * kp..(c + 1) * kp;
+            t_full[c] = eval_marginal(state, c, &mut tau[ks.clone()], &mut vol[ks]);
             if state.is_exhausted(c) {
                 state.active[c] = false;
             } else {
@@ -554,21 +561,12 @@ fn run_lazy(
             first_commit_done = true;
         }
 
-        // Rescan destroyed insertion deltas as one dirty batch.
+        // Rescan destroyed insertion deltas from the banked rows.
         rescan.retain(|&c| state.active[c as usize]);
         if !rescan.is_empty() {
             counters.delta_rescans += rescan.len() as u64;
             counters.evaluations += rescan.len() as u64;
-            let fresh = greedy::chunked_map(&rescan, parallel_threshold, |&c| {
-                cheapest_insertion_point(
-                    &state.tour_pts,
-                    state.candidates.candidates[c as usize].pos,
-                )
-            });
-            for (&c, &(d, p)) in rescan.iter().zip(&fresh) {
-                ins.set(c as usize, d, p);
-                touched.push(c);
-            }
+            bank.rescan(&rescan, &inc, &mut ins, |c, _| touched.push(c));
         }
 
         // Publish fresh heap keys for every candidate whose caches

@@ -105,8 +105,9 @@ struct PruneState<'a> {
     pts: Vec<Point2>,
     /// Device hovered above per tour index (`usize::MAX` for the depot).
     dev_of: Vec<usize>,
-    /// Devices within `R0` of each device's position (by device index).
-    coverage: Vec<Vec<u32>>,
+    /// Devices within `R0` of each device's position (by device index),
+    /// borrowed from the setup artifact.
+    coverage: &'a [Vec<u32>],
 }
 
 impl<'a> PruneState<'a> {
@@ -188,16 +189,149 @@ fn prune_exhaustive(state: &mut PruneState<'_>, counters: &mut EvalCounters) {
     }
 }
 
-/// Incremental pruning: maintains per-device covering-stop counts, the
-/// first-covering-stop assignment, per-stop hover seconds, and cached
-/// per-stop `lost` sums across removals, so each iteration recomputes
-/// only the stops a removal actually touched. The argmin itself stays the
-/// exhaustive pass's plain ascending strict-`<` fold over O(|tour|)
-/// cached values, and every cached quantity is kept bit-identical to the
-/// full rescan (same filtered coverage-order sums, max-merged hover
-/// times, fresh O(|tour|) energy totals per iteration), so the removal
-/// sequence — and the final plan — matches [`prune_exhaustive`] exactly
-/// (property-tested; DESIGN.md §8).
+/// Min tournament tree over the stops' cached removal ratios, keyed
+/// `(ratio, id)`. Leaves are implicit (`size + id`); internal node `k`
+/// holds the winning leaf of its subtree. Every id in a left subtree is
+/// lower than every id in its right sibling, so "the right child wins
+/// only on a strictly smaller ratio" makes the root the *leftmost*
+/// minimum — exactly the stop the ascending strict-`<` fold picks. Ties
+/// compare with IEEE `<`, under which `-0.0` and `0.0` are equal, as in
+/// the fold.
+struct Tournament {
+    /// Key per leaf; `+∞` for the depot, removed stops and padding.
+    key: Vec<f64>,
+    /// Winning leaf per internal node `1..size` (`win[0]` is unused).
+    win: Vec<u32>,
+    size: usize,
+}
+
+impl Tournament {
+    /// A tree over `n >= 2` leaves, all at `+∞`.
+    fn new(n: usize) -> Self {
+        let size = n.next_power_of_two();
+        let mut t = Tournament {
+            key: vec![f64::INFINITY; size],
+            win: vec![0; size],
+            size,
+        };
+        for k in (1..size).rev() {
+            t.win[k] = t.winner(k);
+        }
+        t
+    }
+
+    /// Winning leaf of node `k`'s two children.
+    #[inline]
+    fn winner(&self, k: usize) -> u32 {
+        let child = |c: usize| {
+            if c >= self.size {
+                (c - self.size) as u32
+            } else {
+                self.win[c]
+            }
+        };
+        let (l, r) = (child(2 * k), child(2 * k + 1));
+        if self.key[r as usize] < self.key[l as usize] {
+            r
+        } else {
+            l
+        }
+    }
+
+    /// Sets leaf `id`'s key and replays the matches on its root path.
+    fn set(&mut self, id: usize, key: f64) {
+        self.key[id] = key;
+        let mut k = (self.size + id) / 2;
+        while k >= 1 {
+            self.win[k] = self.winner(k);
+            k /= 2;
+        }
+    }
+
+    /// The leftmost minimum as `(key, id)`.
+    fn min(&self) -> (f64, usize) {
+        let id = self.win[1] as usize;
+        (self.key[id], id)
+    }
+}
+
+/// `γ_k = k·ε / (1 − k·ε)` with `ε = f64::EPSILON`, twice the unit
+/// roundoff: the standard bound on the rounding error of a `k`-term
+/// floating-point sum, relative to the sum of the terms' magnitudes,
+/// with the unit doubled to absorb the rounding of the certificate's own
+/// arithmetic (DESIGN.md §8).
+fn gamma(k: usize) -> f64 {
+    let ke = k as f64 * f64::EPSILON;
+    ke / (1.0 - ke)
+}
+
+/// A running floating-point sum kept alongside the exact recomputation
+/// it estimates, with the bookkeeping of its proven error bound
+/// (DESIGN.md §8): `value` differs from the exact sum over the current
+/// `terms` non-negative terms by at most `γ_{ops + 2·terms_at_reset +
+/// terms + 4} · mass`.
+#[derive(Clone, Copy)]
+struct RunningSum {
+    value: f64,
+    /// Value at the last reset plus every term added or removed since.
+    mass: f64,
+    /// Additions and subtractions since the last reset.
+    ops: usize,
+    /// Terms summed by the exact recomputation at the last reset.
+    terms_at_reset: usize,
+}
+
+impl RunningSum {
+    /// Restarts from an exact `terms`-term sum.
+    fn reset(exact: f64, terms: usize) -> Self {
+        RunningSum {
+            value: exact,
+            mass: exact,
+            ops: 0,
+            terms_at_reset: terms,
+        }
+    }
+
+    #[inline]
+    fn add(&mut self, t: f64) {
+        self.value += t;
+        self.mass += t;
+        self.ops += 1;
+    }
+
+    #[inline]
+    fn sub(&mut self, t: f64) {
+        self.value -= t;
+        self.mass += t;
+        self.ops += 1;
+    }
+
+    /// Error bound against the exact sum over `terms` current terms.
+    fn bound(&self, terms: usize) -> f64 {
+        gamma(self.ops + 2 * self.terms_at_reset + terms + 4) * self.mass
+    }
+}
+
+/// Incremental pruning with per-iteration work in proportion to what the
+/// last removal changed. Stops keep their initial tour positions as ids,
+/// linked by `prev`/`next`, so tour order is ascending id and "the first
+/// covering stop in tour order" is the lowest alive id. It maintains
+/// per-device covering-stop counts, the first-covering-stop assignment
+/// and per-stop hover seconds (max-merged), cached edge lengths and
+/// removal deltas (a removal changes only its two neighbours' deltas),
+/// cached `lost` sums refreshed from a dirty list, and a [`Tournament`]
+/// over the cached ratios. Every cached quantity is kept bit-identical to
+/// the full rescan's (same filtered coverage-order sums, same delta
+/// operands), and the tree's leftmost minimum is the rescan's
+/// ascending strict-`<` pick, so the removal sequence — and the final
+/// plan — matches [`prune_exhaustive`] exactly (property-tested in
+/// `tests/prune_props.rs`; DESIGN.md §8).
+///
+/// Feasibility is decided from running estimates of the hover energy and
+/// the tour length. Only when the estimate comes within its proven
+/// rounding bound of the battery do the exact sums run (in the rescan's
+/// order, restarting the estimates); otherwise the estimate certifies
+/// "infeasible", which is the exact test's answer too.
 fn prune_lazy(state: &mut PruneState<'_>, counters: &mut EvalCounters, rec: &dyn Recorder) {
     let scenario = state.scenario;
     let n = scenario.num_devices();
@@ -205,17 +339,26 @@ fn prune_lazy(state: &mut PruneState<'_>, counters: &mut EvalCounters, rec: &dyn
     let per_m = scenario.uav.travel_energy_per_meter().value();
     let capacity = scenario.uav.capacity.value();
     let b = scenario.radio.bandwidth.value();
-    let len0 = state.pts.len();
+    let pts = &state.pts;
+    let dev_of = &state.dev_of;
+    let coverage = state.coverage;
+    let len0 = pts.len();
 
-    // Tour position of each device's own stop (`usize::MAX` once pruned).
-    let mut device_pos: Vec<usize> = vec![usize::MAX; n];
+    // Stop id of each device (the initial tour visits every device once).
+    let mut stop_of_dev = vec![0usize; n];
     for i in 1..len0 {
-        device_pos[state.dev_of[i]] = i;
+        stop_of_dev[dev_of[i]] = i;
     }
+    let mut prev: Vec<usize> = (0..len0).map(|i| (i + len0 - 1) % len0).collect();
+    let mut next: Vec<usize> = (0..len0).map(|i| (i + 1) % len0).collect();
+    let mut alive = vec![true; len0];
+    let mut alive_count = len0;
+    // `edge[i]` = length of the edge from stop `i` to its successor.
+    let mut edge: Vec<f64> = (0..len0).map(|i| pts[i].distance(pts[next[i]])).collect();
     // Number of on-tour stops covering each device.
     let mut covering_stops = vec![0u32; n];
-    for i in 1..len0 {
-        for &v in &state.coverage[state.dev_of[i]] {
+    for &d in &dev_of[1..] {
+        for &v in &coverage[d] {
             covering_stops[v as usize] += 1;
         }
     }
@@ -226,7 +369,7 @@ fn prune_lazy(state: &mut PruneState<'_>, counters: &mut EvalCounters, rec: &dyn
         let mut taken = vec![false; n];
         for i in 1..len0 {
             let mut t = 0.0f64;
-            for &v in &state.coverage[state.dev_of[i]] {
+            for &v in &coverage[dev_of[i]] {
                 if !taken[v as usize] {
                     taken[v as usize] = true;
                     assigned[i].push(v);
@@ -236,100 +379,183 @@ fn prune_lazy(state: &mut PruneState<'_>, counters: &mut EvalCounters, rec: &dyn
             hover_s[i] = t;
         }
     }
-    // Cached marginal loss per stop; every entry starts dirty.
+
+    // Removal delta of stop `i` on the current tour: `removal_delta`'s
+    // operands read from the edge cache, including its rule that with one
+    // stop left its removal saves the whole out-and-back tour.
+    let removal_delta_of =
+        |i: usize, prev: &[usize], next: &[usize], edge: &[f64], alive_count: usize| {
+            if alive_count <= 2 {
+                edge[0] + edge[i]
+            } else {
+                edge[prev[i]] + edge[i] - pts[prev[i]].distance(pts[next[i]])
+            }
+        };
+    let mut delta: Vec<f64> = (0..len0)
+        .map(|i| removal_delta_of(i, &prev, &next, &edge, alive_count))
+        .collect();
+    // The rescan's ratio formula on cached operands. No key is ever NaN:
+    // the denominator is at least 1e-12 (`f64::max` drops a NaN operand)
+    // and `lost` is a sum of non-negative volumes, so a ratio is NaN only
+    // when `lost` and `saved` both overflow to +∞, and such a ratio is
+    // keyed +∞ — never picked by the tree, just as the fold's strict `<`
+    // never picks a NaN.
+    let ratio_of = |lost: f64, delta: f64, hover: f64| -> f64 {
+        let saved = delta * per_m + hover * eta_h;
+        let ratio = lost / saved.max(1e-12);
+        if ratio.is_nan() {
+            f64::INFINITY
+        } else {
+            ratio
+        }
+    };
+    // Cached marginal loss per stop; every stop starts dirty.
     let mut lost: Vec<f64> = vec![0.0; len0];
-    let mut lost_dirty: Vec<bool> = vec![true; len0];
+    let mut dirty: Vec<usize> = (1..len0).collect();
+    let mut in_dirty = vec![true; len0];
+    let mut tree = Tournament::new(len0);
+
+    // Exact energy sums, in the rescan's order and operations: hover
+    // terms accumulated in tour order, and `closed_tour_length` (the
+    // open path's `sum` plus the closing edge) over cached edges. Called
+    // with at least two stops on the tour.
+    let exact_sums = |next: &[usize], edge: &[f64], hover_s: &[f64]| {
+        let mut hover_energy = 0.0f64;
+        let mut i = next[0];
+        while i != 0 {
+            hover_energy += hover_s[i] * eta_h;
+            i = next[i];
+        }
+        let mut last = 0;
+        let path: f64 =
+            std::iter::successors(Some(0usize), |&i| (next[next[i]] != 0).then_some(next[i]))
+                .map(|i| {
+                    last = next[i];
+                    edge[i]
+                })
+                .sum();
+        (hover_energy, path + edge[last])
+    };
+    let (h0, l0) = exact_sums(&next, &edge, &hover_s);
+    let mut est_h = RunningSum::reset(h0, alive_count - 1);
+    let mut est_l = RunningSum::reset(l0, alive_count);
+    let mut restale: Vec<usize> = Vec::new();
 
     loop {
         counters.iterations += 1;
-        // Fresh O(|tour|) energy totals each iteration, accumulated in
-        // the same order as `assignments` for bit-identical sums.
-        let mut hover_energy = 0.0f64;
-        for &h in hover_s.iter().skip(1) {
-            hover_energy += h * eta_h;
-        }
-        let tour_len = closed_tour_length(&state.pts);
-        if hover_energy + tour_len * per_m <= capacity || state.pts.len() <= 1 {
+        if alive_count <= 1 {
             break;
+        }
+        let est = est_h.value + est_l.value * per_m;
+        let margin = est_h.bound(alive_count - 1) + est_l.bound(alive_count) * per_m;
+        if est - margin > capacity {
+            if crate::validate::hooks_active() {
+                let (h, l) = exact_sums(&next, &edge, &hover_s);
+                debug_assert!(
+                    h + l * per_m > capacity,
+                    "feasibility certificate disagrees with the exact sums"
+                );
+            }
+        } else {
+            let (h, l) = exact_sums(&next, &edge, &hover_s);
+            if h + l * per_m <= capacity {
+                break;
+            }
+            est_h = RunningSum::reset(h, alive_count - 1);
+            est_l = RunningSum::reset(l, alive_count);
         }
         // Refresh stale loss caches (the filtered sum runs in coverage
         // order, exactly like the exhaustive pass).
-        let mut refreshed = 0u64;
-        for i in 1..state.pts.len() {
-            if !lost_dirty[i] {
-                continue;
-            }
-            lost_dirty[i] = false;
-            counters.marginal_evals += 1;
-            counters.evaluations += 1;
-            refreshed += 1;
-            let dev = state.dev_of[i];
-            lost[i] = state.coverage[dev]
+        let refreshed = dirty.len() as u64;
+        for &i in &dirty {
+            in_dirty[i] = false;
+            lost[i] = coverage[dev_of[i]]
                 .iter()
                 .filter(|&&v| covering_stops[v as usize] == 1)
                 .map(|&v| scenario.devices[v as usize].data.value())
                 .sum();
+            tree.set(i, ratio_of(lost[i], delta[i], hover_s[i]));
         }
+        dirty.clear();
+        counters.marginal_evals += refreshed;
+        counters.evaluations += refreshed;
         rec.observe("bench.loss_refreshes_per_iter", refreshed);
-        let mut best_idx = usize::MAX;
-        let mut best_ratio = f64::INFINITY;
-        #[allow(clippy::needless_range_loop)] // several arrays indexed by i
-        for i in 1..state.pts.len() {
-            let saved = removal_delta(&state.pts, i) * per_m + hover_s[i] * eta_h;
-            let ratio = lost[i] / saved.max(1e-12);
-            if ratio < best_ratio {
-                best_ratio = ratio;
-                best_idx = i;
-            }
-        }
-        if best_idx == usize::MAX {
+        let (best_ratio, s) = tree.min();
+        if best_ratio.is_infinite() {
             break;
         }
-        // Remove the stop and repair the incremental structures.
-        let removed_dev = state.dev_of[best_idx];
-        let orphans = std::mem::take(&mut assigned[best_idx]);
-        state.pts.remove(best_idx);
-        state.dev_of.remove(best_idx);
-        assigned.remove(best_idx);
-        hover_s.remove(best_idx);
-        lost.remove(best_idx);
-        lost_dirty.remove(best_idx);
-        device_pos[removed_dev] = usize::MAX;
-        for p in device_pos.iter_mut() {
-            if *p != usize::MAX && *p > best_idx {
-                *p -= 1;
-            }
-        }
+
+        // Unlink stop `s` and repair the incremental structures.
+        alive[s] = false;
+        alive_count -= 1;
+        tree.set(s, f64::INFINITY);
+        est_h.sub(hover_s[s] * eta_h);
+        let (p, q) = (prev[s], next[s]);
+        next[p] = q;
+        prev[q] = p;
+        let e_pq = pts[p].distance(pts[q]);
+        est_l.sub(edge[p]);
+        est_l.sub(edge[s]);
+        est_l.add(e_pq);
+        edge[p] = e_pq;
         // Decrement covering counts; a device dropping to a single
         // remaining coverer changes that coverer's marginal loss.
-        for &v in &state.coverage[removed_dev] {
+        let removed_dev = dev_of[s];
+        for &v in &coverage[removed_dev] {
             let v = v as usize;
             covering_stops[v] -= 1;
             if covering_stops[v] == 1 {
-                for &d in &state.coverage[v] {
-                    let p = device_pos[d as usize];
-                    if p != usize::MAX {
-                        lost_dirty[p] = true;
+                for &d in &coverage[v] {
+                    let t = stop_of_dev[d as usize];
+                    if alive[t] && !in_dirty[t] {
+                        in_dirty[t] = true;
+                        dirty.push(t);
                     }
                 }
             }
         }
         // Reassign the removed stop's devices to their next covering
         // stop in tour order (max-merge keeps hover times exact).
-        for &v in &orphans {
-            let mut next = usize::MAX;
-            for &d in &state.coverage[v as usize] {
-                let p = device_pos[d as usize];
-                if p < next {
-                    next = p;
+        restale.clear();
+        for v in std::mem::take(&mut assigned[s]) {
+            let first = coverage[v as usize]
+                .iter()
+                .map(|&d| stop_of_dev[d as usize])
+                .filter(|&t| alive[t])
+                .min();
+            if let Some(t) = first {
+                assigned[t].push(v);
+                let h = hover_s[t].max(scenario.devices[v as usize].data.value() / b);
+                if h > hover_s[t] {
+                    est_h.sub(hover_s[t] * eta_h);
+                    est_h.add(h * eta_h);
+                    restale.push(t);
                 }
-            }
-            if next != usize::MAX {
-                assigned[next].push(v);
-                hover_s[next] = hover_s[next].max(scenario.devices[v as usize].data.value() / b);
+                hover_s[t] = h;
             }
         }
+        // A removal changes only its neighbours' deltas, except that the
+        // last stop's delta follows the one-stop rule.
+        if alive_count <= 3 {
+            let mut i = next[0];
+            while i != 0 {
+                restale.push(i);
+                i = next[i];
+            }
+        } else {
+            restale.extend([p, q].into_iter().filter(|&i| i != 0));
+        }
+        for &i in &restale {
+            delta[i] = removal_delta_of(i, &prev, &next, &edge, alive_count);
+            tree.set(i, ratio_of(lost[i], delta[i], hover_s[i]));
+        }
     }
+
+    // Hand the surviving tour back in tour order.
+    let kept: Vec<usize> =
+        std::iter::successors(Some(0), |&i| (next[i] != 0).then_some(next[i])).collect();
+    state.pts = kept.iter().map(|&i| state.pts[i]).collect();
+    state.dev_of = kept.iter().map(|&i| state.dev_of[i]).collect();
 }
 
 impl BenchmarkPlanner {
@@ -375,8 +601,9 @@ impl BenchmarkPlanner {
     /// rebuilding it. `prepared` must be exactly what
     /// [`BenchmarkSetup::build_obs`] would produce for this scenario (the
     /// keying contract of an [`ArtifactCache`](crate::ArtifactCache)).
-    /// The pruning loop runs on a clone of the artifact either way, so
-    /// cold and prepared runs share every instruction after setup and
+    /// The pruning loop runs on a copy of the artifact's tour (borrowing
+    /// its coverage lists) either way, so cold and prepared runs share
+    /// every instruction after setup and
     /// produce bit-identical plans and counters (property-tested in
     /// `tests/artifact_cache_invisibility.rs`); only `setup_ns` shrinks.
     pub fn plan_prepared_obs(
@@ -416,7 +643,7 @@ impl BenchmarkPlanner {
             scenario,
             pts: setup.pts.clone(),
             dev_of: setup.dev_of.clone(),
-            coverage: setup.coverage.clone(),
+            coverage: &setup.coverage,
         };
         stats.setup_ns = setup_start.elapsed().as_nanos() as u64;
         drop(setup_span);

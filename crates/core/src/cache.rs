@@ -86,18 +86,6 @@ impl<T> ArtifactCache<T> {
     pub fn is_empty(&self) -> bool {
         self.locked().is_empty()
     }
-
-    /// Keys currently published, in ascending order (deterministic).
-    pub fn keys(&self) -> Vec<u64> {
-        self.locked().keys().copied().collect()
-    }
-
-    /// Drops every artifact (invalidation is whole-cache: keys are
-    /// content fingerprints, so a changed instance *is* a new key and
-    /// stale entries are merely unused memory, never wrong answers).
-    pub fn clear(&self) {
-        self.locked().clear();
-    }
 }
 
 #[cfg(test)]
@@ -124,17 +112,6 @@ mod tests {
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(*second, "first");
         assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn keys_are_sorted_and_clear_empties() {
-        let cache = ArtifactCache::new();
-        for k in [9u64, 2, 5] {
-            cache.insert(k, k);
-        }
-        assert_eq!(cache.keys(), vec![2, 5, 9]);
-        cache.clear();
-        assert!(cache.is_empty());
     }
 
     #[test]

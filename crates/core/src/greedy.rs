@@ -19,6 +19,10 @@
 //!   edges) and only candidates whose cached argmin edge was the removed
 //!   one need a full rescan. 2-opt compaction rebuilds wholesale, and only
 //!   when it actually changed the tour.
+//! * `DistanceBank` — the candidate → tour-point distances those repairs
+//!   and rescans read, computed once per tour point as one vectorised
+//!   column and shared by the lazy loops of Algorithms 2 and 3, so a
+//!   repair costs no square root and a rescan reads one banked row.
 //! * [`LazyHeap`] — a CELF-style max-heap of generation-stamped cached ρ
 //!   values. The planner re-pushes an entry whenever a candidate's cache
 //!   changes, so every live entry is exact; selection pops the top, asks
@@ -52,6 +56,9 @@ use std::sync::OnceLock;
 
 use crate::candidates::CandidateSet;
 use uavdc_geom::Point2;
+use uavdc_graph::incremental::{
+    cheapest_insertion_cached, cheapest_insertion_cached4, distances_to_point, IncrementalTour,
+};
 
 /// Ratio-comparison band shared with the exhaustive scans: `a` beats `b`
 /// only when `a.ratio > b.ratio + RATIO_BAND`, and exact ties go to the
@@ -391,53 +398,15 @@ impl InsertionCache {
         self.valid.iter_mut().for_each(|v| *v = false);
     }
 
-    /// Repairs entry `c` after `p` was inserted at position `ins_pos`;
-    /// `tour` is the tour *after* the insertion. O(1).
-    pub fn apply_insertion(
-        &mut self,
-        c: usize,
-        cand_pos: Point2,
-        tour: &[Point2],
-        ins_pos: usize,
-    ) -> Fixup {
-        if !self.valid[c] {
-            return Fixup::Invalidated;
-        }
-        if self.pos[c] == ins_pos {
-            self.valid[c] = false;
-            return Fixup::Invalidated;
-        }
-        if self.pos[c] > ins_pos {
-            self.pos[c] += 1;
-        }
-        let n = tour.len();
-        let p = tour[ins_pos];
-        let a = tour[ins_pos - 1];
-        let b = tour[(ins_pos + 1) % n];
-        let mut out = Fixup::Unchanged;
-        let delta_a = a.distance(cand_pos) + cand_pos.distance(p) - a.distance(p);
-        if delta_a < self.delta[c] {
-            self.delta[c] = delta_a;
-            self.pos[c] = ins_pos;
-            out = Fixup::Improved;
-        }
-        let delta_b = p.distance(cand_pos) + cand_pos.distance(b) - p.distance(b);
-        if delta_b < self.delta[c] {
-            self.delta[c] = delta_b;
-            self.pos[c] = ins_pos + 1;
-            out = Fixup::Improved;
-        }
-        out
-    }
-
-    /// Column-based twin of [`InsertionCache::apply_insertion`]: identical
-    /// decision sequence (same comparisons on the same values in the same
-    /// order), with the five distances supplied by the caller instead of
-    /// recomputed per candidate. Algorithm 2's lazy engine batch-computes
-    /// the three candidate→tour-point columns once per commit
-    /// (`uavdc_graph::incremental::distances_to_point`) and repairs every
-    /// active candidate from them; `tests/lazy_equivalence.rs` and the
-    /// in-module repair property keep the two variants locked together.
+    /// Repairs entry `c` after a point was inserted at position
+    /// `ins_pos`, from the five distances around the splice. O(1): an
+    /// entry whose argmin edge survived shifts its position and takes the
+    /// min against the two new edges (`d_a + d_p − e_ap`, then
+    /// `d_p + d_b − e_pb`, each replacing only on a strict `<`); an entry
+    /// whose edge was the one split is invalidated for a rescan. The
+    /// lazy loops read the distances from a [`DistanceBank`]; the
+    /// in-module repair property checks every repaired value against a
+    /// fresh `cheapest_insertion_point` scan bit for bit.
     pub fn apply_insertion_cols(&mut self, c: usize, d: RepairDists, ins_pos: usize) -> Fixup {
         if !self.valid[c] {
             return Fixup::Invalidated;
@@ -470,8 +439,7 @@ impl InsertionCache {
 /// candidate's distances to the three tour points around an insertion at
 /// `ins_pos` (predecessor `a`, inserted point `p`, successor `b`), plus
 /// the two new tour edges. Every field must be bit-identical to the
-/// `Point2::distance` value [`InsertionCache::apply_insertion`] would
-/// recompute.
+/// `Point2::distance` value of the same pair.
 #[derive(Clone, Copy, Debug)]
 pub struct RepairDists {
     /// `a.distance(candidate)`.
@@ -484,6 +452,201 @@ pub struct RepairDists {
     pub e_ap: f64,
     /// `p.distance(b)` — the second new tour edge.
     pub e_pb: f64,
+}
+
+// ---------------------------------------------------------------------------
+// Banked candidate → tour-point distances
+// ---------------------------------------------------------------------------
+
+/// The lazy loops' square-root cache: every candidate's distance to every
+/// tour point, computed once per point — one vectorised
+/// [`distances_to_point`] column when the point enters the tour — and
+/// read by every later cache repair and rescan. Algorithms 2 and 3 both
+/// keep their tours mirrored in an [`IncrementalTour`] whose stable point
+/// ids index the bank (id 0 is the depot), so a repair reads three banked
+/// columns plus two cached tour edges, and a rescan reads one banked row.
+///
+/// Every banked value is bit-identical to the `Point2::distance` of the
+/// same pair (see [`distances_to_point`]), so repairs and rescans return
+/// exactly what [`InsertionCache::apply_insertion_cols`] on fresh
+/// distances and `cheapest_insertion_point` would.
+pub(crate) struct DistanceBank {
+    /// Candidate coordinates, structure-of-arrays for the column kernel.
+    xs: Vec<f64>,
+    ys: Vec<f64>,
+    /// `cols[id][c]` = candidate `c`'s distance to tour point `id`. Columns
+    /// serve the repairs (whole candidate range × three tour points).
+    cols: Vec<Vec<f64>>,
+    /// Row-major `m × cap` copy of the bank (rows padded to `cap`): rows
+    /// serve the rescans (one candidate × whole tour, contiguous).
+    dmat: Vec<f64>,
+    /// Row capacity in tour-point ids; doubles when the tour outgrows it.
+    cap: usize,
+    /// `filled[c]` = number of leading point columns row `c` holds. Rows
+    /// are backfilled from `cols` only when a rescan is about to read
+    /// them: writing every new column into every row on each commit would
+    /// cost a cache line per candidate per iteration, while a rescan tops
+    /// up just the few columns its row is missing (values identical
+    /// either way — both copy the same `distances_to_point` batch).
+    filled: Vec<u32>,
+}
+
+impl DistanceBank {
+    /// A bank over `candidates` holding the depot column (tour point 0).
+    pub(crate) fn new(candidates: &CandidateSet, depot: Point2) -> Self {
+        let m = candidates.len();
+        let xs: Vec<f64> = candidates.candidates.iter().map(|c| c.pos.x).collect();
+        let ys: Vec<f64> = candidates.candidates.iter().map(|c| c.pos.y).collect();
+        let mut depot_col = Vec::new();
+        distances_to_point(&xs, &ys, depot.x, depot.y, &mut depot_col);
+        let cap = 64usize;
+        let mut dmat = vec![0.0f64; m * cap];
+        for (c, &d) in depot_col.iter().enumerate() {
+            dmat[c * cap] = d;
+        }
+        DistanceBank {
+            xs,
+            ys,
+            cols: vec![depot_col],
+            dmat,
+            cap,
+            filled: vec![1; m],
+        }
+    }
+
+    /// Candidate `c`'s coordinates.
+    #[inline]
+    pub(crate) fn pos(&self, c: usize) -> (f64, f64) {
+        (self.xs[c], self.ys[c])
+    }
+
+    /// Candidate `c`'s distance to the depot; `2·depot_dist(c)` is its
+    /// cheapest-insertion delta into the depot-only tour.
+    #[inline]
+    pub(crate) fn depot_dist(&self, c: usize) -> f64 {
+        self.cols[0][c]
+    }
+
+    /// Banks the column of the point `inc` just spliced in at tour
+    /// position `pos` (its newest id) and repairs the cached insertion
+    /// delta of every candidate `c` with `keep(c)`, in ascending order,
+    /// reporting each outcome to `on_fix`. The three candidate distances
+    /// come from the bank and the two new edges from `inc`'s edge cache.
+    // Inlined, like `rescan`, so the closures fuse into the caller's
+    // loop; out of line, Alg 2's loop ran ~5% slower on a 2-vCPU VM.
+    #[inline]
+    pub(crate) fn insert_point(
+        &mut self,
+        inc: &IncrementalTour,
+        pos: usize,
+        ins: &mut InsertionCache,
+        keep: impl Fn(usize) -> bool,
+        mut on_fix: impl FnMut(usize, Fixup),
+    ) {
+        let order = inc.order();
+        let ln = order.len();
+        let id = order[pos];
+        debug_assert_eq!(id, self.cols.len(), "bank columns must follow tour ids");
+        self.grow_rows(id);
+        let (px, py) = inc.point(id);
+        let mut col = Vec::new();
+        distances_to_point(&self.xs, &self.ys, px, py, &mut col);
+        let bank_a = &self.cols[order[pos - 1]];
+        let bank_b = &self.cols[order[(pos + 1) % ln]];
+        let e_ap = inc.edge_costs()[pos - 1];
+        let e_pb = inc.edge_costs()[pos];
+        for c in 0..self.xs.len() {
+            if !keep(c) {
+                continue;
+            }
+            let d = RepairDists {
+                d_a: bank_a[c],
+                d_p: col[c],
+                d_b: bank_b[c],
+                e_ap,
+                e_pb,
+            };
+            on_fix(c, ins.apply_insertion_cols(c, d, pos));
+        }
+        self.cols.push(col);
+    }
+
+    /// Rescans the cheapest insertion of every candidate in `batch`
+    /// against `inc`'s current tour from the banked rows, four lanes at a
+    /// time ([`cheapest_insertion_cached4`]), storing each result in
+    /// `ins` and reporting `(candidate, delta)` to `on_set` in batch
+    /// order. Pure table arithmetic: no square roots.
+    #[inline]
+    pub(crate) fn rescan(
+        &mut self,
+        batch: &[u32],
+        inc: &IncrementalTour,
+        ins: &mut InsertionCache,
+        mut on_set: impl FnMut(u32, f64),
+    ) {
+        for &cu in batch {
+            self.fill_row(cu as usize);
+        }
+        let order = inc.order();
+        let elen = inc.edge_costs();
+        let cap = self.cap;
+        let row = |cu: u32| &self.dmat[cu as usize * cap..(cu as usize + 1) * cap];
+        for ch in batch.chunks(4) {
+            if let &[c0, c1, c2, c3] = ch {
+                let out =
+                    cheapest_insertion_cached4([row(c0), row(c1), row(c2), row(c3)], order, elen);
+                for (&cu, &(delta, p)) in ch.iter().zip(&out) {
+                    ins.set(cu as usize, delta, p as usize);
+                    on_set(cu, delta);
+                }
+            } else {
+                for &cu in ch {
+                    let (delta, p) = cheapest_insertion_cached(row(cu), order, elen);
+                    ins.set(cu as usize, delta, p as usize);
+                    on_set(cu, delta);
+                }
+            }
+        }
+    }
+
+    /// Candidate `c`'s cheapest insertion into `inc`'s current tour as
+    /// `(delta, pos)`, from its banked row: bit-identical to a fresh
+    /// `cheapest_insertion_point` scan, position included.
+    pub(crate) fn cheapest_insertion(&mut self, c: usize, inc: &IncrementalTour) -> (f64, usize) {
+        self.fill_row(c);
+        let row = &self.dmat[c * self.cap..(c + 1) * self.cap];
+        let (delta, pos) = cheapest_insertion_cached(row, inc.order(), inc.edge_costs());
+        (delta, pos as usize)
+    }
+
+    /// Tops candidate `c`'s row up to every point column the bank holds.
+    fn fill_row(&mut self, c: usize) {
+        let lo = self.filled[c] as usize;
+        let hi = self.cols.len();
+        if lo < hi {
+            let row = &mut self.dmat[c * self.cap..c * self.cap + hi];
+            for (idx, slot) in row.iter_mut().enumerate().skip(lo) {
+                *slot = self.cols[idx][c];
+            }
+            self.filled[c] = hi as u32;
+        }
+    }
+
+    /// Doubles the row capacity until tour-point `id` fits, preserving
+    /// row contents.
+    fn grow_rows(&mut self, id: usize) {
+        let m = self.xs.len();
+        while id >= self.cap {
+            let ncap = self.cap * 2;
+            let mut nmat = vec![0.0f64; m * ncap];
+            for c in 0..m {
+                nmat[c * ncap..c * ncap + self.cap]
+                    .copy_from_slice(&self.dmat[c * self.cap..(c + 1) * self.cap]);
+            }
+            self.dmat = nmat;
+            self.cap = ncap;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -878,29 +1041,53 @@ mod tests {
     #[test]
     fn insertion_cache_repair_matches_full_rescan() {
         // Deterministic pseudo-random points; after every insertion the
-        // repaired cache must match a fresh cheapest_insertion_point.
+        // cache repaired by `apply_insertion_cols` (fresh distances) must
+        // match a fresh cheapest_insertion_point scan bit for bit, and a
+        // `DistanceBank` driven in lockstep (banked distances, banked-row
+        // rescans) must make the same decisions to the same values.
+        use crate::candidates::Candidate;
         let cands: Vec<Point2> = (0..40)
             .map(|i| Point2::new(((i * 37) % 101) as f64, ((i * 53) % 97) as f64))
             .collect();
         let inserts: Vec<Point2> = (0..12)
             .map(|i| Point2::new(((i * 61 + 13) % 89) as f64, ((i * 29 + 7) % 83) as f64))
             .collect();
-        let mut tour = vec![Point2::new(50.0, 50.0)];
+        let depot = Point2::new(50.0, 50.0);
+        let mut tour = vec![depot];
         let mut cache = InsertionCache::new(cands.len());
         for (c, &p) in cands.iter().enumerate() {
             let (d, pos) = cheapest_insertion_point(&tour, p);
             cache.set(c, d, pos);
         }
-        let mut cols = InsertionCache::new(cands.len());
-        for (c, &p) in cands.iter().enumerate() {
-            let (d, pos) = cheapest_insertion_point(&tour, p);
-            cols.set(c, d, pos);
+        let set = CandidateSet {
+            delta: 1.0,
+            coverage_radius: Meters(1.0),
+            candidates: cands
+                .iter()
+                .map(|&pos| Candidate {
+                    pos,
+                    covered: Vec::new(),
+                })
+                .collect(),
+        };
+        let mut bank = DistanceBank::new(&set, depot);
+        let mut banked = InsertionCache::new(cands.len());
+        for c in 0..cands.len() {
+            banked.set(c, 2.0 * bank.depot_dist(c), 1);
         }
+        assert_eq!(bank.pos(3), (cands[3].x, cands[3].y));
+        let mut inc = IncrementalTour::new(
+            (depot.x, depot.y),
+            uavdc_graph::incremental::RetourPolicy::PatchOnly,
+        );
         for &p in &inserts {
             let (_, ins_pos) = cheapest_insertion_point(&tour, p);
             tour.insert(ins_pos, p);
+            let id = inc.append_point((p.x, p.y));
+            inc.insert_id_at(id, ins_pos);
             let a = tour[ins_pos - 1];
             let b = tour[(ins_pos + 1) % tour.len()];
+            let mut fixes = Vec::new();
             for (c, &cp) in cands.iter().enumerate() {
                 let d = RepairDists {
                     d_a: a.distance(cp),
@@ -909,15 +1096,12 @@ mod tests {
                     e_ap: a.distance(p),
                     e_pb: p.distance(b),
                 };
-                let row_fix = cache.apply_insertion(c, cp, &tour, ins_pos);
-                // The column twin must take the exact same decisions.
-                assert_eq!(cols.apply_insertion_cols(c, d, ins_pos), row_fix);
-                if row_fix == Fixup::Invalidated {
+                let fix = cache.apply_insertion_cols(c, d, ins_pos);
+                fixes.push(fix);
+                if fix == Fixup::Invalidated {
                     let (d, pos) = cheapest_insertion_point(&tour, cp);
                     cache.set(c, d, pos);
-                    cols.set(c, d, pos);
                 }
-                assert_eq!(cache.get(c), cols.get(c), "column repair diverged at {c}");
                 let (want, _) = cheapest_insertion_point(&tour, cp);
                 let (got, got_pos) = cache.get(c).unwrap();
                 assert_eq!(
@@ -928,6 +1112,35 @@ mod tests {
                 // The cached position must name a real edge achieving
                 // the cached delta (not necessarily the canonical one).
                 assert!(got_pos >= 1 && got_pos <= tour.len());
+            }
+            let mut rescan = Vec::new();
+            let mut bank_fixes = Vec::new();
+            bank.insert_point(
+                &inc,
+                ins_pos,
+                &mut banked,
+                |_| true,
+                |c, fix| {
+                    bank_fixes.push(fix);
+                    if fix == Fixup::Invalidated {
+                        rescan.push(c as u32);
+                    }
+                },
+            );
+            assert_eq!(bank_fixes, fixes, "banked repair took other decisions");
+            bank.rescan(&rescan, &inc, &mut banked, |_, _| {});
+            for c in 0..cands.len() {
+                assert_eq!(banked.get(c), cache.get(c), "banked repair diverged at {c}");
+            }
+            // A banked-row rescan of everything equals fresh scans,
+            // positions included.
+            let all: Vec<u32> = (0..cands.len() as u32).collect();
+            let mut fresh = InsertionCache::new(cands.len());
+            bank.rescan(&all, &inc, &mut fresh, |_, _| {});
+            for (c, &cp) in cands.iter().enumerate() {
+                let (want, want_pos) = cheapest_insertion_point(&tour, cp);
+                let (got, got_pos) = fresh.get(c).unwrap();
+                assert_eq!((got.to_bits(), got_pos), (want.to_bits(), want_pos));
             }
         }
     }
