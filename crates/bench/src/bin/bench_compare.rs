@@ -86,13 +86,6 @@ fn main() {
         Err(e) => fail_usage(&format!("cannot compare: {e}")),
     };
 
-    // Informational header note (threads differing is expected between a
-    // dev laptop and CI; determinism makes it harmless).
-    let (bt, ct) = (baseline.get("threads"), current.get("threads"));
-    if bt != ct {
-        eprintln!("note: thread counts differ (baseline {bt:?}, current {ct:?}); counters are thread-invariant so this is informational");
-    }
-
     eprintln!(
         "bench_compare: {} entries paired, {} differing fields, {} structural problems",
         report.paired_entries,

@@ -287,7 +287,6 @@ fn render_json(entries: &[Entry], mode: &str, scale: f64, seeds: &[u64]) -> Stri
             .collect::<Vec<_>>()
             .join(", ")
     );
-    let _ = writeln!(out, "  \"threads\": {},", uavdc_core::greedy::num_threads());
 
     // Headline: the fig-4 δ = 5 m sweep point (the paper's largest
     // candidate sets), aggregated across its four algorithms and all

@@ -125,9 +125,7 @@ impl CompareReport {
 }
 
 /// Header fields that must match exactly for entries to be comparable at
-/// all. `threads` is deliberately absent: the planners' counters and
-/// plans are thread-count-invariant by construction, so differing
-/// parallelism must not fail the gate (it is reported informationally).
+/// all.
 const HEADER_EXACT: [&str; 3] = ["schema", "mode", "scale"];
 
 /// Deterministic per-engine counters inside `lazy` / `exhaustive`.
@@ -404,7 +402,7 @@ mod tests {
     fn fixture(loop_ns: u64, evals: u64, patches: u64, retours: u64, hash: &str) -> Json {
         parse(&format!(
             r#"{{"schema": "uavdc-planner-baseline/3", "mode": "quick", "scale": 0.2,
-                "seeds": [39582], "threads": 2,
+                "seeds": [39582],
                 "entries": [
                   {{"figure": "fig4", "delta_m": 5, "algorithm": "Algorithm 2",
                     "seed": 39582, "candidates": 100, "iterations": 10,

@@ -200,21 +200,17 @@ fn average_point(
     let n = cfg.num_instances.max(1);
     let mut results = vec![(0.0, 0.0, 0.0, 0.0); n];
     if cfg.parallel_instances && n > 1 {
-        #[expect(
-            clippy::expect_used,
-            reason = "Err only when a worker thread panicked; re-raising is correct"
-        )]
-        crossbeam::thread::scope(|scope| {
+        // A worker's panic re-raises when the scope joins it.
+        std::thread::scope(|scope| {
             for (i, slot) in results.iter_mut().enumerate() {
                 let seed = cfg.base_seed + i as u64;
                 let check = cfg.simulate_check;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let scenario = make_scenario(seed);
                     *slot = run_once(spec, &scenario, check);
                 });
             }
-        })
-        .expect("instance thread panicked");
+        });
     } else {
         for (i, slot) in results.iter_mut().enumerate() {
             let scenario = make_scenario(cfg.base_seed + i as u64);

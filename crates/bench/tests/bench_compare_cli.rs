@@ -9,7 +9,6 @@ const BASELINE: &str = r#"{
   "mode": "quick",
   "scale": 0.2,
   "seeds": [39582],
-  "threads": 2,
   "entries": [
     {"figure": "fig4", "delta_m": 5, "algorithm": "Algorithm 2", "seed": 39582,
      "candidates": 100, "iterations": 12, "exhaustive_bound": 1200,

@@ -3,8 +3,11 @@
 //! The build environment has no network access, so the workspace
 //! replaces crates.io `crossbeam` with this path dependency backed by
 //! `std::thread::scope` (stable since Rust 1.63). Only
-//! `crossbeam::thread::scope` + `Scope::spawn` are provided — the
-//! only crossbeam API the planners use.
+//! `crossbeam::thread::scope` + `Scope::spawn` are provided. No crate
+//! calls it any more (the planners are serial, and the experiments'
+//! fan-out uses `std::thread::scope`); it stays in the workspace only
+//! so `perfbench/Cargo.lock` is unchanged until the next benchmark
+//! change removes it (DESIGN.md §11).
 
 #![cfg_attr(
     not(test),

@@ -27,13 +27,12 @@
 //!   odd-vertex matching memo ([`Alg2Config::speculative_cache`]), which
 //!   changes nothing about the produced plans — only their cost.
 //!
-//! Candidate evaluation parallelises over crossbeam scoped threads when
-//! the candidate set is large. The lazy engine additionally leans on the
-//! batch kernels of `uavdc_graph::incremental` (bit-identical per lane to
-//! the scalar scans they replace) and on an [`IncrementalTour`] mirror of
-//! the growing tour, so its *operation counts* — frozen by the perf
-//! baseline — stay exactly those of the exhaustive reference while each
-//! operation gets cheaper.
+//! The lazy engine leans on the batch kernels of
+//! `uavdc_graph::incremental` (bit-identical per lane to the scalar scans
+//! they replace) and on an [`IncrementalTour`] mirror of the growing
+//! tour, so its *operation counts* — frozen by the perf baseline — stay
+//! exactly those of the exhaustive reference while each operation gets
+//! cheaper.
 
 use crate::candidates::CandidateSet;
 use crate::greedy::{
@@ -70,9 +69,6 @@ pub struct Alg2Config {
     /// Drop candidates whose coverage is dominated by another candidate
     /// before planning.
     pub prune_dominated: bool,
-    /// Parallelise candidate evaluation above this candidate count
-    /// (`usize::MAX` disables threading).
-    pub parallel_threshold: usize,
     /// Per-iteration evaluation strategy. [`EngineMode::Lazy`] (default)
     /// applies only to [`TourMode::FastInsertion`];
     /// [`TourMode::PaperChristofides`] always rescans exhaustively
@@ -96,7 +92,6 @@ impl Default for Alg2Config {
             delta: 10.0,
             tour_mode: TourMode::FastInsertion,
             prune_dominated: true,
-            parallel_threshold: 4096,
             engine: EngineMode::Lazy,
             speculative_cache: true,
         }
@@ -367,38 +362,28 @@ fn better(a: &Evaluation, b: &Evaluation) -> bool {
         || (a.ratio >= b.ratio - greedy::RATIO_BAND && a.cand < b.cand)
 }
 
-/// Finds the best FastInsertion evaluation over all candidates,
-/// optionally in parallel.
-fn best_evaluation(state: &GreedyState<'_>, parallel_threshold: usize) -> Option<Evaluation> {
+/// Finds the best FastInsertion evaluation over all candidates: a serial
+/// fold in ascending candidate order, so ties go to the lowest index.
+fn best_evaluation(state: &GreedyState<'_>) -> Option<Evaluation> {
     let capacity = state.scenario.uav.capacity.value();
     let eta_h = state.scenario.uav.hover_power.value();
     let per_m = state.scenario.uav.travel_energy_per_meter().value();
-    let n = state.candidates.len();
-    let parallel = n >= parallel_threshold;
-    greedy::chunked_argmax(
-        n,
-        parallel,
-        |c| state.evaluate_insertion(c, capacity, eta_h, per_m),
-        better,
-    )
+    (0..state.candidates.len())
+        .filter_map(|c| state.evaluate_insertion(c, capacity, eta_h, per_m))
+        .reduce(|best, e| if better(&e, &best) { e } else { best })
 }
 
 /// Runs the exhaustive FastInsertion greedy loop (full rescan per
 /// iteration) to completion, counting iterations as it goes. This is the
 /// reference engine — and the perf baseline's speedup denominator — so it
 /// deliberately stays scalar.
-fn run_exhaustive(
-    state: &mut GreedyState<'_>,
-    config: &Alg2Config,
-    eta_h: f64,
-    counters: &mut EvalCounters,
-) {
+fn run_exhaustive(state: &mut GreedyState<'_>, eta_h: f64, counters: &mut EvalCounters) {
     let mut since_compact = 0;
     loop {
         counters.iterations += 1;
         counters.marginal_evals += state.candidates.len() as u64;
         counters.evaluations += state.candidates.len() as u64;
-        let Some(eval) = best_evaluation(state, config.parallel_threshold) else {
+        let Some(eval) = best_evaluation(state) else {
             break;
         };
         state.commit(eval, eta_h);
@@ -596,7 +581,6 @@ impl LazyPre {
 /// distances.
 fn run_lazy(
     state: &mut GreedyState<'_>,
-    config: &Alg2Config,
     eta_h: f64,
     counters: &mut EvalCounters,
     rec: &dyn Recorder,
@@ -606,7 +590,6 @@ fn run_lazy(
     let capacity = scenario.uav.capacity.value();
     let per_m = scenario.uav.travel_energy_per_meter().value();
     let m = state.candidates.len();
-    let parallel_threshold = config.parallel_threshold;
 
     // Split the prebuilt structures into disjoint field borrows: the
     // distance matrix is written inside loops that read the others.
@@ -655,14 +638,10 @@ fn run_lazy(
         vol / extra.max(1e-12)
     };
 
-    // Initial full evaluation of every candidate: marginals in (possibly
-    // parallel) chunks, insertion deltas from the banked depot column
-    // (the depot-only tour's delta is `2·d`, bit-identical to
-    // `cheapest_insertion_point`).
-    let all: Vec<u32> = (0..m as u32).collect();
-    let marg = greedy::chunked_map(&all, parallel_threshold, |&c| {
-        marginal_fast(c as usize, &state.collected)
-    });
+    // Initial full evaluation of every candidate: marginals, then
+    // insertion deltas from the banked depot column (the depot-only
+    // tour's delta is `2·d`, bit-identical to `cheapest_insertion_point`).
+    let marg: Vec<(f64, f64)> = (0..m).map(|c| marginal_fast(c, &state.collected)).collect();
     counters.marginal_evals += m as u64;
     counters.evaluations += m as u64;
     for (c, &(vol, t)) in marg.iter().enumerate() {
@@ -929,15 +908,10 @@ impl Alg2Planner {
             (TourMode::PaperChristofides, _, _) => {
                 run_paper(&mut state, &self.config, eta_h, &mut stats.counters, rec)
             }
-            (TourMode::FastInsertion, EngineMode::Lazy, Some(pre)) => run_lazy(
-                &mut state,
-                &self.config,
-                eta_h,
-                &mut stats.counters,
-                rec,
-                pre,
-            ),
-            _ => run_exhaustive(&mut state, &self.config, eta_h, &mut stats.counters),
+            (TourMode::FastInsertion, EngineMode::Lazy, Some(pre)) => {
+                run_lazy(&mut state, eta_h, &mut stats.counters, rec, pre)
+            }
+            _ => run_exhaustive(&mut state, eta_h, &mut stats.counters),
         }
         drop(loop_span);
         stats.loop_ns = loop_start.elapsed().as_nanos() as u64;
@@ -1088,23 +1062,6 @@ mod tests {
             cached.1.counters.full_retours + commits
         );
         assert_eq!(cached.1.counters.tour_patches, commits);
-    }
-
-    #[test]
-    fn parallel_and_serial_agree() {
-        let s = scenario(6000.0);
-        let serial = Alg2Planner::new(Alg2Config {
-            parallel_threshold: usize::MAX,
-            ..Alg2Config::default()
-        })
-        .plan(&s);
-        let parallel = Alg2Planner::new(Alg2Config {
-            parallel_threshold: 1,
-            ..Alg2Config::default()
-        })
-        .plan(&s);
-        assert_eq!(serial.collected_volume(), parallel.collected_volume());
-        assert_eq!(serial.stops.len(), parallel.stops.len());
     }
 
     #[test]

@@ -40,9 +40,6 @@ pub struct Alg3Config {
     pub k: usize,
     /// Drop dominated candidates before planning.
     pub prune_dominated: bool,
-    /// Parallelise the exhaustive engine's candidate scans above this
-    /// candidate count (the lazy engine scans serially).
-    pub parallel_threshold: usize,
     /// Per-iteration evaluation strategy ([`EngineMode::Lazy`] default).
     pub engine: EngineMode,
 }
@@ -53,7 +50,6 @@ impl Default for Alg3Config {
             delta: 10.0,
             k: 2,
             prune_dominated: true,
-            parallel_threshold: 4096,
             engine: EngineMode::Lazy,
         }
     }
@@ -274,21 +270,15 @@ fn better(a: &VirtualEval, b: &VirtualEval) -> bool {
         || (a.ratio >= b.ratio - greedy::RATIO_BAND && a.cand < b.cand)
 }
 
-fn best_virtual(
-    state: &PartialState<'_>,
-    k_parts: usize,
-    parallel_threshold: usize,
-) -> Option<VirtualEval> {
+/// Finds the best virtual location over all candidates: a serial fold in
+/// ascending candidate order, so ties go to the lowest index.
+fn best_virtual(state: &PartialState<'_>, k_parts: usize) -> Option<VirtualEval> {
     let capacity = state.scenario.uav.capacity.value();
     let eta_h = state.scenario.uav.hover_power.value();
     let per_m = state.scenario.uav.travel_energy_per_meter().value();
-    let n = state.candidates.len();
-    greedy::chunked_argmax(
-        n,
-        n >= parallel_threshold,
-        |c| state.evaluate(c, k_parts, capacity, eta_h, per_m),
-        better,
-    )
+    (0..state.candidates.len())
+        .filter_map(|c| state.evaluate(c, k_parts, capacity, eta_h, per_m))
+        .reduce(|best, e| if better(&e, &best) { e } else { best })
 }
 
 /// Scenario power constants threaded through the cached evaluators.
@@ -358,7 +348,7 @@ fn run_exhaustive(
         counters.iterations += 1;
         counters.marginal_evals += state.candidates.len() as u64;
         counters.evaluations += state.candidates.len() as u64;
-        match best_virtual(state, config.k, config.parallel_threshold) {
+        match best_virtual(state, config.k) {
             Some(eval) => {
                 let (got, _, _) = state.commit(eval, eta_h);
                 state.deactivate_exhausted();

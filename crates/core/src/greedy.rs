@@ -31,12 +31,6 @@
 //!   parks candidates that cannot fit until slack reappears, and resolves
 //!   near-ties with the same `1e-15` band + lowest-candidate-index fold
 //!   the exhaustive serial scan uses.
-//! * [`chunked_argmax`] / [`chunked_for_each`] — the one shared
-//!   implementation of the crossbeam chunked-thread scan that
-//!   `alg2::best_evaluation` and `alg3::best_virtual` used to duplicate,
-//!   now also pointed at dirty *batches* instead of the full range. Thread
-//!   count is configurable through `UAVDC_THREADS` for reproducible
-//!   benchmark runs.
 //! * [`EvalCounters`] — instrumentation: how many full candidate
 //!   evaluations the lazy engine actually performed versus the
 //!   `M × iterations` an exhaustive loop would have, so the perf baseline
@@ -52,7 +46,6 @@
 //! committed plan — matches the exhaustive scan bit for bit.
 
 use std::collections::BinaryHeap;
-use std::sync::OnceLock;
 
 use crate::candidates::CandidateSet;
 use uavdc_geom::Point2;
@@ -76,172 +69,6 @@ pub enum EngineMode {
     /// Full rescan of every candidate each iteration — the reference
     /// implementation the lazy engine is validated against.
     Exhaustive,
-}
-
-// ---------------------------------------------------------------------------
-// Thread configuration (shared by all chunked scans)
-// ---------------------------------------------------------------------------
-
-/// Number of worker threads used by the chunked candidate scans.
-///
-/// `UAVDC_THREADS` (a positive integer) overrides the default of
-/// `available_parallelism().min(16)` so benchmark runs are reproducible
-/// across machines. Read once per process.
-pub fn num_threads() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(|| {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "sanctioned thread-count override; worker count never changes plan output"
-        )]
-        if let Ok(v) = std::env::var("UAVDC_THREADS") {
-            if let Ok(n) = v.parse::<usize>() {
-                if n >= 1 {
-                    return n;
-                }
-            }
-        }
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4)
-            .min(16)
-    })
-}
-
-/// Chunked parallel argmax over `0..n`, deduplicating the scan that
-/// `alg2::best_evaluation` and `alg3::best_virtual` used to each carry.
-///
-/// `eval(c)` returns the candidate's evaluation (or `None` when it is
-/// inactive/infeasible) and `better(a, b)` decides whether `a` should
-/// replace `b`. Chunks are folded in ascending-index order and merged in
-/// chunk order, reproducing the original code's result exactly. With
-/// `parallel == false` the scan is a plain serial fold.
-pub(crate) fn chunked_argmax<E, F, B>(n: usize, parallel: bool, eval: F, better: B) -> Option<E>
-where
-    E: Send,
-    F: Fn(usize) -> Option<E> + Sync,
-    B: Fn(&E, &E) -> bool + Sync,
-{
-    let threads = if parallel { num_threads() } else { 1 };
-    chunked_argmax_with(n, threads, eval, better)
-}
-
-/// [`chunked_argmax`] with an explicit worker-thread count, bypassing the
-/// process-wide `UAVDC_THREADS` cache. `threads == 1` (or `n < 2`) is the
-/// plain serial fold. The result is bit-identical for every thread count:
-/// chunks are folded in ascending-index order and merged in chunk order,
-/// so ties always resolve to the lowest-index winner under a strict
-/// `better` predicate. Exposed (and property-tested) so determinism can
-/// be checked across thread counts within one process.
-pub fn chunked_argmax_with<E, F, B>(n: usize, threads: usize, eval: F, better: B) -> Option<E>
-where
-    E: Send,
-    F: Fn(usize) -> Option<E> + Sync,
-    B: Fn(&E, &E) -> bool + Sync,
-{
-    let threads = threads.clamp(1, n.max(1));
-    if threads == 1 || n < 2 {
-        let mut best: Option<E> = None;
-        for c in 0..n {
-            if let Some(e) = eval(c) {
-                if best.as_ref().is_none_or(|b| better(&e, b)) {
-                    best = Some(e);
-                }
-            }
-        }
-        return best;
-    }
-    let chunk = n.div_ceil(threads);
-    let mut results: Vec<Option<E>> = Vec::new();
-    results.resize_with(threads, || None);
-    #[expect(
-        clippy::expect_used,
-        reason = "Err only when a worker thread panicked; re-raising is correct"
-    )]
-    crossbeam::thread::scope(|scope| {
-        for (t, slot) in results.iter_mut().enumerate() {
-            let lo = (t * chunk).min(n);
-            let hi = ((t + 1) * chunk).min(n);
-            let eval = &eval;
-            let better = &better;
-            scope.spawn(move |_| {
-                let mut best: Option<E> = None;
-                for c in lo..hi {
-                    if let Some(e) = eval(c) {
-                        if best.as_ref().is_none_or(|b| better(&e, b)) {
-                            best = Some(e);
-                        }
-                    }
-                }
-                *slot = best;
-            });
-        }
-    })
-    .expect("candidate evaluation thread panicked");
-    results
-        .into_iter()
-        .flatten()
-        .fold(None, |acc, e| match acc {
-            None => Some(e),
-            Some(b) => Some(if better(&e, &b) { e } else { b }),
-        })
-}
-
-/// Chunked parallel for-each over an index batch: applies `f` to every
-/// element of `batch`, splitting across scoped threads when the batch is
-/// at least `parallel_threshold` long. Each invocation must write only to
-/// state owned by its index (the caller passes a closure over interior-
-/// mutability-free shared slices via `per_item` results), so this variant
-/// returns the computed values in batch order instead of mutating.
-pub(crate) fn chunked_map<T, R, F>(batch: &[T], parallel_threshold: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let n = batch.len();
-    let threads = if n < parallel_threshold.max(2) {
-        1
-    } else {
-        num_threads()
-    };
-    chunked_map_with(batch, threads, f)
-}
-
-/// [`chunked_map`] with an explicit worker-thread count, bypassing the
-/// process-wide `UAVDC_THREADS` cache. Results come back in batch order
-/// regardless of the thread count (chunks are contiguous and concatenated
-/// in chunk order), which the determinism property test asserts.
-pub fn chunked_map_with<T, R, F>(batch: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let n = batch.len();
-    let threads = threads.clamp(1, n.max(1));
-    if threads == 1 {
-        return batch.iter().map(&f).collect();
-    }
-    let chunk = n.div_ceil(threads);
-    let mut results: Vec<Vec<R>> = Vec::new();
-    results.resize_with(threads, Vec::new);
-    #[expect(
-        clippy::expect_used,
-        reason = "Err only when a worker thread panicked; re-raising is correct"
-    )]
-    crossbeam::thread::scope(|scope| {
-        for (t, slot) in results.iter_mut().enumerate() {
-            let lo = (t * chunk).min(n);
-            let hi = ((t + 1) * chunk).min(n);
-            let f = &f;
-            scope.spawn(move |_| {
-                *slot = batch[lo..hi].iter().map(f).collect();
-            });
-        }
-    })
-    .expect("candidate evaluation thread panicked");
-    results.into_iter().flatten().collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1220,31 +1047,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_argmax_parallel_matches_serial() {
-        let score = |c: usize| -> Option<(f64, usize)> {
-            if c % 7 == 3 {
-                None
-            } else {
-                Some((((c * 2654435761) % 1000) as f64, c))
-            }
-        };
-        let better = |a: &(f64, usize), b: &(f64, usize)| {
-            a.0 > b.0 + RATIO_BAND || (a.0 >= b.0 - RATIO_BAND && a.1 < b.1)
-        };
-        let serial = chunked_argmax(5000, false, score, better);
-        let parallel = chunked_argmax(5000, true, score, better);
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn chunked_map_preserves_order() {
-        let batch: Vec<u32> = (0..1000).collect();
-        let serial = chunked_map(&batch, usize::MAX, |&x| x * 3);
-        let parallel = chunked_map(&batch, 1, |&x| x * 3);
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
     fn counters_bound_arithmetic() {
         let c = EvalCounters {
             candidates: 100,
@@ -1254,10 +1056,5 @@ mod tests {
         };
         assert_eq!(c.exhaustive_bound(), 1000);
         assert_eq!(c.saved(), 850);
-    }
-
-    #[test]
-    fn thread_count_is_at_least_one() {
-        assert!(num_threads() >= 1);
     }
 }

@@ -11,16 +11,15 @@
 //! [`ArtifactCache`], and plans every request through `plan_prepared`
 //! with the artifact the cache hands out. Every outcome (plan fingerprint
 //! and the deterministic counters) must equal the cold
-//! `plan_prepared(s, None)` run, and planning the batch through
-//! `chunked_map_with` at any thread count, including more threads than
-//! requests, must reproduce the serial outcomes bit for bit.
+//! `plan_prepared(s, None)` run, and planning the batch on scoped threads
+//! at any thread count, including more threads than requests, must
+//! reproduce the serial outcomes bit for bit.
 //!
 //! Run with `--features validate` to widen each property to >= 1024
 //! seeded cases (the CI equivalence gate); the default is a quick pass.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
-use uavdc_core::greedy::chunked_map_with;
 use uavdc_core::{
     Alg2Config, Alg2Planner, Alg3Config, Alg3Planner, ArtifactCache, BenchmarkPlanner,
     BenchmarkSetup, CandidateSet, EngineMode,
@@ -194,10 +193,30 @@ impl Batch {
         )
     }
 
-    /// Plans every request on `threads` workers; outcomes in request
-    /// order.
+    /// Plans every request on `threads` scoped workers, each taking one
+    /// contiguous slice (empty when there are more workers than
+    /// requests); outcomes in request order.
     fn plan_all(&self, requests: &[Request], threads: usize, cached: bool) -> Vec<Outcome> {
-        chunked_map_with(requests, threads, |r| self.plan(r, cached))
+        let n = requests.len();
+        let chunk = n.div_ceil(threads).max(1);
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|t| {
+                    let lo = (t * chunk).min(n);
+                    let slice = &requests[lo..(lo + chunk).min(n)];
+                    scope.spawn(move || {
+                        slice
+                            .iter()
+                            .map(|r| self.plan(r, cached))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("planning worker panicked"))
+                .collect()
+        })
     }
 }
 

@@ -57,8 +57,6 @@ pub struct Node {
     pub spawn_sites: Vec<crate::concurrency::SpawnSite>,
     /// Direct `.lock()` acquisitions with guard-liveness ranges.
     pub lock_sites: Vec<crate::concurrency::LockSite>,
-    /// `Ordering::Relaxed` atomic-access sites.
-    pub atomic_sites: Vec<Site>,
     /// Body contains a `.value()` / `Unit(..).0` unit escape.
     pub unit_escape: Option<usize>,
     /// Return type mentions `f64`.
@@ -117,7 +115,6 @@ impl CallGraph {
                     effect_sites: Vec::new(),
                     spawn_sites: Vec::new(),
                     lock_sites: Vec::new(),
-                    atomic_sites: Vec::new(),
                     unit_escape: None,
                     returns_f64: fun.ret.as_deref().is_some_and(crate::parser::type_has_f64),
                     is_public_api: fun.is_pub && !fun.in_test && file.kind == FileKind::Library,
@@ -149,10 +146,9 @@ impl CallGraph {
                             &index_audited,
                         );
                     }
-                    // Concurrency hazards are collected even in
+                    // Spawn and lock sites are collected even in
                     // sanctioned obs/compat code — the recorder's Mutex
-                    // and the shim's spawns are exactly what the lock
-                    // rules patrol.
+                    // is exactly what the lock rule patrols.
                     if file.kind == FileKind::Library && !fun.in_test {
                         crate::concurrency::collect_sites(file, lo, hi, &mut node, |rule, line| {
                             allowed(fi, rule, line)
@@ -238,14 +234,6 @@ impl CallGraph {
                     " locks={}+{}",
                     node.lock_sites.iter().filter(|s| !s.justified).count(),
                     node.lock_sites.iter().filter(|s| s.justified).count(),
-                );
-            }
-            if !node.atomic_sites.is_empty() {
-                let _ = write!(
-                    out,
-                    " relaxed={}+{}",
-                    live(&node.atomic_sites),
-                    justified(&node.atomic_sites),
                 );
             }
             if !node.spawn_sites.is_empty() {

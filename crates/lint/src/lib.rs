@@ -59,17 +59,11 @@
 //!   that cleanly delegates to it (recorder invisibility coherence).
 //!
 //! Since PR 8 a concurrency layer ([`concurrency`], JSON schema
-//! `uavdc-lint/4`) adds spawn/lock/atomic hazard inventories to the
-//! call graph and four more interprocedural rules:
+//! `uavdc-lint/4`) adds spawn and lock inventories to the call graph and
+//! one more interprocedural rule:
 //!
-//! * [`Rule::ParPurity`] — closures and comparators handed to the
-//!   chunked parallel engines must be capture-clean and effect-pure.
 //! * [`Rule::LockAcrossSpawn`] — no guard live across a spawn, no
 //!   re-entrant lock, no lock-order cycle.
-//! * [`Rule::AtomicOrdering`] — no `Ordering::Relaxed` reachable from a
-//!   planner entry point (timing-only counters are pragma-allowlisted).
-//! * [`Rule::SharedAccumulator`] — no scheduler-order-dependent
-//!   `fetch_add` / `lock().push()` accumulation inside spawned closures.
 //!
 //! Findings are reported as `path:line: rule: message`, one per line.
 //! A finding is suppressed with a pragma comment on the same line or the
@@ -134,19 +128,9 @@ pub enum Rule {
     /// An `_obs` twin whose plain wrapper does not cleanly delegate to
     /// it (recorder-invisibility coherence).
     ObsTwin,
-    /// A closure (or named comparator) passed to a chunked parallel
-    /// engine that captures interior-mutable state, writes its captures,
-    /// or can reach an effect source through the call graph.
-    ParPurity,
     /// A `MutexGuard` live across a spawn site, a re-entrant lock
     /// acquisition while the guard is held, or a lock-order cycle.
     LockAcrossSpawn,
-    /// An `Ordering::Relaxed` atomic access reachable from a public
-    /// planner entry point.
-    AtomicOrdering,
-    /// A `fetch_add`-family or `lock().push()` accumulation inside a
-    /// spawned closure whose merge order is scheduler-dependent.
-    SharedAccumulator,
     /// A `lint:allow` pragma that suppressed nothing.
     UnusedAllow,
     /// A `lint:allow` pragma without a rule name or without a reason.
@@ -164,10 +148,7 @@ impl Rule {
             Rule::PanicReach => "panic-reach",
             Rule::UnitFlow => "unit-flow",
             Rule::ObsTwin => "obs-twin",
-            Rule::ParPurity => "par-purity",
             Rule::LockAcrossSpawn => "lock-across-spawn",
-            Rule::AtomicOrdering => "atomic-ordering",
-            Rule::SharedAccumulator => "shared-accumulator",
             Rule::UnusedAllow => "unused-allow",
             Rule::MalformedAllow => "malformed-allow",
         }
@@ -183,10 +164,7 @@ impl Rule {
             "panic-reach" => Some(Rule::PanicReach),
             "unit-flow" => Some(Rule::UnitFlow),
             "obs-twin" => Some(Rule::ObsTwin),
-            "par-purity" => Some(Rule::ParPurity),
             "lock-across-spawn" => Some(Rule::LockAcrossSpawn),
-            "atomic-ordering" => Some(Rule::AtomicOrdering),
-            "shared-accumulator" => Some(Rule::SharedAccumulator),
             "unused-allow" => Some(Rule::UnusedAllow),
             "malformed-allow" => Some(Rule::MalformedAllow),
             _ => None,
@@ -195,9 +173,9 @@ impl Rule {
 
     /// All rules that scan source directly (pragma meta-rules excluded):
     /// the three per-file rules, the four interprocedural rules of
-    /// schema `uavdc-lint/3`, and the four concurrency rules added by
-    /// schema `uavdc-lint/4`.
-    pub fn all_source_rules() -> [Rule; 11] {
+    /// schema `uavdc-lint/3`, and the concurrency rule added by schema
+    /// `uavdc-lint/4`.
+    pub fn all_source_rules() -> [Rule; 8] {
         [
             Rule::FloatOrd,
             Rule::RawQuantity,
@@ -206,10 +184,7 @@ impl Rule {
             Rule::PanicReach,
             Rule::UnitFlow,
             Rule::ObsTwin,
-            Rule::ParPurity,
             Rule::LockAcrossSpawn,
-            Rule::AtomicOrdering,
-            Rule::SharedAccumulator,
         ]
     }
 }
@@ -941,8 +916,7 @@ fn is_entry(ws: &resolve::Workspace, node: &callgraph::Node, scope: ScanScope) -
 
 /// The whole-workspace rules: the schema-3 four (effect-taint,
 /// panic-reach, unit-flow, obs-twin; DESIGN.md §13) plus the schema-4
-/// concurrency layer (par-purity, lock-across-spawn, atomic-ordering,
-/// shared-accumulator; DESIGN.md §14).
+/// concurrency rule (lock-across-spawn; DESIGN.md §14).
 fn interprocedural_rules(
     ws: &resolve::Workspace,
     scope: ScanScope,
@@ -1178,16 +1152,11 @@ fn interprocedural_rules(
         }
     }
 
-    // --- concurrency layer (schema 4): par-purity, lock-across-spawn,
-    // atomic-ordering, shared-accumulator. Reuses the graph, the entry
-    // set, and the effect-taint fixed point. See DESIGN.md §14.
-    findings.extend(concurrency::check(
-        ws,
-        &graph,
-        &entries,
-        &effect_reach,
-        |fi, rule, line| is_allowed(&mut allows[fi], rule, line),
-    ));
+    // --- concurrency layer (schema 4): lock-across-spawn over the same
+    // graph. See DESIGN.md §14.
+    findings.extend(concurrency::check(ws, &graph, |fi, rule, line| {
+        is_allowed(&mut allows[fi], rule, line)
+    }));
 
     findings
 }
@@ -1695,7 +1664,7 @@ mod tests {
         }];
         let j = report_json(&f);
         assert!(j.starts_with("{\"schema\":\"uavdc-lint/4\""));
-        assert!(j.contains("\"rules\":[\"float-ord\",\"raw-quantity\",\"unit-unwrap\",\"effect-taint\",\"panic-reach\",\"unit-flow\",\"obs-twin\",\"par-purity\",\"lock-across-spawn\",\"atomic-ordering\",\"shared-accumulator\"]"));
+        assert!(j.contains("\"rules\":[\"float-ord\",\"raw-quantity\",\"unit-unwrap\",\"effect-taint\",\"panic-reach\",\"unit-flow\",\"obs-twin\",\"lock-across-spawn\"]"));
         assert!(j.ends_with("\"count\":1}"));
     }
 

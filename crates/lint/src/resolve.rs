@@ -10,7 +10,7 @@
 //! Resolution is deliberately an *over-approximation* with three declared
 //! escape hatches (see DESIGN.md §13 for the soundness argument):
 //!
-//! * **Path calls** (`crate::tourutil::f(..)`, `greedy::chunked_map(..)`)
+//! * **Path calls** (`crate::tourutil::f(..)`, `uavdc_geom::cmp_f64(..)`)
 //!   resolve by suffix-matching the written qualifier against each
 //!   candidate's `[crate, modules…]` coordinate, after normalising
 //!   `crate`/`self`/`super`.

@@ -7,8 +7,8 @@
 //! through the no-op path execute the same arithmetic in the same order —
 //! plans and evaluation counts are bit-identical (property-tested in
 //! `uavdc-core`). The [`CollectingRecorder`] aggregates everything behind
-//! one mutex and is `Sync`, so the `chunked_*_with` scoped workers of the
-//! greedy engine can share it by reference.
+//! one mutex and is `Sync`, so threads planning separate requests can
+//! share it by reference.
 //!
 //! Time never enters the recorder implicitly: span durations come from a
 //! [`Clock`] injected at construction. Production uses [`MonotonicClock`]
@@ -448,8 +448,8 @@ struct Inner {
 }
 
 /// Thread-safe collecting recorder: one mutex guards the whole state, so
-/// it can be shared by reference across the `chunked_*_with` scoped
-/// workers. Span durations come from the injected [`Clock`].
+/// it can be shared by reference across threads planning separate
+/// requests. Span durations come from the injected [`Clock`].
 pub struct CollectingRecorder {
     clock: Box<dyn Clock>,
     inner: Mutex<Inner>,

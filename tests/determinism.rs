@@ -1,6 +1,7 @@
 //! Reproducibility: everything in the pipeline is seeded, so identical
 //! inputs must give bitwise-identical outputs across runs.
 
+use std::sync::Barrier;
 use uavdc::prelude::*;
 
 fn plan_volume(planner: &dyn Planner, seed: u64) -> (usize, f64, f64) {
@@ -37,23 +38,38 @@ fn different_seeds_give_different_instances() {
 }
 
 #[test]
-fn parallel_candidate_evaluation_is_deterministic() {
-    // Alg2/Alg3 evaluate candidates on threads; the tie-breaking reduce
-    // must make the result independent of scheduling.
+fn concurrent_requests_match_serial_plans() {
+    // Planners are serial; threads run only between requests. Planning
+    // one scenario on four threads at once (released together by a
+    // barrier) must hand every thread the serial plan, so no planner
+    // shares mutable state across calls.
     let params = ScenarioParams::default().scaled(0.1);
     let scenario = uniform(&params, 9);
-    let serial = Alg2Planner::new(Alg2Config {
-        parallel_threshold: usize::MAX,
-        ..Alg2Config::default()
-    })
-    .plan(&scenario);
-    for _ in 0..3 {
-        let parallel = Alg2Planner::new(Alg2Config {
-            parallel_threshold: 1,
-            ..Alg2Config::default()
-        })
-        .plan(&scenario);
-        assert_eq!(serial, parallel, "thread scheduling leaked into the result");
+    let planners: Vec<Box<dyn Planner + Sync>> = vec![
+        Box::new(Alg2Planner::default()),
+        Box::new(Alg3Planner::with_k(2)),
+        Box::new(BenchmarkPlanner),
+    ];
+    for planner in &planners {
+        let serial = planner.plan(&scenario);
+        let start = Barrier::new(4);
+        let concurrent: Vec<CollectionPlan> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        planner.plan(&scenario)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("planning thread panicked"))
+                .collect()
+        });
+        for plan in &concurrent {
+            assert_eq!(plan, &serial, "{}: concurrent plan differs", planner.name());
+        }
     }
 }
 
