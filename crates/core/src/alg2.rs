@@ -43,6 +43,7 @@ use crate::plan::{CollectionPlan, HoverStop};
 use crate::tourutil::{cheapest_insertion_point, closed_tour_length};
 use crate::Planner;
 use uavdc_geom::Point2;
+use uavdc_graph::improve::two_opt_by;
 use uavdc_graph::incremental::{IncrementalTour, RetourPolicy};
 use uavdc_net::units::Seconds;
 use uavdc_net::{DeviceId, Scenario};
@@ -202,7 +203,9 @@ impl<'a> GreedyState<'a> {
     /// Commits the chosen candidate under FastInsertion: collects its
     /// uncovered devices, splices it into the tour at
     /// `eval.insert_pos`, updates energies. Returns the device ids
-    /// drained by this stop (the lazy engine's dirty seed). Does **not**
+    /// drained by this stop (the lazy engine's dirty seed). Leaves
+    /// `tour_len` to the caller: the exhaustive engine recomputes it, the
+    /// lazy engine reads its [`IncrementalTour`] mirror. Does **not**
     /// deactivate other exhausted candidates — the exhaustive path sweeps
     /// with [`GreedyState::deactivate_exhausted`], the lazy path reaches
     /// the same candidates through the device index.
@@ -211,7 +214,6 @@ impl<'a> GreedyState<'a> {
         let drained = self.drain_devices(eval);
         self.tour_pts.insert(eval.insert_pos, cand.pos);
         self.stop_of.insert(eval.insert_pos, self.stops.len() - 1);
-        self.tour_len = closed_tour_length(&self.tour_pts);
         self.hover_energy_total += eval.sojourn * eta_h;
         self.active[eval.cand] = false;
         drained
@@ -288,25 +290,22 @@ impl<'a> GreedyState<'a> {
         }
     }
 
-    /// 2-opt compaction over (point, stop) pairs, reordering both in
-    /// lockstep; compaction only shortens the tour, so feasibility is
-    /// preserved. Returns whether the tour order actually changed (when
-    /// it did not, every cached insertion delta is still exact).
+    /// 2-opt compaction (the shared kernel at a 100-sweep cap) over the
+    /// tour points, reordering the points and their stops in lockstep;
+    /// compaction only shortens the tour, so feasibility is preserved.
+    /// Returns whether the tour order actually changed (when it did not,
+    /// every cached insertion delta is still exact).
     fn compact(&mut self) -> bool {
-        if self.tour_pts.len() < 4 {
+        let pts = &self.tour_pts;
+        let mut order: Vec<usize> = (0..pts.len()).collect();
+        let moves = two_opt_by(&mut order, |i, j| pts[i].distance(pts[j]), 100, |_, _| {}).moves;
+        if moves == 0 {
             return false;
         }
-        let paired: Vec<(Point2, usize)> = self
-            .tour_pts
-            .iter()
-            .copied()
-            .zip(self.stop_of.iter().copied())
-            .collect();
-        let (paired, changed) = two_opt_paired(paired);
-        self.tour_pts = paired.iter().map(|p| p.0).collect();
-        self.stop_of = paired.iter().map(|p| p.1).collect();
+        self.tour_pts = crate::tourutil::apply_order(&self.tour_pts, &order);
+        self.stop_of = crate::tourutil::apply_order(&self.stop_of, &order);
         self.tour_len = closed_tour_length(&self.tour_pts);
-        changed
+        true
     }
 
     fn into_plan(self) -> CollectionPlan {
@@ -320,39 +319,6 @@ impl<'a> GreedyState<'a> {
         }
         CollectionPlan { stops: ordered }
     }
-}
-
-/// 2-opt where each tour element carries a payload that must move with
-/// its point. Index 0 (depot) stays first. Also reports whether any
-/// improving swap was applied.
-fn two_opt_paired(mut paired: Vec<(Point2, usize)>) -> (Vec<(Point2, usize)>, bool) {
-    let n = paired.len();
-    if n < 4 {
-        return (paired, false);
-    }
-    let mut changed = false;
-    let mut improved = true;
-    let mut sweeps = 0;
-    while improved && sweeps < 100 {
-        improved = false;
-        sweeps += 1;
-        for i in 0..n - 1 {
-            for j in (i + 2)..n {
-                if i == 0 && j == n - 1 {
-                    continue;
-                }
-                let (a, b) = (paired[i].0, paired[i + 1].0);
-                let (c, d) = (paired[j].0, paired[(j + 1) % n].0);
-                let delta = a.distance(c) + b.distance(d) - a.distance(b) - c.distance(d);
-                if delta < -1e-10 {
-                    paired[i + 1..=j].reverse();
-                    improved = true;
-                    changed = true;
-                }
-            }
-        }
-    }
-    (paired, changed)
 }
 
 /// The exhaustive engines' ratio comparator (deterministic tie-break on
@@ -387,6 +353,7 @@ fn run_exhaustive(state: &mut GreedyState<'_>, eta_h: f64, counters: &mut EvalCo
             break;
         };
         state.commit(eval, eta_h);
+        state.tour_len = closed_tour_length(&state.tour_pts);
         counters.tour_patches += 1;
         state.deactivate_exhausted();
         since_compact += 1;
@@ -704,6 +671,13 @@ fn run_lazy(
         // lengths feed the repair distances below).
         let id = inc.append_point(bank.pos(winner));
         inc.insert_id_at(id, pos);
+        state.tour_len = inc.total_cost();
+        #[cfg(feature = "validate")]
+        debug_assert_eq!(
+            state.tour_len.to_bits(),
+            closed_tour_length(&state.tour_pts).to_bits(),
+            "the incremental mirror's length must equal the recomputed one"
+        );
         since_compact += 1;
 
         // Repair every active candidate's cached insertion delta in O(1)

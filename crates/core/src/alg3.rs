@@ -185,8 +185,10 @@ impl<'a> PartialState<'a> {
     /// Commits the chosen virtual location. Returns the volume collected,
     /// the drained device ids (the lazy engine's dirty seed), and the
     /// tour position the stop was inserted at (`None` when an existing
-    /// stop's sojourn was extended — the tour is untouched then). Does
-    /// **not** deactivate exhausted candidates; see
+    /// stop's sojourn was extended — the tour is untouched then). After an
+    /// insertion the caller refreshes `tour_len`: the exhaustive engine
+    /// recomputes it, the lazy engine reads its [`IncrementalTour`]
+    /// mirror. Does **not** deactivate exhausted candidates; see
     /// [`PartialState::deactivate_exhausted`].
     fn commit(&mut self, eval: VirtualEval, eta_h: f64) -> (f64, Vec<u32>, Option<usize>) {
         let b = self.scenario.radio.bandwidth.value();
@@ -222,7 +224,6 @@ impl<'a> PartialState<'a> {
             self.stop_of_candidate[eval.cand] = idx;
             self.tour_pts.insert(eval.insert_pos, pos);
             self.stop_of.insert(eval.insert_pos, idx);
-            self.tour_len = closed_tour_length(&self.tour_pts);
             inserted_at = Some(eval.insert_pos);
         }
         self.hover_energy_total += eval.tau * eta_h;
@@ -350,7 +351,10 @@ fn run_exhaustive(
         counters.evaluations += state.candidates.len() as u64;
         match best_virtual(state, config.k) {
             Some(eval) => {
-                let (got, _, _) = state.commit(eval, eta_h);
+                let (got, _, inserted_at) = state.commit(eval, eta_h);
+                if inserted_at.is_some() {
+                    state.tour_len = closed_tour_length(&state.tour_pts);
+                }
                 state.deactivate_exhausted();
                 if got <= 1e-9 {
                     break;
@@ -492,8 +496,17 @@ fn run_lazy(
             insert_pos,
         };
         let (got, drained, inserted_at) = state.commit(eval, eta_h);
-        if inserted_at.is_some() {
+        if let Some(ins_pos) = inserted_at {
             rec.add("alg3.tour_insertions", 1);
+            let id = inc.append_point(bank.pos(winner));
+            inc.insert_id_at(id, ins_pos);
+            state.tour_len = inc.total_cost();
+            #[cfg(feature = "validate")]
+            debug_assert_eq!(
+                state.tour_len.to_bits(),
+                closed_tour_length(&state.tour_pts).to_bits(),
+                "the incremental mirror's length must equal the recomputed one"
+            );
         } else {
             rec.add("alg3.sojourn_extensions", 1);
         }
@@ -506,8 +519,6 @@ fn run_lazy(
         touched.clear();
         rescan.clear();
         if let Some(ins_pos) = inserted_at {
-            let id = inc.append_point(bank.pos(winner));
-            inc.insert_id_at(id, ins_pos);
             let st = &*state;
             bank.insert_point(
                 &inc,

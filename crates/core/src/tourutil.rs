@@ -55,39 +55,6 @@ pub fn removal_delta(pts: &[Point2], idx: usize) -> f64 {
     prev.distance(cur) + cur.distance(next) - prev.distance(next)
 }
 
-/// In-place 2-opt over a closed point tour, keeping index 0 (the depot)
-/// first. Returns the length saved.
-#[cfg_attr(not(test), allow(dead_code))] // used by tests and kept for extensions
-pub fn two_opt_points(pts: &mut [Point2]) -> f64 {
-    let n = pts.len();
-    if n < 4 {
-        return 0.0;
-    }
-    let mut saved = 0.0;
-    let mut improved = true;
-    let mut sweeps = 0;
-    while improved && sweeps < 100 {
-        improved = false;
-        sweeps += 1;
-        for i in 0..n - 1 {
-            for j in (i + 2)..n {
-                if i == 0 && j == n - 1 {
-                    continue;
-                }
-                let (a, b) = (pts[i], pts[i + 1]);
-                let (c, d) = (pts[j], pts[(j + 1) % n]);
-                let delta = a.distance(c) + b.distance(d) - a.distance(b) - c.distance(d);
-                if delta < -1e-10 {
-                    pts[i + 1..=j].reverse();
-                    saved -= delta;
-                    improved = true;
-                }
-            }
-        }
-    }
-    saved
-}
-
 /// Re-orders a closed point tour with Christofides (plus 2-opt polish) and
 /// returns the permutation applied: `perm[k]` is the old index of the
 /// point now at position `k`. The depot (old index 0) stays at position 0.
@@ -159,22 +126,6 @@ mod tests {
     fn removal_delta_on_tiny_tours() {
         let two = vec![Point2::ORIGIN, Point2::new(5.0, 0.0)];
         assert_eq!(removal_delta(&two, 1), 10.0);
-    }
-
-    #[test]
-    fn two_opt_untangles() {
-        let mut pts = vec![
-            Point2::new(0.0, 0.0),
-            Point2::new(10.0, 10.0),
-            Point2::new(10.0, 0.0),
-            Point2::new(0.0, 10.0),
-        ];
-        let before = closed_tour_length(&pts);
-        let saved = two_opt_points(&mut pts);
-        assert!(saved > 0.0);
-        assert!((closed_tour_length(&pts) - (before - saved)).abs() < 1e-9);
-        assert_eq!(pts[0], Point2::new(0.0, 0.0), "depot must stay first");
-        assert!((closed_tour_length(&pts) - 40.0).abs() < 1e-9);
     }
 
     #[test]

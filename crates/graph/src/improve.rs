@@ -1,4 +1,10 @@
 //! Local-search tour improvement: 2-opt and Or-opt.
+//!
+//! [`two_opt_by`] is the workspace's one 2-opt kernel; every 2-opt is a
+//! call to it (DESIGN.md §15, "The 2-opt kernel"). It makes the same
+//! moves as a full first-improvement scan of all pairs, but from
+//! [`NEIGHBOUR_SCAN_MIN`] vertices on it visits only the pairs that pass
+//! a necessary test for an improving move.
 
 use crate::{DistMatrix, Tour};
 
@@ -6,33 +12,109 @@ use crate::{DistMatrix, Tour};
 /// converges long before this on the instance sizes this crate targets.
 const MAX_SWEEPS: usize = 200;
 
+/// Tour size from which [`two_opt_by`] runs the neighbour-list scan
+/// instead of the full pair scan: the measured cross-over (table in
+/// DESIGN.md §15, "The 2-opt kernel"). Below it the lists cost more to
+/// build than the skipped pairs save.
+pub const NEIGHBOUR_SCAN_MIN: usize = 240;
+
+/// Relative slack of the neighbour scan's skip tests, `1 + 16u` with
+/// u = 2⁻⁵³: a pair is skipped only when `d(a,c) ≥ fl(d(a,b)·SLACK)` and
+/// `d(b,d) ≥ fl(d(c,d)·SLACK)`. The rounding error of the delta
+/// expression needs about `1 + 6u`, so a skipped pair always evaluates
+/// to `delta ≥ 0` (proof in DESIGN.md §15, "The 2-opt kernel").
+const SLACK: f64 = 1.0 + 8.0 * f64::EPSILON;
+
+/// The 2-opt improvement threshold shared by every caller.
+const IMPROVES: f64 = -1e-10;
+
+/// What one [`two_opt_by`] run did.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct TwoOpt {
+    /// Sum of `-delta` over the applied moves.
+    pub saved: f64,
+    /// Number of segment reversals applied.
+    pub moves: usize,
+}
+
 /// 2-opt: repeatedly reverse tour segments while that shortens the tour.
 /// Returns the total length reduction achieved.
 pub fn two_opt(tour: &mut Tour, m: &DistMatrix) -> f64 {
-    let n = tour.len();
-    if n < 4 {
-        return 0.0;
+    two_opt_by(tour.order_mut(), |u, v| m.get(u, v), MAX_SWEEPS, |_, _| {}).saved
+}
+
+/// First-improvement 2-opt over the closed tour `order`, the one kernel
+/// behind every 2-opt in the workspace.
+///
+/// Each sweep visits the pairs `(i, j)`, `i + 2 ≤ j < n`, in ascending
+/// order, skipping the pair that shares the closing edge (`i = 0, j =
+/// n − 1`, so `order[0]` never moves). With `a, b = order[i], order[i+1]`
+/// and `c, d = order[j], order[j+1 mod n]`, it reverses `order[i+1..=j]`
+/// as soon as `cost(a,c) + cost(b,d) − cost(a,b) − cost(c,d) < −1e-10`,
+/// calls `on_reverse(i + 1, j)` and continues at `j + 1`. Sweeps repeat
+/// until one applies no move or `max_sweeps` have run.
+///
+/// `order` must hold distinct vertices, and `cost` must be symmetric bit
+/// for bit and return finite non-negative weights. From [`NEIGHBOUR_SCAN_MIN`] vertices on, the kernel evaluates
+/// only the pairs with `cost(a,c) < cost(a,b)` or `cost(b,d) < cost(c,d)`
+/// (up to a rounding slack); every other pair provably fails the
+/// threshold, so the moves, the final order and the saved sum are those
+/// of the full scan bit for bit.
+pub fn two_opt_by<C, R>(
+    order: &mut [usize],
+    cost: C,
+    max_sweeps: usize,
+    mut on_reverse: R,
+) -> TwoOpt
+where
+    C: Fn(usize, usize) -> f64,
+    R: FnMut(usize, usize),
+{
+    if order.len() < NEIGHBOUR_SCAN_MIN {
+        two_opt_full(order, cost, max_sweeps, &mut on_reverse)
+    } else {
+        two_opt_neighbours(order, cost, max_sweeps, &mut on_reverse)
     }
-    let mut saved = 0.0;
-    for _ in 0..MAX_SWEEPS {
+}
+
+/// The full O(n²)-per-sweep scan of [`two_opt_by`], whatever the tour
+/// size. Public so the oracle suite can pin it at every size.
+#[doc(hidden)]
+pub fn two_opt_full<C, R>(
+    order: &mut [usize],
+    cost: C,
+    max_sweeps: usize,
+    on_reverse: &mut R,
+) -> TwoOpt
+where
+    C: Fn(usize, usize) -> f64,
+    R: FnMut(usize, usize),
+{
+    let n = order.len();
+    let mut out = TwoOpt::default();
+    if n < 4 {
+        return out;
+    }
+    for _ in 0..max_sweeps {
         let mut improved = false;
         for i in 0..n - 1 {
-            for j in (i + 2)..n {
-                // Reversing order[i+1..=j] replaces edges (i, i+1) and
-                // (j, j+1) with (i, j) and (i+1, j+1).
-                if i == 0 && j == n - 1 {
-                    continue; // same edge pair, no-op
-                }
-                let order = tour.order();
-                let a = order[i];
-                let b = order[i + 1];
+            // j = n - 1 with i = 0 shares the closing edge: a no-op.
+            let jmax = if i == 0 { n - 2 } else { n - 1 };
+            let a = order[i];
+            let mut b = order[i + 1];
+            let mut ab = cost(a, b);
+            for j in (i + 2)..=jmax {
                 let c = order[j];
-                let d = order[(j + 1) % n];
-                let delta = m.get(a, c) + m.get(b, d) - m.get(a, b) - m.get(c, d);
-                if delta < -1e-10 {
-                    tour.order_mut()[i + 1..=j].reverse();
-                    saved -= delta;
+                let d = if j + 1 < n { order[j + 1] } else { order[0] };
+                let delta = cost(a, c) + cost(b, d) - ab - cost(c, d);
+                if delta < IMPROVES {
+                    order[i + 1..=j].reverse();
+                    on_reverse(i + 1, j);
+                    out.saved -= delta;
+                    out.moves += 1;
                     improved = true;
+                    b = order[i + 1];
+                    ab = cost(a, b);
                 }
             }
         }
@@ -40,7 +122,174 @@ pub fn two_opt(tour: &mut Tour, m: &DistMatrix) -> f64 {
             break;
         }
     }
-    saved
+    out
+}
+
+/// The neighbour-list scan of [`two_opt_by`], whatever the tour size.
+/// Public so the oracle suite can pin it at every size.
+///
+/// Vertices are renamed to local indices (the ranks of their ids). Each
+/// vertex `x` keeps a radius `r[x]` no shorter than either of its current
+/// tour edges and a ball list of the `y` with `d(x,y) < fl(r[x]·SLACK)`;
+/// the inverse list of `y` holds the `x` whose ball contains `y`. For the
+/// outer vertex `a` and its successor `b`, the candidates `j` are
+/// * `pos[c]` for `c` in `a`'s ball with `d(a,c) < fl(d(a,b)·SLACK)`;
+/// * `pos[d] − 1` for `d` in `b`'s inverse list with
+///   `d(b,d) < fl(pred[d]·SLACK)`, where `pred[d]` is the tour edge into
+///   `d`.
+///
+/// They are visited in ascending order; after a reversal at `j` they are
+/// gathered afresh from `j + 1` with the new `b`. A reversal gives four
+/// vertices a new tour edge; a vertex whose new edge is longer than its
+/// radius gets the radius raised and its ball topped up from its row.
+#[doc(hidden)]
+pub fn two_opt_neighbours<C, R>(
+    order: &mut [usize],
+    cost: C,
+    max_sweeps: usize,
+    on_reverse: &mut R,
+) -> TwoOpt
+where
+    C: Fn(usize, usize) -> f64,
+    R: FnMut(usize, usize),
+{
+    let n = order.len();
+    let mut out = TwoOpt::default();
+    if n < 4 {
+        return out;
+    }
+    let mut ids = order.to_vec();
+    ids.sort_unstable();
+    let d = |x: usize, y: usize| cost(ids[x], ids[y]);
+    let mut tour: Vec<usize> = order
+        .iter()
+        .map(|v| ids.binary_search(v).unwrap_or_default())
+        .collect();
+    let mut pos = vec![0; n];
+    for (k, &x) in tour.iter().enumerate() {
+        pos[x] = k;
+    }
+    let mut pred = vec![0.0; n];
+    for k in 0..n {
+        pred[tour[k]] = d(tour[(k + n - 1) % n], tour[k]);
+    }
+    let radius = (0..n).map(|x| pred[x].max(pred[tour[(pos[x] + 1) % n]]));
+    let mut balls = Balls::new(radius.collect(), &d);
+    let mut cand: Vec<usize> = Vec::new();
+    for _ in 0..max_sweeps {
+        let mut improved = false;
+        for i in 0..n - 1 {
+            let jmax = if i == 0 { n - 2 } else { n - 1 };
+            let mut start = i + 2;
+            while start <= jmax {
+                let (a, b) = (tour[i], tour[i + 1]);
+                let ab = pred[b];
+                cand.clear();
+                for &(c, w) in &balls.ball[a] {
+                    let j = pos[c];
+                    if w < ab * SLACK && j >= start && j <= jmax {
+                        cand.push(j);
+                    }
+                }
+                for &(v, w) in &balls.inv[b] {
+                    let j = (pos[v] + n - 1) % n;
+                    if w < pred[v] * SLACK && j >= start && j <= jmax {
+                        cand.push(j);
+                    }
+                }
+                cand.sort_unstable();
+                cand.dedup();
+                // pred[b] and pred[dd] are d(a, b) and d(c, dd), bit for bit.
+                let found = cand.iter().find_map(|&j| {
+                    let (c, dd) = (tour[j], tour[(j + 1) % n]);
+                    let delta = d(a, c) + d(b, dd) - ab - pred[dd];
+                    (delta < IMPROVES).then_some((j, delta))
+                });
+                let Some((j, delta)) = found else {
+                    break;
+                };
+                tour[i + 1..=j].reverse();
+                order[i + 1..=j].reverse();
+                on_reverse(i + 1, j);
+                out.saved -= delta;
+                out.moves += 1;
+                improved = true;
+                for k in i + 1..=j + 1 {
+                    let x = tour[k % n];
+                    pos[x] = k % n;
+                    pred[x] = d(tour[k - 1], x);
+                }
+                let (c, dd) = (tour[i + 1], tour[(j + 1) % n]);
+                for (x, edge) in [(a, pred[c]), (c, pred[c]), (b, pred[dd]), (dd, pred[dd])] {
+                    balls.cover(x, edge, &d);
+                }
+                start = j + 1;
+            }
+        }
+        if !improved {
+            break;
+        }
+    }
+    out
+}
+
+/// The neighbour scan's ball lists and their inverses.
+struct Balls {
+    radius: Vec<f64>,
+    /// `ball[x]`: the `(y, d(x,y))` with `d(x,y) < fl(radius[x]·SLACK)`.
+    ball: Vec<Vec<(usize, f64)>>,
+    /// `inv[y]`: the `(x, d(x,y))` with `y` in `ball[x]`.
+    inv: Vec<Vec<(usize, f64)>>,
+}
+
+impl Balls {
+    /// Builds every ball from one pass over the upper triangle.
+    fn new(radius: Vec<f64>, d: &impl Fn(usize, usize) -> f64) -> Balls {
+        let n = radius.len();
+        let lim: Vec<f64> = radius.iter().map(|&r| r * SLACK).collect();
+        let mut balls = Balls {
+            radius,
+            ball: vec![Vec::new(); n],
+            inv: vec![Vec::new(); n],
+        };
+        for x in 0..n {
+            let lim_x = lim[x];
+            for (y, &lim_y) in lim.iter().enumerate().skip(x + 1) {
+                let w = d(x, y);
+                if w < lim_x.max(lim_y) {
+                    if w < lim_x {
+                        balls.link(x, y, w);
+                    }
+                    if w < lim_y {
+                        balls.link(y, x, w);
+                    }
+                }
+            }
+        }
+        balls
+    }
+
+    fn link(&mut self, x: usize, y: usize, w: f64) {
+        self.ball[x].push((y, w));
+        self.inv[y].push((x, w));
+    }
+
+    /// Raises `radius[x]` to a new tour edge of `x` when the edge is
+    /// longer, adding the vertices between the old and new limits.
+    fn cover(&mut self, x: usize, edge: f64, d: &impl Fn(usize, usize) -> f64) {
+        if edge <= self.radius[x] {
+            return;
+        }
+        let old = self.radius[x] * SLACK;
+        self.radius[x] = edge;
+        let lim = edge * SLACK;
+        for y in 0..self.radius.len() {
+            let w = d(x, y);
+            if y != x && w >= old && w < lim {
+                self.link(x, y, w);
+            }
+        }
+    }
 }
 
 /// Or-opt: relocate segments of 1–3 consecutive vertices to a better

@@ -48,7 +48,7 @@ use std::collections::BTreeMap;
 
 use crate::christofides::{christofides_with_obs, ChristofidesConfig};
 use crate::euler::{euler_circuit, shortcut_circuit};
-use crate::improve::{or_opt, two_opt};
+use crate::improve::{or_opt, two_opt, two_opt_by};
 use crate::matching::min_weight_perfect_matching_with;
 use crate::mst::{odd_degree_vertices, prim_mst};
 use crate::{DistMatrix, Tour};
@@ -173,11 +173,7 @@ impl IncrementalTour {
     /// Bit-identical to recomputing `Point2::distance` on their
     /// coordinates: the cache stores exactly that value.
     pub fn cost(&self, i: usize, j: usize) -> f64 {
-        if i == j {
-            return 0.0;
-        }
-        let (hi, lo) = if i > j { (i, j) } else { (j, i) };
-        self.dist[hi * (hi - 1) / 2 + lo]
+        tri_cost(&self.dist, i, j)
     }
 
     /// Length of the current closed tour: the left-to-right sum of the
@@ -287,43 +283,22 @@ impl IncrementalTour {
         self.record_patch()
     }
 
-    /// 2-opt compaction over the cached matrix: same sweep schedule,
-    /// improvement threshold (`delta < -1e-10`), 100-sweep cap and
-    /// depot-anchored edge skip as the planners' paired 2-opt, with every
+    /// 2-opt compaction over the cached matrix: the shared kernel
+    /// ([`two_opt_by`]) at the planners' 100-sweep cap, with every
     /// distance read from the cache. Returns `Some(perm)` — `perm[k]` is
     /// the previous position of the stop now at `k` — when the tour
     /// changed (counted as one patch), `None` otherwise.
     pub fn two_opt_compact(&mut self) -> Option<Vec<usize>> {
-        let n = self.order.len();
-        if n < 4 {
-            return None;
-        }
-        let mut perm: Vec<usize> = (0..n).collect();
-        let mut changed = false;
-        let mut improved = true;
-        let mut sweeps = 0;
-        while improved && sweeps < 100 {
-            improved = false;
-            sweeps += 1;
-            for i in 0..n - 1 {
-                for j in (i + 2)..n {
-                    if i == 0 && j == n - 1 {
-                        continue;
-                    }
-                    let (a, b) = (self.order[i], self.order[i + 1]);
-                    let (c, d) = (self.order[j], self.order[(j + 1) % n]);
-                    let delta =
-                        self.cost(a, c) + self.cost(b, d) - self.cost(a, b) - self.cost(c, d);
-                    if delta < -1e-10 {
-                        self.order[i + 1..=j].reverse();
-                        perm[i + 1..=j].reverse();
-                        improved = true;
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !changed {
+        let mut perm: Vec<usize> = (0..self.order.len()).collect();
+        let dist = &self.dist;
+        let moves = two_opt_by(
+            &mut self.order,
+            |i, j| tri_cost(dist, i, j),
+            100,
+            |lo, hi| perm[lo..=hi].reverse(),
+        )
+        .moves;
+        if moves == 0 {
             return None;
         }
         self.rebuild_edges();
@@ -468,6 +443,16 @@ impl IncrementalTour {
             }
         }
     }
+}
+
+/// Entry `(i, j)` of a lower-triangular distance store (0 when `i == j`);
+/// symmetric by construction.
+fn tri_cost(dist: &[f64], i: usize, j: usize) -> f64 {
+    if i == j {
+        return 0.0;
+    }
+    let (hi, lo) = if i > j { (i, j) } else { (j, i) };
+    dist[hi * (hi - 1) / 2 + lo]
 }
 
 /// Christofides order (depot-rotated position permutation) over `m`,
@@ -801,52 +786,24 @@ mod tests {
     }
 
     #[test]
-    fn two_opt_compact_matches_paired_reference() {
-        // Reference: the planners' paired 2-opt over (point, tag) pairs.
-        fn two_opt_paired(mut paired: Vec<(Point2, usize)>) -> (Vec<(Point2, usize)>, bool) {
-            let n = paired.len();
-            if n < 4 {
-                return (paired, false);
-            }
-            let mut changed = false;
-            let mut improved = true;
-            let mut sweeps = 0;
-            while improved && sweeps < 100 {
-                improved = false;
-                sweeps += 1;
-                for i in 0..n - 1 {
-                    for j in (i + 2)..n {
-                        if i == 0 && j == n - 1 {
-                            continue;
-                        }
-                        let (a, b) = (paired[i].0, paired[i + 1].0);
-                        let (c, d) = (paired[j].0, paired[(j + 1) % n].0);
-                        let delta = a.distance(c) + b.distance(d) - a.distance(b) - c.distance(d);
-                        if delta < -1e-10 {
-                            paired[i + 1..=j].reverse();
-                            improved = true;
-                            changed = true;
-                        }
-                    }
-                }
-            }
-            (paired, changed)
-        }
-
+    fn two_opt_compact_is_the_kernel_on_point_distances() {
         let mut t = IncrementalTour::new((50.0, 50.0), RetourPolicy::PatchOnly);
         for p in seeded_points(20, 61, 3) {
             t.insert(p);
         }
-        let before: Vec<(Point2, usize)> = pts_of(&t)
-            .into_iter()
-            .zip(t.order().iter().copied())
-            .collect();
-        let (want, want_changed) = two_opt_paired(before);
+        let before = t.order().to_vec();
+        let pts = pts_of(&t);
+        let mut want: Vec<usize> = (0..pts.len()).collect();
+        let moves = two_opt_by(&mut want, |i, j| pts[i].distance(pts[j]), 100, |_, _| {}).moves;
+        assert!(moves > 0, "the seeded tour should need compaction");
         let got_perm = t.two_opt_compact();
-        assert_eq!(got_perm.is_some(), want_changed);
-        let got: Vec<usize> = t.order().to_vec();
-        let want_ids: Vec<usize> = want.iter().map(|e| e.1).collect();
-        assert_eq!(got, want_ids, "2-opt result order diverged");
+        assert_eq!(got_perm.as_deref(), Some(want.as_slice()));
+        let want_ids: Vec<usize> = want.iter().map(|&k| before[k]).collect();
+        assert_eq!(
+            t.order(),
+            want_ids.as_slice(),
+            "2-opt result order diverged"
+        );
         assert_eq!(
             t.total_cost().to_bits(),
             closed_len(&pts_of(&t)).to_bits(),

@@ -52,14 +52,6 @@ pub(super) struct Attempt {
 /// Solves the matching on a sparse edge set and certifies it; see the
 /// module docs. `m.len()` must be even and positive.
 pub(super) fn certified_matching(m: &DistMatrix) -> Attempt {
-    if !exactly_symmetric(m) {
-        // The dense solver reads both triangles; only a symmetric input
-        // has one well-defined optimum to certify.
-        return Attempt {
-            mates: None,
-            repairs: 0,
-        };
-    }
     let w = Weights::new(m);
     let mut pairs = knn_pairs(m, K);
     let mut repairs = 0;
@@ -151,21 +143,6 @@ fn knn_pairs(m: &DistMatrix, k: usize) -> Vec<(usize, usize)> {
     pairs.sort_unstable();
     pairs.dedup();
     pairs
-}
-
-/// Is `m` bit-for-bit symmetric? Compared in square tiles so both
-/// triangles are read cache-friendly.
-fn exactly_symmetric(m: &DistMatrix) -> bool {
-    const TILE: usize = 32;
-    let n = m.len();
-    (0..n).step_by(TILE).all(|i0| {
-        (i0..n).step_by(TILE).all(|j0| {
-            (i0..(i0 + TILE).min(n)).all(|i| {
-                (j0.max(i + 1)..(j0 + TILE).min(n))
-                    .all(|j| m.get(i, j).to_bits() == m.get(j, i).to_bits())
-            })
-        })
-    })
 }
 
 /// Final duals of a solve, in the solver's units.

@@ -6,6 +6,13 @@
 /// energies or metres depending on the caller; algorithms only assume
 /// symmetry and non-negativity (Christofides additionally wants the
 /// triangle inequality — check with [`DistMatrix::is_metric`]).
+///
+/// **Invariant: `get(i, j)` and `get(j, i)` are the same bits.** Every
+/// constructor and [`DistMatrix::set`] keeps it: `from_fn` and `set`
+/// write both mirrors, and `from_raw` rejects a buffer whose triangles
+/// differ in any bit. Readers rely on it: the 2-opt kernel's inverse
+/// neighbour lists test `d(y, x)` with a weight read as `d(x, y)`, and
+/// the sparse matching certifies against one well-defined optimum.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DistMatrix {
     n: usize,
@@ -46,8 +53,8 @@ impl DistMatrix {
     /// Wraps an existing row-major `n x n` buffer.
     ///
     /// # Panics
-    /// Panics when the buffer length is not `n²`, the matrix is not
-    /// symmetric, the diagonal is non-zero, or any weight is negative or
+    /// Panics when the buffer length is not `n²`, the two triangles differ
+    /// in any bit, the diagonal is non-zero, or any weight is negative or
     /// non-finite.
     pub fn from_raw(n: usize, data: Vec<f64>) -> Self {
         assert_eq!(data.len(), n * n, "buffer must hold n*n weights");
@@ -60,8 +67,9 @@ impl DistMatrix {
             for j in (i + 1)..n {
                 let w = data[i * n + j];
                 assert!(w.is_finite() && w >= 0.0, "weight ({i},{j}) invalid: {w}");
-                assert!(
-                    (w - data[j * n + i]).abs() < 1e-12 * (1.0 + w.abs()),
+                assert_eq!(
+                    w.to_bits(),
+                    data[j * n + i].to_bits(),
                     "matrix not symmetric at ({i},{j})"
                 );
             }
@@ -187,6 +195,12 @@ mod tests {
     #[should_panic(expected = "not symmetric")]
     fn from_raw_rejects_asymmetry() {
         let _ = DistMatrix::from_raw(2, vec![0.0, 3.0, 4.0, 0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not symmetric")]
+    fn from_raw_rejects_one_ulp_asymmetry() {
+        let _ = DistMatrix::from_raw(2, vec![0.0, 3.0, f64::from_bits(3.0f64.to_bits() + 1), 0.0]);
     }
 
     #[test]

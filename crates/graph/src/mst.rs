@@ -15,6 +15,11 @@ pub struct SpanningTree {
 /// using Prim's algorithm with a dense O(n²) scan — optimal for the
 /// complete graphs this crate works on.
 ///
+/// The fringe (vertices outside the tree) is kept as arrays in ascending
+/// vertex order. Each round makes one pass over it: it drops the winner
+/// in place, lowers the keys through the winner's row, and picks the next
+/// winner as the first strict minimum, so ties go to the lowest vertex.
+///
 /// Returns an empty tree for `n <= 1`.
 pub fn prim_mst(m: &DistMatrix) -> SpanningTree {
     let n = m.len();
@@ -24,43 +29,61 @@ pub fn prim_mst(m: &DistMatrix) -> SpanningTree {
             weight: 0.0,
         };
     }
-    let mut in_tree = vec![false; n];
-    let mut best_cost = vec![f64::INFINITY; n];
-    let mut best_edge = vec![usize::MAX; n];
-    in_tree[0] = true;
-    for v in 1..n {
-        best_cost[v] = m.get(0, v);
-        best_edge[v] = 0;
-    }
+    // Fringe vertices with their keys (cheapest edge into the tree), in
+    // parallel arrays; `from[v]` is the tree end of `v`'s key edge.
+    let mut fringe: Vec<usize> = (1..n).collect();
+    let mut key: Vec<f64> = m.row(0)[1..].to_vec();
+    let mut from: Vec<usize> = vec![0; n];
+    let mut best = argmin(&key);
     let mut edges = Vec::with_capacity(n - 1);
     let mut weight = 0.0;
-    for _ in 1..n {
-        // Cheapest fringe vertex.
-        let mut u = usize::MAX;
-        let mut uc = f64::INFINITY;
-        for v in 0..n {
-            if !in_tree[v] && best_cost[v] < uc {
-                uc = best_cost[v];
-                u = v;
-            }
-        }
-        debug_assert_ne!(
-            u,
-            usize::MAX,
-            "graph is complete; a fringe vertex must exist"
-        );
-        in_tree[u] = true;
-        edges.push((best_edge[u], u));
-        weight += uc;
+    while !fringe.is_empty() {
+        let u = fringe[best];
+        edges.push((from[u], u));
+        weight += key[best];
         let row = m.row(u);
-        for v in 0..n {
-            if !in_tree[v] && row[v] < best_cost[v] {
-                best_cost[v] = row[v];
-                best_edge[v] = u;
+        let len = fringe.len();
+        let mut next = 0;
+        let mut next_key = f64::INFINITY;
+        // Fringe slot k moves to slot w (k, or k - 1 past the winner).
+        let mut relax = |k: usize, w: usize| {
+            let v = fringe[k];
+            let mut kv = key[k];
+            if row[v] < kv {
+                kv = row[v];
+                from[v] = u;
             }
+            fringe[w] = v;
+            key[w] = kv;
+            if kv < next_key {
+                next_key = kv;
+                next = w;
+            }
+        };
+        for k in 0..best {
+            relax(k, k);
         }
+        for k in best + 1..len {
+            relax(k, k - 1);
+        }
+        fringe.truncate(len - 1);
+        key.truncate(len - 1);
+        best = next;
     }
     SpanningTree { edges, weight }
+}
+
+/// Index of the first strict minimum of `key`.
+fn argmin(key: &[f64]) -> usize {
+    let mut best = 0;
+    let mut best_key = f64::INFINITY;
+    for (k, &kv) in key.iter().enumerate() {
+        if kv < best_key {
+            best_key = kv;
+            best = k;
+        }
+    }
+    best
 }
 
 /// Vertex degrees induced by an edge list over `n` vertices.

@@ -2,35 +2,14 @@
 
 use crate::insertion::Insertions;
 use crate::OrienteeringInstance;
+use uavdc_graph::improve::two_opt_by;
 
-/// 2-opt cost reduction on a tour of *global* vertex indices, in place.
-/// Prize is unaffected (the vertex set does not change); only the order —
-/// and thus cost — improves. Returns the new cost.
+/// 2-opt cost reduction on a tour of *global* vertex indices, in place
+/// (the shared kernel at a 100-sweep cap). Prize is unaffected (the
+/// vertex set does not change); only the order — and thus cost —
+/// improves. Returns the new cost.
 pub fn two_opt_cost(inst: &OrienteeringInstance, tour: &mut [usize]) -> f64 {
-    let n = tour.len();
-    if n >= 4 {
-        let mut improved = true;
-        let mut sweeps = 0;
-        while improved && sweeps < 100 {
-            improved = false;
-            sweeps += 1;
-            for i in 0..n - 1 {
-                for j in (i + 2)..n {
-                    if i == 0 && j == n - 1 {
-                        continue;
-                    }
-                    let (a, b) = (tour[i], tour[i + 1]);
-                    let (c, d) = (tour[j], tour[(j + 1) % n]);
-                    let delta =
-                        inst.dist(a, c) + inst.dist(b, d) - inst.dist(a, b) - inst.dist(c, d);
-                    if delta < -1e-10 {
-                        tour[i + 1..=j].reverse();
-                        improved = true;
-                    }
-                }
-            }
-        }
-    }
+    two_opt_by(tour, |u, v| inst.dist(u, v), 100, |_, _| {});
     inst.tour_cost(tour)
 }
 
