@@ -88,7 +88,7 @@ impl Alg1Planner {
             }
         };
         drop(cand_span);
-        rec.add("alg1.candidates", candidates.candidates.len() as u64);
+        rec.add("alg1.candidates", candidates.len() as u64);
         if candidates.is_empty() {
             return CollectionPlan::empty();
         }
@@ -108,10 +108,10 @@ impl Alg1Planner {
         let mut collected = vec![false; scenario.num_devices()];
         let mut stops = Vec::new();
         for &vertex in solution.tour.iter().skip(1) {
-            let cand = &candidates.candidates[vertex - 1];
+            let cand = candidates.get(vertex - 1);
             let mut stop_collect = Vec::new();
             let mut sojourn = Seconds::ZERO;
-            for &v in &cand.covered {
+            for &v in cand.covered {
                 if !collected[v as usize] {
                     collected[v as usize] = true;
                     let data = scenario.devices[v as usize].data;

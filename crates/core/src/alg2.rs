@@ -36,8 +36,7 @@
 
 use crate::candidates::CandidateSet;
 use crate::greedy::{
-    self, DeviceIndex, DistanceBank, EngineMode, EvalCounters, Fixup, InsertionCache, LazyHeap,
-    PlanStats, Probe,
+    self, DistanceBank, EngineMode, EvalCounters, Fixup, InsertionCache, LazyHeap, PlanStats, Probe,
 };
 use crate::plan::{CollectionPlan, HoverStop};
 use crate::tourutil::{cheapest_insertion_point, closed_tour_length};
@@ -159,7 +158,7 @@ impl<'a> GreedyState<'a> {
         let b = self.scenario.radio.bandwidth.value();
         let mut vol = 0.0f64;
         let mut t = 0.0f64;
-        for &v in &self.candidates.candidates[cand].covered {
+        for &v in self.candidates.covered(cand) {
             if !self.collected[v as usize] {
                 let d = self.scenario.devices[v as usize].data.value();
                 vol += d;
@@ -186,7 +185,7 @@ impl<'a> GreedyState<'a> {
             return None;
         }
         let (delta_len, pos) =
-            cheapest_insertion_point(&self.tour_pts, self.candidates.candidates[cand].pos);
+            cheapest_insertion_point(&self.tour_pts, self.candidates.get(cand).pos);
         let extra = t * eta_h + delta_len * per_m;
         let total = self.hover_energy_total + t * eta_h + (self.tour_len + delta_len) * per_m;
         if total > capacity {
@@ -208,9 +207,9 @@ impl<'a> GreedyState<'a> {
     /// lazy engine reads its [`IncrementalTour`] mirror. Does **not**
     /// deactivate other exhausted candidates — the exhaustive path sweeps
     /// with [`GreedyState::deactivate_exhausted`], the lazy path reaches
-    /// the same candidates through the device index.
+    /// the same candidates through the set's transpose.
     fn commit(&mut self, eval: Evaluation, eta_h: f64) -> Vec<u32> {
-        let cand = &self.candidates.candidates[eval.cand];
+        let cand = self.candidates.get(eval.cand);
         let drained = self.drain_devices(eval);
         self.tour_pts.insert(eval.insert_pos, cand.pos);
         self.stop_of.insert(eval.insert_pos, self.stops.len() - 1);
@@ -233,7 +232,7 @@ impl<'a> GreedyState<'a> {
         eta_h: f64,
         rec: &dyn Recorder,
     ) -> Vec<u32> {
-        let cand = &self.candidates.candidates[eval.cand];
+        let cand = self.candidates.get(eval.cand);
         let drained = self.drain_devices(eval);
         self.tour_pts.push(cand.pos);
         self.stop_of.push(self.stops.len() - 1);
@@ -258,10 +257,10 @@ impl<'a> GreedyState<'a> {
     /// Shared commit prologue: collects the candidate's uncovered devices
     /// into a new [`HoverStop`] and returns the drained device ids.
     fn drain_devices(&mut self, eval: Evaluation) -> Vec<u32> {
-        let cand = &self.candidates.candidates[eval.cand];
+        let cand = self.candidates.get(eval.cand);
         let mut collected_here = Vec::new();
         let mut drained = Vec::new();
-        for &v in &cand.covered {
+        for &v in cand.covered {
             if !self.collected[v as usize] {
                 self.collected[v as usize] = true;
                 collected_here.push((DeviceId(v), self.scenario.devices[v as usize].data));
@@ -282,7 +281,7 @@ impl<'a> GreedyState<'a> {
     fn deactivate_exhausted(&mut self) {
         for i in 0..self.candidates.len() {
             if self.active[i] {
-                let covered = &self.candidates.candidates[i].covered;
+                let covered = self.candidates.covered(i);
                 if covered.iter().all(|&v| self.collected[v as usize]) {
                     self.active[i] = false;
                 }
@@ -406,7 +405,7 @@ fn run_paper(
             }
             rec.add("alg2.christofides_retours", 1);
             counters.full_retours += 1;
-            let cand_pos = state.candidates.candidates[c].pos;
+            let cand_pos = state.candidates.get(c).pos;
             let mut pts = state.tour_pts.clone();
             pts.push(cand_pos);
             let order = if config.speculative_cache {
@@ -434,7 +433,7 @@ fn run_paper(
         let Some((eval, order)) = best else {
             break;
         };
-        let cand_pos = state.candidates.candidates[eval.cand].pos;
+        let cand_pos = state.candidates.get(eval.cand).pos;
         state.commit_paper(eval, order.as_deref(), eta_h, rec);
         counters.tour_patches += 1;
         match order {
@@ -490,14 +489,11 @@ fn lazy_compact(state: &mut GreedyState<'_>, inc: &mut IncrementalTour) -> bool 
 /// Input-derived accelerator structures for the lazy engine, built during
 /// the setup phase alongside the candidate set (each is a pure function
 /// of the scenario and candidates, independent of the greedy loop's
-/// progress): the inverted device→candidate index, the flattened coverage
-/// CSR with volumes and hover times preresolved, and the candidate ×
-/// tour-point [`DistanceBank`] with its depot column (tour point id 0)
-/// filled.
+/// progress): the volume and hover time of every coverage entry,
+/// preresolved and indexed by [`CandidateSet::coverage_range`], and the
+/// candidate × tour-point [`DistanceBank`] with its depot column (tour
+/// point id 0) filled.
 struct LazyPre {
-    index: DeviceIndex,
-    cov_off: Vec<u32>,
-    cov_dev: Vec<u32>,
     cov_data: Vec<f64>,
     cov_rate: Vec<f64>,
     bank: DistanceBank,
@@ -505,35 +501,22 @@ struct LazyPre {
 
 impl LazyPre {
     fn build(candidates: &CandidateSet, scenario: &Scenario) -> Self {
-        let m = candidates.len();
         let bandwidth = scenario.radio.bandwidth.value();
-        let mut cov_off: Vec<u32> = Vec::with_capacity(m + 1);
-        cov_off.push(0);
-        let mut cov_dev: Vec<u32> = Vec::new();
-        let mut cov_data: Vec<f64> = Vec::new();
-        let mut cov_rate: Vec<f64> = Vec::new();
-        for c in &candidates.candidates {
-            for &v in &c.covered {
-                let d = scenario.devices[v as usize].data.value();
-                cov_dev.push(v);
-                cov_data.push(d);
-                cov_rate.push(d / bandwidth);
-            }
-            cov_off.push(cov_dev.len() as u32);
-        }
+        let cov_data: Vec<f64> = (0..candidates.len())
+            .flat_map(|c| candidates.covered(c))
+            .map(|&v| scenario.devices[v as usize].data.value())
+            .collect();
         LazyPre {
-            index: DeviceIndex::build(candidates, scenario.num_devices()),
-            cov_off,
-            cov_dev,
+            cov_rate: cov_data.iter().map(|d| d / bandwidth).collect(),
             cov_data,
-            cov_rate,
             bank: DistanceBank::new(candidates, scenario.depot),
         }
     }
 }
 
-/// Runs the lazy greedy loop: inverted-index dirty invalidation, exact
-/// insertion-cache repair, CELF-style heap selection. Produces the same
+/// Runs the lazy greedy loop: dirty invalidation through the set's
+/// device → candidate transpose, exact insertion-cache repair, CELF-style
+/// heap selection. Produces the same
 /// state evolution — same plans, same operation counts — as
 /// [`run_exhaustive`] (property-tested in `tests/lazy_equivalence.rs`;
 /// the identical-output argument is in DESIGN.md §8 and §15). The
@@ -542,8 +525,8 @@ impl LazyPre {
 /// is computed once (vectorised) and banked in [`LazyPre`]'s
 /// [`DistanceBank`], so per-commit cache repair, destroyed-argmin rescans
 /// and compaction rescans are pure table arithmetic with no repeated
-/// square roots; marginals run over a
-/// flattened coverage CSR, and compaction 2-opts the
+/// square roots; marginals run over the set's coverage CSR with
+/// preresolved volumes, and compaction 2-opts the
 /// [`IncrementalTour`]'s cached matrix instead of recomputing point
 /// distances.
 fn run_lazy(
@@ -556,33 +539,35 @@ fn run_lazy(
     let scenario = state.scenario;
     let capacity = scenario.uav.capacity.value();
     let per_m = scenario.uav.travel_energy_per_meter().value();
-    let m = state.candidates.len();
+    let candidates = state.candidates;
+    let m = candidates.len();
 
     // Split the prebuilt structures into disjoint field borrows: the
     // distance matrix is written inside loops that read the others.
     let LazyPre {
-        index,
-        cov_off,
-        cov_dev,
         cov_data,
         cov_rate,
         bank,
     } = pre;
 
-    // Branch-free twin of `GreedyState::marginal` over the prebuilt
-    // coverage CSR, bit-identical because the masked contributions are
-    // exact identities: volumes are non-negative and both accumulators
-    // start at +0.0, so `+= d·0.0` and `.max(rate·0.0)` leave them
-    // unchanged bit for bit.
+    // Branch-free twin of `GreedyState::marginal` over the set's coverage
+    // CSR, bit-identical because the masked contributions are exact
+    // identities: volumes are non-negative and both accumulators start at
+    // +0.0, so `+= d·0.0` and `.max(rate·0.0)` leave them unchanged bit
+    // for bit.
     let marginal_fast = |c: usize, collected: &[bool]| -> (f64, f64) {
-        let lo = cov_off[c] as usize;
-        let hi = cov_off[c + 1] as usize;
+        let range = candidates.coverage_range(c);
+        let entries = candidates
+            .covered(c)
+            .iter()
+            .zip(&cov_data[range.clone()])
+            .zip(&cov_rate[range]);
         let mut vol = 0.0f64;
         let mut t = 0.0f64;
-        for j in lo..hi {
-            let w = (!collected[cov_dev[j] as usize]) as u32 as f64;
-            vol += cov_data[j] * w;
-            t = t.max(cov_rate[j] * w);
+        for ((&v, &d), &rate) in entries {
+            let w = (!collected[v as usize]) as u32 as f64;
+            vol += d * w;
+            t = t.max(rate * w);
         }
         (vol, t)
     };
@@ -706,7 +691,13 @@ fn run_lazy(
         // drained device; fully-drained ones deactivate (the exhaustive
         // sweep would catch exactly these this iteration).
         epoch = epoch.wrapping_add(1);
-        index.dirty_candidates(drained.iter().copied(), &mut stamp, epoch, &mut dirty);
+        greedy::dirty_candidates(
+            candidates,
+            drained.iter().copied(),
+            &mut stamp,
+            epoch,
+            &mut dirty,
+        );
         rec.observe("alg2.dirty_batch", dirty.len() as u64);
         for &cu in &dirty {
             let c = cu as usize;

@@ -18,8 +18,7 @@
 
 use crate::candidates::CandidateSet;
 use crate::greedy::{
-    self, DeviceIndex, DistanceBank, EngineMode, EvalCounters, Fixup, InsertionCache, LazyHeap,
-    PlanStats, Probe,
+    self, DistanceBank, EngineMode, EvalCounters, Fixup, InsertionCache, LazyHeap, PlanStats, Probe,
 };
 use crate::plan::{CollectionPlan, HoverStop};
 use crate::tourutil::{cheapest_insertion_point, closed_tour_length};
@@ -136,7 +135,7 @@ impl<'a> PartialState<'a> {
             return None;
         }
         let b = self.scenario.radio.bandwidth.value();
-        let covered = &self.candidates.candidates[c].covered;
+        let covered = self.candidates.covered(c);
         // Full residual hover time t(s) (Eq. 1 on residual volumes).
         let mut t_full = 0.0f64;
         for &v in covered {
@@ -149,7 +148,7 @@ impl<'a> PartialState<'a> {
         let (delta_len, insert_pos) = if on_tour {
             (0.0, usize::MAX)
         } else {
-            cheapest_insertion_point(&self.tour_pts, self.candidates.candidates[c].pos)
+            cheapest_insertion_point(&self.tour_pts, self.candidates.get(c).pos)
         };
         let travel_extra = delta_len * per_m;
         let mut best: Option<VirtualEval> = None;
@@ -192,7 +191,7 @@ impl<'a> PartialState<'a> {
     /// [`PartialState::deactivate_exhausted`].
     fn commit(&mut self, eval: VirtualEval, eta_h: f64) -> (f64, Vec<u32>, Option<usize>) {
         let b = self.scenario.radio.bandwidth.value();
-        let covered = &self.candidates.candidates[eval.cand].covered;
+        let covered = self.candidates.covered(eval.cand);
         let mut entries = Vec::new();
         let mut drained = Vec::new();
         let mut collected_now = 0.0;
@@ -214,7 +213,7 @@ impl<'a> PartialState<'a> {
             stop.sojourn += Seconds(eval.tau);
             stop.collected.extend(entries);
         } else {
-            let pos = self.candidates.candidates[eval.cand].pos;
+            let pos = self.candidates.get(eval.cand).pos;
             self.stops.push(HoverStop {
                 pos,
                 sojourn: Seconds(eval.tau),
@@ -235,7 +234,7 @@ impl<'a> PartialState<'a> {
     fn deactivate_exhausted(&mut self) {
         for i in 0..self.candidates.len() {
             if self.active[i] {
-                let cov = &self.candidates.candidates[i].covered;
+                let cov = self.candidates.covered(i);
                 if cov.iter().all(|&v| self.residual[v as usize] <= 1e-9) {
                     self.active[i] = false;
                 }
@@ -246,8 +245,8 @@ impl<'a> PartialState<'a> {
     /// Whether candidate `c`'s covered devices are all exhausted (the
     /// per-candidate form of the deactivation sweep).
     fn is_exhausted(&self, c: usize) -> bool {
-        self.candidates.candidates[c]
-            .covered
+        self.candidates
+            .covered(c)
             .iter()
             .all(|&v| self.residual[v as usize] <= 1e-9)
     }
@@ -392,7 +391,6 @@ fn run_lazy(
     let m = state.candidates.len();
     let kp = config.k;
 
-    let index = DeviceIndex::build(state.candidates, scenario.num_devices());
     // Banked candidate → tour-point distances and the tour mirror whose
     // stable point ids index them (the tour only grows: no compaction).
     let mut bank = DistanceBank::new(state.candidates, scenario.depot);
@@ -412,7 +410,7 @@ fn run_lazy(
     // `vol` and returning `t_full`.
     let eval_marginal =
         |st: &PartialState<'_>, c: usize, taus: &mut [f64], vols: &mut [f64]| -> f64 {
-            let covered = &st.candidates.candidates[c].covered;
+            let covered = st.candidates.covered(c);
             let mut tf = 0.0f64;
             for &v in covered {
                 tf = tf.max(st.residual[v as usize] / b);
@@ -538,7 +536,13 @@ fn run_lazy(
 
         // Refresh marginals of candidates sharing a drained device.
         epoch = epoch.wrapping_add(1);
-        index.dirty_candidates(drained.iter().copied(), &mut stamp, epoch, &mut dirty);
+        greedy::dirty_candidates(
+            state.candidates,
+            drained.iter().copied(),
+            &mut stamp,
+            epoch,
+            &mut dirty,
+        );
         rec.observe("alg3.dirty_batch", dirty.len() as u64);
         for &c in &dirty {
             let c = c as usize;

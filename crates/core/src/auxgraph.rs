@@ -51,7 +51,7 @@ impl AuxGraph {
         hover_energy.push(Joules::ZERO);
         hover_time.push(Seconds::ZERO);
         let eta_h = scenario.uav.hover_power;
-        for c in &candidates.candidates {
+        for c in candidates.iter() {
             let t = c.hover_time(&volumes, scenario);
             positions.push(c.pos);
             // lint:allow(unit-unwrap): prizes feed the dimension-generic orienteering layer (megabytes)
@@ -147,7 +147,7 @@ mod tests {
         let s = scenario();
         let cs = CandidateSet::build(&s, 10.0);
         let g = AuxGraph::build(&s, &cs);
-        for (i, c) in cs.candidates.iter().enumerate() {
+        for (i, c) in cs.iter().enumerate() {
             let vol: f64 = c
                 .covered
                 .iter()

@@ -3,29 +3,38 @@
 //! Section IV of the paper partitions the monitoring region into squares
 //! of edge `δ` and lets the UAV hover only at square centres. A square is
 //! a useful candidate only when its centre covers at least one device.
-//! The set is built device by device: each device tests only the cells
-//! whose centre can lie within `R0` of it (about `π·R0²/δ²` of them), and
-//! the (cell, device) pairs are counting-sorted into per-cell lists that
-//! come out sorted, with no per-cell query or sort. Dominance pruning
-//! then keeps about 7% of the candidates on the paper instance at
-//! `δ = 10 m`.
+//!
+//! [`CandidateSet`] is the one owner of the coverage relation `C(s)`. It
+//! stores it as two flat CSR arrays: candidate → covered devices and the
+//! transpose, device → covering candidates, both ascending. The set is
+//! built device by device: each device tests only the cells whose centre
+//! can lie within `R0` of it (about `π·R0²/δ²` of them, in row-major
+//! order). A counting sort on the cell index turns the (cell, device)
+//! pairs into the candidate → device CSR, and the per-device cell runs,
+//! mapped to candidate indices, are already the transpose. Nothing is
+//! allocated per cell. Dominance pruning then keeps about 7% of the
+//! candidates on the paper instance at `δ = 10 m`.
+
+use std::ops::Range;
 
 use uavdc_geom::{GridSpec, Point2};
 use uavdc_net::units::{MegaBytes, Meters, Seconds};
 use uavdc_net::Scenario;
 
 /// A candidate hovering location: a grid-square centre plus the set of
-/// devices within coverage radius `R0` of it (the paper's `C(s_j)`).
-#[derive(Clone, Debug)]
-pub struct Candidate {
+/// devices within coverage radius `R0` of it (the paper's `C(s_j)`),
+/// borrowed from its [`CandidateSet`].
+#[derive(Clone, Copy, Debug)]
+pub struct Candidate<'a> {
     /// Projected hovering position (ground coordinates of the cell
     /// centre; the UAV actually hovers at altitude `H` above it).
     pub pos: Point2,
-    /// Indices into [`Scenario::devices`] of the covered devices, sorted.
-    pub covered: Vec<u32>,
+    /// Indices into [`Scenario::devices`] of the covered devices,
+    /// ascending.
+    pub covered: &'a [u32],
 }
 
-impl Candidate {
+impl Candidate<'_> {
     /// Full-collection hover duration `t(s) = max_{v∈C(s)} D_v / B`
     /// (paper Eq. 1/7) over the given residual volumes.
     pub fn hover_time(&self, residual: &[MegaBytes], scenario: &Scenario) -> Seconds {
@@ -43,15 +52,24 @@ impl Candidate {
     }
 }
 
-/// All candidate hovering locations for a scenario at a given `δ`.
+/// All candidate hovering locations for a scenario at a given `δ`, with
+/// their coverage relation in both directions.
 #[derive(Clone, Debug)]
 pub struct CandidateSet {
     /// Grid edge length `δ`, metres.
     pub delta: f64,
     /// Coverage radius `R0` used.
     pub coverage_radius: Meters,
-    /// Candidates with non-empty coverage, in grid row-major order.
-    pub candidates: Vec<Candidate>,
+    /// Candidate positions; built sets keep grid row-major order.
+    pos: Vec<Point2>,
+    /// Candidate `i` covers `cover[cover_start[i]..cover_start[i + 1]]`,
+    /// ascending.
+    cover_start: Vec<u32>,
+    cover: Vec<u32>,
+    /// Device `v` is covered by candidates
+    /// `inverse[inverse_start[v]..inverse_start[v + 1]]`, ascending.
+    inverse_start: Vec<u32>,
+    inverse: Vec<u32>,
 }
 
 impl CandidateSet {
@@ -61,13 +79,16 @@ impl CandidateSet {
     /// A device covers a cell when
     /// `device.distance_sq(cell_center) <= R0²`; devices outside the
     /// region still cover the cells within reach. Each device enumerates
-    /// its cells through [`GridSpec::cells_with_center_within`], and a
-    /// counting sort on the cell index groups the pairs in row-major
-    /// order with each cell's devices ascending.
+    /// its cells through [`GridSpec::cells_with_center_within`], in
+    /// ascending row-major order. A counting sort on the cell index
+    /// groups the pairs by cell with each cell's devices ascending, and
+    /// each device's run of cells, renumbered to candidate indices, is
+    /// its row of the transpose.
     ///
     /// # Panics
-    /// Panics when `delta` is non-positive or non-finite, or when a
-    /// device position is not finite.
+    /// Panics when `delta` is non-positive or non-finite, when a device
+    /// position is not finite, or when the grid has more than `u32::MAX`
+    /// cells.
     pub fn build(scenario: &Scenario, delta: f64) -> Self {
         assert!(
             delta.is_finite() && delta > 0.0,
@@ -76,11 +97,16 @@ impl CandidateSet {
         let r0 = scenario.coverage_radius();
         let grid = GridSpec::for_region(&scenario.region, delta);
         let num_cells = grid.num_cells();
+        assert!(
+            u32::try_from(num_cells).is_ok(),
+            "grid of {num_cells} cells is too large"
+        );
         // The cells each device covers, device by device (device `v`'s
-        // run ends at `device_end[v]`), and per-cell counts shifted by one
-        // for the prefix sum below.
-        let mut cells: Vec<usize> = Vec::new();
-        let mut device_end: Vec<usize> = Vec::with_capacity(scenario.num_devices());
+        // run is `cells[inverse_start[v]..inverse_start[v + 1]]`), and
+        // per-cell counts shifted by one for the prefix sum below.
+        let mut cells: Vec<u32> = Vec::new();
+        let mut inverse_start: Vec<u32> = Vec::with_capacity(scenario.num_devices() + 1);
+        inverse_start.push(0);
         let mut start = vec![0u32; num_cells + 1];
         for (v, device) in scenario.devices.iter().enumerate() {
             assert!(
@@ -92,54 +118,164 @@ impl CandidateSet {
             for cell in grid.cells_with_center_within(device.pos, r0.value()) {
                 let k = grid.linear_index(cell);
                 start[k + 1] += 1;
-                cells.push(k);
+                cells.push(k as u32);
             }
-            device_end.push(cells.len());
+            inverse_start.push(cells.len() as u32);
         }
         let mut non_empty = 0;
         for k in 0..num_cells {
             non_empty += usize::from(start[k + 1] > 0);
             start[k + 1] += start[k];
         }
-        // Counting sort: devices arrive in ascending order, so each cell's
-        // list comes out sorted.
-        let mut next = start.clone();
-        let mut devices = vec![0u32; cells.len()];
-        let mut from = 0;
-        for (v, &to) in device_end.iter().enumerate() {
-            for &k in &cells[from..to] {
-                devices[next[k] as usize] = v as u32;
-                next[k] += 1;
-            }
-            from = to;
-        }
-        let mut candidates = Vec::with_capacity(non_empty);
+        // Keep the non-empty cells, numbering each cell by its rank among
+        // them (its candidate index).
+        let mut rank = vec![0u32; num_cells];
+        let mut pos = Vec::with_capacity(non_empty);
+        let mut cover_start = Vec::with_capacity(non_empty + 1);
+        cover_start.push(0);
         for (k, cell) in grid.cells().enumerate() {
-            let covered = &devices[start[k] as usize..start[k + 1] as usize];
-            if !covered.is_empty() {
-                candidates.push(Candidate {
-                    pos: grid.cell_center(cell),
-                    covered: covered.to_vec(),
-                });
+            rank[k] = pos.len() as u32;
+            if start[k + 1] > start[k] {
+                pos.push(grid.cell_center(cell));
+                cover_start.push(start[k + 1]);
+            }
+        }
+        // Counting sort, with `start[k]` as cell `k`'s write cursor:
+        // devices arrive in ascending order, so each cell's list comes out
+        // sorted. The same pass renumbers each device's cells to candidate
+        // indices; its cells are ascending and the renumbering monotone,
+        // so its row of the transpose comes out ascending too.
+        let mut cover = vec![0u32; cells.len()];
+        for v in 0..scenario.num_devices() {
+            for c in &mut cells[inverse_start[v] as usize..inverse_start[v + 1] as usize] {
+                let k = *c as usize;
+                cover[start[k] as usize] = v as u32;
+                start[k] += 1;
+                *c = rank[k];
             }
         }
         CandidateSet {
             delta,
             coverage_radius: r0,
-            candidates,
+            pos,
+            cover_start,
+            cover,
+            inverse_start,
+            inverse: cells,
+        }
+    }
+
+    /// A set with the given candidates, in the given order: each row is a
+    /// position and its strictly ascending list of covered device ids.
+    /// The device-id space is `0..=max id`.
+    ///
+    /// # Panics
+    /// Panics when a coverage list is not strictly ascending.
+    pub fn from_coverage<C: AsRef<[u32]>>(
+        delta: f64,
+        coverage_radius: Meters,
+        rows: impl IntoIterator<Item = (Point2, C)>,
+    ) -> Self {
+        let mut pos = Vec::new();
+        let mut cover_start = vec![0u32];
+        let mut cover = Vec::new();
+        for (p, covered) in rows {
+            let covered = covered.as_ref();
+            assert!(
+                covered.windows(2).all(|w| w[0] < w[1]),
+                "coverage list {covered:?} is not strictly ascending"
+            );
+            pos.push(p);
+            cover.extend_from_slice(covered);
+            cover_start.push(cover.len() as u32);
+        }
+        let num_devices = cover.iter().max().map_or(0, |&v| v as usize + 1);
+        Self::from_rows(delta, coverage_radius, pos, cover_start, cover, num_devices)
+    }
+
+    /// Assembles a set from its candidate → device CSR, counting-sorting
+    /// the transpose (candidates are visited in index order, so each
+    /// device's list comes out ascending).
+    fn from_rows(
+        delta: f64,
+        coverage_radius: Meters,
+        pos: Vec<Point2>,
+        cover_start: Vec<u32>,
+        cover: Vec<u32>,
+        num_devices: usize,
+    ) -> Self {
+        let mut inverse_start = vec![0u32; num_devices + 1];
+        for &v in &cover {
+            inverse_start[v as usize + 1] += 1;
+        }
+        for v in 0..num_devices {
+            inverse_start[v + 1] += inverse_start[v];
+        }
+        let mut next = inverse_start.clone();
+        let mut inverse = vec![0u32; cover.len()];
+        for i in 0..pos.len() {
+            for &v in &cover[cover_start[i] as usize..cover_start[i + 1] as usize] {
+                inverse[next[v as usize] as usize] = i as u32;
+                next[v as usize] += 1;
+            }
+        }
+        CandidateSet {
+            delta,
+            coverage_radius,
+            pos,
+            cover_start,
+            cover,
+            inverse_start,
+            inverse,
         }
     }
 
     /// Number of candidates.
     #[inline]
     pub fn len(&self) -> usize {
-        self.candidates.len()
+        self.pos.len()
     }
 
     /// True when no candidate covers any device.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.candidates.is_empty()
+        self.pos.is_empty()
+    }
+
+    /// Candidate `i`: its position and coverage set.
+    #[inline]
+    pub fn get(&self, i: usize) -> Candidate<'_> {
+        Candidate {
+            pos: self.pos[i],
+            covered: self.covered(i),
+        }
+    }
+
+    /// The candidates in index order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Candidate<'_>> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// Devices covered by candidate `i`, ascending (`C(s_i)`).
+    #[inline]
+    pub fn covered(&self, i: usize) -> &[u32] {
+        &self.cover[self.coverage_range(i)]
+    }
+
+    /// Where candidate `i`'s devices sit in the concatenation of every
+    /// candidate's coverage list, in index order; parallel per-entry
+    /// arrays (a volume per covered device, say) index by it.
+    #[inline]
+    pub fn coverage_range(&self, i: usize) -> Range<usize> {
+        self.cover_start[i] as usize..self.cover_start[i + 1] as usize
+    }
+
+    /// Candidates covering device `v`, ascending: the inverse of
+    /// [`CandidateSet::covered`].
+    #[inline]
+    pub fn candidates_of(&self, v: u32) -> &[u32] {
+        let v = v as usize;
+        &self.inverse[self.inverse_start[v] as usize..self.inverse_start[v + 1] as usize]
     }
 
     /// Removes dominated candidates: a candidate is dropped when another
@@ -152,74 +288,52 @@ impl CandidateSet {
     ///
     /// Any dominator of candidate `i` covers every device of `i`, so only
     /// the candidates covering `i`'s least-covered device are probed,
-    /// read from a flat device → candidate index. The probe starts at
-    /// `i`'s own place in that list and walks outward, because in a built
-    /// set the nearest cells are the likeliest dominators. A 64-bit
-    /// membership signature (bit `v mod 64` per device `v`) and the set
-    /// sizes reject most peers before any coverage list is read.
+    /// read from the set's transpose. The probe starts at `i`'s own place
+    /// in that list (a per-device cursor gives it) and walks outward,
+    /// because in a built set the nearest cells are the likeliest
+    /// dominators. A 64-bit membership signature (bit `v mod 64` per
+    /// device `v`) and the set sizes reject most peers before any
+    /// coverage list is read. The survivors keep their order
+    /// and are copied into exact-size arrays, so a pruned set cached for
+    /// the life of a batch holds no slack.
     pub fn prune_dominated(&mut self) {
-        let cands = &self.candidates;
-        // CSR index: `by_device[start[v]..start[v + 1]]` lists the
-        // candidates covering device `v`, ascending. The counting pass
-        // also records each candidate's signature and size.
-        let mut start: Vec<u32> = vec![0];
-        let key: Vec<(u64, usize)> = cands
-            .iter()
-            .map(|c| {
-                let mut sig = 0u64;
-                for &v in &c.covered {
-                    let v = v as usize;
-                    if v + 2 > start.len() {
-                        start.resize(v + 2, 0);
-                    }
-                    start[v + 1] += 1;
-                    sig |= 1 << (v % 64);
-                }
-                (sig, c.covered.len())
+        let key: Vec<(u64, usize)> = (0..self.len())
+            .map(|i| {
+                let a = self.covered(i);
+                (a.iter().fold(0u64, |sig, &v| sig | 1 << (v % 64)), a.len())
             })
             .collect();
-        let num_ids = start.len() - 1;
-        for v in 0..num_ids {
-            start[v + 1] += start[v];
-        }
-        let mut next = start.clone();
-        let mut by_device = vec![0u32; start[num_ids] as usize];
-        for (i, c) in cands.iter().enumerate() {
-            for &v in &c.covered {
-                by_device[next[v as usize] as usize] = i as u32;
-                next[v as usize] += 1;
-            }
-        }
         // Candidates are visited in index order, so `next[v] - start[v]`
         // is the place of the current candidate in device `v`'s list.
-        next.copy_from_slice(&start);
-        let keep: Vec<bool> = (0..cands.len())
-            .map(|i| {
-                let a = &cands[i].covered;
+        let start = &self.inverse_start;
+        let mut next = start.clone();
+        let kept: Vec<usize> = (0..self.len())
+            .filter(|&i| {
+                let a = self.covered(i);
                 let (sig_a, len_a) = key[i];
                 let Some(pivot) = a
                     .iter()
                     .map(|&v| v as usize)
                     .min_by_key(|&v| start[v + 1] - start[v])
                 else {
-                    return num_ids == 0 && i == 0;
+                    return self.cover.is_empty() && i == 0;
                 };
                 let at = (next[pivot] - start[pivot]) as usize;
                 for &v in a {
                     next[v as usize] += 1;
                 }
-                let probe = &by_device[start[pivot] as usize..start[pivot + 1] as usize];
+                let probe = &self.inverse[start[pivot] as usize..start[pivot + 1] as usize];
                 let dominates = |j: u32| {
                     let j = j as usize;
                     let (sig_b, len_b) = key[j];
                     if sig_a & !sig_b != 0 || len_b < len_a || j == i {
                         return false;
                     }
-                    let b = &cands[j].covered;
+                    let b = self.covered(j);
                     if len_b > len_a {
                         is_subset(a, b)
                     } else {
-                        j < i && *a == *b
+                        j < i && a == b
                     }
                 };
                 let (mut down, mut up) = (probe[..at].iter().rev(), probe[at..].iter());
@@ -236,50 +350,58 @@ impl CandidateSet {
                 }
             })
             .collect();
-        let mut k = 0;
-        self.candidates.retain(|_| {
-            let kept = keep[k];
-            k += 1;
-            kept
-        });
-        // A pruned set is often cached for the life of a batch; release
-        // the built set's slack (~93% of the slots at δ = 10 m).
-        self.candidates.shrink_to_fit();
+        *self = self.subset(&kept);
     }
 
     /// Filters to a subset with pairwise-disjoint coverage sets, greedily
     /// keeping the candidates with the largest covered data volume first.
     /// This realises the paper's "without hovering coverage overlapping"
-    /// setting for Algorithm 1.
+    /// setting for Algorithm 1. The kept candidates are in that volume
+    /// order.
     pub fn disjoint_by_volume(&self, scenario: &Scenario) -> CandidateSet {
         let volumes: Vec<MegaBytes> = scenario.devices.iter().map(|d| d.data).collect();
         // One volume per candidate, computed once: the comparator only
         // reads keys, so the stable sort order is the same as rescoring
         // both sides of every comparison.
         let keys: Vec<f64> = self
-            .candidates
             .iter()
             // lint:allow(unit-unwrap): cmp_f64_desc needs the raw values for its NaN-safe total order
             .map(|c| c.coverage_volume(&volumes).value())
             .collect();
-        let mut order: Vec<usize> = (0..self.candidates.len()).collect();
+        let mut order: Vec<usize> = (0..self.len()).collect();
         order.sort_by(|&a, &b| uavdc_geom::cmp_f64_desc(keys[a], keys[b]));
         let mut taken_device = vec![false; scenario.num_devices()];
-        let mut kept = Vec::new();
-        for i in order {
-            let c = &self.candidates[i];
-            if c.covered.iter().all(|&v| !taken_device[v as usize]) {
-                for &v in &c.covered {
+        order.retain(|&i| {
+            let covered = self.covered(i);
+            let free = covered.iter().all(|&v| !taken_device[v as usize]);
+            if free {
+                for &v in covered {
                     taken_device[v as usize] = true;
                 }
-                kept.push(c.clone());
             }
+            free
+        });
+        self.subset(&order)
+    }
+
+    /// The candidates `picks`, in that order, over the same device space.
+    fn subset(&self, picks: &[usize]) -> CandidateSet {
+        let total = picks.iter().map(|&i| self.covered(i).len()).sum();
+        let mut cover = Vec::with_capacity(total);
+        let mut cover_start = Vec::with_capacity(picks.len() + 1);
+        cover_start.push(0);
+        for &i in picks {
+            cover.extend_from_slice(self.covered(i));
+            cover_start.push(cover.len() as u32);
         }
-        CandidateSet {
-            delta: self.delta,
-            coverage_radius: self.coverage_radius,
-            candidates: kept,
-        }
+        Self::from_rows(
+            self.delta,
+            self.coverage_radius,
+            picks.iter().map(|&i| self.pos[i]).collect(),
+            cover_start,
+            cover,
+            self.inverse_start.len() - 1,
+        )
     }
 }
 
@@ -324,6 +446,28 @@ mod tests {
         }
     }
 
+    /// A hand-built set of candidates on the x axis.
+    fn set(rows: Vec<(f64, Vec<u32>)>) -> CandidateSet {
+        let rows = rows.into_iter().map(|(x, c)| (Point2::new(x, 0.0), c));
+        CandidateSet::from_coverage(1.0, Meters(1.0), rows)
+    }
+
+    #[test]
+    fn transpose_and_ranges_follow_the_rows() {
+        let cs = set(vec![(0.0, vec![0, 2]), (1.0, vec![1]), (2.0, vec![0, 1])]);
+        assert_eq!(cs.covered(2), &[0, 1]);
+        assert_eq!(cs.coverage_range(2), 3..5);
+        assert_eq!(cs.candidates_of(0), &[0, 2]);
+        assert_eq!(cs.candidates_of(1), &[1, 2]);
+        assert_eq!(cs.candidates_of(2), &[0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not strictly ascending")]
+    fn unsorted_coverage_rows_panic() {
+        let _ = set(vec![(0.0, vec![2, 0])]);
+    }
+
     #[test]
     fn empty_region_has_no_candidates() {
         let s = scenario_with(vec![], 10.0);
@@ -337,9 +481,9 @@ mod tests {
         let cs = CandidateSet::build(&s, 5.0);
         assert!(!cs.is_empty());
         let mut covered_devices = std::collections::BTreeSet::new();
-        for c in &cs.candidates {
+        for c in cs.iter() {
             assert!(!c.covered.is_empty());
-            for &v in &c.covered {
+            for &v in c.covered {
                 let d = s.devices[v as usize].pos.distance(c.pos);
                 assert!(d <= 15.0 + 1e-9, "claimed coverage at distance {d}");
                 covered_devices.insert(v);
@@ -354,7 +498,6 @@ mod tests {
         let cs = CandidateSet::build(&s, 10.0);
         let volumes: Vec<MegaBytes> = s.devices.iter().map(|d| d.data).collect();
         let c = cs
-            .candidates
             .iter()
             .find(|c| c.covered.len() == 2)
             .expect("some cell covers both");
@@ -379,12 +522,12 @@ mod tests {
         cs.prune_dominated();
         assert!(cs.len() < before);
         // Some surviving candidate still covers both devices.
-        assert!(cs.candidates.iter().any(|c| c.covered.len() == 2));
+        assert!(cs.iter().any(|c| c.covered.len() == 2));
         // No candidate is a strict subset of another survivor.
         for i in 0..cs.len() {
             for j in 0..cs.len() {
                 if i != j {
-                    let (a, b) = (&cs.candidates[i].covered, &cs.candidates[j].covered);
+                    let (a, b) = (cs.covered(i), cs.covered(j));
                     assert!(
                         !(b.len() > a.len() && is_subset(a, b)),
                         "candidate {i} still dominated by {j}"
@@ -401,30 +544,25 @@ mod tests {
         let before = cs.len();
         cs.prune_dominated();
         assert!(cs.len() < before);
-        assert_eq!(cs.candidates.capacity(), cs.len());
+        assert_eq!(cs.pos.capacity(), cs.len());
+        assert_eq!(cs.cover_start.capacity(), cs.len() + 1);
+        assert_eq!(cs.cover.capacity(), cs.cover.len());
+        assert_eq!(cs.inverse.capacity(), cs.inverse.len());
     }
 
     #[test]
     fn prune_dominated_collapses_duplicates_keeping_first() {
         // Hand-built set: indices 0, 2, 4 share the exact coverage set
         // {0, 1}; index 1 is a strict subset {0}; index 3 is unrelated.
-        let mk = |x: f64, covered: Vec<u32>| Candidate {
-            pos: Point2::new(x, 0.0),
-            covered,
-        };
-        let mut cs = CandidateSet {
-            delta: 1.0,
-            coverage_radius: Meters(1.0),
-            candidates: vec![
-                mk(0.0, vec![0, 1]),
-                mk(1.0, vec![0]),
-                mk(2.0, vec![0, 1]),
-                mk(3.0, vec![2]),
-                mk(4.0, vec![0, 1]),
-            ],
-        };
+        let mut cs = set(vec![
+            (0.0, vec![0, 1]),
+            (1.0, vec![0]),
+            (2.0, vec![0, 1]),
+            (3.0, vec![2]),
+            (4.0, vec![0, 1]),
+        ]);
         cs.prune_dominated();
-        let kept: Vec<f64> = cs.candidates.iter().map(|c| c.pos.x).collect();
+        let kept: Vec<f64> = cs.iter().map(|c| c.pos.x).collect();
         // First duplicate (x = 0) survives, later twins and the strict
         // subset are pruned, unrelated coverage is untouched.
         assert_eq!(kept, vec![0.0, 3.0]);
@@ -432,24 +570,16 @@ mod tests {
 
     #[test]
     fn prune_dominated_handles_empty_coverage_sets() {
-        let mk = |x: f64, covered: Vec<u32>| Candidate {
-            pos: Point2::new(x, 0.0),
-            covered,
-        };
-        let set = |candidates| CandidateSet {
-            delta: 1.0,
-            coverage_radius: Meters(1.0),
-            candidates,
-        };
         // Any non-empty candidate dominates every empty one.
-        let mut mixed = set(vec![mk(0.0, vec![]), mk(1.0, vec![3]), mk(2.0, vec![])]);
+        let mut mixed = set(vec![(0.0, vec![]), (1.0, vec![3]), (2.0, vec![])]);
         mixed.prune_dominated();
-        let kept: Vec<f64> = mixed.candidates.iter().map(|c| c.pos.x).collect();
+        let kept: Vec<f64> = mixed.iter().map(|c| c.pos.x).collect();
         assert_eq!(kept, vec![1.0]);
+        assert_eq!(mixed.candidates_of(3), &[0]);
         // Among all-empty candidates the first survives.
-        let mut empty = set(vec![mk(0.0, vec![]), mk(1.0, vec![]), mk(2.0, vec![])]);
+        let mut empty = set(vec![(0.0, vec![]), (1.0, vec![]), (2.0, vec![])]);
         empty.prune_dominated();
-        let kept: Vec<f64> = empty.candidates.iter().map(|c| c.pos.x).collect();
+        let kept: Vec<f64> = empty.iter().map(|c| c.pos.x).collect();
         assert_eq!(kept, vec![0.0]);
     }
 
@@ -473,14 +603,14 @@ mod tests {
         let cs = CandidateSet::build(&s, 4.0);
         let dj = cs.disjoint_by_volume(&s);
         let mut seen = std::collections::BTreeSet::new();
-        for c in &dj.candidates {
-            for &v in &c.covered {
+        for c in dj.iter() {
+            for &v in c.covered {
                 assert!(seen.insert(v), "device {v} covered twice in disjoint set");
             }
         }
         // Greedy keeps the largest-volume candidate: it must include the
         // cell covering both 900 MB and 100 MB devices if one exists.
-        let max_cov = dj.candidates.iter().map(|c| c.covered.len()).max().unwrap();
+        let max_cov = dj.iter().map(|c| c.covered.len()).max().unwrap();
         assert!(max_cov >= 1);
     }
 

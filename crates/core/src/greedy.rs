@@ -9,10 +9,11 @@
 //! This module provides the machinery for an *incremental* greedy loop
 //! whose plans are bit-identical to the exhaustive rescan:
 //!
-//! * [`DeviceIndex`] — inverted device → candidate index. Committing a
-//!   stop drains a handful of devices; only the candidates sharing one of
-//!   them can see their marginal reward change, so the dirty set per
-//!   iteration is `∪_{v drained} index[v]` instead of all `M`.
+//! * [`dirty_candidates`] — committing a stop drains a handful of
+//!   devices; only the candidates sharing one of them can see their
+//!   marginal reward change, so the dirty set per iteration is
+//!   `∪_{v drained} candidates_of(v)`, read from the [`CandidateSet`]'s
+//!   device → candidate transpose, instead of all `M`.
 //! * [`InsertionCache`] — exact cheapest-insertion deltas maintained
 //!   under tour mutation. Inserting a point removes one tour edge and adds
 //!   two; every cached delta is repaired in O(1) (min against the two new
@@ -72,78 +73,31 @@ pub enum EngineMode {
 }
 
 // ---------------------------------------------------------------------------
-// Inverted device → candidate index
+// Dirty candidates
 // ---------------------------------------------------------------------------
 
-/// Inverted index from device id to the candidates covering it.
-///
-/// Built once per planning run from the (pruned) [`CandidateSet`];
-/// committing a stop that drains devices `S` dirties exactly
-/// `∪_{v ∈ S} candidates_of(v)` — the only candidates whose marginal
-/// reward terms can have changed.
-#[derive(Clone, Debug)]
-pub struct DeviceIndex {
-    /// CSR layout: device `v`'s candidates sit at
-    /// `data[offsets[v]..offsets[v + 1]]` — one flat allocation instead
-    /// of a `Vec` per device.
-    offsets: Vec<u32>,
-    data: Vec<u32>,
-}
-
-impl DeviceIndex {
-    /// Builds the index. `num_devices` bounds the device-id space.
-    pub fn build(candidates: &CandidateSet, num_devices: usize) -> Self {
-        let mut offsets = vec![0u32; num_devices + 1];
-        for c in &candidates.candidates {
-            for &v in &c.covered {
-                offsets[v as usize + 1] += 1;
+/// Collects the deduplicated dirty candidate set for a batch of drained
+/// devices, ascending: `∪_{v ∈ drained} candidates_of(v)`, read from the
+/// set's device → candidate transpose. These are the only candidates
+/// whose marginal reward terms can have changed. `stamp`/`epoch` is a
+/// reusable visited marker (no per-call allocation of a fresh bitmap).
+pub fn dirty_candidates(
+    candidates: &CandidateSet,
+    drained: impl IntoIterator<Item = u32>,
+    stamp: &mut [u32],
+    epoch: u32,
+    out: &mut Vec<u32>,
+) {
+    out.clear();
+    for v in drained {
+        for &c in candidates.candidates_of(v) {
+            if stamp[c as usize] != epoch {
+                stamp[c as usize] = epoch;
+                out.push(c);
             }
         }
-        for v in 0..num_devices {
-            offsets[v + 1] += offsets[v];
-        }
-        let mut cursor = offsets.clone();
-        let mut data = vec![0u32; offsets[num_devices] as usize];
-        // Candidates are visited in ascending order, so each device's
-        // slice comes out ascending — same order the per-device Vec
-        // layout produced.
-        for (i, c) in candidates.candidates.iter().enumerate() {
-            for &v in &c.covered {
-                let slot = cursor[v as usize];
-                data[slot as usize] = i as u32;
-                cursor[v as usize] = slot + 1;
-            }
-        }
-        DeviceIndex { offsets, data }
     }
-
-    /// Candidates covering device `v`, in ascending candidate order.
-    #[inline]
-    pub fn candidates_of(&self, v: u32) -> &[u32] {
-        &self.data[self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize]
-    }
-
-    /// Collects the deduplicated dirty candidate set for a batch of
-    /// drained devices, using `stamp`/`epoch` as a reusable visited
-    /// marker (no per-call allocation of a fresh bitmap).
-    pub fn dirty_candidates(
-        &self,
-        drained: impl IntoIterator<Item = u32>,
-        stamp: &mut [u32],
-        epoch: u32,
-        out: &mut Vec<u32>,
-    ) {
-        out.clear();
-        for v in drained {
-            for &c in self.candidates_of(v) {
-                if stamp[c as usize] != epoch {
-                    stamp[c as usize] = epoch;
-                    out.push(c);
-                }
-            }
-        }
-        out.sort_unstable();
-    }
+    out.sort_unstable();
 }
 
 // ---------------------------------------------------------------------------
@@ -322,8 +276,8 @@ impl DistanceBank {
     /// A bank over `candidates` holding the depot column (tour point 0).
     pub(crate) fn new(candidates: &CandidateSet, depot: Point2) -> Self {
         let m = candidates.len();
-        let xs: Vec<f64> = candidates.candidates.iter().map(|c| c.pos.x).collect();
-        let ys: Vec<f64> = candidates.candidates.iter().map(|c| c.pos.y).collect();
+        let xs: Vec<f64> = candidates.iter().map(|c| c.pos.x).collect();
+        let ys: Vec<f64> = candidates.iter().map(|c| c.pos.y).collect();
         let mut depot_col = Vec::new();
         distances_to_point(&xs, &ys, depot.x, depot.y, &mut depot_col);
         let cap = 64usize;
@@ -780,35 +734,21 @@ mod tests {
     use uavdc_net::units::Meters;
 
     #[test]
-    fn device_index_inverts_coverage() {
-        use crate::candidates::Candidate;
-        let cs = CandidateSet {
-            delta: 1.0,
-            coverage_radius: Meters(1.0),
-            candidates: vec![
-                Candidate {
-                    pos: Point2::new(0.0, 0.0),
-                    covered: vec![0, 2],
-                },
-                Candidate {
-                    pos: Point2::new(1.0, 0.0),
-                    covered: vec![1],
-                },
-                Candidate {
-                    pos: Point2::new(2.0, 0.0),
-                    covered: vec![0, 1],
-                },
+    fn dirty_candidates_unions_the_transpose() {
+        let cs = CandidateSet::from_coverage(
+            1.0,
+            Meters(1.0),
+            [
+                (Point2::new(0.0, 0.0), vec![0, 2]),
+                (Point2::new(1.0, 0.0), vec![1]),
+                (Point2::new(2.0, 0.0), vec![0, 1]),
             ],
-        };
-        let idx = DeviceIndex::build(&cs, 3);
-        assert_eq!(idx.candidates_of(0), &[0, 2]);
-        assert_eq!(idx.candidates_of(1), &[1, 2]);
-        assert_eq!(idx.candidates_of(2), &[0]);
+        );
         let mut stamp = vec![0u32; 3];
         let mut out = Vec::new();
-        idx.dirty_candidates([0, 1], &mut stamp, 1, &mut out);
+        dirty_candidates(&cs, [0, 1], &mut stamp, 1, &mut out);
         assert_eq!(out, vec![0, 1, 2]);
-        idx.dirty_candidates([2], &mut stamp, 2, &mut out);
+        dirty_candidates(&cs, [2], &mut stamp, 2, &mut out);
         assert_eq!(out, vec![0]);
     }
 
@@ -872,7 +812,6 @@ mod tests {
         // match a fresh cheapest_insertion_point scan bit for bit, and a
         // `DistanceBank` driven in lockstep (banked distances, banked-row
         // rescans) must make the same decisions to the same values.
-        use crate::candidates::Candidate;
         let cands: Vec<Point2> = (0..40)
             .map(|i| Point2::new(((i * 37) % 101) as f64, ((i * 53) % 97) as f64))
             .collect();
@@ -886,17 +825,8 @@ mod tests {
             let (d, pos) = cheapest_insertion_point(&tour, p);
             cache.set(c, d, pos);
         }
-        let set = CandidateSet {
-            delta: 1.0,
-            coverage_radius: Meters(1.0),
-            candidates: cands
-                .iter()
-                .map(|&pos| Candidate {
-                    pos,
-                    covered: Vec::new(),
-                })
-                .collect(),
-        };
+        let set =
+            CandidateSet::from_coverage(1.0, Meters(1.0), cands.iter().map(|&p| (p, [0u32; 0])));
         let mut bank = DistanceBank::new(&set, depot);
         let mut banked = InsertionCache::new(cands.len());
         for c in 0..cands.len() {

@@ -77,7 +77,7 @@ pub use multi::{
     FleetConfig, FleetPartition, FleetPlan, JointFleetPlanner, MultiUavPlanner, TeamAlg1Planner,
 };
 pub use plan::{CollectionPlan, HoverStop, PlanError};
-pub use polish::{polish_plan, Polished};
+pub use polish::polish_plan;
 pub use repair::{drop_to_fit, RepairOutcome, RepairStop};
 pub use sweep::SweepPlanner;
 

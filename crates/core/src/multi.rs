@@ -339,10 +339,10 @@ impl JointFleetPlanner {
                 if !active[c] {
                     continue;
                 }
-                let cand = &candidates.candidates[c];
+                let cand = candidates.get(c);
                 let mut vol = 0.0f64;
                 let mut tau = 0.0f64;
-                for &v in &cand.covered {
+                for &v in cand.covered {
                     if !collected[v as usize] {
                         let d = scenario.devices[v as usize].data.value();
                         vol += d;
@@ -374,9 +374,9 @@ impl JointFleetPlanner {
             let Some((c, u, pos, tau, _)) = best else {
                 break;
             };
-            let cand = &candidates.candidates[c];
+            let cand = candidates.get(c);
             let mut entries = Vec::new();
-            for &v in &cand.covered {
+            for &v in cand.covered {
                 if !collected[v as usize] {
                     collected[v as usize] = true;
                     entries.push((DeviceId(v), scenario.devices[v as usize].data));
@@ -479,7 +479,7 @@ impl TeamAlg1Planner {
                     .iter()
                     .skip(1)
                     .map(|&vertex| {
-                        let cand = &candidates.candidates[vertex - 1];
+                        let cand = candidates.get(vertex - 1);
                         let mut sojourn = Seconds::ZERO;
                         let collected = cand
                             .covered

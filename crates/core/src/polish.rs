@@ -9,7 +9,6 @@
 //! plan further.
 
 use crate::plan::CollectionPlan;
-use crate::Planner;
 use uavdc_geom::Point2;
 use uavdc_net::units::Joules;
 use uavdc_net::Scenario;
@@ -49,32 +48,6 @@ pub fn polish_plan(plan: &mut CollectionPlan, scenario: &Scenario) -> Joules {
         .collect();
     plan.stops = reordered;
     (before - plan.travel_energy(scenario)).clamp_non_negative()
-}
-
-/// A planner wrapper that polishes the inner planner's output.
-#[derive(Clone, Debug, Default)]
-pub struct Polished<P: Planner> {
-    /// The planner whose output is polished.
-    pub inner: P,
-}
-
-impl<P: Planner> Polished<P> {
-    /// Wraps a planner.
-    pub fn new(inner: P) -> Self {
-        Polished { inner }
-    }
-}
-
-impl<P: Planner> Planner for Polished<P> {
-    fn name(&self) -> &'static str {
-        "polished"
-    }
-
-    fn plan(&self, scenario: &Scenario) -> CollectionPlan {
-        let mut plan = self.inner.plan(scenario);
-        polish_plan(&mut plan, scenario);
-        plan
-    }
 }
 
 fn two_opt_pass(tour: &mut [(Point2, usize)]) -> bool {
@@ -241,16 +214,6 @@ mod tests {
             stops: zigzag_plan(&s).stops[..2].to_vec(),
         };
         assert_eq!(polish_plan(&mut two, &s), Joules::ZERO);
-    }
-
-    #[test]
-    fn polished_wrapper_never_worse() {
-        let s = scenario();
-        let base = crate::Alg2Planner::default().plan(&s);
-        let polished = Polished::new(crate::Alg2Planner::default()).plan(&s);
-        polished.validate(&s).unwrap();
-        assert_eq!(polished.collected_volume(), base.collected_volume());
-        assert!(polished.total_energy(&s).value() <= base.total_energy(&s).value() + 1e-9);
     }
 
     #[test]

@@ -1,14 +1,19 @@
 //! Differential property suite for the candidate grid
-//! (`CandidateSet::build` and `CandidateSet::prune_dominated`).
+//! (`CandidateSet::build`, `CandidateSet::prune_dominated` and
+//! `CandidateSet::disjoint_by_volume`).
 //!
 //! The oracle is the query-centric construction the library used before
 //! it became device-centric: visit every cell in row-major order, ask a
 //! `SpatialGrid` over the device positions for all devices within `R0` of
 //! the cell centre, sort them and keep non-empty cells. Its pruning is
 //! the bucket scan that collapsed equal coverage sets through a
-//! `BTreeMap` and then tested candidates sharing the first device. Built
-//! sets must match the oracle's exactly: positions by bits, coverage
-//! lists element for element, after the build and after pruning.
+//! `BTreeMap` and then tested candidates sharing the first device. Its
+//! disjoint filter sorts by summed volume and keeps each candidate whose
+//! devices are all still free. Built sets must match the oracle's
+//! exactly: positions by bits, coverage lists element for element, and
+//! each device's candidates (the set's transpose) equal to the ascending
+//! inverse of the oracle's lists, after the build, after pruning and
+//! after the disjoint filter.
 //!
 //! The layouts cover uniform devices, integer lattices with integer `R0`
 //! and `δ` (so cell centres sit at exactly distance `R0` from devices),
@@ -24,7 +29,7 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
-use uavdc_core::{Candidate, CandidateSet};
+use uavdc_core::CandidateSet;
 use uavdc_geom::{Aabb, GridSpec, Point2, SpatialGrid};
 use uavdc_net::units::{Joules, MegaBytes, MegaBytesPerSecond, Meters};
 use uavdc_net::{IotDevice, RadioModel, Scenario, UavSpec};
@@ -37,8 +42,11 @@ fn cases() -> u32 {
     }
 }
 
+/// The oracle's candidates: position and ascending coverage list.
+type Rows = Vec<(Point2, Vec<u32>)>;
+
 /// Query-centric build: one radius query per grid cell.
-fn oracle_build(scenario: &Scenario, delta: f64) -> CandidateSet {
+fn oracle_build(scenario: &Scenario, delta: f64) -> Rows {
     let r0 = scenario.coverage_radius();
     let grid = GridSpec::for_region(&scenario.region, delta);
     let positions = scenario.device_positions();
@@ -53,54 +61,46 @@ fn oracle_build(scenario: &Scenario, delta: f64) -> CandidateSet {
         }
         let mut covered: Vec<u32> = buf.iter().map(|&i| i as u32).collect();
         covered.sort_unstable();
-        candidates.push(Candidate {
-            pos: center,
-            covered,
-        });
+        candidates.push((center, covered));
     }
-    CandidateSet {
-        delta,
-        coverage_radius: r0,
-        candidates,
-    }
+    candidates
 }
 
 /// Bucket-scan pruning: collapse equal sets (first in grid order wins),
 /// then drop any candidate whose set a live peer sharing its first device
 /// strictly contains. Needs non-empty coverage sets.
-fn oracle_prune(set: &mut CandidateSet) {
-    let cands = &set.candidates;
+fn oracle_prune(cands: &mut Rows) {
     let n = cands.len();
     let num_ids = cands
         .iter()
-        .flat_map(|c| c.covered.iter())
+        .flat_map(|c| c.1.iter())
         .map(|&v| v as usize + 1)
         .max()
         .unwrap_or(0);
     let mut by_device: Vec<Vec<usize>> = vec![Vec::new(); num_ids];
     for (i, c) in cands.iter().enumerate() {
-        for &v in &c.covered {
+        for &v in &c.1 {
             by_device[v as usize].push(i);
         }
     }
     let mut dead = vec![false; n];
     let mut seen: BTreeMap<&[u32], usize> = BTreeMap::new();
     for (i, c) in cands.iter().enumerate() {
-        if seen.contains_key(c.covered.as_slice()) {
+        if seen.contains_key(c.1.as_slice()) {
             dead[i] = true;
         } else {
-            seen.insert(c.covered.as_slice(), i);
+            seen.insert(c.1.as_slice(), i);
         }
     }
     for i in 0..n {
         if dead[i] {
             continue;
         }
-        for &j in &by_device[cands[i].covered[0] as usize] {
+        for &j in &by_device[cands[i].1[0] as usize] {
             if i == j || dead[j] {
                 continue;
             }
-            let (a, b) = (&cands[i].covered, &cands[j].covered);
+            let (a, b) = (&cands[i].1, &cands[j].1);
             if (b.len() > a.len() && is_subset(a, b)) || (a == b && j < i) {
                 dead[i] = true;
                 break;
@@ -108,25 +108,67 @@ fn oracle_prune(set: &mut CandidateSet) {
         }
     }
     let mut k = 0;
-    set.candidates.retain(|_| {
+    cands.retain(|_| {
         k += 1;
         !dead[k - 1]
     });
+}
+
+/// Disjoint filter: candidates by summed device volume, largest first
+/// (ties in index order), each kept when none of its devices is taken.
+fn oracle_disjoint(cands: &Rows, scenario: &Scenario) -> Rows {
+    let volume = |c: &[u32]| -> f64 {
+        c.iter()
+            .map(|&v| scenario.devices[v as usize].data.value())
+            .sum()
+    };
+    let mut order: Vec<&(Point2, Vec<u32>)> = cands.iter().collect();
+    order.sort_by(|a, b| volume(&b.1).total_cmp(&volume(&a.1)));
+    let mut taken = vec![false; scenario.num_devices()];
+    let mut kept = Vec::new();
+    for c in order {
+        if c.1.iter().all(|&v| !taken[v as usize]) {
+            for &v in &c.1 {
+                taken[v as usize] = true;
+            }
+            kept.push(c.clone());
+        }
+    }
+    kept
 }
 
 fn is_subset(a: &[u32], b: &[u32]) -> bool {
     a.iter().all(|x| b.binary_search(x).is_ok())
 }
 
-fn assert_same(got: &CandidateSet, want: &CandidateSet, stage: &str) {
+/// `got` equals the oracle's rows, and its transpose is their inverse
+/// over devices `0..num_devices`.
+fn assert_same(got: &CandidateSet, want: &Rows, num_devices: usize, stage: &str) {
     assert_eq!(got.len(), want.len(), "{stage}: candidate count");
-    for (i, (g, w)) in got.candidates.iter().zip(&want.candidates).enumerate() {
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
         assert_eq!(
             (g.pos.x.to_bits(), g.pos.y.to_bits()),
-            (w.pos.x.to_bits(), w.pos.y.to_bits()),
+            (w.0.x.to_bits(), w.0.y.to_bits()),
             "{stage}: position of candidate {i}"
         );
-        assert_eq!(g.covered, w.covered, "{stage}: coverage of candidate {i}");
+        assert_eq!(
+            g.covered,
+            w.1.as_slice(),
+            "{stage}: coverage of candidate {i}"
+        );
+    }
+    let mut inverse: Vec<Vec<u32>> = vec![Vec::new(); num_devices];
+    for (i, c) in want.iter().enumerate() {
+        for &v in &c.1 {
+            inverse[v as usize].push(i as u32);
+        }
+    }
+    for (v, cands) in inverse.iter().enumerate() {
+        assert_eq!(
+            got.candidates_of(v as u32),
+            cands.as_slice(),
+            "{stage}: candidates of device {v}"
+        );
     }
 }
 
@@ -135,9 +177,11 @@ fn scenario(region: Aabb, positions: Vec<Point2>, r0: f64) -> Scenario {
         region,
         devices: positions
             .into_iter()
-            .map(|pos| IotDevice {
+            .enumerate()
+            .map(|(i, pos)| IotDevice {
                 pos,
-                data: MegaBytes(100.0),
+                // Unequal volumes, with ties, order the disjoint filter.
+                data: MegaBytes(100.0 * (1 + i % 5) as f64),
             })
             .collect(),
         depot: region.min,
@@ -221,13 +265,7 @@ proptest! {
     ) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let (s, delta) = instance(&mut rng, kind, n);
-        let mut got = CandidateSet::build(&s, delta);
-        let mut want = oracle_build(&s, delta);
-        assert_same(&got, &want, "build");
-        prop_assert_eq!(got.coverage_radius, want.coverage_radius);
-        got.prune_dominated();
-        oracle_prune(&mut want);
-        assert_same(&got, &want, "prune");
+        check_stages(&s, delta);
     }
 
     #[test]
@@ -239,10 +277,10 @@ proptest! {
         // Small device universes make equal sets, nested sets and empty
         // sets common.
         let mut rng = SmallRng::seed_from_u64(seed);
-        let candidates: Vec<Candidate> = (0..n)
-            .map(|i| Candidate {
-                pos: Point2::new(i as f64, 0.0),
-                covered: (0..universe).filter(|_| rng.gen_range(0..3u32) == 0).collect(),
+        let candidates: Rows = (0..n)
+            .map(|i| {
+                let covered = (0..universe).filter(|_| rng.gen_range(0..3u32) == 0).collect();
+                (Point2::new(i as f64, 0.0), covered)
             })
             .collect();
         // Keep i iff no candidate covers a strict superset of its set and
@@ -251,21 +289,17 @@ proptest! {
             .iter()
             .enumerate()
             .filter(|&(i, c)| {
-                let a = &c.covered;
+                let a = &c.1;
                 !candidates.iter().enumerate().any(|(j, d)| {
-                    let b = &d.covered;
+                    let b = &d.1;
                     (b.len() > a.len() && is_subset(a, b)) || (j < i && a == b)
                 })
             })
-            .map(|(_, c)| c.pos.x)
+            .map(|(_, c)| c.0.x)
             .collect();
-        let mut set = CandidateSet {
-            delta: 1.0,
-            coverage_radius: Meters(1.0),
-            candidates,
-        };
+        let mut set = CandidateSet::from_coverage(1.0, Meters(1.0), candidates);
         set.prune_dominated();
-        let got: Vec<f64> = set.candidates.iter().map(|c| c.pos.x).collect();
+        let got: Vec<f64> = set.iter().map(|c| c.pos.x).collect();
         prop_assert_eq!(got, want);
     }
 }
@@ -275,12 +309,26 @@ fn paper_instances_match_the_oracle() {
     for seed in 1..=2 {
         let s = uavdc_net::generator::paper_default(seed);
         for delta in [5.0, 10.0, 30.0] {
-            let mut got = CandidateSet::build(&s, delta);
-            let mut want = oracle_build(&s, delta);
-            assert_same(&got, &want, "build");
-            got.prune_dominated();
-            oracle_prune(&mut want);
-            assert_same(&got, &want, "prune");
+            check_stages(&s, delta);
         }
     }
+}
+
+/// The built set, its pruned set and the built set's disjoint filter
+/// each match the oracle's.
+fn check_stages(s: &Scenario, delta: f64) {
+    let n = s.num_devices();
+    let mut got = CandidateSet::build(s, delta);
+    let mut want = oracle_build(s, delta);
+    assert_same(&got, &want, n, "build");
+    assert_eq!(got.coverage_radius, s.coverage_radius());
+    assert_same(
+        &got.disjoint_by_volume(s),
+        &oracle_disjoint(&want, s),
+        n,
+        "disjoint",
+    );
+    got.prune_dominated();
+    oracle_prune(&mut want);
+    assert_same(&got, &want, n, "prune");
 }

@@ -54,7 +54,6 @@
     )
 )]
 
-mod bnb;
 mod exact;
 mod grasp;
 mod greedy;
@@ -73,9 +72,6 @@ pub use team::{solve_team, TeamConfig, TeamSolution};
 pub enum Backend {
     /// Exact subset DP (`n <= 17`). Panics on larger instances.
     Exact,
-    /// Exact branch and bound (practical to `n ≈ 30` on Euclidean
-    /// instances; panics if its node budget is exhausted).
-    BranchAndBound,
     /// Deterministic greedy ratio insertion + 2-opt.
     Greedy,
     /// GRASP/ILS metaheuristic with the given configuration.
@@ -95,7 +91,7 @@ pub fn solve(inst: &OrienteeringInstance, backend: Backend) -> OrienteeringSolut
 }
 
 /// Like [`solve`], reporting backend-specific search effort to `rec`
-/// (`grasp.iterations`/`grasp.improvements`, `bnb.nodes`/`bnb.pruned`).
+/// (`grasp.iterations`/`grasp.improvements`).
 ///
 /// The recorder never influences the search: for any `rec`, the returned
 /// solution is bit-identical to `solve(inst, backend)`.
@@ -106,7 +102,6 @@ pub fn solve_obs(
 ) -> OrienteeringSolution {
     let sol = match backend {
         Backend::Exact => exact::solve_exact(inst),
-        Backend::BranchAndBound => bnb::solve_bnb_obs(inst, rec),
         Backend::Greedy => greedy::solve_greedy(inst),
         Backend::Grasp(cfg) => grasp::solve_grasp(inst, &cfg, rec),
         Backend::Auto => {

@@ -62,15 +62,15 @@ fn disjoint_candidates_have_exclusive_coverage() {
     let s = scenario(4);
     let dj = CandidateSet::build(&s, 20.0).disjoint_by_volume(&s);
     let mut seen = std::collections::BTreeSet::new();
-    for c in &dj.candidates {
-        for &v in &c.covered {
+    for c in dj.iter() {
+        for &v in c.covered {
             assert!(
                 seen.insert(v),
                 "device {v} covered by two disjoint candidates"
             );
         }
     }
-    assert!(!dj.candidates.is_empty());
+    assert!(!dj.is_empty());
 }
 
 #[test]
