@@ -9,6 +9,7 @@ use uavdc_graph::christofides::{christofides_with, ChristofidesConfig};
 use uavdc_graph::matching::MatchingBackend;
 use uavdc_graph::DistMatrix;
 use uavdc_net::generator::{uniform, ScenarioParams};
+use uavdc_obs::NOOP;
 use uavdc_orienteering::{solve, Backend, GraspConfig, OrienteeringInstance};
 
 fn bench_alg2_tour_mode(c: &mut Criterion) {
@@ -53,7 +54,7 @@ fn bench_matching_backends(c: &mut Criterion) {
                 matching: backend,
                 polish: false,
             };
-            b.iter(|| christofides_with(&m, &cfg));
+            b.iter(|| christofides_with(&m, &cfg, &NOOP));
         });
     }
     group.finish();
@@ -68,9 +69,11 @@ fn bench_orienteering_backends(c: &mut Criterion) {
     let m = DistMatrix::from_euclidean(&pts);
     let prizes: Vec<f64> = (0..40).map(|i| 1.0 + (i % 7) as f64).collect();
     let inst = OrienteeringInstance::new(m, prizes, 0, 500.0);
-    group.bench_function("greedy", |b| b.iter(|| solve(&inst, Backend::Greedy)));
+    group.bench_function("greedy", |b| {
+        b.iter(|| solve(&inst, Backend::Greedy, &NOOP))
+    });
     group.bench_function("grasp_default", |b| {
-        b.iter(|| solve(&inst, Backend::Grasp(GraspConfig::default())))
+        b.iter(|| solve(&inst, Backend::Grasp(GraspConfig::default()), &NOOP))
     });
     group.finish();
 }

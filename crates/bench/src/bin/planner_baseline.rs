@@ -7,6 +7,11 @@
 //! exhaustive bound, and wall-nanoseconds per phase. Every run also
 //! cross-checks that the two engines produced bit-identical plans.
 //!
+//! The planners never read the clock. Each run plans under a
+//! [`CollectingRecorder`] (wall-clock [`uavdc_obs::MonotonicClock`]), and
+//! `setup_ns` / `loop_ns` are the durations of the planner's own setup
+//! and loop spans.
+//!
 //! ```text
 //! cargo run --release -p uavdc-bench --bin planner_baseline             # full baseline
 //! cargo run --release -p uavdc-bench --bin planner_baseline -- --quick  # CI smoke
@@ -21,11 +26,11 @@
 //! overrides the output path (default `BENCH_planner.json` in the
 //! working directory).
 //!
-//! Set `UAVDC_OBS=1` to attach a [`uavdc_obs`] collecting recorder to
-//! every lazy run and embed its `RunReport` (spans, counters, histograms)
-//! as an `"obs"` object per entry. `--obs-overhead` instead measures the
-//! wall-clock cost of that recorder on the fig-4 δ = 5 m sweep point and
-//! prints the relative overhead (the <3 % budget in DESIGN.md §10).
+//! Set `UAVDC_OBS=1` to embed each lazy run's `RunReport` (spans,
+//! counters, histograms) as an `"obs"` object per entry. `--obs-overhead`
+//! instead times whole planner calls with and without a collecting
+//! recorder on the fig-4 δ = 5 m sweep point and prints the relative
+//! overhead (the <3 % budget in DESIGN.md §10).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -37,7 +42,7 @@ use uavdc_core::{
 use uavdc_net::generator::{uniform, ScenarioParams};
 use uavdc_net::units::Joules;
 use uavdc_net::Scenario;
-use uavdc_obs::{CollectingRecorder, Recorder};
+use uavdc_obs::{Clock, CollectingRecorder, MonotonicClock, Recorder, RunReport};
 
 /// One planner × sweep-point × seed measurement (both engines).
 struct Entry {
@@ -46,8 +51,8 @@ struct Entry {
     x: f64,
     algorithm: &'static str,
     seed: u64,
-    lazy: PlanStats,
-    exhaustive: PlanStats,
+    lazy: Timed,
+    exhaustive: Timed,
     plans_identical: bool,
     /// FNV-1a fingerprint of the lazy plan (hex in the JSON).
     plan_hash: u64,
@@ -56,9 +61,18 @@ struct Entry {
     obs: Option<String>,
 }
 
+/// One engine's run: its stats plus the setup and loop nanoseconds read
+/// from the planner's spans.
+struct Timed {
+    stats: PlanStats,
+    setup_ns: u64,
+    loop_ns: u64,
+}
+
 impl Entry {
     fn eval_reduction(&self) -> f64 {
-        self.exhaustive.counters.evaluations as f64 / self.lazy.counters.evaluations.max(1) as f64
+        self.exhaustive.stats.counters.evaluations as f64
+            / self.lazy.stats.counters.evaluations.max(1) as f64
     }
 
     fn wall_speedup(&self) -> f64 {
@@ -66,7 +80,40 @@ impl Entry {
     }
 
     fn within_bound(&self) -> bool {
-        self.lazy.counters.evaluations <= self.lazy.counters.exhaustive_bound()
+        let c = &self.lazy.stats.counters;
+        c.evaluations <= c.exhaustive_bound()
+    }
+}
+
+/// Plans once under a fresh collecting recorder and reads the setup and
+/// loop time from the planner's `[setup, loop]` span paths.
+fn timed(
+    run: &RunFn,
+    [setup, run_loop]: Spans,
+    scenario: &Scenario,
+    engine: EngineMode,
+) -> (CollectionPlan, Timed, RunReport) {
+    let rec = CollectingRecorder::new();
+    let (plan, stats) = run(scenario, engine, &rec);
+    let report = rec.report();
+    let timed = Timed {
+        stats,
+        setup_ns: span_ns(&report, setup),
+        loop_ns: span_ns(&report, run_loop),
+    };
+    (plan, timed, report)
+}
+
+/// Duration of the span at `path`. The span must have closed exactly
+/// once: a missing one ends the run instead of being written as a zero
+/// timing.
+fn span_ns(report: &RunReport, path: &str) -> u64 {
+    match report.spans.iter().find(|sp| sp.path == path) {
+        Some(sp) if sp.calls == 1 => sp.total_ns,
+        other => {
+            eprintln!("span {path} must close once per plan, found {other:?}");
+            std::process::exit(1);
+        }
     }
 }
 
@@ -74,25 +121,15 @@ fn measure(
     figure: &'static str,
     x_label: &'static str,
     x: f64,
-    algorithm: &'static str,
     seed: u64,
     scenario: &Scenario,
-    run: impl Fn(&Scenario, EngineMode, &dyn Recorder) -> (CollectionPlan, PlanStats),
+    (algorithm, spans, run): &PlannerRun,
 ) -> Entry {
-    // Only the lazy run is recorded: it is the engine the baseline
-    // gates, and the exhaustive twin's counters are already in the
-    // entry. Recording is per-entry so each sweep point gets its own
-    // report.
-    let (plan_lazy, lazy, obs) = if uavdc_obs::env_enabled() {
-        let rec = CollectingRecorder::new();
-        let (plan, stats) = run(scenario, EngineMode::Lazy, &rec);
-        let report = rec.report().to_json();
-        (plan, stats, Some(report))
-    } else {
-        let (plan, stats) = run(scenario, EngineMode::Lazy, &uavdc_obs::NOOP);
-        (plan, stats, None)
-    };
-    let (plan_full, exhaustive) = run(scenario, EngineMode::Exhaustive, &uavdc_obs::NOOP);
+    let (plan_lazy, lazy, report) = timed(run, *spans, scenario, EngineMode::Lazy);
+    let (plan_full, exhaustive, _) = timed(run, *spans, scenario, EngineMode::Exhaustive);
+    // Only the lazy report is embedded: it is the engine the baseline
+    // gates, and the exhaustive twin's counters are already in the entry.
+    let obs = uavdc_obs::env_enabled().then(|| report.to_json());
     Entry {
         figure,
         x_label,
@@ -107,11 +144,29 @@ fn measure(
     }
 }
 
-/// A labelled planner closure running with a chosen engine and recorder.
-type PlannerRun = (
-    &'static str,
-    Box<dyn Fn(&Scenario, EngineMode, &dyn Recorder) -> (CollectionPlan, PlanStats)>,
-);
+/// A planner closure running with a chosen engine and recorder.
+type RunFn = Box<dyn Fn(&Scenario, EngineMode, &dyn Recorder) -> (CollectionPlan, PlanStats)>;
+
+/// The `[setup, loop]` span paths a planner reports its phases under.
+type Spans = [&'static str; 2];
+
+const ALG2_SPANS: Spans = ["alg2/setup", "alg2/loop"];
+const ALG3_SPANS: Spans = ["alg3/setup", "alg3/loop"];
+const BENCH_SPANS: Spans = ["bench/setup", "bench/prune"];
+
+/// A labelled planner closure with its phase spans.
+type PlannerRun = (&'static str, Spans, RunFn);
+
+/// The benchmark pruner, which runs in every figure.
+fn benchmark_run() -> PlannerRun {
+    (
+        "Benchmark",
+        BENCH_SPANS,
+        Box::new(|s: &Scenario, engine, rec: &dyn Recorder| {
+            BenchmarkPlanner.plan_prepared_obs(s, engine, None, rec)
+        }),
+    )
+}
 
 /// The fig-4/5 planner roster (engine-aware planners only; Algorithm 1
 /// plans by orienteering reduction and has no greedy loop to compare).
@@ -119,17 +174,19 @@ fn overlap_roster(delta: f64) -> Vec<PlannerRun> {
     vec![
         (
             "Algorithm 2",
+            ALG2_SPANS,
             Box::new(move |s: &Scenario, engine, rec: &dyn Recorder| {
                 Alg2Planner::new(Alg2Config {
                     delta,
                     engine,
                     ..Alg2Config::default()
                 })
-                .plan_with_stats_obs(s, rec)
+                .plan_prepared_obs(s, None, rec)
             }),
         ),
         (
             "Algorithm 3 (K=2)",
+            ALG3_SPANS,
             Box::new(move |s: &Scenario, engine, rec: &dyn Recorder| {
                 Alg3Planner::new(Alg3Config {
                     delta,
@@ -137,11 +194,12 @@ fn overlap_roster(delta: f64) -> Vec<PlannerRun> {
                     engine,
                     ..Alg3Config::default()
                 })
-                .plan_with_stats_obs(s, rec)
+                .plan_prepared_obs(s, None, rec)
             }),
         ),
         (
             "Algorithm 3 (K=4)",
+            ALG3_SPANS,
             Box::new(move |s: &Scenario, engine, rec: &dyn Recorder| {
                 Alg3Planner::new(Alg3Config {
                     delta,
@@ -149,15 +207,10 @@ fn overlap_roster(delta: f64) -> Vec<PlannerRun> {
                     engine,
                     ..Alg3Config::default()
                 })
-                .plan_with_stats_obs(s, rec)
+                .plan_prepared_obs(s, None, rec)
             }),
         ),
-        (
-            "Benchmark",
-            Box::new(|s: &Scenario, engine, rec: &dyn Recorder| {
-                BenchmarkPlanner.plan_with_stats_obs(s, engine, rec)
-            }),
-        ),
+        benchmark_run(),
     ]
 }
 
@@ -176,10 +229,9 @@ fn run_sweeps(scale: f64, seeds: &[u64]) -> Vec<Entry> {
                 "fig3",
                 "capacity_j",
                 e,
-                "Benchmark",
                 seed,
                 &scenario,
-                |s, engine, rec| BenchmarkPlanner.plan_with_stats_obs(s, engine, rec),
+                &benchmark_run(),
             ));
         }
     }
@@ -189,10 +241,8 @@ fn run_sweeps(scale: f64, seeds: &[u64]) -> Vec<Entry> {
         let params = ScenarioParams::default().scaled(scale);
         for &seed in seeds {
             let scenario = uniform(&params, seed);
-            for (label, run) in overlap_roster(delta) {
-                entries.push(measure(
-                    "fig4", "delta_m", delta, label, seed, &scenario, run,
-                ));
+            for run in overlap_roster(delta) {
+                entries.push(measure("fig4", "delta_m", delta, seed, &scenario, &run));
             }
         }
     }
@@ -204,16 +254,8 @@ fn run_sweeps(scale: f64, seeds: &[u64]) -> Vec<Entry> {
             .with_capacity(Joules(e));
         for &seed in seeds {
             let scenario = uniform(&params, seed);
-            for (label, run) in overlap_roster(10.0) {
-                entries.push(measure(
-                    "fig5",
-                    "capacity_j",
-                    e,
-                    label,
-                    seed,
-                    &scenario,
-                    run,
-                ));
+            for run in overlap_roster(10.0) {
+                entries.push(measure("fig5", "capacity_j", e, seed, &scenario, &run));
             }
         }
     }
@@ -221,8 +263,8 @@ fn run_sweeps(scale: f64, seeds: &[u64]) -> Vec<Entry> {
     entries
 }
 
-fn stats_json(s: &PlanStats) -> String {
-    let c = &s.counters;
+fn stats_json(t: &Timed) -> String {
+    let c = &t.stats.counters;
     format!(
         concat!(
             "{{\"evaluations\":{},\"marginal_evals\":{},\"delta_rescans\":{},",
@@ -236,8 +278,8 @@ fn stats_json(s: &PlanStats) -> String {
         c.heap_pops,
         c.tour_patches,
         c.full_retours,
-        s.setup_ns,
-        s.loop_ns
+        t.setup_ns,
+        t.loop_ns
     )
 }
 
@@ -264,8 +306,8 @@ fn fig4_delta5_speedup(entries: &[Entry], algorithm: &str) -> f64 {
 fn aggregate<'a>(entries: impl Iterator<Item = &'a Entry>) -> (u64, u64, u64, u64) {
     let mut acc = (0u64, 0u64, 0u64, 0u64);
     for e in entries {
-        acc.0 += e.lazy.counters.evaluations;
-        acc.1 += e.exhaustive.counters.evaluations;
+        acc.0 += e.lazy.stats.counters.evaluations;
+        acc.1 += e.exhaustive.stats.counters.evaluations;
         acc.2 += e.lazy.loop_ns;
         acc.3 += e.exhaustive.loop_ns;
     }
@@ -350,9 +392,9 @@ fn render_json(entries: &[Entry], mode: &str, scale: f64, seeds: &[u64]) -> Stri
             e.x,
             e.algorithm,
             e.seed,
-            e.lazy.counters.candidates,
-            e.lazy.counters.iterations,
-            e.lazy.counters.exhaustive_bound(),
+            e.lazy.stats.counters.candidates,
+            e.lazy.stats.counters.iterations,
+            e.lazy.stats.counters.exhaustive_bound(),
             json_f64(e.eval_reduction()),
             json_f64(e.wall_speedup()),
             e.plans_identical,
@@ -370,13 +412,14 @@ fn render_json(entries: &[Entry], mode: &str, scale: f64, seeds: &[u64]) -> Stri
 /// Measures the enabled-recorder overhead on the headline fig-4 δ = 5 m
 /// sweep point at full scale: every roster planner runs its lazy engine
 /// once with the no-op recorder and once with a collecting recorder, and
-/// the aggregate loop-wall-clock ratio is printed. Exits non-zero when
-/// the overhead exceeds `budget_pct`.
+/// the ratio of the aggregate wall time of the whole calls is printed.
+/// Exits non-zero when the overhead exceeds `budget_pct`.
 fn obs_overhead(budget_pct: f64) {
     let params = ScenarioParams::default();
     let scenario = uniform(&params, 0x9a9e);
+    let clock = MonotonicClock::new();
     // Warm-up pass so neither side pays first-touch costs.
-    for (_, run) in overlap_roster(5.0) {
+    for (_, _, run) in overlap_roster(5.0) {
         let _ = run(&scenario, EngineMode::Lazy, &uavdc_obs::NOOP);
     }
     // Best-of-R per side: single passes on a busy machine jitter by more
@@ -388,16 +431,16 @@ fn obs_overhead(budget_pct: f64) {
     for _ in 0..REPS {
         let mut pass_noop = 0u64;
         let mut pass_coll = 0u64;
-        for (label, run) in overlap_roster(5.0) {
-            let (_, base) = run(&scenario, EngineMode::Lazy, &uavdc_obs::NOOP);
+        for (label, _, run) in overlap_roster(5.0) {
             let rec = CollectingRecorder::new();
+            let t0 = clock.now_ns();
+            let (_, base) = run(&scenario, EngineMode::Lazy, &uavdc_obs::NOOP);
+            let t1 = clock.now_ns();
             let (_, inst) = run(&scenario, EngineMode::Lazy, &rec);
-            assert_eq!(
-                base.counters.evaluations, inst.counters.evaluations,
-                "{label}: recorder changed the search"
-            );
-            pass_noop += base.setup_ns + base.loop_ns;
-            pass_coll += inst.setup_ns + inst.loop_ns;
+            let t2 = clock.now_ns();
+            assert_eq!(base, inst, "{label}: recorder changed the search");
+            pass_noop += t1 - t0;
+            pass_coll += t2 - t1;
         }
         noop_ns = noop_ns.min(pass_noop);
         coll_ns = coll_ns.min(pass_coll);
@@ -461,6 +504,10 @@ fn main() {
         ("full", 1.0, vec![0x9a9e, 0x9a9f, 0x9aa0])
     };
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the harness reports how long the whole sweep took"
+    )]
     let started = Instant::now();
     let entries = run_sweeps(scale, &seeds);
     eprintln!(
@@ -512,8 +559,8 @@ fn main() {
                 e.x,
                 e.algorithm,
                 e.seed,
-                e.lazy.counters.evaluations,
-                e.lazy.counters.exhaustive_bound()
+                e.lazy.stats.counters.evaluations,
+                e.lazy.stats.counters.exhaustive_bound()
             );
         }
         if !diverged.is_empty() || !over.is_empty() {

@@ -160,7 +160,7 @@ fn run_sweeps(scale: f64, seeds: &[u64], deltas: &[f64]) -> Vec<Entry> {
                         engine: EngineMode::Lazy,
                         ..Alg2Config::default()
                     })
-                    .plan_with_stats(&scenario)
+                    .plan_prepared(&scenario, None)
                     .0,
                 ),
                 (
@@ -171,13 +171,13 @@ fn run_sweeps(scale: f64, seeds: &[u64], deltas: &[f64]) -> Vec<Entry> {
                         engine: EngineMode::Lazy,
                         ..Alg3Config::default()
                     })
-                    .plan_with_stats(&scenario)
+                    .plan_prepared(&scenario, None)
                     .0,
                 ),
                 (
                     "Benchmark",
                     BenchmarkPlanner
-                        .plan_with_stats(&scenario, EngineMode::Lazy)
+                        .plan_prepared(&scenario, EngineMode::Lazy, None)
                         .0,
                 ),
             ];
@@ -323,6 +323,10 @@ fn main() {
         }
     });
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the harness reports how long the whole sweep took"
+    )]
     let started = Instant::now();
     let entries = run_sweeps(scale, &seeds, &deltas);
     eprintln!(

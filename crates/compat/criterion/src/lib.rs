@@ -128,6 +128,10 @@ pub struct Bencher {
 
 impl Bencher {
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a bench harness times whole batches of calls"
+        )]
         let start = Instant::now();
         for _ in 0..self.iters {
             hint::black_box(f());

@@ -22,7 +22,7 @@ use crate::Planner;
 use uavdc_net::units::Seconds;
 use uavdc_net::{DeviceId, Scenario};
 use uavdc_obs::{Recorder, Span};
-use uavdc_orienteering::{solve_obs, Backend, GraspConfig};
+use uavdc_orienteering::{solve, Backend, GraspConfig};
 
 /// How candidates are prepared before the orienteering reduction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -98,7 +98,7 @@ impl Alg1Planner {
         drop(aux_span);
 
         let solve_span = root.child("orienteering");
-        let solution = solve_obs(&aux.instance, self.config.backend, rec);
+        let solution = solve(&aux.instance, self.config.backend, rec);
         drop(solve_span);
 
         let stitch_span = root.child("stitch");

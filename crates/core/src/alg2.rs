@@ -243,7 +243,7 @@ impl<'a> GreedyState<'a> {
             }
             None => {
                 rec.add("alg2.christofides_retours", 1);
-                let order = crate::tourutil::christofides_order_obs(&self.tour_pts, rec);
+                let order = crate::tourutil::christofides_order(&self.tour_pts, rec);
                 self.tour_pts = crate::tourutil::apply_order(&self.tour_pts, &order);
                 self.stop_of = crate::tourutil::apply_order(&self.stop_of, &order);
             }
@@ -371,7 +371,7 @@ fn run_exhaustive(state: &mut GreedyState<'_>, eta_h: f64, counters: &mut EvalCo
 /// Runs the PaperChristofides greedy loop: every candidate is scored by a
 /// full re-tour of the stop set with the candidate included, exactly as
 /// Algorithm 2 is written. With [`Alg2Config::speculative_cache`] the
-/// per-candidate rebuilds run as [`IncrementalTour::speculative_order_obs`]
+/// per-candidate rebuilds run as [`IncrementalTour::speculative_order`]
 /// (cached distance matrix, memoised odd-vertex matching) and the winning
 /// order is reused at commit; both paths produce bit-identical plans
 /// (differential-tested in `tests/alg2_incremental_equivalence.rs`).
@@ -409,9 +409,9 @@ fn run_paper(
             let mut pts = state.tour_pts.clone();
             pts.push(cand_pos);
             let order = if config.speculative_cache {
-                inc.speculative_order_obs((cand_pos.x, cand_pos.y), rec)
+                inc.speculative_order((cand_pos.x, cand_pos.y), rec)
             } else {
-                crate::tourutil::christofides_order_obs(&pts, rec)
+                crate::tourutil::christofides_order(&pts, rec)
             };
             let new_len = closed_tour_length(&crate::tourutil::apply_order(&pts, &order));
             let delta_len = (new_len - state.tour_len).max(0.0);
@@ -772,25 +772,6 @@ fn run_lazy(
 }
 
 impl Alg2Planner {
-    /// Plans and returns the work/timing breakdown alongside the plan
-    /// (consumed by the `planner_baseline` perf harness).
-    pub fn plan_with_stats(&self, scenario: &Scenario) -> (CollectionPlan, PlanStats) {
-        self.plan_with_stats_obs(scenario, &uavdc_obs::NOOP)
-    }
-
-    /// Like [`plan_with_stats`](Alg2Planner::plan_with_stats), reporting
-    /// spans (`alg2/setup`, `alg2/loop`), end-of-run counters, and
-    /// per-iteration histograms to `rec`. With the no-op recorder this
-    /// is the same computation producing bit-identical plans
-    /// (property-tested in `tests/obs_noop_equivalence.rs`).
-    pub fn plan_with_stats_obs(
-        &self,
-        scenario: &Scenario,
-        rec: &dyn Recorder,
-    ) -> (CollectionPlan, PlanStats) {
-        self.plan_prepared_obs(scenario, None, rec)
-    }
-
     /// Recorder-free twin of
     /// [`plan_prepared_obs`](Alg2Planner::plan_prepared_obs).
     pub fn plan_prepared(
@@ -801,16 +782,23 @@ impl Alg2Planner {
         self.plan_prepared_obs(scenario, prepared, &uavdc_obs::NOOP)
     }
 
-    /// Like [`plan_with_stats_obs`](Alg2Planner::plan_with_stats_obs),
-    /// optionally reusing a prebuilt candidate set instead of rebuilding
-    /// it. `prepared` must be exactly what the cold path would build —
+    /// Plans and returns the work breakdown alongside the plan, reporting
+    /// spans (`alg2/setup`, `alg2/loop`, each opened once per call on
+    /// every path), end-of-run counters and per-iteration histograms to
+    /// `rec`. With the no-op recorder this is the same computation
+    /// producing bit-identical plans (property-tested in
+    /// `tests/obs_noop_equivalence.rs`).
+    ///
+    /// `prepared` optionally reuses a prebuilt candidate set instead of
+    /// rebuilding it. It must be exactly what the cold path would build —
     /// `CandidateSet::build(scenario, config.delta)` followed by
     /// `prune_dominated()` when `config.prune_dominated` is set — which an
     /// [`ArtifactCache`](crate::ArtifactCache) keyed on the scenario
     /// layout fingerprint and `δ` guarantees. Cold and prepared runs then
-    /// share every instruction after setup, so plans and counters are
+    /// share every instruction after setup, so plans and stats are
     /// bit-identical (property-tested in
-    /// `tests/artifact_cache_invisibility.rs`); only `setup_ns` shrinks.
+    /// `tests/artifact_cache_invisibility.rs`); only the `setup` span
+    /// shrinks.
     pub fn plan_prepared_obs(
         &self,
         scenario: &Scenario,
@@ -818,8 +806,6 @@ impl Alg2Planner {
         rec: &dyn Recorder,
     ) -> (CollectionPlan, PlanStats) {
         let root = Span::root(rec, "alg2");
-        // lint:allow(effect-taint): wall-clock runtime stats only; never influence plan content
-        let setup_start = std::time::Instant::now();
         let setup_span = root.child("setup");
         let built;
         let candidates = match prepared {
@@ -845,30 +831,29 @@ impl Alg2Planner {
                 candidates: candidates.len(),
                 ..EvalCounters::default()
             },
-            setup_ns: 0,
-            loop_ns: 0,
         };
-        drop(setup_span);
-        if candidates.is_empty() {
-            stats.setup_ns = setup_start.elapsed().as_nanos() as u64;
-            return (CollectionPlan::empty(), stats);
-        }
-        let mut state = GreedyState::new(scenario, candidates);
-        let eta_h = scenario.uav.hover_power.value();
         // The lazy engine's accelerator structures are input-derived
         // (scenario + candidate set only), so they are built in the setup
-        // phase alongside the candidate set itself; the loop timer below
-        // covers the greedy search proper for both engines.
-        let mut pre = match (self.config.tour_mode, engine) {
-            (TourMode::FastInsertion, EngineMode::Lazy) => {
-                Some(LazyPre::build(candidates, scenario))
-            }
-            _ => None,
+        // span alongside the candidate set itself; the loop span covers
+        // the greedy search proper for both engines.
+        let ready = if candidates.is_empty() {
+            None
+        } else {
+            let state = GreedyState::new(scenario, candidates);
+            let pre = match (self.config.tour_mode, engine) {
+                (TourMode::FastInsertion, EngineMode::Lazy) => {
+                    Some(LazyPre::build(candidates, scenario))
+                }
+                _ => None,
+            };
+            Some((state, pre))
         };
-        stats.setup_ns = setup_start.elapsed().as_nanos() as u64;
-        // lint:allow(effect-taint): wall-clock runtime stats only; never influence plan content
-        let loop_start = std::time::Instant::now();
+        let eta_h = scenario.uav.hover_power.value();
+        drop(setup_span);
         let loop_span = root.child("loop");
+        let Some((mut state, mut pre)) = ready else {
+            return (CollectionPlan::empty(), stats);
+        };
         match (self.config.tour_mode, engine, pre.as_mut()) {
             (TourMode::PaperChristofides, _, _) => {
                 run_paper(&mut state, &self.config, eta_h, &mut stats.counters, rec)
@@ -879,7 +864,6 @@ impl Alg2Planner {
             _ => run_exhaustive(&mut state, eta_h, &mut stats.counters),
         }
         drop(loop_span);
-        stats.loop_ns = loop_start.elapsed().as_nanos() as u64;
         flush_counters(rec, &stats.counters);
         let plan = state.into_plan();
         crate::validate::debug_check_plan(
@@ -914,7 +898,7 @@ impl Planner for Alg2Planner {
     }
 
     fn plan(&self, scenario: &Scenario) -> CollectionPlan {
-        self.plan_with_stats(scenario).0
+        self.plan_prepared(scenario, None).0
     }
 }
 
@@ -1011,14 +995,14 @@ mod tests {
             speculative_cache: true,
             ..Alg2Config::default()
         })
-        .plan_with_stats(&s);
+        .plan_prepared(&s, None);
         let literal = Alg2Planner::new(Alg2Config {
             delta: 20.0,
             tour_mode: TourMode::PaperChristofides,
             speculative_cache: false,
             ..Alg2Config::default()
         })
-        .plan_with_stats(&s);
+        .plan_prepared(&s, None);
         assert_eq!(cached.0, literal.0, "plans diverged");
         // The literal path re-tours once more per commit.
         let commits = cached.0.stops.len() as u64;

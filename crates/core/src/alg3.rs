@@ -593,25 +593,6 @@ fn run_lazy(
 }
 
 impl Alg3Planner {
-    /// Plans and returns the work/timing breakdown alongside the plan
-    /// (consumed by the `planner_baseline` perf harness).
-    pub fn plan_with_stats(&self, scenario: &Scenario) -> (CollectionPlan, PlanStats) {
-        self.plan_with_stats_obs(scenario, &uavdc_obs::NOOP)
-    }
-
-    /// Like [`plan_with_stats`](Alg3Planner::plan_with_stats), reporting
-    /// spans (`alg3/setup`, `alg3/loop`), end-of-run counters, and
-    /// per-iteration histograms to `rec`. With the no-op recorder this
-    /// is the same computation producing bit-identical plans
-    /// (property-tested in `tests/obs_noop_equivalence.rs`).
-    pub fn plan_with_stats_obs(
-        &self,
-        scenario: &Scenario,
-        rec: &dyn Recorder,
-    ) -> (CollectionPlan, PlanStats) {
-        self.plan_prepared_obs(scenario, None, rec)
-    }
-
     /// Recorder-free twin of
     /// [`plan_prepared_obs`](Alg3Planner::plan_prepared_obs).
     pub fn plan_prepared(
@@ -622,15 +603,22 @@ impl Alg3Planner {
         self.plan_prepared_obs(scenario, prepared, &uavdc_obs::NOOP)
     }
 
-    /// Like [`plan_with_stats_obs`](Alg3Planner::plan_with_stats_obs),
-    /// optionally reusing a prebuilt candidate set instead of rebuilding
-    /// it. `prepared` must be exactly what the cold path would build —
+    /// Plans and returns the work breakdown alongside the plan, reporting
+    /// spans (`alg3/setup`, `alg3/loop`, each opened once per call on
+    /// every path), end-of-run counters and per-iteration histograms to
+    /// `rec`. With the no-op recorder this is the same computation
+    /// producing bit-identical plans (property-tested in
+    /// `tests/obs_noop_equivalence.rs`).
+    ///
+    /// `prepared` optionally reuses a prebuilt candidate set instead of
+    /// rebuilding it. It must be exactly what the cold path would build —
     /// `CandidateSet::build(scenario, config.delta)` followed by
     /// `prune_dominated()` when `config.prune_dominated` is set (the
     /// keying contract of an [`ArtifactCache`](crate::ArtifactCache)).
     /// Cold and prepared runs share every instruction after setup, so
-    /// plans and counters are bit-identical (property-tested in
-    /// `tests/artifact_cache_invisibility.rs`); only `setup_ns` shrinks.
+    /// plans and stats are bit-identical (property-tested in
+    /// `tests/artifact_cache_invisibility.rs`); only the `setup` span
+    /// shrinks.
     pub fn plan_prepared_obs(
         &self,
         scenario: &Scenario,
@@ -639,8 +627,6 @@ impl Alg3Planner {
     ) -> (CollectionPlan, PlanStats) {
         assert!(self.config.k >= 1, "K must be at least 1");
         let root = Span::root(rec, "alg3");
-        // lint:allow(effect-taint): wall-clock runtime stats only; never influence plan content
-        let setup_start = std::time::Instant::now();
         let setup_span = root.child("setup");
         let built;
         let candidates = match prepared {
@@ -660,15 +646,8 @@ impl Alg3Planner {
                 candidates: candidates.len(),
                 ..EvalCounters::default()
             },
-            setup_ns: 0,
-            loop_ns: 0,
         };
-        drop(setup_span);
-        if candidates.is_empty() {
-            stats.setup_ns = setup_start.elapsed().as_nanos() as u64;
-            return (CollectionPlan::empty(), stats);
-        }
-        let mut state = PartialState::new(scenario, candidates);
+        let state = (!candidates.is_empty()).then(|| PartialState::new(scenario, candidates));
         // Each commit either exhausts at least one virtual step of one
         // candidate or collects real data; the cap is a safety net for
         // degenerate float behaviour.
@@ -678,10 +657,11 @@ impl Alg3Planner {
             .saturating_mul(4)
             + 64;
         let eta_h = scenario.uav.hover_power.value();
-        stats.setup_ns = setup_start.elapsed().as_nanos() as u64;
-        // lint:allow(effect-taint): wall-clock runtime stats only; never influence plan content
-        let loop_start = std::time::Instant::now();
+        drop(setup_span);
         let loop_span = root.child("loop");
+        let Some(mut state) = state else {
+            return (CollectionPlan::empty(), stats);
+        };
         match self.config.engine {
             EngineMode::Lazy => run_lazy(
                 &mut state,
@@ -700,7 +680,6 @@ impl Alg3Planner {
             ),
         }
         drop(loop_span);
-        stats.loop_ns = loop_start.elapsed().as_nanos() as u64;
         flush_counters(rec, &stats.counters);
         let plan = state.into_plan();
         crate::validate::debug_check_plan(
@@ -730,7 +709,7 @@ impl Planner for Alg3Planner {
     }
 
     fn plan(&self, scenario: &Scenario) -> CollectionPlan {
-        self.plan_with_stats(scenario).0
+        self.plan_prepared(scenario, None).0
     }
 }
 

@@ -16,7 +16,7 @@
 
 use crate::greedy::{EngineMode, EvalCounters, PlanStats};
 use crate::plan::{CollectionPlan, HoverStop};
-use crate::tourutil::{apply_order, christofides_order_obs, closed_tour_length, removal_delta};
+use crate::tourutil::{apply_order, christofides_order, closed_tour_length, removal_delta};
 use crate::Planner;
 use uavdc_geom::{Point2, SpatialGrid};
 use uavdc_net::units::Seconds;
@@ -24,7 +24,7 @@ use uavdc_net::{DeviceId, Scenario};
 use uavdc_obs::{Recorder, Span};
 
 /// The benchmark planner (no configuration; [`Planner::plan`] uses the
-/// incremental pruning engine, [`BenchmarkPlanner::plan_with_stats`]
+/// incremental pruning engine, [`BenchmarkPlanner::plan_prepared`]
 /// selects the engine explicitly).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BenchmarkPlanner;
@@ -74,7 +74,7 @@ impl BenchmarkSetup {
         let mut pts: Vec<Point2> = Vec::with_capacity(n + 1);
         pts.push(scenario.depot);
         pts.extend(positions.iter().copied());
-        let order = christofides_order_obs(&pts, rec);
+        let order = christofides_order(&pts, rec);
         let pts = apply_order(&pts, &order);
         let dev_of: Vec<usize> = order
             .iter()
@@ -559,32 +559,6 @@ fn prune_lazy(state: &mut PruneState<'_>, counters: &mut EvalCounters, rec: &dyn
 }
 
 impl BenchmarkPlanner {
-    /// Plans with an explicit engine choice and returns the work/timing
-    /// breakdown alongside the plan. `counters.candidates` is the
-    /// initial tour's stop count (the benchmark has no grid candidates).
-    pub fn plan_with_stats(
-        &self,
-        scenario: &Scenario,
-        engine: EngineMode,
-    ) -> (CollectionPlan, PlanStats) {
-        self.plan_with_stats_obs(scenario, engine, &uavdc_obs::NOOP)
-    }
-
-    /// Like [`plan_with_stats`](BenchmarkPlanner::plan_with_stats),
-    /// reporting spans (`bench/setup` covering the initial Christofides
-    /// tour, `bench/prune`), end-of-run counters, and per-iteration
-    /// histograms to `rec`. With the no-op recorder this is the same
-    /// computation producing bit-identical plans (property-tested in
-    /// `tests/obs_noop_equivalence.rs`).
-    pub fn plan_with_stats_obs(
-        &self,
-        scenario: &Scenario,
-        engine: EngineMode,
-        rec: &dyn Recorder,
-    ) -> (CollectionPlan, PlanStats) {
-        self.plan_prepared_obs(scenario, engine, None, rec)
-    }
-
     /// Recorder-free twin of
     /// [`plan_prepared_obs`](BenchmarkPlanner::plan_prepared_obs).
     pub fn plan_prepared(
@@ -596,16 +570,25 @@ impl BenchmarkPlanner {
         self.plan_prepared_obs(scenario, engine, prepared, &uavdc_obs::NOOP)
     }
 
-    /// Like [`plan_with_stats_obs`](BenchmarkPlanner::plan_with_stats_obs),
-    /// optionally reusing a prebuilt [`BenchmarkSetup`] instead of
-    /// rebuilding it. `prepared` must be exactly what
+    /// Plans with an explicit engine choice and returns the work
+    /// breakdown alongside the plan (`counters.candidates` is the initial
+    /// tour's stop count: the benchmark has no grid candidates). Reports
+    /// spans (`bench/setup` covering the initial Christofides tour,
+    /// `bench/prune`, each opened once per call on every path),
+    /// end-of-run counters and per-iteration histograms to `rec`. With
+    /// the no-op recorder this is the same computation producing
+    /// bit-identical plans (property-tested in
+    /// `tests/obs_noop_equivalence.rs`).
+    ///
+    /// `prepared` optionally reuses a prebuilt [`BenchmarkSetup`] instead
+    /// of rebuilding it. It must be exactly what
     /// [`BenchmarkSetup::build_obs`] would produce for this scenario (the
     /// keying contract of an [`ArtifactCache`](crate::ArtifactCache)).
     /// The pruning loop runs on a copy of the artifact's tour (borrowing
     /// its coverage lists) either way, so cold and prepared runs share
-    /// every instruction after setup and
-    /// produce bit-identical plans and counters (property-tested in
-    /// `tests/artifact_cache_invisibility.rs`); only `setup_ns` shrinks.
+    /// every instruction after setup and produce bit-identical plans and
+    /// stats (property-tested in `tests/artifact_cache_invisibility.rs`);
+    /// only the `setup` span shrinks.
     pub fn plan_prepared_obs(
         &self,
         scenario: &Scenario,
@@ -614,8 +597,7 @@ impl BenchmarkPlanner {
         rec: &dyn Recorder,
     ) -> (CollectionPlan, PlanStats) {
         let root = Span::root(rec, "bench");
-        // lint:allow(effect-taint): wall-clock runtime stats only; never influence plan content
-        let setup_start = std::time::Instant::now();
+        let setup_span = root.child("setup");
         let n = scenario.num_devices();
         let mut stats = PlanStats {
             engine,
@@ -623,40 +605,33 @@ impl BenchmarkPlanner {
                 candidates: n,
                 ..EvalCounters::default()
             },
-            setup_ns: 0,
-            loop_ns: 0,
         };
-        if n == 0 {
-            stats.setup_ns = setup_start.elapsed().as_nanos() as u64;
-            return (CollectionPlan::empty(), stats);
-        }
-        let setup_span = root.child("setup");
         let built;
         let setup = match prepared {
-            Some(s) => s,
+            // An empty scenario never consults the artifact.
+            _ if n == 0 => None,
+            Some(s) => Some(s),
             None => {
                 built = BenchmarkSetup::build_obs(scenario, rec);
-                &built
+                Some(&built)
             }
         };
-        let mut state = PruneState {
+        let state = setup.map(|setup| PruneState {
             scenario,
             pts: setup.pts.clone(),
             dev_of: setup.dev_of.clone(),
             coverage: &setup.coverage,
-        };
-        stats.setup_ns = setup_start.elapsed().as_nanos() as u64;
+        });
         drop(setup_span);
-
-        // lint:allow(effect-taint): wall-clock runtime stats only; never influence plan content
-        let loop_start = std::time::Instant::now();
         let prune_span = root.child("prune");
+        let Some(mut state) = state else {
+            return (CollectionPlan::empty(), stats);
+        };
         match engine {
             EngineMode::Lazy => prune_lazy(&mut state, &mut stats.counters, rec),
             EngineMode::Exhaustive => prune_exhaustive(&mut state, &mut stats.counters),
         }
         drop(prune_span);
-        stats.loop_ns = loop_start.elapsed().as_nanos() as u64;
         let c = &stats.counters;
         rec.add("bench.initial_stops", c.candidates as u64);
         rec.add("bench.iterations", c.iterations);
@@ -690,7 +665,7 @@ impl Planner for BenchmarkPlanner {
     }
 
     fn plan(&self, scenario: &Scenario) -> CollectionPlan {
-        self.plan_with_stats(scenario, EngineMode::Lazy).0
+        self.plan_prepared(scenario, EngineMode::Lazy, None).0
     }
 }
 

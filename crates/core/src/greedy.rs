@@ -660,7 +660,7 @@ impl LazyHeap {
 
 /// Work counters for one planning run, comparing the lazy engine's
 /// actual evaluation count against the exhaustive bound.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EvalCounters {
     /// Candidates at loop start (after pruning) — the `M` of the bound.
     pub candidates: usize,
@@ -703,10 +703,11 @@ impl EvalCounters {
     }
 }
 
-/// Timing + work breakdown for one planning run, returned by the
-/// planners' `plan_with_stats` entry points and consumed by the
-/// `planner_baseline` perf harness.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
+/// Work breakdown for one planning run, returned by the planners'
+/// `plan_prepared` entry points. Every field is a pure function of the
+/// planner's inputs; wall time lives in the recorder's `setup` and
+/// `loop` spans instead, timed by the recorder's injected clock.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlanStats {
     /// Engine that produced the plan.
     pub engine: EngineMode,
@@ -714,17 +715,6 @@ pub struct PlanStats {
     /// candidates for Algorithms 2/3, initial tour stops for the
     /// benchmark heuristic).
     pub counters: EvalCounters,
-    /// Wall time building + pruning the candidate set, nanoseconds.
-    pub setup_ns: u64,
-    /// Wall time in the greedy loop itself, nanoseconds.
-    pub loop_ns: u64,
-}
-
-impl PlanStats {
-    /// Total planning wall time, nanoseconds.
-    pub fn total_ns(&self) -> u64 {
-        self.setup_ns + self.loop_ns
-    }
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! improvement moves.
 
 use uavdc_geom::Point2;
-use uavdc_graph::christofides::{christofides_with_obs, ChristofidesConfig};
+use uavdc_graph::christofides::{christofides_with, ChristofidesConfig};
 use uavdc_graph::DistMatrix;
 
 /// Length of the closed tour through `pts` (first point is the depot),
@@ -58,21 +58,15 @@ pub fn removal_delta(pts: &[Point2], idx: usize) -> f64 {
 /// Re-orders a closed point tour with Christofides (plus 2-opt polish) and
 /// returns the permutation applied: `perm[k]` is the old index of the
 /// point now at position `k`. The depot (old index 0) stays at position 0.
-// Outside tests the planners thread a recorder through the obs variant.
-#[cfg_attr(not(test), allow(dead_code))]
-pub fn christofides_order(pts: &[Point2]) -> Vec<usize> {
-    christofides_order_obs(pts, &uavdc_obs::NOOP)
-}
-
-/// Like [`christofides_order`], forwarding the underlying Christofides
-/// call statistics (`christofides.*`) to `rec`.
-pub fn christofides_order_obs(pts: &[Point2], rec: &dyn uavdc_obs::Recorder) -> Vec<usize> {
+/// The underlying Christofides call statistics (`christofides.*`) go to
+/// `rec`.
+pub fn christofides_order(pts: &[Point2], rec: &dyn uavdc_obs::Recorder) -> Vec<usize> {
     let n = pts.len();
     if n <= 3 {
         return (0..n).collect();
     }
     let m = DistMatrix::from_fn(n, |i, j| pts[i].distance(pts[j]));
-    let mut tour = christofides_with_obs(&m, &ChristofidesConfig::default(), rec);
+    let mut tour = christofides_with(&m, &ChristofidesConfig::default(), rec);
     tour.rotate_to_start(0);
     tour.order().to_vec()
 }
@@ -133,7 +127,7 @@ mod tests {
         let pts: Vec<Point2> = (0..12)
             .map(|i| Point2::new((i * 37 % 50) as f64, (i * 13 % 50) as f64))
             .collect();
-        let order = christofides_order(&pts);
+        let order = christofides_order(&pts, &uavdc_obs::NOOP);
         assert_eq!(order[0], 0);
         let mut sorted = order.clone();
         sorted.sort_unstable();

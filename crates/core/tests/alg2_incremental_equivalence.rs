@@ -38,7 +38,7 @@ fn scenario(seed: u64, scale: f64, capacity_kj: f64) -> Scenario {
 }
 
 fn run(s: &Scenario, config: Alg2Config) -> (CollectionPlan, PlanStats) {
-    Alg2Planner::new(config).plan_with_stats(s)
+    Alg2Planner::new(config).plan_prepared(s, None)
 }
 
 /// Plans with both engines and asserts full-plan and tour-counter

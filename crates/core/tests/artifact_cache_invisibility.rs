@@ -10,7 +10,7 @@
 //! `Scenario::layout_fingerprint` — publishes it in an
 //! [`ArtifactCache`], and plans every request through `plan_prepared`
 //! with the artifact the cache hands out. Every outcome (plan fingerprint
-//! and the deterministic counters) must equal the cold
+//! and the whole `PlanStats`: engine and counters) must equal the cold
 //! `plan_prepared(s, None)` run, and planning the batch on scoped threads
 //! at any thread count, including more threads than requests, must
 //! reproduce the serial outcomes bit for bit.
@@ -22,7 +22,7 @@ use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use uavdc_core::{
     Alg2Config, Alg2Planner, Alg3Config, Alg3Planner, ArtifactCache, BenchmarkPlanner,
-    BenchmarkSetup, CandidateSet, EngineMode,
+    BenchmarkSetup, CandidateSet, EngineMode, PlanStats,
 };
 use uavdc_net::generator::{uniform, ScenarioParams};
 use uavdc_net::units::Joules;
@@ -54,9 +54,8 @@ struct Request {
     engine: EngineMode,
 }
 
-/// A request's deterministic result: plan fingerprint, candidates,
-/// iterations, evaluations, tour patches and full re-tours.
-type Outcome = (u64, usize, u64, u64, u64, u64);
+/// A request's deterministic result: plan fingerprint and stats.
+type Outcome = (u64, PlanStats);
 
 /// Decodes a request tuple drawn by proptest. The pools are small so
 /// that batches collide on instances and artifacts.
@@ -182,15 +181,7 @@ impl Batch {
                 BenchmarkPlanner.plan_prepared(&s, r.engine, setup.as_deref())
             }
         };
-        let c = stats.counters;
-        (
-            plan.fingerprint(),
-            c.candidates,
-            c.iterations,
-            c.evaluations,
-            c.tour_patches,
-            c.full_retours,
-        )
+        (plan.fingerprint(), stats)
     }
 
     /// Plans every request on `threads` scoped workers, each taking one
@@ -306,9 +297,12 @@ fn single_request_on_wide_pool() {
     let wide = batch.plan_all(&requests, 16, true);
     assert_eq!(wide, batch.plan_all(&requests, 1, true));
     assert_eq!(wide, vec![batch.plan(&request, false)]);
-    let (_, _, _, _, tour_patches, full_retours) = wide[0];
-    assert!(tour_patches > 0, "tour_patches lost in the cached path");
-    assert_eq!(full_retours, 0);
+    let counters = wide[0].1.counters;
+    assert!(
+        counters.tour_patches > 0,
+        "tour_patches lost in the cached path"
+    );
+    assert_eq!(counters.full_retours, 0);
 }
 
 /// An empty batch builds nothing and plans nothing at any pool width.

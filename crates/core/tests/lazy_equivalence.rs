@@ -30,8 +30,10 @@ fn small_scenario(seed: u64, scale: f64) -> Scenario {
     uniform(&ScenarioParams::default().scaled(scale), seed)
 }
 
-/// Plans with both engines and asserts bit-identical output plus the
-/// evaluation-count bound `lazy.evaluations <= iterations * candidates`.
+/// Plans with both engines and asserts bit-identical output, the
+/// evaluation-count bound `lazy.evaluations <= iterations * candidates`,
+/// and that each run's stats name the engine that actually ran
+/// (Christofides re-touring always runs exhaustively).
 fn assert_alg2_equivalent(s: &Scenario, base: Alg2Config, tag: &str) {
     let lazy = Alg2Planner::new(Alg2Config {
         engine: EngineMode::Lazy,
@@ -41,9 +43,18 @@ fn assert_alg2_equivalent(s: &Scenario, base: Alg2Config, tag: &str) {
         engine: EngineMode::Exhaustive,
         ..base
     });
-    let (pl, sl) = lazy.plan_with_stats(s);
-    let (pf, sf) = full.plan_with_stats(s);
+    let (pl, sl) = lazy.plan_prepared(s, None);
+    let (pf, sf) = full.plan_prepared(s, None);
     assert_eq!(pl, pf, "{tag}: lazy and exhaustive plans diverge");
+    let lazy_engine = match base.tour_mode {
+        TourMode::FastInsertion => EngineMode::Lazy,
+        TourMode::PaperChristofides => EngineMode::Exhaustive,
+    };
+    assert_eq!(
+        (sl.engine, sf.engine),
+        (lazy_engine, EngineMode::Exhaustive),
+        "{tag}: stats name the wrong engine"
+    );
     assert!(
         sl.counters.evaluations <= sf.counters.exhaustive_bound(),
         "{tag}: lazy did {} evaluations, exhaustive bound is {}",
@@ -99,9 +110,10 @@ proptest! {
     ) {
         let mut s = small_scenario(seed, scale);
         s.uav.capacity = Joules(cap);
-        let (pl, sl) = BenchmarkPlanner.plan_with_stats(&s, EngineMode::Lazy);
-        let (pf, sf) = BenchmarkPlanner.plan_with_stats(&s, EngineMode::Exhaustive);
+        let (pl, sl) = BenchmarkPlanner.plan_prepared(&s, EngineMode::Lazy, None);
+        let (pf, sf) = BenchmarkPlanner.plan_prepared(&s, EngineMode::Exhaustive, None);
         prop_assert_eq!(pl, pf, "benchmark diverged on seed {} cap {}", seed, cap);
+        prop_assert_eq!((sl.engine, sf.engine), (EngineMode::Lazy, EngineMode::Exhaustive));
         prop_assert!(sl.counters.evaluations <= sf.counters.exhaustive_bound());
     }
 }
@@ -125,9 +137,10 @@ proptest! {
         let base = Alg3Config { k, ..Alg3Config::default() };
         let lazy = Alg3Planner::new(Alg3Config { engine: EngineMode::Lazy, ..base });
         let full = Alg3Planner::new(Alg3Config { engine: EngineMode::Exhaustive, ..base });
-        let (pl, sl) = lazy.plan_with_stats(&s);
-        let (pf, sf) = full.plan_with_stats(&s);
+        let (pl, sl) = lazy.plan_prepared(&s, None);
+        let (pf, sf) = full.plan_prepared(&s, None);
         prop_assert_eq!(pl, pf, "alg3 K={} diverged on seed {}", k, seed);
+        prop_assert_eq!((sl.engine, sf.engine), (EngineMode::Lazy, EngineMode::Exhaustive));
         prop_assert!(sl.counters.evaluations <= sf.counters.exhaustive_bound());
     }
 }

@@ -27,7 +27,7 @@
 use proptest::prelude::*;
 use uavdc_core::{BenchmarkPlanner, EngineMode};
 use uavdc_geom::{tour_length, Aabb, Point2, SpatialGrid};
-use uavdc_graph::christofides::{christofides_with_obs, ChristofidesConfig};
+use uavdc_graph::christofides::{christofides_with, ChristofidesConfig};
 use uavdc_graph::DistMatrix;
 use uavdc_net::units::{Joules, MegaBytes, MegaBytesPerSecond, Meters};
 use uavdc_net::{IotDevice, RadioModel, Scenario, UavSpec};
@@ -93,7 +93,7 @@ fn replay(s: &Scenario) -> Replay {
         (0..all.len()).collect()
     } else {
         let m = DistMatrix::from_fn(all.len(), |i, j| all[i].distance(all[j]));
-        let mut tour = christofides_with_obs(&m, &ChristofidesConfig::default(), &uavdc_obs::NOOP);
+        let mut tour = christofides_with(&m, &ChristofidesConfig::default(), &uavdc_obs::NOOP);
         tour.rotate_to_start(0);
         tour.order().to_vec()
     };
@@ -189,8 +189,8 @@ fn replay(s: &Scenario) -> Replay {
 /// Plans with both engines and checks them against each other and the
 /// replay.
 fn assert_engines_agree(s: &Scenario, tag: &str) {
-    let (lazy, ls) = BenchmarkPlanner.plan_with_stats(s, EngineMode::Lazy);
-    let (full, fs) = BenchmarkPlanner.plan_with_stats(s, EngineMode::Exhaustive);
+    let (lazy, ls) = BenchmarkPlanner.plan_prepared(s, EngineMode::Lazy, None);
+    let (full, fs) = BenchmarkPlanner.plan_prepared(s, EngineMode::Exhaustive, None);
     assert_eq!(
         lazy.fingerprint(),
         full.fingerprint(),

@@ -38,22 +38,18 @@ impl Default for ChristofidesConfig {
 /// For a metric `m` (triangle inequality) the result without polishing is
 /// within 1.5x of the optimal tour; 2-opt polishing only improves it.
 pub fn christofides(m: &DistMatrix) -> Tour {
-    christofides_with(m, &ChristofidesConfig::default())
+    christofides_with(m, &ChristofidesConfig::default(), &uavdc_obs::NOOP)
 }
 
-/// Christofides tour with explicit configuration.
-pub fn christofides_with(m: &DistMatrix, cfg: &ChristofidesConfig) -> Tour {
-    christofides_with_obs(m, cfg, &uavdc_obs::NOOP)
-}
-
-/// Like [`christofides_with`], reporting per-call size statistics to
-/// `rec`: a `christofides.calls` counter plus `christofides.n` and
-/// `christofides.odd_vertices` histograms, and the `matching.*` counters
-/// of [`min_weight_perfect_matching_with`]. This function sits inside the
+/// Christofides tour with explicit configuration, reporting per-call
+/// size statistics to `rec`: a `christofides.calls` counter plus
+/// `christofides.n` and `christofides.odd_vertices` histograms, and the
+/// `matching.*` counters of [`min_weight_perfect_matching_with`]. The
+/// recorder never influences the tour. This function sits inside the
 /// planners' selection loops and runs thousands of times per plan, so it
 /// deliberately emits no spans — the callers wrap their loops in one span
 /// and read the aggregate histograms instead.
-pub fn christofides_with_obs(
+pub fn christofides_with(
     m: &DistMatrix,
     cfg: &ChristofidesConfig,
     rec: &dyn uavdc_obs::Recorder,
@@ -154,7 +150,7 @@ mod tests {
             matching: MatchingBackend::Auto,
             polish: false,
         };
-        let t = christofides_with(&m, &cfg);
+        let t = christofides_with(&m, &cfg, &uavdc_obs::NOOP);
         assert!(
             t.length(&m) <= 1.5 * opt.length(&m) + 1e-9,
             "christofides {} vs opt {}",
@@ -175,6 +171,7 @@ mod tests {
                 matching: MatchingBackend::Auto,
                 polish: false,
             },
+            &uavdc_obs::NOOP,
         );
         let polished = christofides(&m);
         assert!(polished.length(&m) <= raw.length(&m) + 1e-9);
@@ -189,7 +186,7 @@ mod tests {
             let m = DistMatrix::from_euclidean(&pts);
             let opt = held_karp(&m).unwrap().length(&m);
             let cfg = ChristofidesConfig { matching: MatchingBackend::ExactDp, polish: false };
-            let t = christofides_with(&m, &cfg);
+            let t = christofides_with(&m, &cfg, &uavdc_obs::NOOP);
             prop_assert!(t.length(&m) <= 1.5 * opt + 1e-6,
                 "christofides {} vs opt {}", t.length(&m), opt);
         }

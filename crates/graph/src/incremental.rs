@@ -46,7 +46,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::christofides::{christofides_with_obs, ChristofidesConfig};
+use crate::christofides::{christofides_with, ChristofidesConfig};
 use crate::euler::{euler_circuit, shortcut_circuit};
 use crate::improve::{or_opt, two_opt, two_opt_by};
 use crate::matching::min_weight_perfect_matching_with;
@@ -338,12 +338,6 @@ impl IncrementalTour {
     /// recomputations and the pipeline is deterministic, memo hits
     /// included (`tests/incremental_props.rs` proves this per seed).
     pub fn retour(&mut self) -> Vec<usize> {
-        self.retour_obs(&uavdc_obs::NOOP)
-    }
-
-    /// Like [`IncrementalTour::retour`], forwarding the Christofides call
-    /// statistics (`christofides.*`) to `rec`.
-    pub fn retour_obs(&mut self, rec: &dyn Recorder) -> Vec<usize> {
         self.counters.full_retours += 1;
         self.patches_since_retour = 0;
         let n = self.order.len();
@@ -352,7 +346,13 @@ impl IncrementalTour {
         }
         let m = DistMatrix::from_fn(n, |i, j| self.cost(self.order[i], self.order[j]));
         let ids: Vec<Option<usize>> = self.order.iter().map(|&id| Some(id)).collect();
-        let perm = christofides_order_cached(&m, &ids, &mut self.matching_memo, &self.config, rec);
+        let perm = christofides_order_cached(
+            &m,
+            &ids,
+            &mut self.matching_memo,
+            &self.config,
+            &uavdc_obs::NOOP,
+        );
         self.order = perm.iter().map(|&k| self.order[k]).collect();
         self.rebuild_edges();
         perm
@@ -365,13 +365,8 @@ impl IncrementalTour {
     /// a from-scratch Christofides over the same point sequence. The base
     /// distance block comes from the cache and the odd-vertex matching
     /// memo is consulted whenever the odd set avoids the phantom stop.
-    pub fn speculative_order(&mut self, p: (f64, f64)) -> Vec<usize> {
-        self.speculative_order_obs(p, &uavdc_obs::NOOP)
-    }
-
-    /// Like [`IncrementalTour::speculative_order`], forwarding the
-    /// Christofides call statistics to `rec`.
-    pub fn speculative_order_obs(&mut self, p: (f64, f64), rec: &dyn Recorder) -> Vec<usize> {
+    /// The Christofides call statistics (`christofides.*`) go to `rec`.
+    pub fn speculative_order(&mut self, p: (f64, f64), rec: &dyn Recorder) -> Vec<usize> {
         self.counters.full_retours += 1;
         let n = self.order.len();
         let n1 = n + 1;
@@ -498,7 +493,7 @@ fn christofides_order_cached(
         // so an Euler circuit exists. Route through the reference
         // implementation rather than panicking so this module needs no
         // panic sites.
-        let mut tour = christofides_with_obs(m, cfg, rec);
+        let mut tour = christofides_with(m, cfg, rec);
         tour.rotate_to_start(0);
         return tour.order().to_vec();
     };
@@ -835,7 +830,7 @@ mod tests {
         let perm = t.retour();
         // From-scratch reference over the same pre-retour point order.
         let m = DistMatrix::from_fn(pts.len(), |i, j| pts[i].distance(pts[j]));
-        let mut tour = christofides_with_obs(&m, &ChristofidesConfig::default(), &uavdc_obs::NOOP);
+        let mut tour = christofides_with(&m, &ChristofidesConfig::default(), &uavdc_obs::NOOP);
         tour.rotate_to_start(0);
         assert_eq!(perm, tour.order().to_vec(), "retour permutation diverged");
         let want_ids: Vec<usize> = tour.order().iter().map(|&k| ids_before[k]).collect();
@@ -854,8 +849,8 @@ mod tests {
         }
         // Warm `a`'s memo with an identical speculative run, then compare
         // a memo-hit retour against `b`'s cold retour.
-        let spec = a.speculative_order((60.0, 60.0));
-        let spec2 = a.speculative_order((60.0, 60.0));
+        let spec = a.speculative_order((60.0, 60.0), &uavdc_obs::NOOP);
+        let spec2 = a.speculative_order((60.0, 60.0), &uavdc_obs::NOOP);
         assert_eq!(spec, spec2, "speculative scoring must be deterministic");
         let pa = a.retour();
         let pb = b.retour();

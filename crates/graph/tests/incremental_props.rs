@@ -16,7 +16,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use uavdc_geom::Point2;
-use uavdc_graph::christofides::{christofides_with_obs, ChristofidesConfig};
+use uavdc_graph::christofides::{christofides_with, ChristofidesConfig};
 use uavdc_graph::incremental::{
     cheapest_insertion_cached, cheapest_insertion_cached4, distances_to_point, IncrementalTour,
     InsertionKernel, RetourPolicy,
@@ -117,7 +117,7 @@ fn pts_of(t: &IncrementalTour) -> Vec<Point2> {
 /// position permutation — the reference for [`IncrementalTour::retour`].
 fn scratch_order(pts: &[Point2]) -> Vec<usize> {
     let m = DistMatrix::from_fn(pts.len(), |i, j| pts[i].distance(pts[j]));
-    let mut tour = christofides_with_obs(&m, &ChristofidesConfig::default(), &uavdc_obs::NOOP);
+    let mut tour = christofides_with(&m, &ChristofidesConfig::default(), &uavdc_obs::NOOP);
     tour.rotate_to_start(0);
     tour.order().to_vec()
 }
@@ -208,8 +208,8 @@ proptest! {
         // Memo-warmed twin: speculative scoring fills the matching memo
         // (and must itself be deterministic).
         let mut warm = t.clone();
-        let s1 = warm.speculative_order(phantom);
-        let s2 = warm.speculative_order(phantom);
+        let s1 = warm.speculative_order(phantom, &uavdc_obs::NOOP);
+        let s2 = warm.speculative_order(phantom, &uavdc_obs::NOOP);
         prop_assert_eq!(&s1, &s2, "speculative scoring must be deterministic");
         // History-free twin: same point sequence, contiguous ids, no
         // removed-stop ghosts, cold memo.
@@ -242,7 +242,7 @@ proptest! {
     fn speculative_order_matches_commit(h in history(), phantom in qpoint()) {
         let (depot, seed, ops) = h;
         let (mut t, _) = drive(depot, &seed, &ops);
-        let spec = t.speculative_order(phantom);
+        let spec = t.speculative_order(phantom, &uavdc_obs::NOOP);
         let mut all = pts_of(&t);
         all.push(Point2::new(phantom.0, phantom.1));
         prop_assert_eq!(&spec, &scratch_order(&all), "speculative vs scratch diverged");

@@ -221,7 +221,7 @@ fn case(seed: u64) -> Case {
                 polish: false,
                 ..ChristofidesConfig::default()
             };
-            let tour = christofides_with(&sub, &cfg);
+            let tour = christofides_with(&sub, &cfg, &uavdc_obs::NOOP);
             tour.order().iter().map(|&k| ids[k]).collect()
         }
         // Random permutation: many moves, long edges and wide vertices

@@ -6,12 +6,11 @@
 //! rules propagate:
 //!
 //! * indexing sites,
-//! * effect sites (wall-clock reads),
 //! * unit escapes (`.value()` / `Unit(..).0`) for raw-`f64` flow.
 //!
-//! Panic-family calls, hash-order containers and env reads are not
-//! collected: clippy requires a local justification at every such site
-//! in library code (`unwrap_used`, `panic`, `disallowed_types`,
+//! Panic-family calls, wall-clock reads, hash-order containers and env
+//! reads are not collected: clippy requires a local justification at
+//! every such site (`unwrap_used`, `panic`, `disallowed_types`,
 //! `disallowed_methods`; see the root `clippy.toml`), so none of them can
 //! be an unjustified source to propagate. The `rand` shim has no
 //! entropy-seeded constructor, so unseeded RNG cannot occur either.
@@ -50,8 +49,6 @@ pub struct Node {
     pub calls: Vec<(CallSite, Vec<FnId>)>,
     /// Indexing sites (`expr[..]`).
     pub index_sites: Vec<Site>,
-    /// Wall-clock read sites (`Instant::now` / `SystemTime::now`).
-    pub effect_sites: Vec<Site>,
     /// Spawn sites (`scope.spawn` / `thread::spawn`) with closure body
     /// ranges (lint v4 concurrency layer).
     pub spawn_sites: Vec<crate::concurrency::SpawnSite>,
@@ -76,10 +73,10 @@ pub struct CallGraph {
 }
 
 /// Decides whether a file's hazard sites are collected at all: fns in
-/// sanctioned observability code are effect/panic *sinks* — the recorder
+/// sanctioned observability code are panic *sinks* — the recorder
 /// invisibility property (DESIGN.md §10, property-proven) guarantees
-/// they cannot influence planner output, so taint must not flow out of
-/// them into every `_obs` twin's caller.
+/// they cannot influence planner output, so hazards must not flow out of
+/// them into every caller that takes a recorder.
 pub fn obs_sanctioned(norm: &str) -> bool {
     norm.contains("crates/obs/src/") || norm.contains("crates/compat/")
 }
@@ -112,7 +109,6 @@ impl CallGraph {
                     opaque_calls: 0,
                     calls: Vec::new(),
                     index_sites: Vec::new(),
-                    effect_sites: Vec::new(),
                     spawn_sites: Vec::new(),
                     lock_sites: Vec::new(),
                     unit_escape: None,
@@ -217,11 +213,9 @@ impl CallGraph {
             let justified = |sites: &[Site]| sites.iter().filter(|s| s.justified).count();
             let _ = write!(
                 out,
-                " indexing={}+{} effects={}+{}{}",
+                " indexing={}+{}{}",
                 live(&node.index_sites),
                 justified(&node.index_sites),
-                live(&node.effect_sites),
-                justified(&node.effect_sites),
                 if node.unit_escape.is_some() {
                     " unit-escape"
                 } else {
@@ -304,17 +298,6 @@ fn collect_hazards(
                 line: t.line,
                 what: "indexing".into(),
                 justified,
-            });
-        }
-        // Wall-clock reads.
-        if (t.is_ident("Instant") || t.is_ident("SystemTime"))
-            && toks.get(i + 1).is_some_and(|x| x.is_punct("::"))
-            && toks.get(i + 2).is_some_and(|x| x.is_ident("now"))
-        {
-            node.effect_sites.push(Site {
-                line: t.line,
-                what: format!("`{}::now`", t.text),
-                justified: allowed(Rule::EffectTaint, t.line),
             });
         }
         // Unit escapes: `.value()` and `Unit(..).0`.

@@ -1,12 +1,12 @@
 //! Fixed-point dataflow over the workspace call graph.
 //!
-//! Two propagation shapes cover all four interprocedural rules:
+//! Two propagation shapes cover the reachability rules:
 //!
 //! * [`reach`] — multi-source BFS over *reverse* edges: given functions
 //!   that locally contain a hazard site, compute for every function the
 //!   nearest reachable site, with enough breadcrumbs to reconstruct the
-//!   shortest witness call path (entry → … → site). Effect-taint and
-//!   panic-reach report this at public planner entry points.
+//!   shortest witness call path (entry → … → site). Panic-reach reports
+//!   this at public planner entry points.
 //! * [`raw_producers`] — the same BFS gated at every hop by "returns
 //!   `f64`": a function launders units if it returns raw `f64` and either
 //!   unwraps a unit itself or calls another launderer. Unit-flow flags

@@ -41,22 +41,23 @@
 //! maps every `fn` to a `(crate, module)` coordinate and resolves call
 //! sites across crates, a call-graph builder ([`callgraph`]) attaches
 //! local hazard sites to each function, and a fixed-point dataflow
-//! layer ([`dataflow`]) propagates them. Four interprocedural rules run
+//! layer ([`dataflow`]) propagates them. Three interprocedural rules run
 //! on top (introduced with JSON schema `uavdc-lint/3`):
 //!
-//! * [`Rule::EffectTaint`] — wall-clock reads reachable from public
-//!   planner entry points, with the shortest witness call path. (The
-//!   other nondeterminism sources cannot occur unjustified: clippy bans
-//!   hash containers and env reads, and the `rand` shim has no
-//!   entropy-seeded constructor.)
 //! * [`Rule::PanicReach`] — non-audited indexing sites reachable from
-//!   planner entry points, same witness format. (`unwrap`/`panic!`-family
-//!   sites need a local clippy justification, so they never propagate.)
+//!   planner entry points, with the shortest witness call path.
+//!   (`unwrap`/`panic!`-family sites need a local clippy justification,
+//!   so they never propagate.)
 //! * [`Rule::UnitFlow`] — raw `f64` produced by `.value()` escapes
 //!   tracked across function boundaries until re-wrapped in a unit
 //!   newtype.
 //! * [`Rule::ObsTwin`] — every `_obs` twin must have a plain sibling
 //!   that cleanly delegates to it (recorder invisibility coherence).
+//!
+//! Nondeterminism sources are clippy's too: the root `clippy.toml` bans
+//! `Instant::now`, `SystemTime::now`, env reads and hash containers at
+//! every site, not only at those a planner can reach, and the `rand`
+//! shim has no entropy-seeded constructor.
 //!
 //! Since PR 8 a concurrency layer ([`concurrency`], JSON schema
 //! `uavdc-lint/4`) adds spawn and lock inventories to the call graph and
@@ -116,9 +117,6 @@ pub enum Rule {
     /// `.value()` / `Unit(..).0` escape from the unit layer outside a
     /// declared perf-critical module.
     UnitUnwrap,
-    /// A wall-clock read reachable from a public planner entry point
-    /// through the call graph.
-    EffectTaint,
     /// A non-audited indexing site reachable from a public planner entry
     /// point through the call graph.
     PanicReach,
@@ -144,7 +142,6 @@ impl Rule {
             Rule::FloatOrd => "float-ord",
             Rule::RawQuantity => "raw-quantity",
             Rule::UnitUnwrap => "unit-unwrap",
-            Rule::EffectTaint => "effect-taint",
             Rule::PanicReach => "panic-reach",
             Rule::UnitFlow => "unit-flow",
             Rule::ObsTwin => "obs-twin",
@@ -160,7 +157,6 @@ impl Rule {
             "float-ord" => Some(Rule::FloatOrd),
             "raw-quantity" => Some(Rule::RawQuantity),
             "unit-unwrap" => Some(Rule::UnitUnwrap),
-            "effect-taint" => Some(Rule::EffectTaint),
             "panic-reach" => Some(Rule::PanicReach),
             "unit-flow" => Some(Rule::UnitFlow),
             "obs-twin" => Some(Rule::ObsTwin),
@@ -172,15 +168,14 @@ impl Rule {
     }
 
     /// All rules that scan source directly (pragma meta-rules excluded):
-    /// the three per-file rules, the four interprocedural rules of
+    /// the three per-file rules, the three interprocedural rules of
     /// schema `uavdc-lint/3`, and the concurrency rule added by schema
     /// `uavdc-lint/4`.
-    pub fn all_source_rules() -> [Rule; 8] {
+    pub fn all_source_rules() -> [Rule; 7] {
         [
             Rule::FloatOrd,
             Rule::RawQuantity,
             Rule::UnitUnwrap,
-            Rule::EffectTaint,
             Rule::PanicReach,
             Rule::UnitFlow,
             Rule::ObsTwin,
@@ -441,8 +436,8 @@ pub const PERF_CRITICAL_MODULES: [&str; 9] = [
 ];
 
 /// Crates whose public functions are planner entry points for the
-/// interprocedural rules (effect-taint, panic-reach): the algorithm
-/// core, the orienteering solvers, and the mission simulator.
+/// reachability rule (panic-reach): the algorithm core, the orienteering
+/// solvers, and the mission simulator.
 const ENTRY_CRATES: [&str; 3] = [
     "crates/core/src/",
     "crates/orienteering/src/",
@@ -914,8 +909,8 @@ fn is_entry(ws: &resolve::Workspace, node: &callgraph::Node, scope: ScanScope) -
         && (scope == ScanScope::ForceAll || path_in(&ws.files[node.id.0].norm, &ENTRY_CRATES))
 }
 
-/// The whole-workspace rules: the schema-3 four (effect-taint,
-/// panic-reach, unit-flow, obs-twin; DESIGN.md §13) plus the schema-4
+/// The whole-workspace rules: the schema-3 three (panic-reach,
+/// unit-flow, obs-twin; DESIGN.md §13) plus the schema-4
 /// concurrency rule (lock-across-spawn; DESIGN.md §14).
 fn interprocedural_rules(
     ws: &resolve::Workspace,
@@ -932,47 +927,9 @@ fn interprocedural_rules(
         .filter(|&n| is_entry(ws, &graph.nodes[n], scope))
         .collect();
 
-    // --- effect-taint: nearest unjustified effect source reachable from
+    // --- panic-reach: nearest non-audited indexing site reachable from
     // each entry point, reported at the entry point with the shortest
     // witness call path.
-    let effect_sources: Vec<(usize, callgraph::Site)> = graph
-        .nodes
-        .iter()
-        .enumerate()
-        .filter_map(|(n, node)| {
-            node.effect_sites
-                .iter()
-                .find(|s| !s.justified)
-                .map(|s| (n, s.clone()))
-        })
-        .collect();
-    let effect_reach = dataflow::reach(&graph, &effect_sources);
-    for &e in &entries {
-        let Some(info) = &effect_reach[e] else {
-            continue;
-        };
-        let site = &info.payload;
-        let (fi, ni) = graph.nodes[e].id;
-        let fun = &ws.files[fi].model.fns[ni];
-        let src_file = &ws.files[graph.nodes[info.source].id.0];
-        if !is_allowed(&mut allows[fi], Rule::EffectTaint, fun.line) {
-            findings.push(Finding {
-                path: ws.files[fi].path.clone(),
-                line: fun.line,
-                rule: Rule::EffectTaint,
-                message: format!(
-                    "public planner entry `{}` can reach a wall-clock read ({} at {}:{}) via {}; make the chain effect-clean or justify with lint:allow(effect-taint)",
-                    fun.name,
-                    site.what,
-                    src_file.path.display(),
-                    site.line,
-                    witness_names(ws, &graph, &effect_reach, e),
-                ),
-            });
-        }
-    }
-
-    // --- panic-reach: same shape over non-audited indexing sites.
     let panic_sources: Vec<(usize, callgraph::Site)> = graph
         .nodes
         .iter()
@@ -1083,18 +1040,12 @@ fn interprocedural_rules(
             let Some(base) = fun.name.strip_suffix("_obs") else {
                 continue;
             };
-            // `christofides_with_obs` pairs with `christofides`.
-            let base_short = base.strip_suffix("_with");
             let sibs: Vec<usize> = ctx
                 .model
                 .fns
                 .iter()
                 .enumerate()
-                .filter(|(si, s)| {
-                    *si != ni
-                        && !s.in_test
-                        && (s.name == base || Some(s.name.as_str()) == base_short)
-                })
+                .filter(|(si, s)| *si != ni && !s.in_test && s.name == base)
                 .map(|(si, _)| si)
                 .collect();
             if sibs.is_empty() {
@@ -1664,7 +1615,7 @@ mod tests {
         }];
         let j = report_json(&f);
         assert!(j.starts_with("{\"schema\":\"uavdc-lint/4\""));
-        assert!(j.contains("\"rules\":[\"float-ord\",\"raw-quantity\",\"unit-unwrap\",\"effect-taint\",\"panic-reach\",\"unit-flow\",\"obs-twin\",\"lock-across-spawn\"]"));
+        assert!(j.contains("\"rules\":[\"float-ord\",\"raw-quantity\",\"unit-unwrap\",\"panic-reach\",\"unit-flow\",\"obs-twin\",\"lock-across-spawn\"]"));
         assert!(j.ends_with("\"count\":1}"));
     }
 

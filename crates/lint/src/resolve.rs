@@ -1,8 +1,8 @@
 //! Workspace name resolution for the interprocedural rules.
 //!
 //! [`crate::parser::Model`] sees one file at a time; the whole-workspace
-//! rules (effect-taint, panic-reach, unit-flow, obs-twin) need to know
-//! which *function* a call lands in, across crate boundaries. This module
+//! rules (panic-reach, unit-flow, obs-twin) need to know which
+//! *function* a call lands in, across crate boundaries. This module
 //! maps every parsed file to a `(crate, module-path)` coordinate, indexes
 //! every `fn` by name, extracts call sites from body token streams, and
 //! resolves each site to a set of candidate workspace functions.

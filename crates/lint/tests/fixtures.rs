@@ -108,21 +108,6 @@ fn json_output_is_machine_readable() {
 }
 
 #[test]
-fn effect_taint_fixture_fails_with_witness_path() {
-    let out = expect_rule("effect_taint.rs_fixture", "effect-taint");
-    assert!(
-        out.contains("via plan_entry -> helper_a -> helper_b"),
-        "shortest witness call path printed:\n{out}"
-    );
-    assert!(
-        out.contains("wall-clock read") && out.contains("Instant::now"),
-        "effect kind and source named:\n{out}"
-    );
-    // Reported once, at the entry point, not at every hop.
-    assert_eq!(out.matches(": effect-taint:").count(), 1, "stdout:\n{out}");
-}
-
-#[test]
 fn panic_reach_fixture_fails_with_witness_path() {
     let out = expect_rule("panic_reach.rs_fixture", "panic-reach");
     assert!(
@@ -163,7 +148,7 @@ fn obs_twin_fixture_fails_both_ways() {
 
 #[test]
 fn graph_dump_mode_shows_edges_and_hazards() {
-    let path = fixture("effect_taint.rs_fixture");
+    let path = fixture("panic_reach.rs_fixture");
     let (code, stdout) = run_lint(&["--graph", path.to_str().unwrap()]);
     assert_eq!(code, 0, "--graph is a dump, not a lint:\n{stdout}");
     assert!(
@@ -171,8 +156,8 @@ fn graph_dump_mode_shows_edges_and_hazards() {
         "edges rendered:\n{stdout}"
     );
     assert!(
-        stdout.contains("effects=1+0"),
-        "helper_b's live effect site counted:\n{stdout}"
+        stdout.contains("indexing=1+0"),
+        "pick's live indexing site counted:\n{stdout}"
     );
 }
 
@@ -257,7 +242,7 @@ fn json_report_matches_golden_snapshot() {
 }
 
 #[test]
-fn list_rules_names_all_ten() {
+fn list_rules_names_all_nine() {
     let (code, stdout) = run_lint(&["--list-rules"]);
     assert_eq!(code, 0);
     let rules: Vec<&str> = stdout.lines().collect();
@@ -267,7 +252,6 @@ fn list_rules_names_all_ten() {
             "float-ord",
             "raw-quantity",
             "unit-unwrap",
-            "effect-taint",
             "panic-reach",
             "unit-flow",
             "obs-twin",

@@ -34,7 +34,7 @@
 //! // Four sites on a line; depot at 0; budget only reaches the near ones.
 //! let m = DistMatrix::from_euclidean(&[(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (50.0, 0.0)]);
 //! let inst = OrienteeringInstance::new(m, vec![0.0, 5.0, 5.0, 100.0], 0, 10.0);
-//! let sol = solve(&inst, Backend::Exact);
+//! let sol = solve(&inst, Backend::Exact, &uavdc_obs::NOOP);
 //! assert_eq!(sol.prize, 10.0); // the far prize is unreachable
 //! assert!(sol.cost <= 10.0);
 //! ```
@@ -85,17 +85,10 @@ pub enum Backend {
 ///
 /// The returned solution is always feasible (`cost <= budget`); when no
 /// vertex fits in the budget the solution is the depot alone with its own
-/// prize.
-pub fn solve(inst: &OrienteeringInstance, backend: Backend) -> OrienteeringSolution {
-    solve_obs(inst, backend, &uavdc_obs::NOOP)
-}
-
-/// Like [`solve`], reporting backend-specific search effort to `rec`
-/// (`grasp.iterations`/`grasp.improvements`).
-///
-/// The recorder never influences the search: for any `rec`, the returned
-/// solution is bit-identical to `solve(inst, backend)`.
-pub fn solve_obs(
+/// prize. Backend-specific search effort goes to `rec`
+/// (`grasp.iterations`/`grasp.improvements`); the recorder never
+/// influences the search, so the solution is bit-identical for any `rec`.
+pub fn solve(
     inst: &OrienteeringInstance,
     backend: Backend,
     rec: &dyn uavdc_obs::Recorder,
@@ -139,9 +132,13 @@ mod tests {
     #[test]
     fn all_backends_feasible_and_ordered() {
         let inst = line_instance(8.0);
-        let exact = solve(&inst, Backend::Exact);
-        let greedy = solve(&inst, Backend::Greedy);
-        let grasp = solve(&inst, Backend::Grasp(GraspConfig::default()));
+        let exact = solve(&inst, Backend::Exact, &uavdc_obs::NOOP);
+        let greedy = solve(&inst, Backend::Greedy, &uavdc_obs::NOOP);
+        let grasp = solve(
+            &inst,
+            Backend::Grasp(GraspConfig::default()),
+            &uavdc_obs::NOOP,
+        );
         assert!(exact.prize >= greedy.prize - 1e-9);
         assert!(exact.prize >= grasp.prize - 1e-9);
         for s in [&exact, &greedy, &grasp] {
@@ -160,7 +157,7 @@ mod tests {
             Backend::Greedy,
             Backend::Grasp(GraspConfig::default()),
         ] {
-            let s = solve(&inst, backend);
+            let s = solve(&inst, backend, &uavdc_obs::NOOP);
             assert_eq!(s.tour, vec![0]);
             assert_eq!(s.cost, 0.0);
         }
@@ -169,7 +166,7 @@ mod tests {
     #[test]
     fn large_budget_collects_everything() {
         let inst = line_instance(1000.0);
-        let s = solve(&inst, Backend::Auto);
+        let s = solve(&inst, Backend::Auto, &uavdc_obs::NOOP);
         assert_eq!(s.prize, 56.0);
         assert_eq!(s.tour.len(), 5);
     }
@@ -178,14 +175,14 @@ mod tests {
     fn auto_switches_backend_by_size() {
         // Just exercise both paths through Auto.
         let small = line_instance(5.0);
-        let _ = solve(&small, Backend::Auto);
+        let _ = solve(&small, Backend::Auto, &uavdc_obs::NOOP);
         let pts: Vec<(f64, f64)> = (0..20)
             .map(|i| ((i * 37 % 50) as f64, (i * 13 % 50) as f64))
             .collect();
         let m = DistMatrix::from_euclidean(&pts);
         let prizes = vec![1.0; 20];
         let inst = OrienteeringInstance::new(m, prizes, 0, 60.0);
-        let s = solve(&inst, Backend::Auto);
+        let s = solve(&inst, Backend::Auto, &uavdc_obs::NOOP);
         assert!(s.cost <= 60.0 + 1e-9);
     }
 }

@@ -78,7 +78,7 @@ fn backend_hash(backend: Backend) -> u64 {
     let mut h = Fnv::new();
     for i in 0..INSTANCES {
         let inst = instance(i);
-        let s = solve(&inst, backend);
+        let s = solve(&inst, backend, &uavdc_obs::NOOP);
         assert!(inst.verify(&s), "instance {i}: infeasible solution");
         h.solution(&s);
     }

@@ -113,22 +113,6 @@ impl MissionController {
         plan: &CollectionPlan,
         sim_config: &SimConfig,
     ) -> ControlOutcome {
-        self.fly_obs(scenario, plan, sim_config, &uavdc_obs::NOOP)
-    }
-
-    /// Like [`fly`](Self::fly), reporting a `ctrl` span, decision
-    /// counters (`ctrl.legs`, `ctrl.replans`, `ctrl.trims`,
-    /// `ctrl.drops`) and a reserve-margin histogram
-    /// (`ctrl.margin_j`, observed after every hover) to `rec`. The
-    /// recorder never influences the mission.
-    pub fn fly_obs(
-        &self,
-        scenario: &Scenario,
-        plan: &CollectionPlan,
-        sim_config: &SimConfig,
-        rec: &dyn uavdc_obs::Recorder,
-    ) -> ControlOutcome {
-        let span = uavdc_obs::Span::root(rec, "ctrl");
         let mut wind = sim_config.wind.clone();
         let mut link = sim_config.link.clone();
         let mut fault = sim_config.fault.clone();
@@ -164,7 +148,6 @@ impl MissionController {
         let mut pending: Vec<HoverStop> = plan.stops.clone();
         let mut executed: Vec<HoverStop> = Vec::new();
 
-        let mut legs = 0u64;
         let mut replans = 0u64;
         let mut trims = 0u64;
         let mut drops = 0u64;
@@ -225,7 +208,6 @@ impl MissionController {
             }
 
             // --- Fly the leg ------------------------------------------
-            legs += 1;
             let stop = pending.remove(0);
             // Same draw order and multiplication association as the
             // open-loop simulator, so calm missions replay bit-for-bit.
@@ -302,13 +284,10 @@ impl MissionController {
                     .map(|&(_, dev, got)| (dev, MegaBytes(got)))
                     .collect(),
             });
-            let margin = (capacity - energy - wc * per_m * pos.distance(depot) - reserve).max(0.0);
-            rec.observe("ctrl.margin_j", margin as u64);
         }
 
         // --- Direct return leg ------------------------------------------
         if !aborted {
-            legs += 1;
             let wind_factor = wind.next_leg_factor();
             let fault_factor = fault.next_leg_factor();
             if fly_leg(
@@ -341,11 +320,6 @@ impl MissionController {
                 per_device.into_iter().map(MegaBytes).collect(),
             )
         };
-        rec.add("ctrl.legs", legs);
-        rec.add("ctrl.replans", replans);
-        rec.add("ctrl.trims", trims);
-        rec.add("ctrl.drops", drops);
-        drop(span);
         ControlOutcome {
             outcome: SimOutcome {
                 collected,

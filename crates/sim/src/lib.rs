@@ -72,5 +72,5 @@ pub use event::{SimEvent, SimTrace};
 pub use fault::{FaultPlan, UploadFault};
 pub use periodic::{run_periodic, PeriodicConfig, PeriodicOutcome, RoundStats};
 pub use report::{write_trace_csv, MissionReport};
-pub use sim::{simulate, simulate_obs, CollectionPolicy, SimConfig, SimOutcome};
+pub use sim::{simulate, CollectionPolicy, SimConfig, SimOutcome};
 pub use wind::{LinkModel, WindModel};

@@ -89,23 +89,6 @@ impl SimOutcome {
 /// The mission aborts the moment the battery would go negative; partial
 /// legs and hovers consume exactly the energy available.
 pub fn simulate(scenario: &Scenario, plan: &CollectionPlan, config: &SimConfig) -> SimOutcome {
-    simulate_obs(scenario, plan, config, &uavdc_obs::NOOP)
-}
-
-/// Like [`simulate`], reporting a `sim` span plus end-of-mission counters
-/// (`sim.legs`, `sim.stops`, `sim.events`) to `rec`. Counters are
-/// accumulated locally and flushed once after the mission, so the
-/// recorder adds no work to the event loop. The recorder never influences
-/// the mission: for any `rec` the outcome is bit-identical to `simulate`.
-pub fn simulate_obs(
-    scenario: &Scenario,
-    plan: &CollectionPlan,
-    config: &SimConfig,
-    rec: &dyn uavdc_obs::Recorder,
-) -> SimOutcome {
-    let span = uavdc_obs::Span::root(rec, "sim");
-    let mut legs = 0u64;
-    let mut stops_visited = 0u64;
     let mut wind = config.wind.clone();
     let mut link = config.link.clone();
     let mut fault = config.fault.clone();
@@ -130,8 +113,6 @@ pub fn simulate_obs(
     'mission: {
         for stop in &plan.stops {
             // --- Fly to the stop -------------------------------------
-            legs += 1;
-            stops_visited += 1;
             if !fly_leg(
                 &mut t,
                 &mut energy,
@@ -196,7 +177,6 @@ pub fn simulate_obs(
             });
         }
         // --- Return to depot ------------------------------------------
-        legs += 1;
         if !fly_leg(
             &mut t,
             &mut energy,
@@ -228,10 +208,6 @@ pub fn simulate_obs(
             per_device.into_iter().map(MegaBytes).collect(),
         )
     };
-    rec.add("sim.legs", legs);
-    rec.add("sim.stops", stops_visited);
-    rec.add("sim.events", trace.events.len() as u64);
-    drop(span);
     SimOutcome {
         collected,
         per_device,

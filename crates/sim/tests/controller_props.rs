@@ -116,7 +116,7 @@ fn plan_for(scenario: &Scenario, planner_idx: u64, seed: u64) -> (CollectionPlan
                 engine,
                 ..Alg2Config::default()
             })
-            .plan_with_stats(scenario)
+            .plan_prepared(scenario, None)
             .0,
             "alg2",
         ),
@@ -125,12 +125,12 @@ fn plan_for(scenario: &Scenario, planner_idx: u64, seed: u64) -> (CollectionPlan
                 engine,
                 ..Alg3Config::default()
             })
-            .plan_with_stats(scenario)
+            .plan_prepared(scenario, None)
             .0,
             "alg3",
         ),
         _ => (
-            BenchmarkPlanner.plan_with_stats(scenario, engine).0,
+            BenchmarkPlanner.plan_prepared(scenario, engine, None).0,
             "bench",
         ),
     }

@@ -162,7 +162,7 @@ proptest! {
                 engine,
                 ..Alg2Config::default()
             });
-            let (plan, _) = planner.plan_with_stats(&scenario);
+            let (plan, _) = planner.plan_prepared(&scenario, None);
             assert_matches_accounting(&scenario, &plan, &format!("alg2/{engine:?}/seed={seed}"));
         }
     }
@@ -176,7 +176,7 @@ proptest! {
                 engine,
                 ..Alg3Config::default()
             });
-            let (plan, _) = planner.plan_with_stats(&scenario);
+            let (plan, _) = planner.plan_prepared(&scenario, None);
             assert_matches_accounting(&scenario, &plan, &format!("alg3/{engine:?}/seed={seed}"));
         }
     }
@@ -186,7 +186,7 @@ proptest! {
     fn benchmark_accounting_is_bit_exact(seed in 0u64..1_000_000, scale in 20u64..60) {
         let scenario = scenario_for(seed, scale);
         for engine in [EngineMode::Lazy, EngineMode::Exhaustive] {
-            let (plan, _) = BenchmarkPlanner.plan_with_stats(&scenario, engine);
+            let (plan, _) = BenchmarkPlanner.plan_prepared(&scenario, engine, None);
             assert_matches_accounting(&scenario, &plan, &format!("bench/{engine:?}/seed={seed}"));
         }
     }

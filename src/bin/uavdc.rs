@@ -173,6 +173,10 @@ fn run_plan(a: &Args) {
     let scenario = build_scenario(a);
     describe(&scenario);
     let planner = make_planner(a);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the CLI prints the planner call's wall time"
+    )]
     let started = std::time::Instant::now();
     let plan = planner.plan(&scenario);
     let dt = started.elapsed();
@@ -256,6 +260,10 @@ fn run_compare(a: &Args) {
             alg: alg.into(),
             ..clone_args(a)
         });
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the CLI prints each planner call's wall time"
+        )]
         let started = std::time::Instant::now();
         let plan = planner.plan(&scenario);
         let dt = started.elapsed();

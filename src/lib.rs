@@ -14,6 +14,7 @@
 //! | [`graph`] | MST, blossom matching, Euler tours, Christofides, TSP heuristics |
 //! | [`orienteering`] | exact/greedy/GRASP orienteering solvers |
 //! | [`net`] | units, radio model, UAV spec, scenarios, generators |
+//! | [`obs`] | recorders (spans, counters, histograms) the planners report to |
 //! | [`core`] | the planners: Algorithms 1–3 and the benchmark |
 //! | [`sim`] | discrete-event mission simulator |
 //!
@@ -55,6 +56,7 @@ pub use uavdc_core as core;
 pub use uavdc_geom as geom;
 pub use uavdc_graph as graph;
 pub use uavdc_net as net;
+pub use uavdc_obs as obs;
 pub use uavdc_orienteering as orienteering;
 pub use uavdc_sim as sim;
 

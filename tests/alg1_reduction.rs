@@ -48,7 +48,7 @@ fn orienteering_budget_bounds_plan_energy() {
     let s = scenario(3);
     let cs = CandidateSet::build(&s, 25.0).disjoint_by_volume(&s);
     let aux = AuxGraph::build(&s, &cs);
-    let solution = solve(&aux.instance, Backend::Greedy);
+    let solution = solve(&aux.instance, Backend::Greedy, &uavdc::obs::NOOP);
     assert!(solution.cost <= s.uav.capacity.value() + 1e-6);
     // The realised plan of Algorithm 1 can only be cheaper than the
     // orienteering tour cost (same tour, same hovers).
