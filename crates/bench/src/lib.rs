@@ -35,6 +35,7 @@ pub mod compare;
 pub mod json;
 
 use std::time::Instant;
+use uavdc_core::validate::{check_fleet, check_plan, Profile};
 use uavdc_core::{
     Alg1Config, Alg1Planner, Alg2Config, Alg2Planner, Alg3Config, Alg3Planner, BenchmarkPlanner,
     CollectionPlan, Planner,
@@ -158,6 +159,15 @@ impl AlgorithmSpec {
             AlgorithmSpec::Benchmark => BenchmarkPlanner.plan(scenario),
         }
     }
+
+    /// The paper problem whose invariants the planner's plans keep.
+    fn profile(&self) -> Profile {
+        match self {
+            AlgorithmSpec::Alg1 { .. } | AlgorithmSpec::Benchmark => Profile::P1FullDisjoint,
+            AlgorithmSpec::Alg2 { .. } => Profile::P2FullOverlap,
+            AlgorithmSpec::Alg3 { .. } => Profile::P3Partial,
+        }
+    }
 }
 
 /// Runs one algorithm on one instance; returns (GB, seconds, J, stops).
@@ -173,7 +183,7 @@ fn run_once(spec: AlgorithmSpec, scenario: &Scenario, check: bool) -> (f64, f64,
         clippy::panic,
         reason = "the harness fails fast on invalid plans by design"
     )]
-    plan.validate(scenario)
+    check_plan(scenario, &plan, spec.profile())
         .unwrap_or_else(|e| panic!("{} produced invalid plan: {e}", spec.label()));
     if check {
         let outcome = simulate(scenario, &plan, &SimConfig::default());
@@ -358,7 +368,7 @@ pub fn run_wind_sweep(cfg: &HarnessConfig) -> Vec<DataPoint> {
                 clippy::expect_used,
                 reason = "the harness fails fast on invalid plans by design"
             )]
-            plan.validate(&derated).expect("valid derated plan");
+            check_plan(&derated, &plan, Profile::P2FullOverlap).expect("valid derated plan");
             let sim_cfg = SimConfig {
                 wind: WindModel::uniform(1.0, 1.5, seed ^ 0x77aa),
                 record_uploads: false,
@@ -419,7 +429,7 @@ pub fn run_fleet_sweep(cfg: &HarnessConfig) -> Vec<DataPoint> {
                 clippy::expect_used,
                 reason = "the harness fails fast on invalid plans by design"
             )]
-            fleet.validate(&scenario).expect("valid fleet plan");
+            check_fleet(&scenario, &fleet, Profile::P2FullOverlap).expect("valid fleet plan");
             gb += megabytes_as_gb(fleet.collected_volume());
             busiest += fleet.max_energy(&scenario).value();
             stops += fleet.plans.iter().map(|p| p.stops.len()).sum::<usize>() as f64;

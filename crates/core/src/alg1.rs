@@ -152,6 +152,7 @@ impl Planner for Alg1Planner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate::{check_plan, Profile};
     use uavdc_geom::{Aabb, Point2};
     use uavdc_net::units::{Joules, MegaBytes, MegaBytesPerSecond, Meters};
     use uavdc_net::{IotDevice, RadioModel, UavSpec};
@@ -188,7 +189,7 @@ mod tests {
     fn plan_is_valid_and_within_budget() {
         let s = scenario(3000.0);
         let plan = Alg1Planner::default().plan(&s);
-        plan.validate(&s).unwrap();
+        check_plan(&s, &plan, Profile::P1FullDisjoint).unwrap();
         assert!(plan.total_energy(&s) <= s.uav.capacity);
     }
 
@@ -198,7 +199,7 @@ mod tests {
         // near cluster costs ~1.2 kJ. With 2 kJ only the near pair fits.
         let s = scenario(2000.0);
         let plan = Alg1Planner::default().plan(&s);
-        plan.validate(&s).unwrap();
+        check_plan(&s, &plan, Profile::P1FullDisjoint).unwrap();
         assert_eq!(plan.collected_volume(), MegaBytes(750.0));
     }
 
@@ -206,7 +207,7 @@ mod tests {
     fn generous_budget_collects_everything() {
         let s = scenario(20_000.0);
         let plan = Alg1Planner::default().plan(&s);
-        plan.validate(&s).unwrap();
+        check_plan(&s, &plan, Profile::P1FullDisjoint).unwrap();
         assert_eq!(plan.collected_volume(), MegaBytes(1650.0));
     }
 
@@ -214,7 +215,7 @@ mod tests {
     fn zero_budget_collects_nothing() {
         let s = scenario(0.0);
         let plan = Alg1Planner::default().plan(&s);
-        plan.validate(&s).unwrap();
+        check_plan(&s, &plan, Profile::P1FullDisjoint).unwrap();
         assert_eq!(plan.collected_volume(), MegaBytes::ZERO);
     }
 
@@ -226,7 +227,8 @@ mod tests {
             ..Alg1Config::default()
         };
         let plan = Alg1Planner::new(cfg).plan(&s);
-        plan.validate(&s).unwrap(); // validator rejects double collection
+        // The checker rejects double collection.
+        check_plan(&s, &plan, Profile::P1FullDisjoint).unwrap();
         assert!(plan.collected_volume() <= s.total_data());
     }
 
@@ -254,7 +256,7 @@ mod tests {
             ..Alg1Config::default()
         };
         let plan = Alg1Planner::new(cfg).plan(&s);
-        plan.validate(&s).unwrap();
+        check_plan(&s, &plan, Profile::P1FullDisjoint).unwrap();
         // Exact backend must do at least as well as greedy.
         let greedy = Alg1Planner::new(Alg1Config {
             delta: 25.0,

@@ -905,6 +905,7 @@ impl Planner for Alg2Planner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate::{check_plan, Profile};
     use uavdc_geom::Aabb;
     use uavdc_net::units::{Joules, MegaBytes, MegaBytesPerSecond, Meters};
     use uavdc_net::{IotDevice, RadioModel, UavSpec};
@@ -943,7 +944,7 @@ mod tests {
     fn plan_validates_and_respects_budget() {
         let s = scenario(4000.0);
         let plan = Alg2Planner::default().plan(&s);
-        plan.validate(&s).unwrap();
+        check_plan(&s, &plan, Profile::P2FullOverlap).unwrap();
         assert!(plan.total_energy(&s).value() <= 4000.0 + 1e-6);
         assert!(plan.collected_volume().value() > 0.0);
     }
@@ -952,7 +953,7 @@ mod tests {
     fn overlapping_coverage_collects_each_device_once() {
         let s = scenario(50_000.0);
         let plan = Alg2Planner::default().plan(&s);
-        plan.validate(&s).unwrap();
+        check_plan(&s, &plan, Profile::P2FullOverlap).unwrap();
         // All four devices collected exactly once.
         assert_eq!(plan.collected_volume(), MegaBytes(1800.0));
         let mut seen = std::collections::BTreeSet::new();
@@ -979,7 +980,7 @@ mod tests {
             ..Alg2Config::default()
         };
         let plan = Alg2Planner::new(cfg).plan(&s);
-        plan.validate(&s).unwrap();
+        check_plan(&s, &plan, Profile::P2FullOverlap).unwrap();
         assert!(plan.collected_volume().value() > 0.0);
     }
 

@@ -716,6 +716,7 @@ impl Planner for Alg3Planner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate::{check_plan, Profile};
     use crate::{Alg2Config, Alg2Planner};
     use uavdc_geom::Aabb;
     use uavdc_net::units::{Joules, MegaBytesPerSecond, Meters};
@@ -756,7 +757,7 @@ mod tests {
         let s = scenario(5000.0);
         for k in [1, 2, 4, 8] {
             let plan = Alg3Planner::with_k(k).plan(&s);
-            plan.validate(&s).unwrap_or_else(|e| panic!("K={k}: {e}"));
+            check_plan(&s, &plan, Profile::P3Partial).unwrap_or_else(|e| panic!("K={k}: {e}"));
             assert!(plan.total_energy(&s).value() <= 5000.0 + 1e-6);
         }
     }
@@ -766,7 +767,7 @@ mod tests {
         let s = scenario(60_000.0);
         for k in [1, 3] {
             let plan = Alg3Planner::with_k(k).plan(&s);
-            plan.validate(&s).unwrap();
+            check_plan(&s, &plan, Profile::P3Partial).unwrap();
             assert!(
                 (plan.collected_volume().value() - 1800.0).abs() < 1e-6,
                 "K={k} collected {}",
@@ -786,7 +787,7 @@ mod tests {
         })
         .plan(&s);
         let partial = Alg3Planner::with_k(4).plan(&s);
-        partial.validate(&s).unwrap();
+        check_plan(&s, &partial, Profile::P3Partial).unwrap();
         assert!(
             partial.collected_volume().value() >= full.collected_volume().value() - 1e-6,
             "partial {} < full {}",
@@ -802,7 +803,7 @@ mod tests {
         let s = scenario(4000.0);
         let a2 = Alg2Planner::default().plan(&s);
         let a3 = Alg3Planner::with_k(1).plan(&s);
-        a3.validate(&s).unwrap();
+        check_plan(&s, &a3, Profile::P3Partial).unwrap();
         // Same greedy family; allow them to differ but not wildly.
         let (v2, v3) = (a2.collected_volume().value(), a3.collected_volume().value());
         assert!(v3 >= 0.7 * v2, "K=1 {} vs alg2 {}", v3, v2);

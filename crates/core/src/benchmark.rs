@@ -38,11 +38,29 @@ pub struct BenchmarkPlanner;
 #[derive(Clone, Debug)]
 pub struct BenchmarkSetup {
     /// Devices within `R0` of each device's position (by device index).
-    coverage: Vec<Vec<u32>>,
+    coverage: CoverageRows,
     /// Initial tour positions in Christofides order; index 0 is the depot.
     pts: Vec<Point2>,
     /// Device hovered above per tour index (`usize::MAX` for the depot).
     dev_of: Vec<usize>,
+}
+
+/// Per-device coverage lists in one flat array: row `d` is
+/// `dev[start[d]..start[d + 1]]`, in [`SpatialGrid::query_radius`] order
+/// (bucket order, not ascending). The pruner's `lost` sums read rows in
+/// this order, so it is part of the plans' bit-identity.
+#[derive(Clone, Debug)]
+struct CoverageRows {
+    start: Vec<usize>,
+    dev: Vec<u32>,
+}
+
+impl std::ops::Index<usize> for CoverageRows {
+    type Output = [u32];
+
+    fn index(&self, d: usize) -> &[u32] {
+        &self.dev[self.start[d]..self.start[d + 1]]
+    }
 }
 
 impl BenchmarkSetup {
@@ -56,16 +74,17 @@ impl BenchmarkSetup {
         // Coverage lists per device position.
         let positions = scenario.device_positions();
         let index = SpatialGrid::build(&positions, r0.max(1.0));
-        let coverage: Vec<Vec<u32>> = positions
-            .iter()
-            .map(|&p| {
-                index
-                    .query_radius(p, r0)
-                    .into_iter()
-                    .map(|i| i as u32)
-                    .collect()
-            })
-            .collect();
+        let mut coverage = CoverageRows {
+            start: Vec::with_capacity(n + 1),
+            dev: Vec::new(),
+        };
+        coverage.start.push(0);
+        let mut row = Vec::new();
+        for &p in &positions {
+            index.query_radius_into(p, r0, &mut row);
+            coverage.dev.extend(row.iter().map(|&i| i as u32));
+            coverage.start.push(coverage.dev.len());
+        }
 
         // Initial Christofides tour over depot + all devices (polished
         // once up front; the pruning loop then only removes nodes, so its
@@ -107,7 +126,7 @@ struct PruneState<'a> {
     dev_of: Vec<usize>,
     /// Devices within `R0` of each device's position (by device index),
     /// borrowed from the setup artifact.
-    coverage: &'a [Vec<u32>],
+    coverage: &'a CoverageRows,
 }
 
 impl<'a> PruneState<'a> {
@@ -639,7 +658,6 @@ impl BenchmarkPlanner {
         rec.add("bench.marginal_evals", c.marginal_evals);
 
         // Materialise stops from the final assignment.
-        let capacity = scenario.uav.capacity.value();
         let (new_devices, hover_s, _) = state.assignments();
         let stops = (1..state.pts.len())
             .filter(|&i| !new_devices[i].is_empty() || hover_s[i] > 0.0)
@@ -653,8 +671,16 @@ impl BenchmarkPlanner {
             })
             .collect();
         let plan = CollectionPlan { stops };
-        debug_assert!(plan.total_energy(scenario).value() <= capacity * (1.0 + 1e-9) + 1e-9);
-        let _ = capacity;
+        debug_assert!(
+            plan.total_energy(scenario).value()
+                <= scenario.uav.capacity.value() * (1.0 + 1e-9) + 1e-9
+        );
+        crate::validate::debug_check_plan(
+            "BenchmarkPlanner",
+            scenario,
+            &plan,
+            crate::validate::Profile::P1FullDisjoint,
+        );
         (plan, stats)
     }
 }
@@ -672,6 +698,7 @@ impl Planner for BenchmarkPlanner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate::{check_plan, Profile};
     use uavdc_geom::Aabb;
     use uavdc_net::units::{Joules, MegaBytes, MegaBytesPerSecond, Meters};
     use uavdc_net::{IotDevice, RadioModel, UavSpec};
@@ -706,7 +733,7 @@ mod tests {
             ],
         );
         let plan = BenchmarkPlanner.plan(&s);
-        plan.validate(&s).unwrap();
+        check_plan(&s, &plan, Profile::P1FullDisjoint).unwrap();
         assert_eq!(plan.collected_volume(), MegaBytes(900.0));
     }
 
@@ -716,7 +743,7 @@ mod tests {
         // collects both, and the duplicate stop hovers zero seconds.
         let s = scenario(50_000.0, vec![(40.0, 40.0, 300.0), (50.0, 40.0, 600.0)]);
         let plan = BenchmarkPlanner.plan(&s);
-        plan.validate(&s).unwrap();
+        check_plan(&s, &plan, Profile::P1FullDisjoint).unwrap();
         assert_eq!(plan.collected_volume(), MegaBytes(900.0));
         let total_devices: usize = plan.stops.iter().map(|st| st.collected.len()).sum();
         assert_eq!(total_devices, 2, "each device collected exactly once");
@@ -740,7 +767,7 @@ mod tests {
             ],
         );
         let plan = BenchmarkPlanner.plan(&s);
-        plan.validate(&s).unwrap();
+        check_plan(&s, &plan, Profile::P1FullDisjoint).unwrap();
         let kept: Vec<u32> = plan
             .stops
             .iter()
@@ -757,7 +784,7 @@ mod tests {
     fn zero_capacity_empty_plan() {
         let s = scenario(0.0, vec![(40.0, 40.0, 300.0)]);
         let plan = BenchmarkPlanner.plan(&s);
-        plan.validate(&s).unwrap();
+        check_plan(&s, &plan, Profile::P1FullDisjoint).unwrap();
         assert!(plan.stops.is_empty());
     }
 
@@ -781,7 +808,7 @@ mod tests {
         for cap in [500.0, 2000.0, 10_000.0, 100_000.0] {
             let s = scenario(cap, devices.clone());
             let plan = BenchmarkPlanner.plan(&s);
-            plan.validate(&s)
+            check_plan(&s, &plan, Profile::P1FullDisjoint)
                 .unwrap_or_else(|e| panic!("capacity {cap}: {e}"));
         }
     }
@@ -823,7 +850,7 @@ mod tests {
             ],
         );
         let plan = BenchmarkPlanner.plan(&s);
-        plan.validate(&s).unwrap();
+        check_plan(&s, &plan, Profile::P1FullDisjoint).unwrap();
         let collected: std::collections::BTreeSet<u32> = plan
             .stops
             .iter()

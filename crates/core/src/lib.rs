@@ -17,20 +17,22 @@
 //! | [`Alg3Planner`] | Algorithm 3 | **partial** collection (`K` virtual hovering locations per real one) |
 //! | [`BenchmarkPlanner`] | §VII.A benchmark | Christofides over all devices, then prune until feasible |
 //!
-//! All planners return a [`CollectionPlan`] whose physics can be verified
-//! independently with [`CollectionPlan::validate`] (and end-to-end with
-//! the `uavdc-sim` discrete-event simulator).
+//! All planners return a [`CollectionPlan`] that can be checked
+//! independently against the scenario and the paper's problem with
+//! [`validate::check_plan`] (and end-to-end with the `uavdc-sim`
+//! discrete-event simulator).
 //!
 //! # Example
 //!
 //! ```
 //! use uavdc_net::generator::{uniform, ScenarioParams};
+//! use uavdc_core::validate::{check_plan, Profile};
 //! use uavdc_core::{Alg2Planner, Planner};
 //!
 //! let params = ScenarioParams::default().scaled(0.05); // 25 devices
 //! let scenario = uniform(&params, 42);
 //! let plan = Alg2Planner::default().plan(&scenario);
-//! plan.validate(&scenario).unwrap();
+//! check_plan(&scenario, &plan, Profile::P2FullOverlap).unwrap();
 //! assert!(plan.total_energy(&scenario) <= scenario.uav.capacity);
 //! ```
 
@@ -76,10 +78,11 @@ pub use greedy::{EngineMode, EvalCounters, PlanStats};
 pub use multi::{
     FleetConfig, FleetPartition, FleetPlan, JointFleetPlanner, MultiUavPlanner, TeamAlg1Planner,
 };
-pub use plan::{CollectionPlan, HoverStop, PlanError};
+pub use plan::{CollectionPlan, HoverStop};
 pub use polish::polish_plan;
 pub use repair::{drop_to_fit, RepairOutcome, RepairStop};
 pub use sweep::SweepPlanner;
+pub use validate::PlanError;
 
 use uavdc_net::Scenario;
 
@@ -89,7 +92,7 @@ pub trait Planner {
     fn name(&self) -> &'static str;
 
     /// Plans a closed data-collection tour. Implementations must return a
-    /// plan that passes [`CollectionPlan::validate`] for the same
-    /// scenario.
+    /// plan that passes [`validate::check_plan`] for the same scenario,
+    /// under the [`validate::Profile`] of the problem they solve.
     fn plan(&self, scenario: &Scenario) -> CollectionPlan;
 }

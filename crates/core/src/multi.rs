@@ -7,7 +7,8 @@
 //! angular sectors around the depot, or k-means clusters), each group
 //! becomes a sub-scenario, and the inner planner plans each UAV's tour
 //! independently. Disjoint groups guarantee no device is collected twice,
-//! so the fleet plan validates against the *original* scenario.
+//! so the fleet plan passes [`check_fleet`](crate::validate::check_fleet)
+//! against the *original* scenario.
 
 use crate::plan::CollectionPlan;
 use crate::Planner;
@@ -70,29 +71,6 @@ impl FleetPlan {
             .iter()
             .map(|p| p.total_energy(scenario))
             .fold(Joules::ZERO, Joules::max)
-    }
-
-    /// Validates every UAV's plan against the original scenario and
-    /// checks that no device is collected by two UAVs.
-    pub fn validate(&self, scenario: &Scenario) -> Result<(), String> {
-        let mut claimed = vec![false; scenario.num_devices()];
-        for (u, plan) in self.plans.iter().enumerate() {
-            plan.validate(scenario)
-                .map_err(|e| format!("UAV {u}: {e}"))?;
-            for stop in &plan.stops {
-                for &(dev, _) in &stop.collected {
-                    if claimed[dev.index()] {
-                        return Err(format!("device {dev:?} collected by two UAVs"));
-                    }
-                }
-            }
-            for stop in &plan.stops {
-                for &(dev, _) in &stop.collected {
-                    claimed[dev.index()] = true;
-                }
-            }
-        }
-        Ok(())
     }
 }
 
@@ -514,6 +492,7 @@ impl TeamAlg1Planner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate::{check_fleet, Profile};
     use crate::{Alg2Planner, BenchmarkPlanner};
     use uavdc_geom::Aabb;
     use uavdc_net::units::{MegaBytesPerSecond, Meters};
@@ -543,7 +522,7 @@ mod tests {
         let single = Alg2Planner::default().plan(&s);
         let fleet =
             MultiUavPlanner::new(Alg2Planner::default(), FleetConfig::new(1)).plan_fleet(&s);
-        fleet.validate(&s).unwrap();
+        check_fleet(&s, &fleet, Profile::P2FullOverlap).unwrap();
         assert_eq!(fleet.plans.len(), 1);
         assert_eq!(fleet.collected_volume(), single.collected_volume());
     }
@@ -581,8 +560,8 @@ mod tests {
         let one = MultiUavPlanner::new(Alg2Planner::default(), FleetConfig::new(1)).plan_fleet(&s);
         let three =
             MultiUavPlanner::new(Alg2Planner::default(), FleetConfig::new(3)).plan_fleet(&s);
-        one.validate(&s).unwrap();
-        three.validate(&s).unwrap();
+        check_fleet(&s, &one, Profile::P2FullOverlap).unwrap();
+        check_fleet(&s, &three, Profile::P2FullOverlap).unwrap();
         let (v1, v3) = (
             one.collected_volume().value(),
             three.collected_volume().value(),
@@ -603,7 +582,7 @@ mod tests {
             },
         )
         .plan_fleet(&s);
-        fleet.validate(&s).unwrap();
+        check_fleet(&s, &fleet, Profile::P1FullDisjoint).unwrap();
         assert!(fleet.collected_volume().value() > 0.0);
         assert!(fleet.max_energy(&s) <= s.uav.capacity);
     }
@@ -619,7 +598,7 @@ mod tests {
             },
         )
         .plan_fleet(&s);
-        fleet.validate(&s).unwrap();
+        check_fleet(&s, &fleet, Profile::P2FullOverlap).unwrap();
         assert_eq!(fleet.plans.len(), 6);
         let active = fleet.plans.iter().filter(|p| !p.stops.is_empty()).count();
         assert!(active <= 3);
@@ -646,9 +625,9 @@ mod tests {
     fn team_alg1_fleet_validates_and_scales() {
         let s = scenario(20_000.0, 40);
         let one = TeamAlg1Planner::new(1).plan_fleet(&s);
-        one.validate(&s).unwrap();
+        check_fleet(&s, &one, Profile::P1FullDisjoint).unwrap();
         let three = TeamAlg1Planner::new(3).plan_fleet(&s);
-        three.validate(&s).unwrap();
+        check_fleet(&s, &three, Profile::P1FullDisjoint).unwrap();
         assert_eq!(three.plans.len(), 3);
         assert!(
             three.collected_volume().value() >= one.collected_volume().value() - 1e-6,
@@ -663,7 +642,7 @@ mod tests {
     fn team_alg1_single_uav_comparable_to_alg1() {
         let s = scenario(25_000.0, 30);
         let fleet = TeamAlg1Planner::new(1).plan_fleet(&s);
-        fleet.validate(&s).unwrap();
+        check_fleet(&s, &fleet, Profile::P1FullDisjoint).unwrap();
         let single = crate::Alg1Planner::default().plan(&s);
         let (vf, vs) = (
             fleet.collected_volume().value(),
@@ -685,7 +664,7 @@ mod tests {
     fn joint_planner_single_uav_is_feasible_and_comparable_to_alg2() {
         let s = scenario(30_000.0, 30);
         let joint = JointFleetPlanner::new(1).plan_fleet(&s);
-        joint.validate(&s).unwrap();
+        check_fleet(&s, &joint, Profile::P1FullDisjoint).unwrap();
         let alg2 = Alg2Planner::default().plan(&s);
         // Same greedy family; the joint planner skips interim 2-opt so
         // allow a modest gap in either direction.
@@ -711,7 +690,7 @@ mod tests {
             })
             .collect();
         let joint = JointFleetPlanner::new(3).plan_fleet(&s);
-        joint.validate(&s).unwrap();
+        check_fleet(&s, &joint, Profile::P1FullDisjoint).unwrap();
         let partitioned =
             MultiUavPlanner::new(Alg2Planner::default(), FleetConfig::new(3)).plan_fleet(&s);
         assert!(
@@ -728,7 +707,7 @@ mod tests {
         let mut prev = -1.0;
         for m in [1, 2, 4] {
             let fleet = JointFleetPlanner::new(m).plan_fleet(&s);
-            fleet.validate(&s).unwrap();
+            check_fleet(&s, &fleet, Profile::P1FullDisjoint).unwrap();
             let v = fleet.collected_volume().value();
             assert!(
                 v >= prev - 1e-6,

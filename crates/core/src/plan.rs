@@ -1,4 +1,5 @@
-//! Collection plans and their physical validation.
+//! Collection plans and their energy and time accounting; the checker
+//! is [`check_plan`](crate::validate::check_plan).
 
 use uavdc_geom::Point2;
 use uavdc_net::units::{Joules, MegaBytes, Meters, Seconds};
@@ -30,90 +31,6 @@ pub struct CollectionPlan {
     /// Hovering stops in visiting order (depot not included).
     pub stops: Vec<HoverStop>,
 }
-
-/// Why a plan failed validation.
-#[derive(Clone, Debug, PartialEq)]
-pub enum PlanError {
-    /// Total energy demand exceeds the UAV battery.
-    EnergyExceeded {
-        /// Energy the plan needs.
-        required: Joules,
-        /// Battery capacity.
-        capacity: Joules,
-    },
-    /// A stop collects from a device outside its coverage disc.
-    OutOfCoverage {
-        /// Stop index.
-        stop: usize,
-        /// Offending device.
-        device: DeviceId,
-        /// Actual ground distance.
-        distance: Meters,
-    },
-    /// A stop collects more from one device than its sojourn's bandwidth
-    /// allows (`amount > B · sojourn`).
-    BandwidthExceeded {
-        /// Stop index.
-        stop: usize,
-        /// Offending device.
-        device: DeviceId,
-    },
-    /// More data collected from a device (across all stops) than it holds.
-    OverCollected {
-        /// Offending device.
-        device: DeviceId,
-        /// Total claimed across stops.
-        claimed: MegaBytes,
-        /// What the device holds.
-        stored: MegaBytes,
-    },
-    /// A negative or non-finite quantity appeared.
-    Malformed(
-        /// Description of the defect.
-        String,
-    ),
-}
-
-impl std::fmt::Display for PlanError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PlanError::EnergyExceeded { required, capacity } => {
-                write!(f, "plan needs {required} but battery holds {capacity}")
-            }
-            PlanError::OutOfCoverage {
-                stop,
-                device,
-                distance,
-            } => {
-                write!(
-                    f,
-                    "stop {stop} collects from device {device:?} at {:.1} m, outside coverage",
-                    // lint:allow(unit-unwrap): error formatting with one decimal, not arithmetic
-                    distance.value()
-                )
-            }
-            PlanError::BandwidthExceeded { stop, device } => {
-                write!(
-                    f,
-                    "stop {stop} collects more from device {device:?} than bandwidth × sojourn"
-                )
-            }
-            PlanError::OverCollected {
-                device,
-                claimed,
-                stored,
-            } => {
-                write!(
-                    f,
-                    "device {device:?} yields {claimed} total but stores only {stored}"
-                )
-            }
-            PlanError::Malformed(what) => write!(f, "malformed plan: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for PlanError {}
 
 impl CollectionPlan {
     /// The empty plan: stay at the depot, collect nothing.
@@ -198,80 +115,6 @@ impl CollectionPlan {
         }
         h
     }
-
-    /// Checks every physical constraint of the plan against the scenario.
-    ///
-    /// Tolerances: energy within `1e-6` relative; per-device totals within
-    /// `1e-6` MB absolute slack.
-    pub fn validate(&self, scenario: &Scenario) -> Result<(), PlanError> {
-        let r0 = scenario.coverage_radius();
-        let b = scenario.radio.bandwidth;
-        let mut per_device = vec![MegaBytes::ZERO; scenario.num_devices()];
-        for (i, stop) in self.stops.iter().enumerate() {
-            if !stop.pos.is_finite() {
-                return Err(PlanError::Malformed(format!(
-                    "stop {i} position not finite"
-                )));
-            }
-            if !stop.sojourn.is_finite() || stop.sojourn < Seconds::ZERO {
-                return Err(PlanError::Malformed(format!("stop {i} sojourn invalid")));
-            }
-            let allowance = b * stop.sojourn;
-            // A device may appear several times in one stop (e.g. a
-            // sojourn later extended by the partial-collection planner);
-            // the bandwidth constraint applies to its per-stop total.
-            // BTreeMap, not HashMap: validation failure messages surface
-            // map contents, and a deterministic order keeps them stable.
-            let mut within_stop = std::collections::BTreeMap::new();
-            for &(dev, amount) in &stop.collected {
-                if dev.index() >= scenario.num_devices() {
-                    return Err(PlanError::Malformed(format!(
-                        "stop {i} references unknown device"
-                    )));
-                }
-                if !amount.is_finite() || amount < MegaBytes::ZERO {
-                    return Err(PlanError::Malformed(format!(
-                        "stop {i} collects invalid amount"
-                    )));
-                }
-                let d = Meters(scenario.devices[dev.index()].pos.distance(stop.pos));
-                if d > r0 + Meters(1e-6) {
-                    return Err(PlanError::OutOfCoverage {
-                        stop: i,
-                        device: dev,
-                        distance: d,
-                    });
-                }
-                let total = within_stop.entry(dev).or_insert(MegaBytes::ZERO);
-                *total += amount;
-                if *total > allowance + MegaBytes(1e-6) {
-                    return Err(PlanError::BandwidthExceeded {
-                        stop: i,
-                        device: dev,
-                    });
-                }
-                per_device[dev.index()] += amount;
-            }
-        }
-        for (idx, &claimed) in per_device.iter().enumerate() {
-            let stored = scenario.devices[idx].data;
-            if claimed > stored + MegaBytes(1e-6) {
-                return Err(PlanError::OverCollected {
-                    device: DeviceId(idx as u32),
-                    claimed,
-                    stored,
-                });
-            }
-        }
-        let required = self.total_energy(scenario);
-        if required > scenario.uav.capacity * (1.0 + 1e-6) + Joules(1e-6) {
-            return Err(PlanError::EnergyExceeded {
-                required,
-                capacity: scenario.uav.capacity,
-            });
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -325,13 +168,12 @@ mod tests {
     }
 
     #[test]
-    fn empty_plan_is_free_and_valid() {
+    fn empty_plan_is_free() {
         let s = scenario();
         let p = CollectionPlan::empty();
         assert_eq!(p.total_energy(&s), Joules::ZERO);
         assert_eq!(p.collected_volume(), MegaBytes::ZERO);
         assert_eq!(p.duration(&s), Seconds::ZERO);
-        assert_eq!(p.validate(&s), Ok(()));
     }
 
     #[test]
@@ -357,97 +199,8 @@ mod tests {
     }
 
     #[test]
-    fn valid_plan_passes() {
-        assert_eq!(good_plan().validate(&scenario()), Ok(()));
-    }
-
-    #[test]
-    fn energy_overrun_detected() {
-        let mut s = scenario();
-        s.uav.capacity = Joules(100.0);
-        match good_plan().validate(&s) {
-            Err(PlanError::EnergyExceeded { .. }) => {}
-            other => panic!("expected EnergyExceeded, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn out_of_coverage_detected() {
-        let s = scenario();
-        let mut p = good_plan();
-        p.stops[0].collected = vec![(DeviceId(1), MegaBytes(10.0))]; // ~141 m away
-        match p.validate(&s) {
-            Err(PlanError::OutOfCoverage {
-                stop: 0,
-                device: DeviceId(1),
-                ..
-            }) => {}
-            other => panic!("expected OutOfCoverage, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn bandwidth_violation_detected() {
-        let s = scenario();
-        let mut p = good_plan();
-        p.stops[0].sojourn = Seconds(1.0); // allowance 150 MB < 300 MB claimed
-        match p.validate(&s) {
-            Err(PlanError::BandwidthExceeded {
-                stop: 0,
-                device: DeviceId(0),
-            }) => {}
-            other => panic!("expected BandwidthExceeded, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn over_collection_detected() {
-        let s = scenario();
-        let mut p = good_plan();
-        // Collect device 0 twice (two stops at the same place).
-        p.stops.push(p.stops[0].clone());
-        match p.validate(&s) {
-            Err(PlanError::OverCollected {
-                device: DeviceId(0),
-                ..
-            }) => {}
-            other => panic!("expected OverCollected, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn partial_collection_across_stops_is_fine() {
-        let s = scenario();
-        let p = CollectionPlan {
-            stops: vec![
-                HoverStop {
-                    pos: Point2::new(50.0, 50.0),
-                    sojourn: Seconds(1.0),
-                    collected: vec![(DeviceId(0), MegaBytes(150.0))],
-                },
-                HoverStop {
-                    pos: Point2::new(52.0, 50.0),
-                    sojourn: Seconds(1.0),
-                    collected: vec![(DeviceId(0), MegaBytes(150.0))],
-                },
-            ],
-        };
-        assert_eq!(p.validate(&s), Ok(()));
-        assert_eq!(p.collected_volume(), MegaBytes(300.0));
-    }
-
-    #[test]
-    fn malformed_plans_rejected() {
-        let s = scenario();
-        let mut p = good_plan();
-        p.stops[0].sojourn = Seconds(-1.0);
-        assert!(matches!(p.validate(&s), Err(PlanError::Malformed(_))));
-        let mut p2 = good_plan();
-        p2.stops[0].collected[0].1 = MegaBytes(f64::NAN);
-        assert!(matches!(p2.validate(&s), Err(PlanError::Malformed(_))));
-        let mut p3 = good_plan();
-        p3.stops[0].collected[0].0 = DeviceId(99);
-        assert!(matches!(p3.validate(&s), Err(PlanError::Malformed(_))));
+    fn collected_volume_sums_every_stop() {
+        assert_eq!(good_plan().collected_volume(), MegaBytes(900.0));
     }
 
     #[test]
@@ -461,20 +214,5 @@ mod tests {
         let mut nudged = good_plan();
         nudged.stops[0].sojourn = Seconds(2.0 + 1e-12);
         assert_ne!(p.fingerprint(), nudged.fingerprint(), "bit-level change");
-    }
-
-    #[test]
-    fn error_display_is_informative() {
-        let e = PlanError::EnergyExceeded {
-            required: Joules(10.0),
-            capacity: Joules(5.0),
-        };
-        assert!(e.to_string().contains("battery"));
-        let o = PlanError::OverCollected {
-            device: DeviceId(3),
-            claimed: MegaBytes(10.0),
-            stored: MegaBytes(5.0),
-        };
-        assert!(o.to_string().contains("stores only"));
     }
 }

@@ -138,6 +138,7 @@ fn or_opt_pass(tour: &mut Vec<(Point2, usize)>) -> bool {
 mod tests {
     use super::*;
     use crate::plan::HoverStop;
+    use crate::validate::{check_plan, Profile};
     use uavdc_geom::Aabb;
     use uavdc_net::units::{MegaBytes, MegaBytesPerSecond, Meters, Seconds};
     use uavdc_net::{DeviceId, IotDevice, RadioModel, UavSpec};
@@ -186,7 +187,7 @@ mod tests {
         assert!(saved.value() > 0.0, "zig-zag must be improvable");
         assert!(plan.total_energy(&s).value() < before.value());
         assert_eq!(plan.collected_volume(), volume, "collection untouched");
-        plan.validate(&s).unwrap();
+        check_plan(&s, &plan, Profile::P3Partial).unwrap();
         // Energy bookkeeping consistent.
         assert!(((before - plan.total_energy(&s)).value() - saved.value()).abs() < 1e-9);
     }

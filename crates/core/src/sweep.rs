@@ -95,7 +95,12 @@ impl Planner for SweepPlanner {
             pos = lp;
         }
         let plan = CollectionPlan { stops };
-        debug_assert!(plan.validate(scenario).is_ok());
+        crate::validate::debug_check_plan(
+            "SweepPlanner",
+            scenario,
+            &plan,
+            crate::validate::Profile::P1FullDisjoint,
+        );
         plan
     }
 }
@@ -107,6 +112,7 @@ fn positions_data(scenario: &Scenario, i: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate::{check_plan, Profile};
     use crate::{Alg2Planner, Planner};
     use uavdc_geom::Aabb;
     use uavdc_net::units::{Joules, MegaBytes, MegaBytesPerSecond, Meters};
@@ -134,7 +140,7 @@ mod tests {
     fn generous_budget_covers_every_device() {
         let s = scenario(1.0e6, 30);
         let plan = SweepPlanner.plan(&s);
-        plan.validate(&s).unwrap();
+        check_plan(&s, &plan, Profile::P1FullDisjoint).unwrap();
         // Summation order differs, so compare within float tolerance.
         assert!(
             (plan.collected_volume().value() - s.total_data().value()).abs() < 1e-6,
@@ -149,7 +155,7 @@ mod tests {
         for cap in [1000.0, 20_000.0, 80_000.0] {
             let s = scenario(cap, 40);
             let plan = SweepPlanner.plan(&s);
-            plan.validate(&s)
+            check_plan(&s, &plan, Profile::P1FullDisjoint)
                 .unwrap_or_else(|e| panic!("cap {cap}: {e}"));
         }
     }
@@ -181,7 +187,7 @@ mod tests {
             })
             .collect();
         let plan = SweepPlanner.plan(&s);
-        plan.validate(&s).unwrap();
+        check_plan(&s, &plan, Profile::P1FullDisjoint).unwrap();
         assert!(
             plan.stops.len() <= 3,
             "too many stops: {}",

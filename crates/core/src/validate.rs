@@ -1,13 +1,14 @@
-//! Paper-invariant runtime validation.
+//! The plan checker: every invariant a plan must keep, in one place.
 //!
-//! [`CollectionPlan::validate`] checks the *physics* of a plan (coverage,
-//! bandwidth, battery). This module checks the *paper's* invariants on
-//! top: that a planner's output actually has the structure Problems P1–P3
-//! of Li et al. (IPPS 2020) promise. The checking functions are always
-//! available (tests exercise them directly); the `debug_check_*` hooks at
-//! the planner exits fire only when the crate is built with
-//! `--features validate` **and** `debug_assertions` are on, so release
-//! binaries pay nothing.
+//! [`check_plan`] is the contract every planner meets. It checks the
+//! plan's physics (closed tour, battery, coverage, bandwidth, per-device
+//! data) and the structure Problems P1–P3 of Li et al. (IPPS 2020)
+//! promise, and reports the first broken invariant as a [`PlanError`].
+//! [`check_fleet`] does the same for a fleet. The checking functions are
+//! always available (tests, the CLI and the benches call them directly);
+//! the `debug_check_*` hooks at the planner exits fire only when the
+//! crate is built with `--features validate` **and** `debug_assertions`
+//! are on, so release binaries pay nothing.
 //!
 //! Invariants checked, per [`Profile`]:
 //!
@@ -15,13 +16,17 @@
 //!   is re-derived independently and must reproduce
 //!   [`CollectionPlan::travel_length`].
 //! * **energy budget** — hovering + travel energy stays within the
-//!   battery `E`, and the slack `E − demand` is reported explicitly.
+//!   battery `E` (relative tolerance `1e-6`), and the slack `E − demand`
+//!   is reported explicitly.
+//! * **coverage** — every device a stop collects from lies within `R0`
+//!   (plus `1e-6` m) of the stop.
+//! * **conservation** — quantities are finite and non-negative, device
+//!   ids exist, each stop's per-device haul respects `B · τ`, and summed
+//!   over all (virtual) hovering locations no device yields more than it
+//!   stores; both volume bounds allow `1e-6` MB of slack.
 //! * **P1/P2 coverage completeness** — full-collection planners drain a
 //!   device completely or not at all; P1 additionally never lists a
 //!   device at two stops (its candidate coverage is disjoint).
-//! * **P2/P3 data conservation** — summed over all (virtual) hovering
-//!   locations, no device yields more than it stores, and each stop's
-//!   per-device haul respects `B · τ`.
 //! * **auxiliary-graph metricity** — the Eq. 9 weights form a metric
 //!   (paper Lemma 1), so orienteering budgets translate to tour energy.
 
@@ -31,7 +36,8 @@ use crate::plan::CollectionPlan;
 use uavdc_net::units::Joules;
 use uavdc_net::Scenario;
 
-/// Relative tolerance for energy / volume comparisons.
+/// Relative tolerance for energy comparisons; also the absolute slack,
+/// in metres and MB, of the coverage and volume bounds.
 const REL_TOL: f64 = 1e-6;
 
 /// Which of the paper's problems a plan claims to solve.
@@ -49,25 +55,25 @@ pub enum Profile {
     P3Partial,
 }
 
-/// A violated paper invariant.
+/// Why a plan failed [`check_plan`]: the violated invariant.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Violation {
+pub struct PlanError {
     /// Short machine-stable name of the invariant (e.g. `energy-budget`).
     pub invariant: &'static str,
     /// Human-readable description of how it was violated.
     pub detail: String,
 }
 
-impl std::fmt::Display for Violation {
+impl std::fmt::Display for PlanError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "[{}] {}", self.invariant, self.detail)
     }
 }
 
-impl std::error::Error for Violation {}
+impl std::error::Error for PlanError {}
 
-fn violation(invariant: &'static str, detail: String) -> Violation {
-    Violation { invariant, detail }
+fn violation(invariant: &'static str, detail: String) -> PlanError {
+    PlanError { invariant, detail }
 }
 
 /// Facts established by a successful [`check_plan`].
@@ -84,12 +90,12 @@ pub struct PlanCheck {
 
 /// Checks every paper invariant of a single-UAV plan.
 ///
-/// Returns the established facts, or the first [`Violation`] found.
+/// Returns the established facts, or the first [`PlanError`] found.
 pub fn check_plan(
     scenario: &Scenario,
     plan: &CollectionPlan,
     profile: Profile,
-) -> Result<PlanCheck, Violation> {
+) -> Result<PlanCheck, PlanError> {
     // --- Closed tour at the depot -----------------------------------
     // Re-derive the tour leg by leg, starting and ending at the depot,
     // and insist the plan's own accounting agrees.
@@ -181,7 +187,7 @@ pub fn check_plan(
             }
             // lint:allow(unit-unwrap): independent validator cross-checks the unit-typed accounting in raw f64
             within_stop[d] += amount.value();
-            if within_stop[d] > allowance + REL_TOL * (1.0 + allowance) {
+            if within_stop[d] > allowance + REL_TOL {
                 return Err(violation(
                     "conservation",
                     format!(
@@ -204,7 +210,7 @@ pub fn check_plan(
     for (d, &got) in per_device.iter().enumerate() {
         // lint:allow(unit-unwrap): independent validator cross-checks the unit-typed accounting in raw f64
         let stored = scenario.devices[d].data.value();
-        if got > stored + REL_TOL * (1.0 + stored) {
+        if got > stored + REL_TOL {
             return Err(violation(
                 "conservation",
                 format!("device {d} yields {got} MB across stops but stores {stored} MB"),
@@ -246,22 +252,21 @@ pub fn check_plan(
     })
 }
 
-/// Checks a fleet plan: every member plan upholds `profile`, each UAV's
-/// battery is respected individually, and no device is drained by two
-/// UAVs (conservation across the fleet).
+/// Checks a fleet plan: every member plan upholds `profile` (so each
+/// UAV's battery is respected individually), and no device is collected
+/// by two UAVs. With one collector per device, each device's fleet total
+/// is its collector's total, which [`check_plan`] already bounds.
 pub fn check_fleet(
     scenario: &Scenario,
     fleet: &FleetPlan,
     profile: Profile,
-) -> Result<(), Violation> {
-    let n = scenario.num_devices();
-    let mut per_device = vec![0.0f64; n];
-    let mut owner = vec![usize::MAX; n];
+) -> Result<(), PlanError> {
+    let mut owner = vec![usize::MAX; scenario.num_devices()];
     for (u, plan) in fleet.plans.iter().enumerate() {
         check_plan(scenario, plan, profile)
             .map_err(|v| violation(v.invariant, format!("UAV {u}: {}", v.detail)))?;
         for stop in &plan.stops {
-            for &(dev, amount) in &stop.collected {
+            for &(dev, _) in &stop.collected {
                 let d = dev.index();
                 if owner[d] != usize::MAX && owner[d] != u {
                     return Err(violation(
@@ -270,19 +275,7 @@ pub fn check_fleet(
                     ));
                 }
                 owner[d] = u;
-                // lint:allow(unit-unwrap): independent validator cross-checks the unit-typed accounting in raw f64
-                per_device[d] += amount.value();
             }
-        }
-    }
-    for (d, &got) in per_device.iter().enumerate() {
-        // lint:allow(unit-unwrap): independent validator cross-checks the unit-typed accounting in raw f64
-        let stored = scenario.devices[d].data.value();
-        if got > stored + REL_TOL * (1.0 + stored) {
-            return Err(violation(
-                "fleet-conservation",
-                format!("device {d} yields {got} MB across the fleet but stores {stored} MB"),
-            ));
         }
     }
     Ok(())
@@ -296,7 +289,7 @@ const METRIC_FULL_CHECK: usize = 60;
 /// Checks that the auxiliary graph's Eq. 9 weights form a metric (paper
 /// Lemma 1): symmetric, zero diagonal, triangle inequality, and every
 /// edge at least the half-sum of its endpoints' hovering energies.
-pub fn check_aux_graph(aux: &AuxGraph) -> Result<(), Violation> {
+pub fn check_aux_graph(aux: &AuxGraph) -> Result<(), PlanError> {
     let inst = &aux.instance;
     let n = inst.len();
     let scale = 1.0
@@ -551,6 +544,92 @@ mod tests {
         p.stops.push(p.stops[0].clone());
         let v = check_plan(&s, &p, Profile::P3Partial).unwrap_err();
         assert_eq!(v.invariant, "conservation");
+    }
+
+    #[test]
+    fn bandwidth_overrun_rejected() {
+        let s = scenario();
+        let mut p = full_plan();
+        p.stops[0].sojourn = Seconds(1.0); // allowance 150 MB < 300 MB claimed
+        let v = check_plan(&s, &p, Profile::P3Partial).unwrap_err();
+        assert_eq!(v.invariant, "conservation");
+        assert!(v.detail.contains("B·τ"), "{v}");
+    }
+
+    /// A 1000 MB device drained at one stop whose `B · τ` allows 1500 MB.
+    fn big_device(amount: f64) -> (Scenario, CollectionPlan) {
+        let mut s = scenario();
+        s.devices[0].data = MegaBytes(1000.0);
+        let p = CollectionPlan {
+            stops: vec![HoverStop {
+                pos: Point2::new(50.0, 50.0),
+                sojourn: Seconds(10.0),
+                collected: vec![(DeviceId(0), MegaBytes(amount))],
+            }],
+        };
+        (s, p)
+    }
+
+    #[test]
+    fn per_device_bound_is_absolute() {
+        let (s, p) = big_device(1000.0 + 1e-7);
+        assert!(check_plan(&s, &p, Profile::P3Partial).is_ok());
+        // 1e-4 MB over is inside a relative 1e-6·(1 + 1000) MB bound, but
+        // past the absolute 1e-6 MB one.
+        let (s, p) = big_device(1000.0 + 1e-4);
+        let v = check_plan(&s, &p, Profile::P3Partial).unwrap_err();
+        assert_eq!(v.invariant, "conservation");
+        assert!(v.detail.contains("stores"), "{v}");
+    }
+
+    #[test]
+    fn bandwidth_bound_is_absolute() {
+        // B · τ = 150 MB/s · 2 s = 300 MB; the device stores 1000 MB.
+        let (s, mut p) = big_device(300.0 + 1e-7);
+        p.stops[0].sojourn = Seconds(2.0);
+        assert!(check_plan(&s, &p, Profile::P3Partial).is_ok());
+        p.stops[0].collected[0].1 = MegaBytes(300.0 + 1e-4);
+        let v = check_plan(&s, &p, Profile::P3Partial).unwrap_err();
+        assert_eq!(v.invariant, "conservation");
+        assert!(v.detail.contains("B·τ"), "{v}");
+    }
+
+    #[test]
+    fn malformed_plans_rejected() {
+        let s = scenario();
+        let reject = |edit: &dyn Fn(&mut CollectionPlan)| {
+            let mut p = full_plan();
+            edit(&mut p);
+            check_plan(&s, &p, Profile::P3Partial)
+                .unwrap_err()
+                .invariant
+        };
+        assert_eq!(
+            reject(&|p| p.stops[0].pos = Point2::new(f64::NAN, 50.0)),
+            "closed-tour"
+        );
+        assert_eq!(
+            reject(&|p| p.stops[0].sojourn = Seconds(-1.0)),
+            "conservation"
+        );
+        assert_eq!(
+            reject(&|p| p.stops[0].collected[0].0 = DeviceId(99)),
+            "conservation"
+        );
+        assert_eq!(
+            reject(&|p| p.stops[0].collected[0].1 = MegaBytes(f64::NAN)),
+            "conservation"
+        );
+    }
+
+    #[test]
+    fn error_display_names_invariant() {
+        let mut s = scenario();
+        s.uav.capacity = Joules(100.0);
+        let v = check_plan(&s, &full_plan(), Profile::P3Partial).unwrap_err();
+        let text = v.to_string();
+        assert!(text.starts_with("[energy-budget] "), "{text}");
+        assert!(text.contains("exceeds battery"), "{text}");
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! values were recorded before the orienteering insertion cache existed;
 //! a solver change that moves any plan by one bit fails here.
 
+use uavdc_core::validate::{check_plan, Profile};
 use uavdc_core::{Alg1Config, Alg1Planner, CandidateFilter, Planner, TeamAlg1Planner};
 use uavdc_net::generator::{uniform, ScenarioParams};
 use uavdc_net::units::Joules;
@@ -98,7 +99,7 @@ fn alg1_plans_match_goldens() {
                     ..Alg1Config::default()
                 });
                 let plan = planner.plan(&s);
-                plan.validate(&s).expect("Alg 1 plan must validate");
+                check_plan(&s, &plan, Profile::P1FullDisjoint).expect("Alg 1 plan must validate");
                 got.push((seed, capacity, filter, plan.fingerprint()));
             }
         }

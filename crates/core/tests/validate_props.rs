@@ -6,7 +6,8 @@
 use proptest::prelude::*;
 use uavdc_core::validate::{check_fleet, check_plan, Profile};
 use uavdc_core::{
-    Alg1Planner, Alg2Planner, Alg3Planner, CollectionPlan, FleetConfig, MultiUavPlanner, Planner,
+    Alg1Planner, Alg2Planner, Alg3Planner, BenchmarkPlanner, CollectionPlan, FleetConfig,
+    MultiUavPlanner, Planner, SweepPlanner,
 };
 use uavdc_net::generator::{uniform, ScenarioParams};
 use uavdc_net::units::Joules;
@@ -29,6 +30,14 @@ fn planner_outputs(s: &Scenario) -> Vec<(CollectionPlan, Profile, &'static str)>
             "alg2",
         ),
         (Alg3Planner::default().plan(s), Profile::P3Partial, "alg3"),
+        // Both baselines collect each device in full at its first
+        // covering stop only.
+        (
+            BenchmarkPlanner.plan(s),
+            Profile::P1FullDisjoint,
+            "benchmark",
+        ),
+        (SweepPlanner.plan(s), Profile::P1FullDisjoint, "sweep"),
     ]
 }
 
@@ -36,7 +45,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Acceptance: across random scenarios and seeds, every plan the
-    /// three planners produce satisfies its problem's invariants.
+    /// planners produce satisfies its problem's invariants.
     #[test]
     fn validator_accepts_all_planner_outputs(
         seed in 0u64..10_000,

@@ -133,13 +133,6 @@ impl SpanId {
 /// through `&dyn Recorder` reduce to an indirect call that immediately
 /// returns — nothing is computed, formatted, or locked.
 pub trait Recorder: Sync {
-    /// True when events are actually collected; lets callers skip
-    /// building expensive observations (the built-in hooks never need
-    /// this — they only pass values that already exist).
-    fn is_enabled(&self) -> bool {
-        false
-    }
-
     /// Opens a span named `name` under `parent` (use [`SpanId::NONE`]
     /// for a root span). Returns the handle to close it with.
     fn span_start(&self, name: &'static str, parent: SpanId) -> SpanId {
@@ -579,10 +572,6 @@ impl CollectingRecorder {
 }
 
 impl Recorder for CollectingRecorder {
-    fn is_enabled(&self) -> bool {
-        true
-    }
-
     fn span_start(&self, name: &'static str, parent: SpanId) -> SpanId {
         let start_ns = self.clock.now_ns();
         let mut inner = self.locked();
@@ -678,7 +667,6 @@ mod tests {
     #[test]
     fn noop_recorder_records_nothing_and_returns_none() {
         let r = NoopRecorder;
-        assert!(!r.is_enabled());
         let id = r.span_start("x", SpanId::NONE);
         assert!(id.is_none());
         r.span_end(id);

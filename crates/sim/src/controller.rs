@@ -132,9 +132,9 @@ impl MissionController {
             .max(1e-6)
             .min(capacity);
         let alpha = self.cfg.estimate_alpha.clamp(0.0, 1.0);
-        // Economic-repair slack, matching CollectionPlan::validate's
-        // feasibility tolerance so a freshly validated plan is never
-        // repaired at launch under calm conditions.
+        // Economic-repair slack, matching check_plan's energy-budget
+        // tolerance so a freshly checked plan is never repaired at
+        // launch under calm conditions.
         let fit_slack = 1e-6 * capacity + 1e-6;
 
         let mut residual: Vec<f64> = scenario.devices.iter().map(|d| d.data.value()).collect();

@@ -10,6 +10,7 @@
 //! is it on arrival?
 
 use crate::sim::{simulate, SimConfig, SimOutcome};
+use uavdc_core::validate::{check_plan, Profile};
 use uavdc_core::{CollectionPlan, Planner};
 use uavdc_net::units::{MegaBytes, MegaBytesPerSecond, Seconds};
 use uavdc_net::Scenario;
@@ -117,7 +118,7 @@ pub fn run_periodic<P: Planner>(
             dev.data = MegaBytes(stored);
         }
         let plan: CollectionPlan = planner.plan(&current);
-        debug_assert!(plan.validate(&current).is_ok());
+        debug_assert!(check_plan(&current, &plan, Profile::P3Partial).is_ok());
         let outcome: SimOutcome = simulate(&current, &plan, &cfg.sim);
 
         // Drain what the mission brought home.

@@ -353,6 +353,7 @@ pub(crate) fn fly_leg(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uavdc_core::validate::{check_plan, Profile};
     use uavdc_geom::Aabb;
     use uavdc_net::units::{MegaBytesPerSecond, Meters};
     use uavdc_net::{IotDevice, RadioModel, UavSpec};
@@ -404,7 +405,7 @@ mod tests {
     fn nominal_mission_matches_plan_accounting() {
         let s = scenario(10_000.0);
         let plan = one_stop_plan();
-        plan.validate(&s).unwrap();
+        check_plan(&s, &plan, Profile::P3Partial).unwrap();
         let out = checked(&s, &plan, &SimConfig::default());
         assert!(out.completed);
         assert!(out.agrees_with_plan(&plan, &s));

@@ -28,6 +28,7 @@ use std::io::Write as _;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use proptest::prelude::*;
+use uavdc_core::validate::{check_plan, Profile};
 use uavdc_core::{
     Alg2Config, Alg2Planner, Alg3Config, Alg3Planner, BenchmarkPlanner, CollectionPlan, EngineMode,
     Planner,
@@ -245,7 +246,7 @@ proptest! {
             seed,
         );
         let (plan, planner) = plan_for(&scenario, planner_idx, seed);
-        plan.validate(&scenario).expect("planner emitted invalid plan");
+        check_plan(&scenario, &plan, Profile::P3Partial).expect("planner emitted invalid plan");
         for level in 0..4u64 {
             let cfg = disturbances(level, seed);
             let result = catch_unwind(AssertUnwindSafe(|| {

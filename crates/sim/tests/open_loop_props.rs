@@ -19,6 +19,7 @@
 //! tolerance, closing the loop planner → plan → simulation.
 
 use proptest::prelude::*;
+use uavdc_core::validate::{check_plan, Profile};
 use uavdc_core::{
     Alg2Config, Alg2Planner, Alg3Config, Alg3Planner, BenchmarkPlanner, CollectionPlan, EngineMode,
 };
@@ -90,8 +91,13 @@ fn mission_order_reference(scenario: &Scenario, plan: &CollectionPlan) -> Refere
     }
 }
 
-fn assert_matches_accounting(scenario: &Scenario, plan: &CollectionPlan, label: &str) {
-    plan.validate(scenario)
+fn assert_matches_accounting(
+    scenario: &Scenario,
+    plan: &CollectionPlan,
+    profile: Profile,
+    label: &str,
+) {
+    check_plan(scenario, plan, profile)
         .unwrap_or_else(|e| panic!("{label}: planner emitted an invalid plan: {e:?}"));
     let out: SimOutcome = simulate(scenario, plan, &SimConfig::default());
     out.trace
@@ -163,7 +169,12 @@ proptest! {
                 ..Alg2Config::default()
             });
             let (plan, _) = planner.plan_prepared(&scenario, None);
-            assert_matches_accounting(&scenario, &plan, &format!("alg2/{engine:?}/seed={seed}"));
+            assert_matches_accounting(
+                &scenario,
+                &plan,
+                Profile::P2FullOverlap,
+                &format!("alg2/{engine:?}/seed={seed}"),
+            );
         }
     }
 
@@ -177,7 +188,12 @@ proptest! {
                 ..Alg3Config::default()
             });
             let (plan, _) = planner.plan_prepared(&scenario, None);
-            assert_matches_accounting(&scenario, &plan, &format!("alg3/{engine:?}/seed={seed}"));
+            assert_matches_accounting(
+                &scenario,
+                &plan,
+                Profile::P3Partial,
+                &format!("alg3/{engine:?}/seed={seed}"),
+            );
         }
     }
 
@@ -187,7 +203,12 @@ proptest! {
         let scenario = scenario_for(seed, scale);
         for engine in [EngineMode::Lazy, EngineMode::Exhaustive] {
             let (plan, _) = BenchmarkPlanner.plan_prepared(&scenario, engine, None);
-            assert_matches_accounting(&scenario, &plan, &format!("bench/{engine:?}/seed={seed}"));
+            assert_matches_accounting(
+                &scenario,
+                &plan,
+                Profile::P1FullDisjoint,
+                &format!("bench/{engine:?}/seed={seed}"),
+            );
         }
     }
 }

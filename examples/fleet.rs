@@ -31,7 +31,7 @@ fn main() {
             },
         )
         .plan_fleet(&scenario);
-        sectors.validate(&scenario).expect("valid fleet plan");
+        check_fleet(&scenario, &sectors, Profile::P2FullOverlap).expect("valid fleet plan");
         let kmeans = MultiUavPlanner::new(
             Alg2Planner::default(),
             FleetConfig {
@@ -40,7 +40,7 @@ fn main() {
             },
         )
         .plan_fleet(&scenario);
-        kmeans.validate(&scenario).expect("valid fleet plan");
+        check_fleet(&scenario, &kmeans, Profile::P2FullOverlap).expect("valid fleet plan");
         println!(
             "{:>6} {:>18.2} {:>12.0} {:>18.2} {:>12.0}",
             m,
@@ -52,6 +52,6 @@ fn main() {
     }
     println!(
         "\nEach UAV flies its own battery; disjoint device partitions\n\
-         guarantee no device is collected twice (FleetPlan::validate)."
+         guarantee no device is collected twice (check_fleet)."
     );
 }

@@ -32,8 +32,8 @@ fn main() {
             let scenario = uniform(&params, seed);
             let full = Alg2Planner::default().plan(&scenario);
             let partial = Alg3Planner::with_k(4).plan(&scenario);
-            full.validate(&scenario).unwrap();
-            partial.validate(&scenario).unwrap();
+            check_plan(&scenario, &full, Profile::P2FullOverlap).unwrap();
+            check_plan(&scenario, &partial, Profile::P3Partial).unwrap();
             full_gb += megabytes_as_gb(full.collected_volume());
             partial_gb += megabytes_as_gb(partial.collected_volume());
             hover_share += partial.hover_energy(&scenario).value()

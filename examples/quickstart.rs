@@ -21,21 +21,21 @@ fn main() {
         scenario.uav.capacity,
     );
 
-    let planners: Vec<Box<dyn Planner>> = vec![
-        Box::new(Alg1Planner::default()),
-        Box::new(Alg2Planner::default()),
-        Box::new(Alg3Planner::with_k(4)),
-        Box::new(BenchmarkPlanner),
+    // Each planner with the paper problem whose invariants its plans keep.
+    let planners: Vec<(Box<dyn Planner>, Profile)> = vec![
+        (Box::new(Alg1Planner::default()), Profile::P1FullDisjoint),
+        (Box::new(Alg2Planner::default()), Profile::P2FullOverlap),
+        (Box::new(Alg3Planner::with_k(4)), Profile::P3Partial),
+        (Box::new(BenchmarkPlanner), Profile::P1FullDisjoint),
     ];
 
     println!(
         "\n{:<36} {:>10} {:>8} {:>12} {:>10}",
         "planner", "GB", "stops", "energy (J)", "sim ok"
     );
-    for planner in planners {
+    for (planner, profile) in planners {
         let plan = planner.plan(&scenario);
-        plan.validate(&scenario)
-            .expect("planner must produce a valid plan");
+        check_plan(&scenario, &plan, profile).expect("planner must produce a valid plan");
         let outcome = simulate(&scenario, &plan, &SimConfig::default());
         println!(
             "{:<36} {:>10.2} {:>8} {:>12.0} {:>10}",

@@ -67,13 +67,16 @@ fn main() {
     scenario.validate().expect("valid scenario");
 
     // --- Plan and fly --------------------------------------------------
-    for planner in [
-        Box::new(Alg2Planner::default()) as Box<dyn Planner>,
-        Box::new(Alg3Planner::with_k(4)),
-        Box::new(BenchmarkPlanner),
+    for (planner, profile) in [
+        (
+            Box::new(Alg2Planner::default()) as Box<dyn Planner>,
+            Profile::P2FullOverlap,
+        ),
+        (Box::new(Alg3Planner::with_k(4)), Profile::P3Partial),
+        (Box::new(BenchmarkPlanner), Profile::P1FullDisjoint),
     ] {
         let plan = planner.plan(&scenario);
-        plan.validate(&scenario).unwrap();
+        check_plan(&scenario, &plan, profile).unwrap();
         let sim = simulate(&scenario, &plan, &SimConfig::default());
         assert!(sim.agrees_with_plan(&plan, &scenario));
         println!(

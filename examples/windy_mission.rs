@@ -35,7 +35,7 @@ fn main() {
             let mut derated = scenario.clone();
             derated.uav.capacity = scenario.uav.capacity * (1.0 - margin);
             let plan = Alg2Planner::default().plan(&derated);
-            plan.validate(&derated).unwrap();
+            check_plan(&derated, &plan, Profile::P2FullOverlap).unwrap();
             planned += megabytes_as_gb(plan.collected_volume());
             // ...fly with the full battery in gusty air.
             let cfg = SimConfig {

@@ -134,22 +134,32 @@ fn build_scenario(a: &Args) -> Scenario {
     scenario
 }
 
-fn make_planner(a: &Args) -> Box<dyn Planner> {
+/// The planner `--alg` names, with the paper problem its plans solve.
+fn make_planner(a: &Args) -> (Box<dyn Planner>, Profile) {
     match a.alg.as_str() {
-        "alg1" => Box::new(Alg1Planner::new(Alg1Config {
-            delta: a.delta,
-            ..Alg1Config::default()
-        })),
-        "alg2" => Box::new(Alg2Planner::new(Alg2Config {
-            delta: a.delta,
-            ..Alg2Config::default()
-        })),
-        "alg3" => Box::new(Alg3Planner::new(Alg3Config {
-            delta: a.delta,
-            k: a.k,
-            ..Alg3Config::default()
-        })),
-        "benchmark" => Box::new(BenchmarkPlanner),
+        "alg1" => (
+            Box::new(Alg1Planner::new(Alg1Config {
+                delta: a.delta,
+                ..Alg1Config::default()
+            })),
+            Profile::P1FullDisjoint,
+        ),
+        "alg2" => (
+            Box::new(Alg2Planner::new(Alg2Config {
+                delta: a.delta,
+                ..Alg2Config::default()
+            })),
+            Profile::P2FullOverlap,
+        ),
+        "alg3" => (
+            Box::new(Alg3Planner::new(Alg3Config {
+                delta: a.delta,
+                k: a.k,
+                ..Alg3Config::default()
+            })),
+            Profile::P3Partial,
+        ),
+        "benchmark" => (Box::new(BenchmarkPlanner), Profile::P1FullDisjoint),
         other => {
             eprintln!("unknown algorithm: {other}");
             usage();
@@ -172,7 +182,7 @@ fn describe(scenario: &Scenario) {
 fn run_plan(a: &Args) {
     let scenario = build_scenario(a);
     describe(&scenario);
-    let planner = make_planner(a);
+    let (planner, profile) = make_planner(a);
     #[expect(
         clippy::disallowed_methods,
         reason = "the CLI prints the planner call's wall time"
@@ -180,8 +190,7 @@ fn run_plan(a: &Args) {
     let started = std::time::Instant::now();
     let plan = planner.plan(&scenario);
     let dt = started.elapsed();
-    plan.validate(&scenario)
-        .expect("planner must produce a valid plan");
+    check_plan(&scenario, &plan, profile).expect("planner must produce a valid plan");
     println!(
         "\n{}: {:.2} GB at {} stops, {:.0} J ({:.0} travel / {:.0} hover), planned in {:.1} ms",
         planner.name(),
@@ -231,7 +240,7 @@ fn run_fleet(a: &Args) {
         },
     )
     .plan_fleet(&scenario);
-    fleet.validate(&scenario).expect("fleet plan must validate");
+    check_fleet(&scenario, &fleet, Profile::P2FullOverlap).expect("fleet plan must validate");
     println!(
         "\nfleet of {}: {:.2} GB total, busiest UAV {:.0} J",
         a.uavs,
@@ -256,7 +265,7 @@ fn run_compare(a: &Args) {
         "planner", "GB", "stops", "energy (J)", "ms"
     );
     for alg in ["alg1", "alg2", "alg3", "benchmark"] {
-        let planner = make_planner(&Args {
+        let (planner, profile) = make_planner(&Args {
             alg: alg.into(),
             ..clone_args(a)
         });
@@ -267,7 +276,7 @@ fn run_compare(a: &Args) {
         let started = std::time::Instant::now();
         let plan = planner.plan(&scenario);
         let dt = started.elapsed();
-        plan.validate(&scenario).expect("valid plan");
+        check_plan(&scenario, &plan, profile).expect("valid plan");
         println!(
             "{:<36} {:>10.2} {:>8} {:>12.0} {:>10.1}",
             planner.name(),

@@ -29,7 +29,7 @@
 //!
 //! // Plan with the overlap-aware greedy (the paper's Algorithm 2)...
 //! let plan = Alg2Planner::default().plan(&scenario);
-//! plan.validate(&scenario).unwrap();
+//! check_plan(&scenario, &plan, Profile::P2FullOverlap).unwrap();
 //!
 //! // ...and fly it in the discrete-event simulator.
 //! let outcome = simulate(&scenario, &plan, &SimConfig::default());
@@ -64,6 +64,7 @@ pub mod viz;
 
 /// The most common imports, for `use uavdc::prelude::*`.
 pub mod prelude {
+    pub use uavdc_core::validate::{check_fleet, check_plan, Profile};
     pub use uavdc_core::{
         Alg1Config, Alg1Planner, Alg2Config, Alg2Planner, Alg3Config, Alg3Planner,
         BenchmarkPlanner, CollectionPlan, FleetConfig, FleetPartition, FleetPlan, HoverStop,

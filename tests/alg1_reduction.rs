@@ -53,7 +53,7 @@ fn orienteering_budget_bounds_plan_energy() {
     // The realised plan of Algorithm 1 can only be cheaper than the
     // orienteering tour cost (same tour, same hovers).
     let plan = Alg1Planner::default().plan(&s);
-    plan.validate(&s).unwrap();
+    check_plan(&s, &plan, Profile::P1FullDisjoint).unwrap();
     assert!(plan.total_energy(&s).value() <= s.uav.capacity.value() + 1e-6);
 }
 

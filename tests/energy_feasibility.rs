@@ -26,16 +26,16 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let scenario = make_scenario(devices, capacity, seed);
-        let planners: Vec<Box<dyn Planner>> = vec![
-            Box::new(Alg1Planner::default()),
-            Box::new(Alg2Planner::default()),
-            Box::new(Alg3Planner::with_k(2)),
-            Box::new(BenchmarkPlanner),
+        let planners: Vec<(Box<dyn Planner>, Profile)> = vec![
+            (Box::new(Alg1Planner::default()), Profile::P1FullDisjoint),
+            (Box::new(Alg2Planner::default()), Profile::P2FullOverlap),
+            (Box::new(Alg3Planner::with_k(2)), Profile::P3Partial),
+            (Box::new(BenchmarkPlanner), Profile::P1FullDisjoint),
         ];
-        for planner in planners {
+        for (planner, profile) in planners {
             let plan = planner.plan(&scenario);
-            prop_assert!(plan.validate(&scenario).is_ok(),
-                "{}: {:?}", planner.name(), plan.validate(&scenario));
+            let checked = check_plan(&scenario, &plan, profile);
+            prop_assert!(checked.is_ok(), "{}: {:?}", planner.name(), checked);
             prop_assert!(plan.total_energy(&scenario).value() <= capacity + 1e-6,
                 "{} over budget", planner.name());
         }
@@ -63,9 +63,9 @@ proptest! {
     ) {
         let scenario = make_scenario(devices, 2.0e5, seed);
         let plan = Alg3Planner::with_k(k).plan(&scenario);
-        prop_assert!(plan.validate(&scenario).is_ok());
+        prop_assert!(check_plan(&scenario, &plan, Profile::P3Partial).is_ok());
         // Every stop's sojourn is non-negative and every amount is
-        // bandwidth-feasible (validate checks this, but assert the
+        // bandwidth-feasible (check_plan checks this, but assert the
         // aggregate too).
         let b = scenario.radio.bandwidth.value();
         for stop in &plan.stops {

@@ -18,6 +18,7 @@ fn all_fleet_strategies_validate_and_simulate() {
         (
             "sectors",
             MultiUavPlanner::new(Alg2Planner::default(), FleetConfig::new(3)).plan_fleet(&s),
+            Profile::P2FullOverlap,
         ),
         (
             "kmeans",
@@ -29,12 +30,21 @@ fn all_fleet_strategies_validate_and_simulate() {
                 },
             )
             .plan_fleet(&s),
+            Profile::P2FullOverlap,
         ),
-        ("joint", JointFleetPlanner::new(3).plan_fleet(&s)),
-        ("team-alg1", TeamAlg1Planner::new(3).plan_fleet(&s)),
+        (
+            "joint",
+            JointFleetPlanner::new(3).plan_fleet(&s),
+            Profile::P1FullDisjoint,
+        ),
+        (
+            "team-alg1",
+            TeamAlg1Planner::new(3).plan_fleet(&s),
+            Profile::P1FullDisjoint,
+        ),
     ];
-    for (name, fleet) in fleets {
-        fleet.validate(&s).unwrap_or_else(|e| panic!("{name}: {e}"));
+    for (name, fleet, profile) in fleets {
+        check_fleet(&s, &fleet, profile).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(fleet.plans.len(), 3, "{name}");
         // Every UAV's tour flies successfully in the simulator.
         for (u, plan) in fleet.plans.iter().enumerate() {
@@ -61,7 +71,7 @@ fn polishing_any_planner_preserves_collection_and_feasibility() {
         let before_volume = plan.collected_volume();
         let before_energy = plan.total_energy(&s);
         let saved = uavdc::core::polish_plan(&mut plan, &s);
-        plan.validate(&s)
+        check_plan(&s, &plan, Profile::P3Partial)
             .unwrap_or_else(|e| panic!("{}: {e}", planner.name()));
         // Stop reordering changes float summation order; compare within
         // tolerance.

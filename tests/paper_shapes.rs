@@ -18,7 +18,7 @@ fn mean_volume(planner: &dyn Planner, capacity: f64) -> f64 {
         .map(|seed| {
             let s = constrained_scenario(seed, capacity);
             let plan = planner.plan(&s);
-            plan.validate(&s).unwrap();
+            check_plan(&s, &plan, Profile::P3Partial).unwrap();
             megabytes_as_gb(plan.collected_volume())
         })
         .sum::<f64>()

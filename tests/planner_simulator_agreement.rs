@@ -33,7 +33,7 @@ fn every_planner_validates_on_every_scenario_family() {
     for (family, scenario) in scenarios() {
         for planner in planners() {
             let plan = planner.plan(&scenario);
-            plan.validate(&scenario)
+            check_plan(&scenario, &plan, Profile::P3Partial)
                 .unwrap_or_else(|e| panic!("{} on {family}: {e}", planner.name()));
             assert!(
                 plan.total_energy(&scenario) <= scenario.uav.capacity,
