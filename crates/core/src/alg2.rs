@@ -43,7 +43,7 @@ use crate::tourutil::{cheapest_insertion_point, closed_tour_length};
 use crate::Planner;
 use uavdc_geom::Point2;
 use uavdc_graph::improve::two_opt_by;
-use uavdc_graph::incremental::{IncrementalTour, RetourPolicy};
+use uavdc_graph::incremental::IncrementalTour;
 use uavdc_net::units::Seconds;
 use uavdc_net::{DeviceId, Scenario};
 use uavdc_obs::{Recorder, Span};
@@ -386,10 +386,7 @@ fn run_paper(
     let capacity = scenario.uav.capacity.value();
     let per_m = scenario.uav.travel_energy_per_meter().value();
     let m = state.candidates.len();
-    let mut inc = IncrementalTour::new(
-        (scenario.depot.x, scenario.depot.y),
-        RetourPolicy::PatchOnly,
-    );
+    let mut inc = IncrementalTour::new((scenario.depot.x, scenario.depot.y));
     loop {
         counters.iterations += 1;
         counters.marginal_evals += m as u64;
@@ -577,10 +574,7 @@ fn run_lazy(
     let mut ins = InsertionCache::new(m);
     let mut heap = LazyHeap::new(m);
     heap.enable_purge();
-    let mut inc = IncrementalTour::new(
-        (scenario.depot.x, scenario.depot.y),
-        RetourPolicy::PatchOnly,
-    );
+    let mut inc = IncrementalTour::new((scenario.depot.x, scenario.depot.y));
 
     // The engine's one ratio formula — must stay bit-identical to
     // `evaluate_insertion` (same ops in the same order on the same

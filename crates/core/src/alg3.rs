@@ -24,7 +24,7 @@ use crate::plan::{CollectionPlan, HoverStop};
 use crate::tourutil::{cheapest_insertion_point, closed_tour_length};
 use crate::Planner;
 use uavdc_geom::Point2;
-use uavdc_graph::incremental::{IncrementalTour, RetourPolicy};
+use uavdc_graph::incremental::IncrementalTour;
 use uavdc_net::units::{MegaBytes, Seconds};
 use uavdc_net::{DeviceId, Scenario};
 use uavdc_obs::{Recorder, Span};
@@ -394,10 +394,7 @@ fn run_lazy(
     // Banked candidate → tour-point distances and the tour mirror whose
     // stable point ids index them (the tour only grows: no compaction).
     let mut bank = DistanceBank::new(state.candidates, scenario.depot);
-    let mut inc = IncrementalTour::new(
-        (scenario.depot.x, scenario.depot.y),
-        RetourPolicy::PatchOnly,
-    );
+    let mut inc = IncrementalTour::new((scenario.depot.x, scenario.depot.y));
     let mut t_full = vec![0.0f64; m];
     let mut tau = vec![0.0f64; m * kp];
     let mut vol = vec![0.0f64; m * kp];

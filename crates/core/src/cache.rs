@@ -16,12 +16,14 @@
 //! once a key is published every reader sees the same `Arc` and a racing
 //! duplicate build cannot swap the value mid-batch.
 //!
-//! Concurrency discipline (scanned by `uavdc-lint`'s v4 rules): the one
-//! mutex is held only for a map lookup or insert — never across a spawn,
-//! never while calling back into planner code — and lock poisoning is
-//! absorbed the same way `uavdc-obs` absorbs it: a panicked worker leaves
-//! a consistent (if partial) map, and a cache read must never turn into a
-//! second panic.
+//! Concurrency discipline: the one mutex is held only for a single map
+//! lookup or insert — its guard is a statement-scoped temporary, never
+//! live across a spawn or a call back into planner code — and lock
+//! poisoning is absorbed: a panicked worker leaves a consistent (if
+//! partial) map, and a cache read must never turn into a second panic.
+//! `concurrent_readers_and_writers_converge` and
+//! `artifact_cache_invisibility::thread_count_is_invisible` share one
+//! cache across threads.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -51,8 +53,7 @@ impl<T> ArtifactCache<T> {
     /// published by a panicked worker are still the values the cold path
     /// would rebuild, so they remain safe to serve.
     ///
-    /// Reentrancy invariant (audited, enforced by uavdc-lint's
-    /// `lock-across-spawn` rule): no caller may invoke another
+    /// Reentrancy invariant: no caller may invoke another
     /// `locked()`-taking method while holding this guard, and no planner
     /// code runs under it — every critical section is a single map
     /// operation.

@@ -823,10 +823,7 @@ mod tests {
             banked.set(c, 2.0 * bank.depot_dist(c), 1);
         }
         assert_eq!(bank.pos(3), (cands[3].x, cands[3].y));
-        let mut inc = IncrementalTour::new(
-            (depot.x, depot.y),
-            uavdc_graph::incremental::RetourPolicy::PatchOnly,
-        );
+        let mut inc = IncrementalTour::new((depot.x, depot.y));
         for &p in &inserts {
             let (_, ins_pos) = cheapest_insertion_point(&tour, p);
             tour.insert(ins_pos, p);

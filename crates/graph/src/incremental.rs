@@ -27,10 +27,9 @@
 //!   Speculative scoring ([`IncrementalTour::speculative_order`]) rebuilds
 //!   with one extra phantom stop — Algorithm 2's per-candidate `TSP(S ∪
 //!   {s})` — sharing the same matrix cache and matching memo.
-//! * **Re-tour policy** — [`RetourPolicy`] optionally schedules a full
-//!   rebuild every K patches; [`RetourPolicy::PatchOnly`] leaves compaction
-//!   entirely to the caller (Algorithm 2's fast-insertion mode, whose
-//!   committed plans are hash-frozen, uses this).
+//!
+//! The tour never rebuilds on its own: patches only patch, and the caller
+//! decides when to compact or call [`IncrementalTour::retour`].
 //!
 //! Because rebuilds read only cached (≡ recomputed) distances and run the
 //! deterministic pipeline, a patched-then-rebuilt tour is bit-identical —
@@ -65,20 +64,6 @@ pub struct TourCounters {
     pub full_retours: u64,
 }
 
-/// When [`IncrementalTour`] schedules a full Christofides rebuild on its
-/// own. Only [`IncrementalTour::insert`], [`IncrementalTour::insert_id_at`]
-/// and [`IncrementalTour::remove`] consult the policy; the local-search
-/// patches never trigger a rebuild.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum RetourPolicy {
-    /// Never rebuild automatically; the caller compacts (or calls
-    /// [`IncrementalTour::retour`]) when it wants to.
-    #[default]
-    PatchOnly,
-    /// Rebuild after every `K > 0` patches.
-    EveryKPatches(u32),
-}
-
 /// A closed tour over appendable stops with cached distances, patch-based
 /// maintenance and memoised Christofides rebuilds. See the module docs.
 ///
@@ -99,8 +84,6 @@ pub struct IncrementalTour {
     /// `edge_len[k]` = distance between `order[k]` and
     /// `order[(k+1) % len]`; empty while the tour has fewer than 2 stops.
     edge_len: Vec<f64>,
-    policy: RetourPolicy,
-    patches_since_retour: u32,
     counters: TourCounters,
     config: ChristofidesConfig,
     /// Odd stop-id list → perfect-matching pairs (odd-list index space).
@@ -109,10 +92,7 @@ pub struct IncrementalTour {
 
 impl IncrementalTour {
     /// A depot-only tour. The depot becomes stop id 0.
-    pub fn new(depot: (f64, f64), policy: RetourPolicy) -> Self {
-        if let RetourPolicy::EveryKPatches(k) = policy {
-            assert!(k > 0, "EveryKPatches period must be positive");
-        }
+    pub fn new(depot: (f64, f64)) -> Self {
         IncrementalTour {
             xs: vec![depot.0],
             ys: vec![depot.1],
@@ -120,8 +100,6 @@ impl IncrementalTour {
             dist: Vec::new(),
             order: vec![0],
             edge_len: Vec::new(),
-            policy,
-            patches_since_retour: 0,
             counters: TourCounters::default(),
             config: ChristofidesConfig::default(),
             matching_memo: BTreeMap::new(),
@@ -162,11 +140,6 @@ impl IncrementalTour {
     /// Maintenance-work counters accumulated so far.
     pub fn counters(&self) -> TourCounters {
         self.counters
-    }
-
-    /// Patches applied since the last full rebuild.
-    pub fn patches_since_retour(&self) -> u32 {
-        self.patches_since_retour
     }
 
     /// Cached distance between stops `i` and `j` (0 when `i == j`).
@@ -229,9 +202,8 @@ impl IncrementalTour {
 
     /// Splices appended stop `id` into the tour at position `pos`
     /// (`1 <= pos <= len()`), patching the two affected edges from the
-    /// cache. Counts one patch; returns the re-tour permutation when the
-    /// policy triggered a rebuild (see [`IncrementalTour::retour`]).
-    pub fn insert_id_at(&mut self, id: usize, pos: usize) -> Option<Vec<usize>> {
+    /// cache. Counts one patch.
+    pub fn insert_id_at(&mut self, id: usize, pos: usize) {
         assert!(!self.in_tour[id], "stop {id} is already in the tour");
         let n = self.order.len();
         assert!(
@@ -249,24 +221,22 @@ impl IncrementalTour {
             self.edge_len
                 .insert(pos, self.cost(id, self.order[(pos + 1) % m]));
         }
-        self.record_patch()
+        self.counters.tour_patches += 1;
     }
 
     /// Appends `p` and splices it at its cheapest-insertion position.
-    /// Returns the new stop id and, when the policy triggered a rebuild,
-    /// the re-tour permutation.
-    pub fn insert(&mut self, p: (f64, f64)) -> (usize, Option<Vec<usize>>) {
+    /// Returns the new stop id.
+    pub fn insert(&mut self, p: (f64, f64)) -> usize {
         let id = self.append_point(p);
         let (_, pos) = self.cheapest_insertion_of(id);
-        let perm = self.insert_id_at(id, pos);
-        (id, perm)
+        self.insert_id_at(id, pos);
+        id
     }
 
     /// Removes stop `id` (never the depot) from the tour, patching the
     /// surrounding edges from the cache. The id and its distance row stay
-    /// allocated, so the stop can be re-inserted later. Counts one patch;
-    /// returns the re-tour permutation when the policy triggered one.
-    pub fn remove(&mut self, id: usize) -> Option<Vec<usize>> {
+    /// allocated, so the stop can be re-inserted later. Counts one patch.
+    pub fn remove(&mut self, id: usize) {
         assert!(id != 0, "the depot cannot be removed");
         assert!(self.in_tour[id], "stop {id} is not in the tour");
         // The depot occupies position 0, so `id` sits at some pos >= 1.
@@ -280,7 +250,7 @@ impl IncrementalTour {
             self.edge_len.remove(pos);
             self.edge_len[pos - 1] = self.cost(self.order[pos - 1], self.order[pos % n]);
         }
-        self.record_patch()
+        self.counters.tour_patches += 1;
     }
 
     /// 2-opt compaction over the cached matrix: the shared kernel
@@ -303,7 +273,6 @@ impl IncrementalTour {
         }
         self.rebuild_edges();
         self.counters.tour_patches += 1;
-        self.patches_since_retour = self.patches_since_retour.saturating_add(1);
         Some(perm)
     }
 
@@ -326,7 +295,6 @@ impl IncrementalTour {
         self.order = perm.iter().map(|&k| self.order[k]).collect();
         self.rebuild_edges();
         self.counters.tour_patches += 1;
-        self.patches_since_retour = self.patches_since_retour.saturating_add(1);
         Some(perm)
     }
 
@@ -339,7 +307,6 @@ impl IncrementalTour {
     /// included (`tests/incremental_props.rs` proves this per seed).
     pub fn retour(&mut self) -> Vec<usize> {
         self.counters.full_retours += 1;
-        self.patches_since_retour = 0;
         let n = self.order.len();
         if n <= 3 {
             return (0..n).collect();
@@ -420,22 +387,6 @@ impl IncrementalTour {
         for k in 0..n {
             self.edge_len
                 .push(self.cost(self.order[k], self.order[(k + 1) % n]));
-        }
-    }
-
-    /// Counts a patch and runs the policy; `Some(perm)` when it rebuilt.
-    fn record_patch(&mut self) -> Option<Vec<usize>> {
-        self.counters.tour_patches += 1;
-        self.patches_since_retour = self.patches_since_retour.saturating_add(1);
-        match self.policy {
-            RetourPolicy::PatchOnly => None,
-            RetourPolicy::EveryKPatches(k) => {
-                if self.patches_since_retour >= k {
-                    Some(self.retour())
-                } else {
-                    None
-                }
-            }
         }
     }
 }
@@ -746,7 +697,7 @@ mod tests {
 
     #[test]
     fn insert_matches_scalar_reference_bitwise() {
-        let mut t = IncrementalTour::new((50.0, 50.0), RetourPolicy::PatchOnly);
+        let mut t = IncrementalTour::new((50.0, 50.0));
         for (i, p) in seeded_points(24, 37, 13).into_iter().enumerate() {
             let before = pts_of(&t);
             let (want_d, want_pos) = reference_cheapest(&before, Point2::new(p.0, p.1));
@@ -762,10 +713,10 @@ mod tests {
 
     #[test]
     fn edge_cache_stays_consistent_under_removal() {
-        let mut t = IncrementalTour::new((0.0, 0.0), RetourPolicy::PatchOnly);
+        let mut t = IncrementalTour::new((0.0, 0.0));
         let ids: Vec<usize> = seeded_points(12, 41, 7)
             .into_iter()
-            .map(|p| t.insert(p).0)
+            .map(|p| t.insert(p))
             .collect();
         for &id in ids.iter().step_by(3) {
             t.remove(id);
@@ -782,7 +733,7 @@ mod tests {
 
     #[test]
     fn two_opt_compact_is_the_kernel_on_point_distances() {
-        let mut t = IncrementalTour::new((50.0, 50.0), RetourPolicy::PatchOnly);
+        let mut t = IncrementalTour::new((50.0, 50.0));
         for p in seeded_points(20, 61, 3) {
             t.insert(p);
         }
@@ -808,7 +759,7 @@ mod tests {
 
     #[test]
     fn or_opt_never_lengthens_and_keeps_depot() {
-        let mut t = IncrementalTour::new((1.0, 2.0), RetourPolicy::PatchOnly);
+        let mut t = IncrementalTour::new((1.0, 2.0));
         for p in seeded_points(16, 53, 11) {
             t.insert(p);
         }
@@ -821,7 +772,7 @@ mod tests {
 
     #[test]
     fn retour_matches_from_scratch_christofides() {
-        let mut t = IncrementalTour::new((50.0, 50.0), RetourPolicy::PatchOnly);
+        let mut t = IncrementalTour::new((50.0, 50.0));
         for p in seeded_points(18, 29, 5) {
             t.insert(p);
         }
@@ -841,8 +792,8 @@ mod tests {
 
     #[test]
     fn matching_memo_reuse_is_bit_identical() {
-        let mut a = IncrementalTour::new((50.0, 50.0), RetourPolicy::PatchOnly);
-        let mut b = IncrementalTour::new((50.0, 50.0), RetourPolicy::PatchOnly);
+        let mut a = IncrementalTour::new((50.0, 50.0));
+        let mut b = IncrementalTour::new((50.0, 50.0));
         for p in seeded_points(14, 43, 9) {
             a.insert(p);
             b.insert(p);
@@ -857,20 +808,6 @@ mod tests {
         assert_eq!(pa, pb, "memo-warm and cold retours diverged");
         assert_eq!(a.order(), b.order());
         assert_eq!(a.total_cost().to_bits(), b.total_cost().to_bits());
-    }
-
-    #[test]
-    fn every_k_policy_triggers_retour() {
-        let mut t = IncrementalTour::new((0.0, 0.0), RetourPolicy::EveryKPatches(4));
-        let mut retours = 0;
-        for p in seeded_points(12, 67, 1) {
-            if t.insert(p).1.is_some() {
-                retours += 1;
-            }
-        }
-        assert_eq!(retours, 3, "12 patches at K=4 must rebuild 3 times");
-        assert_eq!(t.counters().full_retours, 3);
-        assert_eq!(t.total_cost().to_bits(), closed_len(&pts_of(&t)).to_bits());
     }
 
     #[test]

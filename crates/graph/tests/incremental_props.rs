@@ -19,7 +19,7 @@ use uavdc_geom::Point2;
 use uavdc_graph::christofides::{christofides_with, ChristofidesConfig};
 use uavdc_graph::incremental::{
     cheapest_insertion_cached, cheapest_insertion_cached4, distances_to_point, IncrementalTour,
-    InsertionKernel, RetourPolicy,
+    InsertionKernel,
 };
 use uavdc_graph::DistMatrix;
 
@@ -76,11 +76,11 @@ fn history() -> impl Strategy<Value = History> {
 /// Replays a history on a fresh tour; returns the tour and the ids of
 /// stops currently spliced in (depot excluded).
 fn drive(depot: (f64, f64), seed: &[(f64, f64)], ops: &[Op]) -> (IncrementalTour, Vec<usize>) {
-    let mut t = IncrementalTour::new(depot, RetourPolicy::PatchOnly);
-    let mut live: Vec<usize> = seed.iter().map(|&p| t.insert(p).0).collect();
+    let mut t = IncrementalTour::new(depot);
+    let mut live: Vec<usize> = seed.iter().map(|&p| t.insert(p)).collect();
     for op in ops {
         match *op {
-            Op::Insert(p) => live.push(t.insert(p).0),
+            Op::Insert(p) => live.push(t.insert(p)),
             Op::Remove(sel) => {
                 if live.len() >= 5 {
                     let id = live.swap_remove(sel % live.len());
@@ -194,7 +194,6 @@ proptest! {
         let want_ids: Vec<usize> = want.iter().map(|&k| ids_before[k]).collect();
         prop_assert_eq!(t.order(), &want_ids[..]);
         prop_assert_eq!(t.counters().full_retours, retours_before + 1);
-        prop_assert_eq!(t.patches_since_retour(), 0);
         assert_edge_cache_exact(&t);
     }
 
@@ -213,7 +212,7 @@ proptest! {
         prop_assert_eq!(&s1, &s2, "speculative scoring must be deterministic");
         // History-free twin: same point sequence, contiguous ids, no
         // removed-stop ghosts, cold memo.
-        let mut fresh = IncrementalTour::new(t.point(0), RetourPolicy::PatchOnly);
+        let mut fresh = IncrementalTour::new(t.point(0));
         for &id in &t.order()[1..] {
             let fid = fresh.append_point(t.point(id));
             let end = fresh.len();
@@ -266,7 +265,7 @@ proptest! {
         stops in vec(qpoint(), 0..32),
         sats in vec(qpoint(), 4..24),
     ) {
-        let mut t = IncrementalTour::new(depot, RetourPolicy::PatchOnly);
+        let mut t = IncrementalTour::new(depot);
         for &p in &stops {
             t.insert(p);
         }
@@ -319,42 +318,5 @@ proptest! {
         let (d, pos) = t.cheapest_insertion_of(id);
         prop_assert_eq!(d.to_bits(), scalar[0].0.to_bits());
         prop_assert_eq!(pos, scalar[0].1 as usize);
-    }
-
-    /// `EveryKPatches` is exactly "PatchOnly plus a retour every K
-    /// patches": the policy fires on schedule, the counters account every
-    /// patch, and the resulting tour is bit-identical to a manually
-    /// scheduled twin.
-    #[test]
-    fn every_k_policy_matches_manual_schedule(
-        depot in qpoint(),
-        stops in vec(qpoint(), 4..24),
-        k in 1u32..6,
-    ) {
-        let mut auto = IncrementalTour::new(depot, RetourPolicy::EveryKPatches(k));
-        let mut fired = 0u32;
-        for &p in &stops {
-            if auto.insert(p).1.is_some() {
-                fired += 1;
-            }
-        }
-        prop_assert_eq!(fired, stops.len() as u32 / k, "policy fired off schedule");
-        prop_assert_eq!(auto.counters().full_retours, u64::from(fired));
-        prop_assert_eq!(auto.counters().tour_patches, stops.len() as u64);
-        prop_assert_eq!(auto.patches_since_retour(), stops.len() as u32 % k);
-
-        let mut manual = IncrementalTour::new(depot, RetourPolicy::PatchOnly);
-        let mut since = 0;
-        for &p in &stops {
-            manual.insert(p);
-            since += 1;
-            if since == k {
-                manual.retour();
-                since = 0;
-            }
-        }
-        // Ids were allocated in the same sequence, so orders compare 1:1.
-        prop_assert_eq!(auto.order(), manual.order(), "policy tour diverged from manual twin");
-        prop_assert_eq!(auto.total_cost().to_bits(), manual.total_cost().to_bits());
     }
 }

@@ -49,11 +49,6 @@ pub struct Node {
     pub calls: Vec<(CallSite, Vec<FnId>)>,
     /// Indexing sites (`expr[..]`).
     pub index_sites: Vec<Site>,
-    /// Spawn sites (`scope.spawn` / `thread::spawn`) with closure body
-    /// ranges (lint v4 concurrency layer).
-    pub spawn_sites: Vec<crate::concurrency::SpawnSite>,
-    /// Direct `.lock()` acquisitions with guard-liveness ranges.
-    pub lock_sites: Vec<crate::concurrency::LockSite>,
     /// Body contains a `.value()` / `Unit(..).0` unit escape.
     pub unit_escape: Option<usize>,
     /// Return type mentions `f64`.
@@ -109,8 +104,6 @@ impl CallGraph {
                     opaque_calls: 0,
                     calls: Vec::new(),
                     index_sites: Vec::new(),
-                    spawn_sites: Vec::new(),
-                    lock_sites: Vec::new(),
                     unit_escape: None,
                     returns_f64: fun.ret.as_deref().is_some_and(crate::parser::type_has_f64),
                     is_public_api: fun.is_pub && !fun.in_test && file.kind == FileKind::Library,
@@ -141,14 +134,6 @@ impl CallGraph {
                             |rule, line| allowed(fi, rule, line),
                             &index_audited,
                         );
-                    }
-                    // Spawn and lock sites are collected even in
-                    // sanctioned obs/compat code — the recorder's Mutex
-                    // is exactly what the lock rule patrols.
-                    if file.kind == FileKind::Library && !fun.in_test {
-                        crate::concurrency::collect_sites(file, lo, hi, &mut node, |rule, line| {
-                            allowed(fi, rule, line)
-                        });
                     }
                 }
                 index.insert(id, nodes.len());
@@ -222,46 +207,6 @@ impl CallGraph {
                     ""
                 },
             );
-            if !node.lock_sites.is_empty() {
-                let _ = write!(
-                    out,
-                    " locks={}+{}",
-                    node.lock_sites.iter().filter(|s| !s.justified).count(),
-                    node.lock_sites.iter().filter(|s| s.justified).count(),
-                );
-            }
-            if !node.spawn_sites.is_empty() {
-                let lines: Vec<String> = node
-                    .spawn_sites
-                    .iter()
-                    .map(|s| format!("l{}", s.line))
-                    .collect();
-                let _ = write!(out, " spawns=[{}]", lines.join(", "));
-                // Spawn-edge annotation: resolved callees whose call
-                // site sits inside a spawned closure body, so witness
-                // paths through spawned closures are reproducible from
-                // the artifact alone.
-                let mut spawn_edges: Vec<String> = Vec::new();
-                for (call, targets) in &node.calls {
-                    let Some(site) = node.spawn_sites.iter().find(|s| s.covers(call.name_tok))
-                    else {
-                        continue;
-                    };
-                    for &(cfi, cni) in targets {
-                        let cf = &ws.files[cfi];
-                        let label = format!(
-                            "{}::{}@l{}",
-                            cf.crate_ident, cf.model.fns[cni].name, site.line
-                        );
-                        if !spawn_edges.contains(&label) {
-                            spawn_edges.push(label);
-                        }
-                    }
-                }
-                if !spawn_edges.is_empty() {
-                    let _ = write!(out, " spawn-> [{}]", spawn_edges.join(", "));
-                }
-            }
             out.push('\n');
         }
         out

@@ -59,12 +59,10 @@
 //! every site, not only at those a planner can reach, and the `rand`
 //! shim has no entropy-seeded constructor.
 //!
-//! Since PR 8 a concurrency layer ([`concurrency`], JSON schema
-//! `uavdc-lint/4`) adds spawn and lock inventories to the call graph and
-//! one more interprocedural rule:
-//!
-//! * [`Rule::LockAcrossSpawn`] — no guard live across a spawn, no
-//!   re-entrant lock, no lock-order cycle.
+//! Lock discipline is the type system's job, not this tool's: the
+//! collecting recorder is `!Sync` by type and the artifact cache's one
+//! Mutex holds its guard for a single map operation, so JSON schema
+//! `uavdc-lint/5` carries no concurrency rule.
 //!
 //! Findings are reported as `path:line: rule: message`, one per line.
 //! A finding is suppressed with a pragma comment on the same line or the
@@ -95,7 +93,6 @@
 )]
 
 pub mod callgraph;
-pub mod concurrency;
 pub mod dataflow;
 pub mod lexer;
 pub mod parser;
@@ -126,9 +123,6 @@ pub enum Rule {
     /// An `_obs` twin whose plain wrapper does not cleanly delegate to
     /// it (recorder-invisibility coherence).
     ObsTwin,
-    /// A `MutexGuard` live across a spawn site, a re-entrant lock
-    /// acquisition while the guard is held, or a lock-order cycle.
-    LockAcrossSpawn,
     /// A `lint:allow` pragma that suppressed nothing.
     UnusedAllow,
     /// A `lint:allow` pragma without a rule name or without a reason.
@@ -145,7 +139,6 @@ impl Rule {
             Rule::PanicReach => "panic-reach",
             Rule::UnitFlow => "unit-flow",
             Rule::ObsTwin => "obs-twin",
-            Rule::LockAcrossSpawn => "lock-across-spawn",
             Rule::UnusedAllow => "unused-allow",
             Rule::MalformedAllow => "malformed-allow",
         }
@@ -160,7 +153,6 @@ impl Rule {
             "panic-reach" => Some(Rule::PanicReach),
             "unit-flow" => Some(Rule::UnitFlow),
             "obs-twin" => Some(Rule::ObsTwin),
-            "lock-across-spawn" => Some(Rule::LockAcrossSpawn),
             "unused-allow" => Some(Rule::UnusedAllow),
             "malformed-allow" => Some(Rule::MalformedAllow),
             _ => None,
@@ -168,10 +160,8 @@ impl Rule {
     }
 
     /// All rules that scan source directly (pragma meta-rules excluded):
-    /// the three per-file rules, the three interprocedural rules of
-    /// schema `uavdc-lint/3`, and the concurrency rule added by schema
-    /// `uavdc-lint/4`.
-    pub fn all_source_rules() -> [Rule; 7] {
+    /// the three per-file rules and the three interprocedural rules.
+    pub fn all_source_rules() -> [Rule; 6] {
         [
             Rule::FloatOrd,
             Rule::RawQuantity,
@@ -179,7 +169,6 @@ impl Rule {
             Rule::PanicReach,
             Rule::UnitFlow,
             Rule::ObsTwin,
-            Rule::LockAcrossSpawn,
         ]
     }
 }
@@ -270,7 +259,7 @@ impl Finding {
 /// The full machine-readable report for a scan: a single JSON document
 /// with a schema tag, the enabled rules, and the sorted findings.
 pub fn report_json(findings: &[Finding]) -> String {
-    let mut out = String::from("{\"schema\":\"uavdc-lint/4\",\"rules\":[");
+    let mut out = String::from("{\"schema\":\"uavdc-lint/5\",\"rules\":[");
     let mut first = true;
     for r in Rule::all_source_rules() {
         if !first {
@@ -908,9 +897,8 @@ fn is_entry(ws: &resolve::Workspace, node: &callgraph::Node, scope: ScanScope) -
         && (scope == ScanScope::ForceAll || path_in(&ws.files[node.id.0].norm, &ENTRY_CRATES))
 }
 
-/// The whole-workspace rules: the schema-3 three (panic-reach,
-/// unit-flow, obs-twin; DESIGN.md §13) plus the schema-4
-/// concurrency rule (lock-across-spawn; DESIGN.md §14).
+/// The whole-workspace rules: panic-reach, unit-flow and obs-twin
+/// (DESIGN.md §13).
 fn interprocedural_rules(
     ws: &resolve::Workspace,
     scope: ScanScope,
@@ -1101,12 +1089,6 @@ fn interprocedural_rules(
             }
         }
     }
-
-    // --- concurrency layer (schema 4): lock-across-spawn over the same
-    // graph. See DESIGN.md §14.
-    findings.extend(concurrency::check(ws, &graph, |fi, rule, line| {
-        is_allowed(&mut allows[fi], rule, line)
-    }));
 
     findings
 }
@@ -1327,7 +1309,7 @@ pub fn run_cli() -> i32 {
                 println!(
                     "usage: uavdc-lint [--json] [--sarif] [--graph] [--fix-unused [--write|--check]] [--list-rules] [paths...]"
                 );
-                println!("  --json        machine-readable report (schema uavdc-lint/4)");
+                println!("  --json        machine-readable report (schema uavdc-lint/5)");
                 println!("  --sarif       SARIF 2.1.0 report for code-scanning upload");
                 println!("  --graph       dump the workspace call graph instead of linting");
                 println!("  --fix-unused  delete unused-allow pragmas (dry-run; --write applies,");
@@ -1631,8 +1613,8 @@ mod tests {
             message: "m".into(),
         }];
         let j = report_json(&f);
-        assert!(j.starts_with("{\"schema\":\"uavdc-lint/4\""));
-        assert!(j.contains("\"rules\":[\"float-ord\",\"raw-quantity\",\"unit-unwrap\",\"panic-reach\",\"unit-flow\",\"obs-twin\",\"lock-across-spawn\"]"));
+        assert!(j.starts_with("{\"schema\":\"uavdc-lint/5\""));
+        assert!(j.contains("\"rules\":[\"float-ord\",\"raw-quantity\",\"unit-unwrap\",\"panic-reach\",\"unit-flow\",\"obs-twin\"]"));
         assert!(j.ends_with("\"count\":1}"));
     }
 

@@ -6,9 +6,9 @@
 //! default method on the trait, so an uninstrumented run and a run
 //! through the no-op path execute the same arithmetic in the same order —
 //! plans and evaluation counts are bit-identical (property-tested in
-//! `uavdc-core`). The [`CollectingRecorder`] aggregates everything behind
-//! one mutex and is `Sync`, so threads planning separate requests can
-//! share it by reference.
+//! `uavdc-core`). The [`CollectingRecorder`] aggregates everything in one
+//! `RefCell` and is deliberately not `Sync`: a recorder belongs to the
+//! thread driving one request, so there is no lock to guard.
 //!
 //! Time never enters the recorder implicitly: span durations come from a
 //! [`Clock`] injected at construction. Production uses [`MonotonicClock`]
@@ -37,9 +37,10 @@
     )
 )]
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Monotonic time source injected into a [`CollectingRecorder`].
@@ -132,7 +133,7 @@ impl SpanId {
 /// implementation is `impl Recorder for NoopRecorder {}` and calls
 /// through `&dyn Recorder` reduce to an indirect call that immediately
 /// returns — nothing is computed, formatted, or locked.
-pub trait Recorder: Sync {
+pub trait Recorder {
     /// Opens a span named `name` under `parent` (use [`SpanId::NONE`]
     /// for a root span). Returns the handle to close it with.
     fn span_start(&self, name: &'static str, parent: SpanId) -> SpanId {
@@ -169,7 +170,7 @@ pub static NOOP: NoopRecorder = NoopRecorder;
 
 /// RAII guard that closes its span on drop. Hierarchy is explicit:
 /// children are opened through [`Span::child`], never inferred from
-/// thread-local state, so worker threads attribute spans correctly.
+/// thread-local state.
 pub struct Span<'r> {
     rec: &'r dyn Recorder,
     id: SpanId,
@@ -444,12 +445,23 @@ struct Inner {
     histograms: BTreeMap<&'static str, Histogram>,
 }
 
-/// Thread-safe collecting recorder: one mutex guards the whole state, so
-/// it can be shared by reference across threads planning separate
-/// requests. Span durations come from the injected [`Clock`].
+/// Single-threaded collecting recorder: the whole state sits in one
+/// `RefCell`, so the type is `!Sync` and the compiler, not a lock,
+/// keeps it on the thread that drives its request. Span durations come
+/// from the injected [`Clock`].
+///
+/// ```compile_fail
+/// fn shared_across_threads<T: Sync>() {}
+/// shared_across_threads::<uavdc_obs::CollectingRecorder>();
+/// ```
 pub struct CollectingRecorder {
     clock: Box<dyn Clock>,
-    inner: Mutex<Inner>,
+    /// Reentrancy invariant: no method calls another state-borrowing
+    /// method while holding its borrow — a nested borrow panics. Every
+    /// borrower (`report`, `span_start`, `span_end`, `add`, `observe`)
+    /// only touches plain `Inner` data; clock reads happen *before*
+    /// borrowing for the same reason.
+    inner: RefCell<Inner>,
 }
 
 impl std::fmt::Debug for CollectingRecorder {
@@ -475,7 +487,7 @@ impl CollectingRecorder {
     pub fn with_clock(clock: Box<dyn Clock>) -> Self {
         CollectingRecorder {
             clock,
-            inner: Mutex::new(Inner {
+            inner: RefCell::new(Inner {
                 nodes: vec![SpanNode {
                     name: "",
                     children: BTreeMap::new(),
@@ -490,31 +502,12 @@ impl CollectingRecorder {
         }
     }
 
-    /// Locks the state, recovering from poisoning: a panicked worker
-    /// leaves counters in a consistent (if partial) state, and the
-    /// recorder must never turn an observation into a second panic.
-    ///
-    /// Reentrancy invariant (audited, enforced by uavdc-lint's
-    /// `lock-across-spawn` rule): no caller may invoke another
-    /// `locked()`-taking method while holding this guard — the Mutex is
-    /// not reentrant, so a nested acquisition on the same thread
-    /// deadlocks. Every caller (`report`, `span_start`, `span_end`,
-    /// `add`, `observe`) only touches plain `Inner` data under the
-    /// guard; clock reads happen *before* locking for the same reason.
-    fn locked(&self) -> MutexGuard<'_, Inner> {
-        match self.inner.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
     /// Snapshot of everything recorded so far, in stable order.
     pub fn report(&self) -> RunReport {
-        let inner = self.locked();
+        let inner = self.inner.borrow();
         let mut spans = Vec::new();
         // Depth-first over the tree; BTreeMap children iterate sorted by
-        // name, so the output order is independent of insertion order
-        // (and therefore of worker-thread interleaving).
+        // name, so the output order is independent of insertion order.
         let mut stack: Vec<(usize, String)> = inner.nodes[0]
             .children
             .values()
@@ -574,7 +567,7 @@ impl CollectingRecorder {
 impl Recorder for CollectingRecorder {
     fn span_start(&self, name: &'static str, parent: SpanId) -> SpanId {
         let start_ns = self.clock.now_ns();
-        let mut inner = self.locked();
+        let mut inner = self.inner.borrow_mut();
         let parent_node = if parent.is_none() {
             0
         } else {
@@ -619,7 +612,7 @@ impl Recorder for CollectingRecorder {
             return;
         }
         let end_ns = self.clock.now_ns();
-        let mut inner = self.locked();
+        let mut inner = self.inner.borrow_mut();
         let slot = id.0 as usize;
         if let Some(open) = inner.active.get_mut(slot).and_then(Option::take) {
             inner.free.push(slot);
@@ -630,12 +623,12 @@ impl Recorder for CollectingRecorder {
     }
 
     fn add(&self, counter: &'static str, delta: u64) {
-        let mut inner = self.locked();
+        let mut inner = self.inner.borrow_mut();
         *inner.counters.entry(counter).or_insert(0) += delta;
     }
 
     fn observe(&self, histogram: &'static str, value: u64) {
-        let mut inner = self.locked();
+        let mut inner = self.inner.borrow_mut();
         inner.histograms.entry(histogram).or_default().record(value);
     }
 }
@@ -742,19 +735,18 @@ mod tests {
 
     #[test]
     fn recorder_methods_never_nest_the_state_lock() {
-        // Regression guard for the double-lock hazard class: every
-        // `locked()`-taking method is exercised back-to-back and while
+        // Regression guard for the nested-borrow hazard class: every
+        // state-borrowing method is exercised back-to-back and while
         // spans are still open. If any of them ever grows a nested call
-        // into another `locked()`-taking method, the non-reentrant
-        // Mutex deadlocks right here and the test hangs instead of
-        // passing.
+        // into another state-borrowing method, the nested borrow
+        // panics right here and the test fails.
         let r = CollectingRecorder::new();
         let root = r.span_start("plan", SpanId::NONE);
         r.add("visited", 1);
         r.observe("tour_len", 42);
         let child = r.span_start("greedy", root);
-        // Reporting with spans still active takes the same lock the
-        // open spans' bookkeeping lives under.
+        // Reporting with spans still active borrows the same state the
+        // open spans' bookkeeping lives in.
         let mid = r.report();
         assert_eq!(mid.counter("visited"), 1);
         r.span_end(child);
@@ -809,24 +801,6 @@ mod tests {
     fn json_escapes_are_valid() {
         assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
         assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
-    }
-
-    #[test]
-    fn recorder_is_shareable_across_threads() {
-        let r = CollectingRecorder::new();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    for _ in 0..100 {
-                        r.add("hits", 1);
-                        r.observe("v", 7);
-                    }
-                });
-            }
-        });
-        let rep = r.report();
-        assert_eq!(rep.counter("hits"), 400);
-        assert_eq!(rep.histograms[0].count, 400);
     }
 
     #[test]
