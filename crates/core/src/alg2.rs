@@ -573,7 +573,6 @@ fn run_lazy(
     let mut cache_t = vec![0.0f64; m];
     let mut ins = InsertionCache::new(m);
     let mut heap = LazyHeap::new(m);
-    heap.enable_purge();
     let mut inc = IncrementalTour::new((scenario.depot.x, scenario.depot.y));
 
     // The engine's one ratio formula — must stay bit-identical to
@@ -613,7 +612,6 @@ fn run_lazy(
     let mut since_compact = 0;
     loop {
         counters.iterations += 1;
-        let mut pops = 0u64;
         let selected = heap.select(
             |c| state.active[c],
             |c| {
@@ -629,8 +627,10 @@ fn run_lazy(
                     Probe::Feasible(ratio_of(cache_vol[c], t, delta))
                 }
             },
-            &mut pops,
         );
+        // Entries the heap took in since the last selection, this one's
+        // re-queues and returned losers included (see `heap_pops`).
+        let pops = heap.take_entries();
         counters.heap_pops += pops;
         rec.observe("alg2.pops_per_iter", pops);
         let Some((winner, ratio)) = selected else {

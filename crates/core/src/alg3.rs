@@ -458,15 +458,16 @@ fn run_lazy(
     let mut first_commit_done = false;
     for _ in 0..max_iters {
         counters.iterations += 1;
-        let mut pops = 0u64;
         let selected = heap.select(
             |c| state.active[c],
             |c| match cached_best_k(state, &ins, &t_full, &tau, &vol, kp, c, power, true) {
                 None => Probe::Infeasible,
                 Some((ratio, _)) => Probe::Feasible(ratio),
             },
-            &mut pops,
         );
+        // Entries the heap took in since the last selection, this one's
+        // re-queues and returned losers included (see `heap_pops`).
+        let pops = heap.take_entries();
         counters.heap_pops += pops;
         rec.observe("alg3.pops_per_iter", pops);
         let Some((winner, ratio)) = selected else {
@@ -587,6 +588,9 @@ fn run_lazy(
             }
         }
     }
+    // The iteration cap and the zero-gain exit can leave entries queued;
+    // `heap_pops` counts every entry the heap took in.
+    counters.heap_pops += heap.take_entries();
 }
 
 impl Alg3Planner {

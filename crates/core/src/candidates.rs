@@ -360,16 +360,20 @@ impl CandidateSet {
     /// order.
     pub fn disjoint_by_volume(&self, scenario: &Scenario) -> CandidateSet {
         let volumes: Vec<MegaBytes> = scenario.devices.iter().map(|d| d.data).collect();
-        // One volume per candidate, computed once: the comparator only
-        // reads keys, so the stable sort order is the same as rescoring
-        // both sides of every comparison.
-        let keys: Vec<f64> = self
+        // One `(desc_key(volume), index)` pair per candidate: the pairs
+        // are unique and `desc_key` orders like `cmp_f64_desc`, so the
+        // unstable sort gives the stable comparator sort's order.
+        let mut keyed: Vec<(u64, u32)> = self
             .iter()
-            // lint:allow(unit-unwrap): cmp_f64_desc needs the raw values for its NaN-safe total order
-            .map(|c| c.coverage_volume(&volumes).value())
+            .enumerate()
+            .map(|(i, c)| {
+                // lint:allow(unit-unwrap): desc_key needs the raw value for its NaN-safe total order
+                let volume = c.coverage_volume(&volumes).value();
+                (uavdc_geom::desc_key(volume), i as u32)
+            })
             .collect();
-        let mut order: Vec<usize> = (0..self.len()).collect();
-        order.sort_by(|&a, &b| uavdc_geom::cmp_f64_desc(keys[a], keys[b]));
+        keyed.sort_unstable();
+        let mut order: Vec<usize> = keyed.iter().map(|&(_, i)| i as usize).collect();
         let mut taken_device = vec![false; scenario.num_devices()];
         order.retain(|&i| {
             let covered = self.covered(i);

@@ -24,14 +24,15 @@
 //!   and rescans read, computed once per tour point as one vectorised
 //!   column and shared by the lazy loops of Algorithms 2 and 3, so a
 //!   repair costs no square root and a rescan reads one banked row.
-//! * [`LazyHeap`] — a CELF-style max-heap of generation-stamped cached ρ
-//!   values. The planner re-pushes an entry whenever a candidate's cache
-//!   changes, so every live entry is exact; selection pops the top, asks
-//!   the planner for the candidate's *feasible* value (which may decay the
-//!   entry, CELF-style, when the battery rules out its best variant),
-//!   parks candidates that cannot fit until slack reappears, and resolves
-//!   near-ties with the same `1e-15` band + lowest-candidate-index fold
-//!   the exhaustive serial scan uses.
+//! * [`LazyHeap`] — a CELF-style indexed max-heap of cached ρ values, one
+//!   entry per candidate. The planner re-pushes whenever a candidate's
+//!   cache changes, which re-keys its entry in place, so every entry is
+//!   exact; selection pops the top, asks the planner for the candidate's
+//!   *feasible* value (which may decay the entry, CELF-style, when the
+//!   battery rules out its best variant), parks candidates that cannot
+//!   fit until slack reappears, and resolves near-ties with the same
+//!   `1e-15` band + lowest-candidate-index fold the exhaustive serial
+//!   scan uses.
 //! * [`EvalCounters`] — instrumentation: how many full candidate
 //!   evaluations the lazy engine actually performed versus the
 //!   `M × iterations` an exhaustive loop would have, so the perf baseline
@@ -46,10 +47,8 @@
 //! serial fold's comparator, so the winning candidate — and therefore the
 //! committed plan — matches the exhaustive scan bit for bit.
 
-use std::collections::BinaryHeap;
-
 use crate::candidates::CandidateSet;
-use uavdc_geom::Point2;
+use uavdc_geom::{from_total_key, total_key, Point2};
 use uavdc_graph::incremental::{
     cheapest_insertion_cached, cheapest_insertion_cached4, distances_to_point, IncrementalTour,
 };
@@ -165,18 +164,6 @@ impl InsertionCache {
         self.delta[c] = delta;
         self.pos[c] = pos;
         self.valid[c] = true;
-    }
-
-    /// Marks one entry as needing a rescan.
-    #[inline]
-    pub fn invalidate(&mut self, c: usize) {
-        self.valid[c] = false;
-    }
-
-    /// Invalidates everything (used after 2-opt compaction changed the
-    /// tour wholesale).
-    pub fn invalidate_all(&mut self) {
-        self.valid.iter_mut().for_each(|v| *v = false);
     }
 
     /// Repairs entry `c` after a point was inserted at position
@@ -434,51 +421,24 @@ impl DistanceBank {
 // CELF-style lazy max-heap
 // ---------------------------------------------------------------------------
 
-/// Order-preserving bijection from `f64` under [`f64::total_cmp`] to
-/// `u64` under integer `<`: the sign-dependent XOR from `total_cmp`'s own
-/// definition, shifted from `i64` into `u64` range. Exact for every bit
-/// pattern (including NaNs, infinities and signed zeros), so a `u64`
-/// comparison of mapped values is bit-for-bit the `TotalF64` ordering.
-#[inline]
-fn mono_f64(v: f64) -> u64 {
-    let b = v.to_bits() as i64;
-    let m = b ^ (((b >> 63) as u64) >> 1) as i64;
-    (m as u64) ^ (1u64 << 63)
-}
-
-/// Inverse of [`mono_f64`] (the XOR mask is sign-preserved, so the map is
-/// an involution on the shifted integers). Bit-exact round trip.
-#[inline]
-fn unmono_f64(u: u64) -> f64 {
-    let m = (u ^ (1u64 << 63)) as i64;
-    let b = m ^ (((m >> 63) as u64) >> 1) as i64;
-    f64::from_bits(b as u64)
-}
-
 /// Heap entry packed into one `u128` key: max by ratio (via
-/// [`mono_f64`]), then min by candidate index (`!cand`: ties at bit-equal
-/// ratio resolve to the lower index, like the serial fold), `gen` last so
-/// the ordering is total. Packing keeps the entry at 16 bytes while
-/// turning the three-field lexicographic comparison into a single integer
-/// compare — the heap's sift loops dominate lazy-selection wall time.
+/// [`total_key`]), then min by candidate index (`!cand`: ties at bit-equal
+/// ratio resolve to the lower index, like the serial fold). Packing turns
+/// the lexicographic comparison into a single integer compare, and each
+/// candidate has at most one entry, so the keys in the heap are distinct.
 #[inline]
-fn pack_entry(ratio: f64, cand: u32, gen: u32) -> u128 {
-    ((mono_f64(ratio) as u128) << 64) | (((!cand) as u128) << 32) | gen as u128
+fn pack_entry(ratio: f64, cand: u32) -> u128 {
+    ((total_key(ratio) as u128) << 64) | (!cand) as u128
 }
 
 #[inline]
 fn entry_ratio(key: u128) -> f64 {
-    unmono_f64((key >> 64) as u64)
+    from_total_key((key >> 64) as u64)
 }
 
 #[inline]
 fn entry_cand(key: u128) -> u32 {
-    !((key >> 32) as u32)
-}
-
-#[inline]
-fn entry_gen(key: u128) -> u32 {
-    key as u32
+    !(key as u32)
 }
 
 /// What [`LazyHeap::select`] learned about a popped candidate.
@@ -494,89 +454,102 @@ pub enum Probe {
     Infeasible,
 }
 
-/// Generation-stamped lazy max-heap over cached candidate ratios.
+/// `slot` value of a candidate with no entry in the heap or the parked
+/// list (never pushed, dropped as inactive, or out in a cohort).
+const ABSENT: u32 = u32::MAX;
+/// `slot` tag of a parked entry: `PARKED | i` names `parked[i]`.
+const PARKED: u32 = 1 << 31;
+
+/// Indexed lazy max-heap over cached candidate ratios: at most one entry
+/// per candidate, so it never holds more than `m` entries.
 ///
-/// Every push stamps the candidate's current generation; entries whose
-/// stamp is stale (the candidate was re-pushed since) are discarded on
-/// pop. The planner guarantees that at selection time the newest entry of
+/// A [`push`](LazyHeap::push) re-keys the candidate's entry in place (or
+/// takes a parked one back into contention), so every entry in the heap
+/// is live. The planner guarantees that at selection time the entry of
 /// every unparked, active candidate carries a ratio `>=` its true current
 /// value (exact for Algorithm 2; an upper bound that [`Probe::Feasible`]
 /// decays for Algorithm 3's battery-filtered virtual stops).
+///
+/// The heap counts every entry it takes in: pushes, CELF re-queues,
+/// cohort losers returned, and every parked entry at
+/// [`unpark_all`](LazyHeap::unpark_all), including one a push superseded
+/// while it was parked. That is the number of entries a heap that keeps
+/// superseded copies pops when selection runs to exhaustion, so the
+/// frozen [`EvalCounters::heap_pops`] totals do not change
+/// (`tests/lazy_heap_props.rs` keeps that heap as the oracle).
 pub struct LazyHeap {
-    heap: BinaryHeap<u128>,
-    gen: Vec<u32>,
+    /// Binary max-heap of packed `(ratio, !cand)` keys.
+    heap: Vec<u128>,
+    /// Per candidate: its entry's index in `heap`, `PARKED | i` when its
+    /// entry is `parked[i]`, or [`ABSENT`].
+    slot: Vec<u32>,
+    /// Entries parked as infeasible, in parking order. A push while
+    /// parked moves the candidate back into `heap`; its parked entry
+    /// stays here, superseded, until [`unpark_all`](LazyHeap::unpark_all)
+    /// counts and drops it.
     parked: Vec<u128>,
-    purge_at: usize,
+    /// Entries taken in since the last [`take_entries`](LazyHeap::take_entries).
+    entries: u64,
 }
 
 impl LazyHeap {
     /// An empty heap over `m` candidates.
     pub fn new(m: usize) -> Self {
+        assert!(
+            m < PARKED as usize,
+            "too many candidates for the heap index"
+        );
         LazyHeap {
-            heap: BinaryHeap::with_capacity(m),
-            gen: vec![0; m],
+            heap: Vec::with_capacity(m),
+            slot: vec![ABSENT; m],
             parked: Vec::new(),
-            purge_at: usize::MAX,
+            entries: 0,
         }
-    }
-
-    /// Enables bulk sweeps of superseded entries at the start of
-    /// [`select`](LazyHeap::select) whenever the heap holds more than
-    /// `4·m` entries. A sweep only reschedules *when* a superseded entry
-    /// leaves the heap, never *whether*: every pushed entry is discarded
-    /// exactly once either way — at the heap top or during a sweep — and
-    /// both count toward the pop counter, so the counter total is
-    /// invariant. That bookkeeping identity needs the planner loop to
-    /// end by running selection to heap exhaustion (as Algorithm 2's
-    /// does — its only exit is an empty selection, which pops every
-    /// remaining entry). Loops with early exits (`alg3`'s iteration cap
-    /// and zero-gain break) must leave purging off, or entries the
-    /// baseline left uncounted in the resident heap would get counted.
-    pub fn enable_purge(&mut self) {
-        self.purge_at = (4 * self.gen.len()).max(64);
-    }
-
-    /// Sweeps superseded entries out in bulk, counting each into `pops`
-    /// (see [`enable_purge`](LazyHeap::enable_purge)). Live entries are
-    /// untouched, so selection observes the same candidates in the same
-    /// order; the point is that a discard during the sweep is O(1) while
-    /// the same discard at the heap top is O(log n) on a heap bloated by
-    /// the very entries being discarded.
-    fn purge(&mut self, pops: &mut u64) {
-        if self.heap.len() < self.purge_at {
-            return;
-        }
-        let old = std::mem::take(&mut self.heap).into_vec();
-        let mut live = Vec::with_capacity(self.gen.len());
-        for e in old {
-            if entry_gen(e) == self.gen[entry_cand(e) as usize] {
-                live.push(e);
-            } else {
-                *pops += 1;
-            }
-        }
-        self.heap = BinaryHeap::from(live);
     }
 
     /// Publishes candidate `c`'s current cached ratio, superseding any
     /// previous entry for `c`.
     pub fn push(&mut self, c: usize, ratio: f64) {
-        self.gen[c] = self.gen[c].wrapping_add(1);
-        self.heap.push(pack_entry(ratio, c as u32, self.gen[c]));
-    }
-
-    /// Returns parked candidates to contention (call when battery slack
-    /// grew, e.g. after a tour compaction shortened the tour). Stale
-    /// parked entries are filtered out by the generation check on pop.
-    pub fn unpark_all(&mut self) {
-        for e in self.parked.drain(..) {
-            self.heap.push(e);
+        self.entries += 1;
+        let key = pack_entry(ratio, c as u32);
+        let s = self.slot[c];
+        if s & PARKED == 0 {
+            let i = s as usize;
+            let old = std::mem::replace(&mut self.heap[i], key);
+            if key > old {
+                self.sift_up(i);
+            } else {
+                self.sift_down(i);
+            }
+        } else {
+            self.insert(key);
         }
     }
 
-    /// Number of candidates currently parked as infeasible.
+    /// Returns parked candidates to contention (call when battery slack
+    /// grew, e.g. after a tour compaction shortened the tour). A parked
+    /// entry that a push superseded is counted and dropped.
+    pub fn unpark_all(&mut self) {
+        let mut parked = std::mem::take(&mut self.parked);
+        self.entries += parked.len() as u64;
+        for (i, &e) in parked.iter().enumerate() {
+            if self.slot[entry_cand(e) as usize] == PARKED | i as u32 {
+                self.insert(e);
+            }
+        }
+        parked.clear();
+        self.parked = parked;
+    }
+
+    /// Number of entries parked as infeasible, superseded ones included.
     pub fn parked_len(&self) -> usize {
         self.parked.len()
+    }
+
+    /// Returns and resets the count of entries taken in since the last
+    /// call: the increment of [`EvalCounters::heap_pops`].
+    pub fn take_entries(&mut self) -> u64 {
+        std::mem::take(&mut self.entries)
     }
 
     /// Selects the candidate the exhaustive serial fold would pick:
@@ -584,47 +557,45 @@ impl LazyHeap {
     /// beats by more than [`RATIO_BAND`] under the fold's replacement
     /// rule. `probe(c)` reports the candidate's current feasible value
     /// (see [`Probe`]); `active(c)` filters candidates that have been
-    /// deactivated since their entry was pushed.
+    /// deactivated since their entry was pushed, whose entries are
+    /// dropped.
     ///
-    /// Returns `(candidate, ratio)` or `None` when nothing is feasible.
+    /// Returns `(candidate, ratio)` or `None` when nothing is feasible;
+    /// the winner leaves the heap.
     pub fn select(
         &mut self,
         mut active: impl FnMut(usize) -> bool,
         mut probe: impl FnMut(usize) -> Probe,
-        pops: &mut u64,
     ) -> Option<(usize, f64)> {
-        self.purge(pops);
         // Cohort of feasible candidates within the tie band of each
-        // other; kept sorted implicitly by collecting then folding.
-        let mut cohort: Vec<(f64, u32, u32)> = Vec::new();
+        // other; folded in candidate order below.
+        let mut cohort: Vec<(f64, u32)> = Vec::new();
         let mut cohort_min = f64::INFINITY;
-        while let Some(&top) = self.heap.peek() {
+        while let Some(&top) = self.heap.first() {
             if !cohort.is_empty() && entry_ratio(top) < cohort_min - RATIO_BAND {
                 break;
             }
-            #[expect(
-                clippy::expect_used,
-                reason = "peek above proves the heap is non-empty"
-            )]
-            let entry = self.heap.pop().expect("heap entry vanished after peek");
-            *pops += 1;
-            let c = entry_cand(entry) as usize;
-            if entry_gen(entry) != self.gen[c] || !active(c) {
-                continue; // superseded or deactivated entry
+            self.pop_top();
+            let c = entry_cand(top);
+            if !active(c as usize) {
+                continue; // deactivated: the entry is dropped
             }
-            match probe(c) {
-                Probe::Infeasible => self.parked.push(entry),
+            match probe(c as usize) {
+                Probe::Infeasible => {
+                    self.slot[c as usize] = PARKED | self.parked.len() as u32;
+                    self.parked.push(top);
+                }
                 Probe::Feasible(v) => {
-                    if v >= entry_ratio(entry) {
+                    if v >= entry_ratio(top) {
                         // Exact entry: joins the cohort directly.
                         cohort_min = cohort_min.min(v);
-                        cohort.push((v, entry_cand(entry), entry_gen(entry)));
+                        cohort.push((v, c));
                     } else {
                         // CELF decay: the feasible value is below the
                         // cached bound; re-queue at its true value so it
                         // competes in the right order.
-                        self.heap
-                            .push(pack_entry(v, entry_cand(entry), entry_gen(entry)));
+                        self.entries += 1;
+                        self.insert(pack_entry(v, c));
                     }
                 }
             }
@@ -632,25 +603,90 @@ impl LazyHeap {
         // Serial-fold tie-break over the cohort in ascending candidate
         // order: replace only on a strict RATIO_BAND improvement.
         cohort.sort_unstable_by_key(|e| e.1);
-        let mut best: Option<(f64, u32, u32)> = None;
-        for &(r, c, g) in &cohort {
+        let mut best: Option<(f64, u32)> = None;
+        for &(r, c) in &cohort {
             match best {
-                None => best = Some((r, c, g)),
-                Some((br, _, _)) => {
+                None => best = Some((r, c)),
+                Some((br, _)) => {
                     if r > br + RATIO_BAND {
-                        best = Some((r, c, g));
+                        best = Some((r, c));
                     }
                 }
             }
         }
-        let winner = best?;
+        let (ratio, winner) = best?;
         // Losers stay current: return them to the heap unchanged.
-        for &(r, c, g) in &cohort {
-            if c != winner.1 {
-                self.heap.push(pack_entry(r, c, g));
+        for &(r, c) in &cohort {
+            if c != winner {
+                self.entries += 1;
+                self.insert(pack_entry(r, c));
             }
         }
-        Some((winner.1 as usize, winner.0))
+        Some((winner as usize, ratio))
+    }
+
+    /// Adds `key` for a candidate that has no entry in the heap.
+    fn insert(&mut self, key: u128) {
+        self.heap.push(key);
+        self.sift_up(self.heap.len() - 1);
+    }
+
+    /// Removes the top entry, marking its candidate [`ABSENT`].
+    fn pop_top(&mut self) {
+        let Some(last) = self.heap.pop() else {
+            return;
+        };
+        if let Some(top) = self.heap.first_mut() {
+            let gone = std::mem::replace(top, last);
+            self.slot[entry_cand(gone) as usize] = ABSENT;
+            self.sift_down(0);
+        } else {
+            self.slot[entry_cand(last) as usize] = ABSENT;
+        }
+    }
+
+    /// Moves the entry at `i` up until its parent is larger.
+    fn sift_up(&mut self, mut i: usize) {
+        let key = self.heap[i];
+        while i > 0 {
+            let p = (i - 1) / 2;
+            let pk = self.heap[p];
+            if pk > key {
+                break;
+            }
+            self.heap[i] = pk;
+            self.slot[entry_cand(pk) as usize] = i as u32;
+            i = p;
+        }
+        self.heap[i] = key;
+        self.slot[entry_cand(key) as usize] = i as u32;
+    }
+
+    /// Moves the entry at `i` down until both children are smaller.
+    fn sift_down(&mut self, mut i: usize) {
+        let n = self.heap.len();
+        let key = self.heap[i];
+        loop {
+            let l = 2 * i + 1;
+            if l >= n {
+                break;
+            }
+            let r = l + 1;
+            let child = if r < n && self.heap[r] > self.heap[l] {
+                r
+            } else {
+                l
+            };
+            let ck = self.heap[child];
+            if key > ck {
+                break;
+            }
+            self.heap[i] = ck;
+            self.slot[entry_cand(ck) as usize] = i as u32;
+            i = child;
+        }
+        self.heap[i] = key;
+        self.slot[entry_cand(key) as usize] = i as u32;
     }
 }
 
@@ -677,9 +713,13 @@ pub struct EvalCounters {
     pub delta_rescans: u64,
     /// O(1) insertion-cache repairs performed.
     pub fixups: u64,
-    /// Heap entries retired during selection: top-of-heap pops plus
-    /// stale entries removed by the purge sweep. Every pushed entry is
-    /// retired exactly once, so the count is purge-invariant.
+    /// Entries the [`LazyHeap`] took in: pushes, CELF re-queues, cohort
+    /// losers returned, and parked entries at each unpark (superseded
+    /// ones included). A heap that keeps superseded copies pops exactly
+    /// these entries when selection runs to exhaustion, which is Alg 2's
+    /// only exit and how every committed run ends. Alg 3's iteration cap
+    /// and zero-gain exit leave entries in the heap; they are counted
+    /// too.
     pub heap_pops: u64,
     /// Incremental tour patches applied (insertion splices plus local
     /// compactions that changed the tour). Deterministic: equal across
@@ -695,11 +735,6 @@ impl EvalCounters {
     /// `iterations × candidates`.
     pub fn exhaustive_bound(&self) -> u64 {
         self.iterations.saturating_mul(self.candidates as u64)
-    }
-
-    /// Evaluations avoided relative to the exhaustive bound.
-    pub fn saved(&self) -> u64 {
-        self.exhaustive_bound().saturating_sub(self.evaluations)
     }
 }
 
@@ -743,56 +778,19 @@ mod tests {
     }
 
     #[test]
-    fn packed_heap_key_matches_three_field_ordering() {
-        // The packed u128 key must reproduce the lexicographic
-        // (total_cmp ratio, Reverse(cand), gen) ordering bit for bit —
-        // the heap's pop sequence, and with it the frozen `heap_pops`
-        // baseline counter, depends on it. Exercise the f64 edge cases
-        // total_cmp distinguishes plus a pseudo-random sweep.
-        let specials = [
-            f64::NEG_INFINITY,
-            -1.5e300,
-            -1.0,
-            -f64::MIN_POSITIVE / 2.0, // negative subnormal
-            -0.0,
-            0.0,
-            f64::MIN_POSITIVE / 2.0,
-            1.0,
-            1.0 + f64::EPSILON,
-            1.5e300,
-            f64::INFINITY,
-            f64::NAN,
-            -f64::NAN,
-        ];
-        let mut vals: Vec<f64> = specials.to_vec();
-        let mut s = 0x2545f4914f6cdd1du64;
-        for _ in 0..512 {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            vals.push(f64::from_bits(s));
-        }
-        for &a in &vals {
-            assert_eq!(
-                unmono_f64(mono_f64(a)).to_bits(),
-                a.to_bits(),
-                "mono/unmono round trip broke {a:?}"
-            );
-            for &b in &vals {
-                assert_eq!(
-                    mono_f64(a).cmp(&mono_f64(b)),
-                    a.total_cmp(&b),
-                    "mono order diverged from total_cmp on {a:?} vs {b:?}"
-                );
-            }
-        }
-        // Tie-breaks: equal ratio prefers the lower candidate; equal
-        // (ratio, cand) prefers the higher generation.
-        assert!(pack_entry(1.0, 3, 7) > pack_entry(1.0, 4, 7));
-        assert!(pack_entry(1.0, 3, 8) > pack_entry(1.0, 3, 7));
-        assert!(pack_entry(2.0, 9, 1) > pack_entry(1.0, 0, 9));
-        assert_eq!(entry_cand(pack_entry(1.0, 3, 7)), 3);
-        assert_eq!(entry_gen(pack_entry(1.0, 3, 7)), 7);
+    fn packed_heap_key_orders_by_ratio_then_lower_index() {
+        // `uavdc_geom::total_key` is tested as an order isomorphism of
+        // `total_cmp`; the packing must keep ratio first and break
+        // bit-equal ratios toward the lower candidate.
+        assert!(pack_entry(1.0, 3) > pack_entry(1.0, 4));
+        assert!(pack_entry(2.0, 9) > pack_entry(1.0, 0));
+        assert!(pack_entry(0.0, 9) > pack_entry(-0.0, 0));
+        assert_eq!(entry_cand(pack_entry(1.0, 3)), 3);
+        assert_eq!(entry_cand(pack_entry(1.0, u32::MAX >> 1)), u32::MAX >> 1);
+        assert_eq!(
+            entry_ratio(pack_entry(-2.5, 3)).to_bits(),
+            (-2.5f64).to_bits()
+        );
     }
 
     #[test]
@@ -896,12 +894,7 @@ mod tests {
         h.push(0, 7.0);
         h.push(1, 7.0);
         h.push(3, 1.0);
-        let mut pops = 0;
-        let got = h.select(
-            |_| true,
-            |c| Probe::Feasible([7.0, 7.0, 5.0, 1.0][c]),
-            &mut pops,
-        );
+        let got = h.select(|_| true, |c| Probe::Feasible([7.0, 7.0, 5.0, 1.0][c]));
         // Bit-equal ratios: lowest index wins.
         assert_eq!(got, Some((0, 7.0)));
     }
@@ -910,11 +903,14 @@ mod tests {
     fn lazy_heap_discards_superseded_entries() {
         let mut h = LazyHeap::new(2);
         h.push(0, 9.0);
-        h.push(0, 3.0); // supersedes the 9.0 entry
+        h.push(0, 3.0); // supersedes the 9.0 entry, in place
         h.push(1, 5.0);
-        let mut pops = 0;
-        let got = h.select(|_| true, |c| Probe::Feasible([3.0, 5.0][c]), &mut pops);
+        assert_eq!(h.heap.len(), 2, "one entry per candidate");
+        let got = h.select(|_| true, |c| Probe::Feasible([3.0, 5.0][c]));
         assert_eq!(got, Some((1, 5.0)));
+        // Three pushes; 0 stays queued below the cohort.
+        assert_eq!(h.take_entries(), 3);
+        assert_eq!(h.take_entries(), 0);
     }
 
     #[test]
@@ -922,7 +918,6 @@ mod tests {
         let mut h = LazyHeap::new(2);
         h.push(0, 9.0);
         h.push(1, 5.0);
-        let mut pops = 0;
         let got = h.select(
             |_| true,
             |c| {
@@ -932,16 +927,32 @@ mod tests {
                     Probe::Feasible(5.0)
                 }
             },
-            &mut pops,
         );
         assert_eq!(got, Some((1, 5.0)));
         assert_eq!(h.parked_len(), 1);
         // Candidate 0 is out of contention until slack returns.
-        let got = h.select(|_| true, |_| Probe::Feasible(9.0), &mut pops);
+        let got = h.select(|_| true, |_| Probe::Feasible(9.0));
         assert_eq!(got, None);
         h.unpark_all();
-        let got = h.select(|_| true, |_| Probe::Feasible(9.0), &mut pops);
+        let got = h.select(|_| true, |_| Probe::Feasible(9.0));
         assert_eq!(got, Some((0, 9.0)));
+    }
+
+    #[test]
+    fn lazy_heap_unpark_skips_entries_a_push_superseded() {
+        let mut h = LazyHeap::new(2);
+        h.push(0, 9.0);
+        assert_eq!(h.select(|_| true, |_| Probe::Infeasible), None);
+        // Re-pushed while parked: the parked 9.0 entry is superseded.
+        h.push(0, 4.0);
+        h.push(1, 5.0);
+        h.unpark_all();
+        assert_eq!(h.parked_len(), 0);
+        assert_eq!(h.heap.len(), 2);
+        let got = h.select(|_| true, |c| Probe::Feasible([4.0, 5.0][c]));
+        assert_eq!(got, Some((1, 5.0)));
+        // Three pushes and the superseded parked entry; 0 stays queued.
+        assert_eq!(h.take_entries(), 4);
     }
 
     #[test]
@@ -951,15 +962,13 @@ mod tests {
         let mut h = LazyHeap::new(2);
         h.push(0, 9.0);
         h.push(1, 5.0);
-        let mut pops = 0;
         let got = h.select(
             |_| true,
             |c| Probe::Feasible(if c == 0 { 2.0 } else { 5.0 }),
-            &mut pops,
         );
         assert_eq!(got, Some((1, 5.0)));
         // The decayed entry remains selectable at its true value.
-        let got = h.select(|_| true, |_| Probe::Feasible(2.0), &mut pops);
+        let got = h.select(|_| true, |_| Probe::Feasible(2.0));
         assert_eq!(got, Some((0, 2.0)));
     }
 
@@ -972,6 +981,5 @@ mod tests {
             ..EvalCounters::default()
         };
         assert_eq!(c.exhaustive_bound(), 1000);
-        assert_eq!(c.saved(), 850);
     }
 }

@@ -39,6 +39,42 @@ pub fn cmp_f64_desc(a: f64, b: f64) -> Ordering {
     }
 }
 
+/// Order-preserving bijection from `f64` under [`f64::total_cmp`] to
+/// `u64` under integer `<`: the sign-dependent XOR from `total_cmp`'s own
+/// definition, shifted from `i64` into `u64` range. Exact for every bit
+/// pattern (including NaNs, infinities and signed zeros), so comparing
+/// two keys is bit-for-bit comparing the values under `total_cmp`.
+#[inline]
+pub fn total_key(v: f64) -> u64 {
+    let b = v.to_bits() as i64;
+    let m = b ^ (((b >> 63) as u64) >> 1) as i64;
+    (m as u64) ^ (1u64 << 63)
+}
+
+/// Inverse of [`total_key`] (the XOR mask is sign-preserved, so the map
+/// is an involution on the shifted integers). Bit-exact round trip.
+#[inline]
+pub fn from_total_key(u: u64) -> f64 {
+    let m = (u ^ (1u64 << 63)) as i64;
+    let b = m ^ (((m >> 63) as u64) >> 1) as i64;
+    f64::from_bits(b as u64)
+}
+
+/// Integer sort key for [`cmp_f64_desc`]: ascending keys are the
+/// descending values, and every NaN maps to `u64::MAX`, after every
+/// number. Two keys are equal exactly when `cmp_f64_desc` says `Equal`,
+/// so sorting `(desc_key(v), index)` pairs, even unstably, gives the
+/// order a stable `cmp_f64_desc` sort of the indices would.
+#[inline]
+pub fn desc_key(v: f64) -> u64 {
+    if v.is_nan() {
+        u64::MAX
+    } else {
+        // Only a NaN has total key 0, so a number's key stays below MAX.
+        !total_key(v)
+    }
+}
+
 /// An `f64` wrapper that is `Ord`/`Eq` under the IEEE 754 total order,
 /// for use as a sort key (`sort_by_key`), in `BinaryHeap`s, or inside
 /// `Ord`-requiring containers.
@@ -98,6 +134,67 @@ mod tests {
         v.sort_by(|a, b| cmp_f64_desc(*a, *b));
         assert!(v[3].is_nan(), "descending: NaN lands last");
         assert_eq!(v[0], f64::INFINITY);
+    }
+
+    /// The values `total_cmp` distinguishes, plus a pseudo-random sweep
+    /// of bit patterns.
+    fn edge_values() -> Vec<f64> {
+        let mut vals = vec![
+            f64::NEG_INFINITY,
+            -1.5e300,
+            -1.0,
+            -f64::MIN_POSITIVE / 2.0, // negative subnormal
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE / 2.0,
+            1.0,
+            1.0 + f64::EPSILON,
+            1.5e300,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        let mut s = 0x2545f4914f6cdd1du64;
+        for _ in 0..512 {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            vals.push(f64::from_bits(s));
+        }
+        vals
+    }
+
+    #[test]
+    fn total_key_is_an_order_isomorphism() {
+        let vals = edge_values();
+        for &a in &vals {
+            assert_eq!(
+                from_total_key(total_key(a)).to_bits(),
+                a.to_bits(),
+                "round trip broke {a:?}"
+            );
+            for &b in &vals {
+                assert_eq!(
+                    total_key(a).cmp(&total_key(b)),
+                    a.total_cmp(&b),
+                    "key order diverged from total_cmp on {a:?} vs {b:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn desc_key_orders_like_cmp_f64_desc() {
+        let vals = edge_values();
+        for &a in &vals {
+            for &b in &vals {
+                assert_eq!(
+                    desc_key(a).cmp(&desc_key(b)),
+                    cmp_f64_desc(a, b),
+                    "desc key diverged from cmp_f64_desc on {a:?} vs {b:?}"
+                );
+            }
+        }
     }
 
     #[test]

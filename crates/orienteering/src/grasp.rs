@@ -41,10 +41,12 @@ impl Default for GraspConfig {
 /// GRASP/ILS solver. Always feasible; never worse than depot-only.
 ///
 /// Reports `grasp.iterations` (constructions run), `grasp.improvements`
-/// (incumbent updates) and `grasp.rescans` (full insertion rescans the
-/// [`Insertions`] caches fell back to) to `rec`. Effort counters are
-/// accumulated locally and flushed once, so the recorder adds no work to
-/// the search loop itself.
+/// (incumbent updates), `grasp.rescans` (full insertion rescans the
+/// [`Insertions`] caches fell back to), `grasp.two_opt_moves` (2-opt
+/// moves applied), `grasp.idle_two_opts` (2-opt runs that moved nothing)
+/// and `grasp.idle_fills` (fills that inserted nothing) to `rec`. Effort
+/// counters are accumulated locally and flushed once, so the recorder
+/// adds no work to the search loop itself.
 pub fn solve_grasp(
     inst: &OrienteeringInstance,
     cfg: &GraspConfig,
@@ -60,15 +62,15 @@ pub fn solve_grasp(
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let mut best = inst.trivial_solution();
     let mut improvements = 0u64;
-    let mut rescans = 0u64;
+    let mut effort = Effort::default();
     for _ in 0..cfg.iterations.max(1) {
-        let mut tour = randomized_construction(inst, cfg.alpha, &mut rng, &mut rescans);
-        let mut cost = two_opt_cost(inst, &mut tour);
+        let mut tour = randomized_construction(inst, cfg.alpha, &mut rng, &mut effort.rescans);
+        let mut cost = effort.two_opt(inst, &mut tour);
         let mut in_tour = vec![false; inst.len()];
         for &v in &tour {
             in_tour[v] = true;
         }
-        cost = fill_insertions(inst, &mut tour, &mut in_tour, cost, &mut rescans);
+        cost = effort.fill(inst, &mut tour, &mut in_tour, cost);
         let prize = inst.tour_prize(&tour);
         if prize > best.prize {
             improvements += 1;
@@ -92,10 +94,10 @@ pub fn solve_grasp(
                 in_tour[tour[i]] = false;
                 tour.remove(i);
             }
-            let c = two_opt_cost(inst, &mut tour);
-            let _ = fill_insertions(inst, &mut tour, &mut in_tour, c, &mut rescans);
-            let c = two_opt_cost(inst, &mut tour); // recomputes exactly
-            let cost = fill_insertions(inst, &mut tour, &mut in_tour, c, &mut rescans);
+            let c = effort.two_opt(inst, &mut tour);
+            let _ = effort.fill(inst, &mut tour, &mut in_tour, c);
+            let c = effort.two_opt(inst, &mut tour); // recomputes exactly
+            let cost = effort.fill(inst, &mut tour, &mut in_tour, c);
             let prize = inst.tour_prize(&tour);
             if prize > best.prize + 1e-12 || (prize >= best.prize - 1e-12 && cost < best.cost) {
                 improvements += 1;
@@ -109,8 +111,49 @@ pub fn solve_grasp(
     }
     rec.add("grasp.iterations", cfg.iterations.max(1) as u64);
     rec.add("grasp.improvements", improvements);
-    rec.add("grasp.rescans", rescans);
+    rec.add("grasp.rescans", effort.rescans);
+    rec.add("grasp.two_opt_moves", effort.two_opt_moves);
+    rec.add("grasp.idle_two_opts", effort.idle_two_opts);
+    rec.add("grasp.idle_fills", effort.idle_fills);
     best
+}
+
+/// Search-effort counters of one [`solve_grasp`] call, kept in locals
+/// and flushed to the recorder once at the end.
+#[derive(Default)]
+struct Effort {
+    /// Full insertion rescans the [`Insertions`] caches fell back to.
+    rescans: u64,
+    /// 2-opt moves applied.
+    two_opt_moves: u64,
+    /// 2-opt runs that moved nothing.
+    idle_two_opts: u64,
+    /// Fills that inserted nothing.
+    idle_fills: u64,
+}
+
+impl Effort {
+    /// [`two_opt_cost`], counted.
+    fn two_opt(&mut self, inst: &OrienteeringInstance, tour: &mut [usize]) -> f64 {
+        let (cost, moves) = two_opt_cost(inst, tour);
+        self.two_opt_moves += moves as u64;
+        self.idle_two_opts += u64::from(moves == 0);
+        cost
+    }
+
+    /// [`fill_insertions`], counted.
+    fn fill(
+        &mut self,
+        inst: &OrienteeringInstance,
+        tour: &mut Vec<usize>,
+        in_tour: &mut [bool],
+        cost: f64,
+    ) -> f64 {
+        let before = tour.len();
+        let cost = fill_insertions(inst, tour, in_tour, cost, &mut self.rescans);
+        self.idle_fills += u64::from(tour.len() == before);
+        cost
+    }
 }
 
 /// Randomized greedy construction: repeatedly pick a random member of the

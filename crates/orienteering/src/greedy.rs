@@ -24,9 +24,9 @@ pub fn solve_greedy(inst: &OrienteeringInstance) -> OrienteeringSolution {
     for _ in 0..8 {
         let before = tour.len();
         let _ = fill_insertions(inst, &mut tour, &mut in_tour, cost, &mut 0);
-        cost = two_opt_cost(inst, &mut tour); // recomputes the exact cost
-                                              // Stop when a whole wave added nothing (2-opt can only free
-                                              // budget, so a second chance is only useful after an insertion).
+        cost = two_opt_cost(inst, &mut tour).0; // recomputes the exact cost
+                                                // Stop when a whole wave added nothing (2-opt can only free
+                                                // budget, so a second chance is only useful after an insertion).
         if tour.len() == before {
             break;
         }

@@ -7,10 +7,10 @@ use uavdc_graph::improve::two_opt_by;
 /// 2-opt cost reduction on a tour of *global* vertex indices, in place
 /// (the shared kernel at a 100-sweep cap). Prize is unaffected (the
 /// vertex set does not change); only the order — and thus cost —
-/// improves. Returns the new cost.
-pub fn two_opt_cost(inst: &OrienteeringInstance, tour: &mut [usize]) -> f64 {
-    two_opt_by(tour, |u, v| inst.dist(u, v), 100, |_, _| {});
-    inst.tour_cost(tour)
+/// improves. Returns the new cost and the number of moves applied.
+pub fn two_opt_cost(inst: &OrienteeringInstance, tour: &mut [usize]) -> (f64, usize) {
+    let moves = two_opt_by(tour, |u, v| inst.dist(u, v), 100, |_, _| {}).moves;
+    (inst.tour_cost(tour), moves)
 }
 
 /// Greedily inserts every vertex that still fits, best prize/cost ratio
@@ -73,7 +73,8 @@ mod tests {
     fn two_opt_fixes_crossed_square() {
         let inst = square_instance(100.0);
         let mut tour = vec![0, 2, 1, 3];
-        let cost = two_opt_cost(&inst, &mut tour);
+        let (cost, moves) = two_opt_cost(&inst, &mut tour);
+        assert_eq!(moves, 1);
         assert!((cost - 4.0).abs() < 1e-9);
     }
 
@@ -81,7 +82,7 @@ mod tests {
     fn two_opt_on_small_tours_is_identity() {
         let inst = square_instance(100.0);
         let mut tour = vec![0, 1];
-        assert_eq!(two_opt_cost(&inst, &mut tour), 2.0);
+        assert_eq!(two_opt_cost(&inst, &mut tour), (2.0, 0));
         assert_eq!(tour, vec![0, 1]);
     }
 

@@ -116,7 +116,7 @@ pub fn solve_team(inst: &OrienteeringInstance, cfg: &TeamConfig) -> TeamSolution
                 in_tour[tours[t][i]] = false;
                 tours[t].remove(i);
             }
-            costs[t] = two_opt_cost(inst, &mut tours[t]);
+            costs[t] = two_opt_cost(inst, &mut tours[t]).0;
         }
         fill_team(inst, &mut tours, &mut costs, &mut in_tour);
         let cand = snapshot(inst, &tours, &costs);
@@ -217,7 +217,7 @@ fn fill_team(
         // Compact every tour; if that freed budget, try another wave.
         let mut freed = false;
         for (t, tour) in tours.iter_mut().enumerate() {
-            let new_cost = two_opt_cost(inst, tour);
+            let new_cost = two_opt_cost(inst, tour).0;
             if new_cost < costs[t] - 1e-9 {
                 freed = true;
             }
