@@ -18,7 +18,8 @@
 
 use crate::candidates::CandidateSet;
 use crate::greedy::{
-    self, DistanceBank, EngineMode, EvalCounters, Fixup, InsertionCache, LazyHeap, PlanStats, Probe,
+    self, touch, DistanceBank, EngineMode, EvalCounters, Fixup, InsertionCache, LazyHeap,
+    PlanStats, Probe,
 };
 use crate::plan::{CollectionPlan, HoverStop};
 use crate::tourutil::{cheapest_insertion_point, closed_tour_length};
@@ -242,15 +243,6 @@ impl<'a> PartialState<'a> {
         }
     }
 
-    /// Whether candidate `c`'s covered devices are all exhausted (the
-    /// per-candidate form of the deactivation sweep).
-    fn is_exhausted(&self, c: usize) -> bool {
-        self.candidates
-            .covered(c)
-            .iter()
-            .all(|&v| self.residual[v as usize] <= 1e-9)
-    }
-
     fn into_plan(self) -> CollectionPlan {
         let mut ordered = Vec::with_capacity(self.stops.len());
         for (i, &s) in self.stop_of.iter().enumerate() {
@@ -311,7 +303,7 @@ fn cached_best_k(
         return None;
     }
     let on_tour = st.stop_of_candidate[c] != usize::MAX;
-    let delta_len = if on_tour { 0.0 } else { ins.get(c)?.0 };
+    let delta_len = if on_tour { 0.0 } else { ins.get(c)? };
     let travel_extra = delta_len * power.per_m;
     let mut best: Option<(f64, f64)> = None;
     for k in 0..kp {
@@ -372,7 +364,9 @@ fn run_exhaustive(
 /// selects through the CELF heap whose keys are the unconditional max-k
 /// ratios — exact upper bounds that [`Probe::Feasible`] decays as the
 /// battery filters out deeper sojourns. Produces the same plans as
-/// [`run_exhaustive`] (property-tested; DESIGN.md §8).
+/// [`run_exhaustive`] (property-tested; DESIGN.md §8). Returns how many
+/// destroyed argmins the split rule settled without a rescan (the
+/// `alg3.split_resolved` counter).
 fn run_lazy(
     state: &mut PartialState<'_>,
     config: &Alg3Config,
@@ -380,7 +374,7 @@ fn run_lazy(
     max_iters: usize,
     counters: &mut EvalCounters,
     rec: &dyn Recorder,
-) {
+) -> u64 {
     let scenario = state.scenario;
     let power = Power {
         capacity: scenario.uav.capacity.value(),
@@ -402,30 +396,40 @@ fn run_lazy(
     let mut heap = LazyHeap::new(m);
 
     // Mirrors the t_full / per-k (τ, vol) loops of
-    // `PartialState::evaluate` exactly (same iteration order, same ops),
-    // writing the per-k values into candidate `c`'s slices of `tau` and
-    // `vol` and returning `t_full`.
+    // `PartialState::evaluate` exactly, in two passes over C(s): the
+    // first takes `t_full` and whether every covered device is exhausted
+    // (the deactivation sweep's test), the second adds each device to all
+    // K volume sums. Each sum adds the same terms in the same device
+    // order as `evaluate`'s `Iterator::sum`. It starts from +0.0 where
+    // that sum may start from −0.0, which changes no bits: C(s) is
+    // non-empty here (`t_full > 0`), and adding a first term `x ≥ +0.0`
+    // to either zero gives `x`. Writes the per-k values into candidate
+    // `c`'s slices of `tau` and `vol` and returns `(t_full, exhausted)`.
     let eval_marginal =
-        |st: &PartialState<'_>, c: usize, taus: &mut [f64], vols: &mut [f64]| -> f64 {
+        |st: &PartialState<'_>, c: usize, taus: &mut [f64], vols: &mut [f64]| -> (f64, bool) {
             let covered = st.candidates.covered(c);
             let mut tf = 0.0f64;
+            let mut exhausted = true;
             for &v in covered {
-                tf = tf.max(st.residual[v as usize] / b);
+                let r = st.residual[v as usize];
+                tf = tf.max(r / b);
+                exhausted &= r <= 1e-9;
             }
+            vols.fill(0.0);
             if tf > 0.0 {
-                for k in 1..=kp {
-                    let t = tf * (k as f64) / (kp as f64);
-                    taus[k - 1] = t;
-                    vols[k - 1] = covered
-                        .iter()
-                        .map(|&v| st.residual[v as usize].min(b * t))
-                        .sum();
+                for (k, t) in taus.iter_mut().enumerate() {
+                    *t = tf * ((k + 1) as f64) / (kp as f64);
+                }
+                for &v in covered {
+                    let r = st.residual[v as usize];
+                    for (vk, &t) in vols.iter_mut().zip(taus.iter()) {
+                        *vk += r.min(b * t);
+                    }
                 }
             } else {
                 taus.fill(0.0);
-                vols.fill(0.0);
             }
-            tf
+            (tf, exhausted)
         };
 
     // Initial full evaluation; every insertion delta comes from the
@@ -439,9 +443,11 @@ fn run_lazy(
     let mut init_exhausted: Vec<u32> = Vec::new();
     for c in 0..m {
         let ks = c * kp..(c + 1) * kp;
-        t_full[c] = eval_marginal(state, c, &mut tau[ks.clone()], &mut vol[ks]);
-        ins.set(c, 2.0 * bank.depot_dist(c), 1);
-        if state.is_exhausted(c) {
+        let exhausted;
+        (t_full[c], exhausted) = eval_marginal(state, c, &mut tau[ks.clone()], &mut vol[ks]);
+        // The depot-only tour's one edge starts at the depot (id 0).
+        ins.set(c, 2.0 * bank.depot_dist(c), 0);
+        if exhausted {
             init_exhausted.push(c as u32);
         }
         if let Some((key, _)) = cached_best_k(state, &ins, &t_full, &tau, &vol, kp, c, power, false)
@@ -452,9 +458,13 @@ fn run_lazy(
 
     let mut stamp = vec![0u32; m];
     let mut epoch = 0u32;
+    let mut tstamp = vec![0u32; m];
+    let mut tepoch = 0u32;
     let mut dirty: Vec<u32> = Vec::new();
     let mut touched: Vec<u32> = Vec::new();
+    let mut resolved: Vec<u32> = Vec::new();
     let mut rescan: Vec<u32> = Vec::new();
+    let mut split_resolved = 0u64;
     let mut first_commit_done = false;
     for _ in 0..max_iters {
         counters.iterations += 1;
@@ -494,6 +504,8 @@ fn run_lazy(
         let (got, drained, inserted_at) = state.commit(eval, eta_h);
         if let Some(ins_pos) = inserted_at {
             rec.add("alg3.tour_insertions", 1);
+            // On the tour, its Δtravel is 0 and its cache is never read.
+            ins.retire(winner);
             let id = inc.append_point(bank.pos(winner));
             inc.insert_id_at(id, ins_pos);
             state.tour_len = inc.total_cost();
@@ -510,26 +522,23 @@ fn run_lazy(
             break;
         }
 
-        // Repair cached insertion deltas when the tour gained a vertex
-        // (sojourn extensions leave every delta exact).
+        // Repair the live (active, off-tour) cached insertion deltas when
+        // the tour gained a vertex (sojourn extensions leave every delta
+        // exact).
+        tepoch = tepoch.wrapping_add(1);
         touched.clear();
+        resolved.clear();
         rescan.clear();
         if let Some(ins_pos) = inserted_at {
-            let st = &*state;
-            bank.insert_point(
-                &inc,
-                ins_pos,
-                &mut ins,
-                |c| st.active[c] && st.stop_of_candidate[c] == usize::MAX,
-                |c, fix| {
-                    counters.fixups += 1;
-                    match fix {
-                        Fixup::Unchanged => {}
-                        Fixup::Improved => touched.push(c as u32),
-                        Fixup::Invalidated => rescan.push(c as u32),
-                    }
-                },
-            );
+            bank.insert_point(&inc, ins_pos, &mut ins, |c, fix| {
+                counters.fixups += 1;
+                match fix {
+                    Fixup::Unchanged => {}
+                    Fixup::Improved => touch(&mut tstamp, tepoch, &mut touched, c),
+                    Fixup::Resolved => resolved.push(c),
+                    Fixup::Invalidated => rescan.push(c),
+                }
+            });
         }
 
         // Refresh marginals of candidates sharing a drained device.
@@ -550,32 +559,41 @@ fn run_lazy(
             counters.marginal_evals += 1;
             counters.evaluations += 1;
             let ks = c * kp..(c + 1) * kp;
-            t_full[c] = eval_marginal(state, c, &mut tau[ks.clone()], &mut vol[ks]);
-            if state.is_exhausted(c) {
+            let exhausted;
+            (t_full[c], exhausted) = eval_marginal(state, c, &mut tau[ks.clone()], &mut vol[ks]);
+            if exhausted {
                 state.active[c] = false;
+                ins.retire(c);
             } else {
-                touched.push(c as u32);
+                touch(&mut tstamp, tepoch, &mut touched, c as u32);
             }
         }
         if !first_commit_done {
             for &c in &init_exhausted {
                 state.active[c as usize] = false;
+                ins.retire(c as usize);
             }
             first_commit_done = true;
         }
 
-        // Rescan destroyed insertion deltas from the banked rows.
+        // Re-derive destroyed insertion deltas of the still-active
+        // candidates: the split rule already settled `resolved`, the rest
+        // rescan their banked rows. Both count as re-derivations.
+        resolved.retain(|&c| state.active[c as usize]);
         rescan.retain(|&c| state.active[c as usize]);
-        if !rescan.is_empty() {
-            counters.delta_rescans += rescan.len() as u64;
-            counters.evaluations += rescan.len() as u64;
-            bank.rescan(&rescan, &inc, &mut ins, |c, _| touched.push(c));
+        let rederived = (resolved.len() + rescan.len()) as u64;
+        counters.delta_rescans += rederived;
+        counters.evaluations += rederived;
+        split_resolved += resolved.len() as u64;
+        for &c in &resolved {
+            touch(&mut tstamp, tepoch, &mut touched, c);
         }
+        bank.rescan(&rescan, &inc, &mut ins, |c, _| {
+            touch(&mut tstamp, tepoch, &mut touched, c)
+        });
 
         // Publish fresh heap keys for every candidate whose caches
         // changed (also how a parked candidate re-enters contention).
-        touched.sort_unstable();
-        touched.dedup();
         for &c in &touched {
             let c = c as usize;
             if !state.active[c] {
@@ -591,6 +609,7 @@ fn run_lazy(
     // The iteration cap and the zero-gain exit can leave entries queued;
     // `heap_pops` counts every entry the heap took in.
     counters.heap_pops += heap.take_entries();
+    split_resolved
 }
 
 impl Alg3Planner {
@@ -663,7 +682,7 @@ impl Alg3Planner {
         let Some(mut state) = state else {
             return (CollectionPlan::empty(), stats);
         };
-        match self.config.engine {
+        let split_resolved = match self.config.engine {
             EngineMode::Lazy => run_lazy(
                 &mut state,
                 &self.config,
@@ -672,16 +691,19 @@ impl Alg3Planner {
                 &mut stats.counters,
                 rec,
             ),
-            EngineMode::Exhaustive => run_exhaustive(
-                &mut state,
-                &self.config,
-                eta_h,
-                max_iters,
-                &mut stats.counters,
-            ),
-        }
+            EngineMode::Exhaustive => {
+                run_exhaustive(
+                    &mut state,
+                    &self.config,
+                    eta_h,
+                    max_iters,
+                    &mut stats.counters,
+                );
+                0
+            }
+        };
         drop(loop_span);
-        flush_counters(rec, &stats.counters);
+        flush_counters(rec, &stats.counters, split_resolved);
         let plan = state.into_plan();
         crate::validate::debug_check_plan(
             "Alg3Planner",
@@ -693,8 +715,10 @@ impl Alg3Planner {
     }
 }
 
-/// Publishes the end-of-run engine counters under the `alg3.` namespace.
-fn flush_counters(rec: &dyn Recorder, c: &EvalCounters) {
+/// Publishes the end-of-run engine counters under the `alg3.` namespace,
+/// plus the split-rule tally, which stays out of [`EvalCounters`] (and so
+/// out of the committed baselines).
+fn flush_counters(rec: &dyn Recorder, c: &EvalCounters, split_resolved: u64) {
     rec.add("alg3.candidates", c.candidates as u64);
     rec.add("alg3.iterations", c.iterations);
     rec.add("alg3.evaluations", c.evaluations);
@@ -702,6 +726,7 @@ fn flush_counters(rec: &dyn Recorder, c: &EvalCounters) {
     rec.add("alg3.delta_rescans", c.delta_rescans);
     rec.add("alg3.fixups", c.fixups);
     rec.add("alg3.heap_pops", c.heap_pops);
+    rec.add("alg3.split_resolved", split_resolved);
 }
 
 impl Planner for Alg3Planner {

@@ -15,11 +15,13 @@
 //!   `∪_{v drained} candidates_of(v)`, read from the [`CandidateSet`]'s
 //!   device → candidate transpose, instead of all `M`.
 //! * [`InsertionCache`] — exact cheapest-insertion deltas maintained
-//!   under tour mutation. Inserting a point removes one tour edge and adds
-//!   two; every cached delta is repaired in O(1) (min against the two new
-//!   edges) and only candidates whose cached argmin edge was the removed
-//!   one need a full rescan. 2-opt compaction rebuilds wholesale, and only
-//!   when it actually changed the tour.
+//!   under tour mutation, each with its argmin edge named by a stable tour
+//!   point id. Inserting a point splits one tour edge in two; every live
+//!   entry is repaired in O(1) (min against the two new edges), and an
+//!   entry whose argmin edge was the split one is re-derived in O(1) by
+//!   the split rule when a new edge is strictly cheaper, by a full rescan
+//!   otherwise. 2-opt compaction rescans wholesale, and only when it
+//!   actually changed the tour.
 //! * `DistanceBank` — the candidate → tour-point distances those repairs
 //!   and rescans read, computed once per tour point as one vectorised
 //!   column and shared by the lazy loops of Algorithms 2 and 3, so a
@@ -99,11 +101,24 @@ pub fn dirty_candidates(
     out.sort_unstable();
 }
 
+/// Epoch-stamped membership push: `touched` accumulates each candidate at
+/// most once per `epoch`, so no sort+dedup pass is needed. Heap pushes then
+/// happen in discovery order rather than ascending candidate order —
+/// harmless, because the [`LazyHeap`] holds one entry per candidate under
+/// distinct keys, so its pop sequence depends only on the *set* of
+/// entries, never on push order.
+pub(crate) fn touch(stamp: &mut [u32], epoch: u32, touched: &mut Vec<u32>, c: u32) {
+    if stamp[c as usize] != epoch {
+        stamp[c as usize] = epoch;
+        touched.push(c);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Exact incremental cheapest-insertion cache
 // ---------------------------------------------------------------------------
 
-/// Outcome of the O(1) per-candidate repair after a tour insertion.
+/// Outcome of the O(1) per-entry repair after a tour insertion.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Fixup {
     /// Cached delta unchanged (its edge survived and neither new edge is
@@ -112,102 +127,171 @@ pub enum Fixup {
     /// Cached delta improved via one of the two new edges (ρ may grow —
     /// the planner must refresh the candidate's heap entry).
     Improved,
-    /// The cached argmin edge was the one the insertion removed; the
-    /// candidate needs a full rescan before its next evaluation.
+    /// The cached argmin edge was the one the insertion split, and one of
+    /// the two new edges is strictly cheaper than the old minimum: the
+    /// entry now holds exactly what a fresh scan returns, edge included
+    /// (the split rule, see [`InsertionCache::repair`]). Like
+    /// [`Fixup::Invalidated`], a re-derivation of a destroyed argmin.
+    Resolved,
+    /// The cached argmin edge was split and neither new edge beats the
+    /// old minimum; the candidate needs a full rescan before its next
+    /// evaluation.
     Invalidated,
 }
+
+/// `edge` value of an entry that awaits a rescan.
+const NO_EDGE: u32 = u32::MAX;
+/// `live_at` value of a retired entry.
+const NOT_LIVE: u32 = u32::MAX;
 
 /// Cached cheapest-insertion evaluations, maintained *exactly* across
 /// tour insertions.
 ///
-/// For each candidate we store the cheapest-insertion `(delta, pos)` into
-/// the current tour, where `pos` doubles as the identity of the edge that
-/// achieved the minimum (insertion position `pos` splits the edge between
-/// tour indices `pos-1` and `pos mod n`). Inserting a point at position
-/// `q` removes that one edge and adds two; a cached entry stays exact by
-/// (a) shifting its edge index, and (b) taking the min against the two new
-/// edges — unless its own edge was removed, in which case it must rescan.
-/// The cached *value* always equals a fresh full scan's value; the cached
-/// *position* may name a different edge of equal delta, which is
-/// irrelevant because planners recompute the canonical position for the
-/// single winning candidate at commit time.
+/// For each candidate we store the cheapest-insertion delta into the
+/// current tour and the edge that achieved it, named by the stable
+/// [`IncrementalTour`] id of its start point (the edge runs from that
+/// point to its tour successor). Inserting point `p` after point `a`
+/// splits the one edge named `a` into `(a, p)` and `(p, b)`, and no other
+/// edge changes its name or its length, so nothing needs shifting. An
+/// entry whose edge survived takes the min against the two new edges; an
+/// entry whose edge was split is re-derived by the split rule or, failing
+/// that, by a rescan. The cached *value* always equals a fresh full
+/// scan's value; the cached *edge* may be a different edge of equal
+/// delta, which is irrelevant because planners recompute the canonical
+/// position for the single winning candidate at commit time.
+///
+/// Only *live* entries are repaired: the planner [`retire`]s a candidate
+/// once its cache can no longer be read (deactivated, or on the tour in
+/// Algorithm 3). The live entries sit in a dense list in no particular
+/// order, so a repair pass visits them and nothing else.
+///
+/// [`retire`]: InsertionCache::retire
 #[derive(Clone, Debug)]
 pub struct InsertionCache {
     delta: Vec<f64>,
-    pos: Vec<usize>,
-    valid: Vec<bool>,
+    /// Start point id of the argmin edge, or [`NO_EDGE`].
+    edge: Vec<u32>,
+    /// Live candidates, unordered.
+    live: Vec<u32>,
+    /// Per candidate: its index in `live`, or [`NOT_LIVE`].
+    live_at: Vec<u32>,
 }
 
 impl InsertionCache {
-    /// An all-invalid cache for `m` candidates.
+    /// A cache for `m` candidates, all live and all awaiting a first
+    /// evaluation.
     pub fn new(m: usize) -> Self {
+        assert!(m < NOT_LIVE as usize, "too many candidates for the cache");
         InsertionCache {
             delta: vec![0.0; m],
-            pos: vec![usize::MAX; m],
-            valid: vec![false; m],
+            edge: vec![NO_EDGE; m],
+            live: (0..m as u32).collect(),
+            live_at: (0..m as u32).collect(),
         }
     }
 
-    /// The cached `(delta, pos)`; `None` when the entry needs a rescan.
+    /// The cached delta; `None` when the entry awaits a rescan.
     #[inline]
-    pub fn get(&self, c: usize) -> Option<(f64, usize)> {
-        if self.valid[c] {
-            Some((self.delta[c], self.pos[c]))
-        } else {
-            None
-        }
+    pub fn get(&self, c: usize) -> Option<f64> {
+        (self.edge[c] != NO_EDGE).then(|| self.delta[c])
     }
 
-    /// Stores a freshly computed evaluation.
+    /// The cached `(delta, edge)`, the edge named by its start point id;
+    /// `None` when the entry awaits a rescan.
+    #[cfg(test)]
+    fn entry(&self, c: usize) -> Option<(f64, u32)> {
+        (self.edge[c] != NO_EDGE).then(|| (self.delta[c], self.edge[c]))
+    }
+
+    /// Stores a freshly computed evaluation: `delta` through the edge
+    /// starting at tour point `edge`.
     #[inline]
-    pub fn set(&mut self, c: usize, delta: f64, pos: usize) {
+    pub fn set(&mut self, c: usize, delta: f64, edge: u32) {
         self.delta[c] = delta;
-        self.pos[c] = pos;
-        self.valid[c] = true;
+        self.edge[c] = edge;
     }
 
-    /// Repairs entry `c` after a point was inserted at position
-    /// `ins_pos`, from the five distances around the splice. O(1): an
-    /// entry whose argmin edge survived shifts its position and takes the
-    /// min against the two new edges (`d_a + d_p − e_ap`, then
-    /// `d_p + d_b − e_pb`, each replacing only on a strict `<`); an entry
-    /// whose edge was the one split is invalidated for a rescan. The
-    /// lazy loops read the distances from a [`DistanceBank`]; the
-    /// in-module repair property checks every repaired value against a
-    /// fresh `cheapest_insertion_point` scan bit for bit.
-    pub fn apply_insertion_cols(&mut self, c: usize, d: RepairDists, ins_pos: usize) -> Fixup {
-        if !self.valid[c] {
+    /// The live candidates, in no particular order.
+    pub fn live(&self) -> &[u32] {
+        &self.live
+    }
+
+    /// Stops repairing candidate `c` (idempotent): the planner calls this
+    /// when the candidate is deactivated or joins the tour, after which
+    /// its entry is never read again.
+    pub fn retire(&mut self, c: usize) {
+        let i = self.live_at[c];
+        if i == NOT_LIVE {
+            return;
+        }
+        self.live_at[c] = NOT_LIVE;
+        if let Some(last) = self.live.pop() {
+            if last as usize != c {
+                self.live[i as usize] = last;
+                self.live_at[last as usize] = i;
+            }
+        }
+    }
+
+    /// Repairs entry `c` after point `p` was inserted after point `a`,
+    /// from the five distances around the splice. O(1).
+    ///
+    /// With `Δ_ap = (d_a + d_p) − e_ap` and `Δ_pb = (d_p + d_b) − e_pb`
+    /// (the scan's operands in the scan's association):
+    ///
+    /// * an entry whose edge survived takes the min against `Δ_ap`, then
+    ///   `Δ_pb`, each replacing only on a strict `<`;
+    /// * an entry whose edge was the split one (`edge == a`) applies the
+    ///   *split rule*. Its old delta `δ` was the minimum over the old
+    ///   edges, and every surviving edge keeps its delta bit for bit. So
+    ///   if `m = min(Δ_ap, Δ_pb) < δ` strictly, `m` is below every
+    ///   surviving edge and is the new minimum, first reached at `(a, p)`
+    ///   when `Δ_ap ≤ Δ_pb` and at `(p, b)` otherwise — exactly the
+    ///   first-strict scan's answer ([`Fixup::Resolved`]). Otherwise a
+    ///   surviving edge may hold the minimum and the entry is
+    ///   invalidated for a rescan.
+    ///
+    /// The in-module repair property checks every outcome against the
+    /// position-keyed repair and a fresh scan bit for bit.
+    #[inline]
+    pub fn repair(&mut self, c: usize, d: RepairDists, a: u32, p: u32) -> Fixup {
+        let delta_a = d.d_a + d.d_p - d.e_ap;
+        let delta_b = d.d_p + d.d_b - d.e_pb;
+        let edge = self.edge[c];
+        if edge == a {
+            let (m, e) = if delta_a <= delta_b {
+                (delta_a, a)
+            } else {
+                (delta_b, p)
+            };
+            if m < self.delta[c] {
+                self.set(c, m, e);
+                return Fixup::Resolved;
+            }
+            self.edge[c] = NO_EDGE;
             return Fixup::Invalidated;
         }
-        if self.pos[c] == ins_pos {
-            self.valid[c] = false;
+        if edge == NO_EDGE {
             return Fixup::Invalidated;
-        }
-        if self.pos[c] > ins_pos {
-            self.pos[c] += 1;
         }
         let mut out = Fixup::Unchanged;
-        let delta_a = d.d_a + d.d_p - d.e_ap;
         if delta_a < self.delta[c] {
-            self.delta[c] = delta_a;
-            self.pos[c] = ins_pos;
+            self.set(c, delta_a, a);
             out = Fixup::Improved;
         }
-        let delta_b = d.d_p + d.d_b - d.e_pb;
         if delta_b < self.delta[c] {
-            self.delta[c] = delta_b;
-            self.pos[c] = ins_pos + 1;
+            self.set(c, delta_b, p);
             out = Fixup::Improved;
         }
         out
     }
 }
 
-/// Distance bundle feeding [`InsertionCache::apply_insertion_cols`]: the
-/// candidate's distances to the three tour points around an insertion at
-/// `ins_pos` (predecessor `a`, inserted point `p`, successor `b`), plus
-/// the two new tour edges. Every field must be bit-identical to the
-/// `Point2::distance` value of the same pair.
+/// Distance bundle feeding [`InsertionCache::repair`]: the candidate's
+/// distances to the three tour points around an insertion (predecessor
+/// `a`, inserted point `p`, successor `b`), plus the two new tour edges.
+/// Every field must be bit-identical to the `Point2::distance` value of
+/// the same pair.
 #[derive(Clone, Copy, Debug)]
 pub struct RepairDists {
     /// `a.distance(candidate)`.
@@ -236,8 +320,8 @@ pub struct RepairDists {
 ///
 /// Every banked value is bit-identical to the `Point2::distance` of the
 /// same pair (see [`distances_to_point`]), so repairs and rescans return
-/// exactly what [`InsertionCache::apply_insertion_cols`] on fresh
-/// distances and `cheapest_insertion_point` would.
+/// exactly what [`InsertionCache::repair`] on fresh distances and
+/// `cheapest_insertion_point` would.
 pub(crate) struct DistanceBank {
     /// Candidate coordinates, structure-of-arrays for the column kernel.
     xs: Vec<f64>,
@@ -297,10 +381,10 @@ impl DistanceBank {
 
     /// Banks the column of the point `inc` just spliced in at tour
     /// position `pos` (its newest id) and repairs the cached insertion
-    /// delta of every candidate `c` with `keep(c)`, in ascending order,
+    /// delta of every live entry of `ins` ([`InsertionCache::repair`]),
     /// reporting each outcome to `on_fix`. The three candidate distances
     /// come from the bank and the two new edges from `inc`'s edge cache.
-    // Inlined, like `rescan`, so the closures fuse into the caller's
+    // Inlined, like `rescan`, so the closure fuses into the caller's
     // loop; out of line, Alg 2's loop ran ~5% slower on a 2-vCPU VM.
     #[inline]
     pub(crate) fn insert_point(
@@ -308,8 +392,7 @@ impl DistanceBank {
         inc: &IncrementalTour,
         pos: usize,
         ins: &mut InsertionCache,
-        keep: impl Fn(usize) -> bool,
-        mut on_fix: impl FnMut(usize, Fixup),
+        mut on_fix: impl FnMut(u32, Fixup),
     ) {
         let order = inc.order();
         let ln = order.len();
@@ -319,14 +402,14 @@ impl DistanceBank {
         let (px, py) = inc.point(id);
         let mut col = Vec::new();
         distances_to_point(&self.xs, &self.ys, px, py, &mut col);
-        let bank_a = &self.cols[order[pos - 1]];
+        let a = order[pos - 1];
+        let bank_a = &self.cols[a];
         let bank_b = &self.cols[order[(pos + 1) % ln]];
         let e_ap = inc.edge_costs()[pos - 1];
         let e_pb = inc.edge_costs()[pos];
-        for c in 0..self.xs.len() {
-            if !keep(c) {
-                continue;
-            }
+        for k in 0..ins.live.len() {
+            let cu = ins.live[k];
+            let c = cu as usize;
             let d = RepairDists {
                 d_a: bank_a[c],
                 d_p: col[c],
@@ -334,7 +417,7 @@ impl DistanceBank {
                 e_ap,
                 e_pb,
             };
-            on_fix(c, ins.apply_insertion_cols(c, d, pos));
+            on_fix(cu, ins.repair(c, d, a as u32, id as u32));
         }
         self.cols.push(col);
     }
@@ -342,8 +425,9 @@ impl DistanceBank {
     /// Rescans the cheapest insertion of every candidate in `batch`
     /// against `inc`'s current tour from the banked rows, four lanes at a
     /// time ([`cheapest_insertion_cached4`]), storing each result in
-    /// `ins` and reporting `(candidate, delta)` to `on_set` in batch
-    /// order. Pure table arithmetic: no square roots.
+    /// `ins` (its edge named by its start point) and reporting
+    /// `(candidate, delta)` to `on_set` in batch order. Pure table
+    /// arithmetic: no square roots.
     #[inline]
     pub(crate) fn rescan(
         &mut self,
@@ -359,19 +443,20 @@ impl DistanceBank {
         let elen = inc.edge_costs();
         let cap = self.cap;
         let row = |cu: u32| &self.dmat[cu as usize * cap..(cu as usize + 1) * cap];
+        let mut store = |cu: u32, (delta, p): (f64, u32)| {
+            ins.set(cu as usize, delta, order[p as usize - 1] as u32);
+            on_set(cu, delta);
+        };
         for ch in batch.chunks(4) {
             if let &[c0, c1, c2, c3] = ch {
                 let out =
                     cheapest_insertion_cached4([row(c0), row(c1), row(c2), row(c3)], order, elen);
-                for (&cu, &(delta, p)) in ch.iter().zip(&out) {
-                    ins.set(cu as usize, delta, p as usize);
-                    on_set(cu, delta);
+                for (&cu, &hit) in ch.iter().zip(&out) {
+                    store(cu, hit);
                 }
             } else {
                 for &cu in ch {
-                    let (delta, p) = cheapest_insertion_cached(row(cu), order, elen);
-                    ins.set(cu as usize, delta, p as usize);
-                    on_set(cu, delta);
+                    store(cu, cheapest_insertion_cached(row(cu), order, elen));
                 }
             }
         }
@@ -708,10 +793,18 @@ pub struct EvalCounters {
     pub evaluations: u64,
     /// Marginal-reward recomputes triggered by drained devices.
     pub marginal_evals: u64,
-    /// Cheapest-insertion full rescans (edge removed under the cached
-    /// argmin, or tour compaction changed the tour).
+    /// Cheapest-insertion re-derivations: entries whose cached argmin
+    /// edge a tour insertion split (still active once the iteration's
+    /// marginal refresh is done), plus every active entry after a tour
+    /// compaction that changed the tour. A split entry is settled by the
+    /// O(1) split rule ([`Fixup::Resolved`]) or by a full banked-row scan
+    /// ([`Fixup::Invalidated`]); both count here, so the value is the
+    /// number of full rescans the engine made before the split rule
+    /// existed.
     pub delta_rescans: u64,
-    /// O(1) insertion-cache repairs performed.
+    /// O(1) insertion-cache repairs performed: one per live entry
+    /// ([`InsertionCache::live`]) per tour insertion, split entries
+    /// included.
     pub fixups: u64,
     /// Entries the [`LazyHeap`] took in: pushes, CELF re-queues, cohort
     /// losers returned, and parked entries at each unpark (superseded
@@ -793,95 +886,222 @@ mod tests {
         );
     }
 
-    #[test]
-    fn insertion_cache_repair_matches_full_rescan() {
-        // Deterministic pseudo-random points; after every insertion the
-        // cache repaired by `apply_insertion_cols` (fresh distances) must
-        // match a fresh cheapest_insertion_point scan bit for bit, and a
-        // `DistanceBank` driven in lockstep (banked distances, banked-row
-        // rescans) must make the same decisions to the same values.
-        let cands: Vec<Point2> = (0..40)
-            .map(|i| Point2::new(((i * 37) % 101) as f64, ((i * 53) % 97) as f64))
-            .collect();
-        let inserts: Vec<Point2> = (0..12)
-            .map(|i| Point2::new(((i * 61 + 13) % 89) as f64, ((i * 29 + 7) % 83) as f64))
-            .collect();
-        let depot = Point2::new(50.0, 50.0);
-        let mut tour = vec![depot];
-        let mut cache = InsertionCache::new(cands.len());
-        for (c, &p) in cands.iter().enumerate() {
-            let (d, pos) = cheapest_insertion_point(&tour, p);
-            cache.set(c, d, pos);
+    /// The position-keyed insertion cache the edge-id cache replaced,
+    /// kept as the repair property's oracle: an entry names its argmin
+    /// edge by tour position, every insertion shifts the positions above
+    /// it, and an entry whose edge was split is invalidated for a rescan.
+    struct PositionCache {
+        delta: Vec<f64>,
+        pos: Vec<usize>,
+        valid: Vec<bool>,
+    }
+
+    impl PositionCache {
+        fn set(&mut self, c: usize, delta: f64, pos: usize) {
+            self.delta[c] = delta;
+            self.pos[c] = pos;
+            self.valid[c] = true;
         }
-        let set =
-            CandidateSet::from_coverage(1.0, Meters(1.0), cands.iter().map(|&p| (p, [0u32; 0])));
-        let mut bank = DistanceBank::new(&set, depot);
-        let mut banked = InsertionCache::new(cands.len());
-        for c in 0..cands.len() {
-            banked.set(c, 2.0 * bank.depot_dist(c), 1);
-        }
-        assert_eq!(bank.pos(3), (cands[3].x, cands[3].y));
-        let mut inc = IncrementalTour::new((depot.x, depot.y));
-        for &p in &inserts {
-            let (_, ins_pos) = cheapest_insertion_point(&tour, p);
-            tour.insert(ins_pos, p);
-            let id = inc.append_point((p.x, p.y));
-            inc.insert_id_at(id, ins_pos);
-            let a = tour[ins_pos - 1];
-            let b = tour[(ins_pos + 1) % tour.len()];
-            let mut fixes = Vec::new();
-            for (c, &cp) in cands.iter().enumerate() {
-                let d = RepairDists {
-                    d_a: a.distance(cp),
-                    d_p: p.distance(cp),
-                    d_b: b.distance(cp),
-                    e_ap: a.distance(p),
-                    e_pb: p.distance(b),
-                };
-                let fix = cache.apply_insertion_cols(c, d, ins_pos);
-                fixes.push(fix);
-                if fix == Fixup::Invalidated {
-                    let (d, pos) = cheapest_insertion_point(&tour, cp);
-                    cache.set(c, d, pos);
-                }
-                let (want, _) = cheapest_insertion_point(&tour, cp);
-                let (got, got_pos) = cache.get(c).unwrap();
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "candidate {c} delta diverged"
-                );
-                // The cached position must name a real edge achieving
-                // the cached delta (not necessarily the canonical one).
-                assert!(got_pos >= 1 && got_pos <= tour.len());
+
+        fn apply_insertion_cols(&mut self, c: usize, d: RepairDists, ins_pos: usize) -> Fixup {
+            if !self.valid[c] {
+                return Fixup::Invalidated;
             }
-            let mut rescan = Vec::new();
-            let mut bank_fixes = Vec::new();
-            bank.insert_point(
-                &inc,
-                ins_pos,
-                &mut banked,
-                |_| true,
-                |c, fix| {
-                    bank_fixes.push(fix);
+            if self.pos[c] == ins_pos {
+                self.valid[c] = false;
+                return Fixup::Invalidated;
+            }
+            if self.pos[c] > ins_pos {
+                self.pos[c] += 1;
+            }
+            let mut out = Fixup::Unchanged;
+            let delta_a = d.d_a + d.d_p - d.e_ap;
+            if delta_a < self.delta[c] {
+                self.delta[c] = delta_a;
+                self.pos[c] = ins_pos;
+                out = Fixup::Improved;
+            }
+            let delta_b = d.d_p + d.d_b - d.e_pb;
+            if delta_b < self.delta[c] {
+                self.delta[c] = delta_b;
+                self.pos[c] = ins_pos + 1;
+                out = Fixup::Improved;
+            }
+            out
+        }
+    }
+
+    fn repair_cases() -> u32 {
+        if cfg!(feature = "validate") {
+            1100
+        } else {
+            64
+        }
+    }
+
+    /// SplitMix64 stream for the repair property's layouts.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// One point of layout `kind`: 0 uniform, 1 integer lattice (tied
+    /// deltas), 2 a few coincident sites, 3 collinear on a diagonal.
+    fn layout_point(kind: u32, rng: &mut Mix) -> Point2 {
+        match kind {
+            0 => Point2::new(100.0 * rng.unit(), 100.0 * rng.unit()),
+            1 => Point2::new(rng.below(7) as f64 * 10.0, rng.below(7) as f64 * 10.0),
+            2 => {
+                let sites = [(10.0, 10.0), (10.0, 60.0), (55.0, 30.0), (80.0, 80.0)];
+                let (x, y) = sites[rng.below(sites.len())];
+                Point2::new(x, y)
+            }
+            _ => {
+                let t = rng.below(21) as f64 * 5.0;
+                Point2::new(t, 0.5 * t + 3.0)
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(repair_cases()))]
+        #[test]
+        fn insertion_cache_repair_matches_position_keyed_oracle(
+            kind in 0u32..4,
+            seed in 0u64..u64::MAX,
+        ) {
+            // After every insertion (at the cheapest position or a random
+            // one), the edge-id cache repaired through `DistanceBank`
+            // must take the oracle's decision per live entry (`Resolved`
+            // standing for the oracle's `Invalidated`), re-derive the
+            // same set, hold bit-equal deltas, and hold for every
+            // re-derived entry exactly a fresh first-strict scan's
+            // `(delta, edge)`. Random retirements exercise the live list.
+            let mut rng = Mix(seed);
+            let m = 1 + rng.below(48);
+            let cands: Vec<Point2> = (0..m).map(|_| layout_point(kind, &mut rng)).collect();
+            let inserts: Vec<Point2> = (0..1 + rng.below(24))
+                .map(|_| layout_point(kind, &mut rng))
+                .collect();
+            let depot = layout_point(kind, &mut rng);
+            let rows = cands.iter().map(|&p| (p, [0u32; 0]));
+            let set = CandidateSet::from_coverage(1.0, Meters(1.0), rows);
+            let mut bank = DistanceBank::new(&set, depot);
+            assert_eq!(bank.pos(m - 1), (cands[m - 1].x, cands[m - 1].y));
+            let mut ins = InsertionCache::new(m);
+            let mut oracle = PositionCache {
+                delta: vec![0.0; m],
+                pos: vec![0; m],
+                valid: vec![false; m],
+            };
+            for (c, &cp) in cands.iter().enumerate() {
+                let delta = 2.0 * bank.depot_dist(c);
+                let (want, _) = cheapest_insertion_point(&[depot], cp);
+                assert_eq!(delta.to_bits(), want.to_bits());
+                ins.set(c, delta, 0);
+                oracle.set(c, delta, 1);
+            }
+            let mut live = vec![true; m];
+            let mut tour = vec![depot];
+            let mut inc = IncrementalTour::new((depot.x, depot.y));
+            for &p in &inserts {
+                if rng.below(4) == 0 {
+                    let c = rng.below(m);
+                    live[c] = false;
+                    ins.retire(c);
+                    ins.retire(c); // idempotent
+                }
+                let ins_pos = if rng.below(2) == 0 {
+                    cheapest_insertion_point(&tour, p).1
+                } else {
+                    1 + rng.below(tour.len())
+                };
+                tour.insert(ins_pos, p);
+                let id = inc.append_point((p.x, p.y));
+                inc.insert_id_at(id, ins_pos);
+
+                let mut got = vec![None; m];
+                let mut fixups = 0;
+                let mut rescan = Vec::new();
+                bank.insert_point(&inc, ins_pos, &mut ins, |c, fix| {
+                    fixups += 1;
+                    got[c as usize] = Some(fix);
                     if fix == Fixup::Invalidated {
-                        rescan.push(c as u32);
+                        rescan.push(c);
                     }
-                },
-            );
-            assert_eq!(bank_fixes, fixes, "banked repair took other decisions");
-            bank.rescan(&rescan, &inc, &mut banked, |_, _| {});
-            for c in 0..cands.len() {
-                assert_eq!(banked.get(c), cache.get(c), "banked repair diverged at {c}");
+                });
+                let live_now = live.iter().filter(|&&l| l).count();
+                assert_eq!(fixups, live_now, "one repair per live entry");
+                bank.rescan(&rescan, &inc, &mut ins, |_, _| {});
+
+                let a = tour[ins_pos - 1];
+                let b = tour[(ins_pos + 1) % tour.len()];
+                for (c, &cp) in cands.iter().enumerate() {
+                    if !live[c] {
+                        assert_eq!(got[c], None, "retired entry {c} was repaired");
+                        continue;
+                    }
+                    let d = RepairDists {
+                        d_a: a.distance(cp),
+                        d_p: p.distance(cp),
+                        d_b: b.distance(cp),
+                        e_ap: a.distance(p),
+                        e_pb: p.distance(b),
+                    };
+                    let want = oracle.apply_insertion_cols(c, d, ins_pos);
+                    let fix = got[c].expect("live entry repaired");
+                    let class = if fix == Fixup::Resolved { Fixup::Invalidated } else { fix };
+                    assert_eq!(class, want, "candidate {c}: other repair decision");
+                    let (fresh, fresh_pos) = cheapest_insertion_point(&tour, cp);
+                    if want == Fixup::Invalidated {
+                        oracle.set(c, fresh, fresh_pos);
+                        // Re-derived, by the split rule or a rescan: the
+                        // fresh scan's value and canonical edge.
+                        let edge = inc.order()[fresh_pos - 1] as u32;
+                        assert_eq!(
+                            ins.entry(c).map(|(v, e)| (v.to_bits(), e)),
+                            Some((fresh.to_bits(), edge)),
+                            "candidate {c}: re-derived entry is not the fresh scan's"
+                        );
+                    }
+                    let (delta, edge) = ins.entry(c).expect("live entry valid");
+                    assert_eq!(delta.to_bits(), oracle.delta[c].to_bits(), "candidate {c} delta");
+                    assert_eq!(delta.to_bits(), fresh.to_bits(), "candidate {c} delta vs scan");
+                    // The cached edge is a real tour edge achieving the
+                    // cached delta (not necessarily the canonical one).
+                    let k = inc.order().iter().position(|&o| o as u32 == edge);
+                    let k = k.expect("cached edge starts at a tour point");
+                    let (ta, tb) = (tour[k], tour[(k + 1) % tour.len()]);
+                    let via = ta.distance(cp) + cp.distance(tb) - ta.distance(tb);
+                    assert_eq!(via.to_bits(), delta.to_bits(), "candidate {c} edge");
+                }
             }
             // A banked-row rescan of everything equals fresh scans,
-            // positions included.
-            let all: Vec<u32> = (0..cands.len() as u32).collect();
-            let mut fresh = InsertionCache::new(cands.len());
+            // edges included, and every candidate has its winner position.
+            let all: Vec<u32> = (0..m as u32).collect();
+            let mut fresh = InsertionCache::new(m);
             bank.rescan(&all, &inc, &mut fresh, |_, _| {});
             for (c, &cp) in cands.iter().enumerate() {
                 let (want, want_pos) = cheapest_insertion_point(&tour, cp);
-                let (got, got_pos) = fresh.get(c).unwrap();
+                let edge = inc.order()[want_pos - 1] as u32;
+                let got = fresh.entry(c).map(|(v, e)| (v.to_bits(), e));
+                assert_eq!(got, Some((want.to_bits(), edge)));
+                let (got, got_pos) = bank.cheapest_insertion(c, &inc);
                 assert_eq!((got.to_bits(), got_pos), (want.to_bits(), want_pos));
             }
         }

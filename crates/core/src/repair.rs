@@ -5,7 +5,7 @@
 //! reverse. `InsertionCache` prices *adding* a stop between tour
 //! neighbours `p`/`n` as `d(p,s) + d(s,n) − d(p,n)`; removing a stop
 //! refunds exactly the same delta (plus the stop's hover energy), and —
-//! the same locality argument as the cache's `apply_insertion_cols` fixup —
+//! the same locality argument as the cache's O(1) `repair` —
 //! a removal only perturbs the deltas of its two surviving neighbours.
 //! Keeping the route as a doubly linked list therefore makes every drop
 //! an O(1) update: three distance evaluations and two pointer swaps,

@@ -218,25 +218,30 @@ impl Scenario {
         self.devices.iter().map(|d| d.pos).collect()
     }
 
-    /// FNV-1a fingerprint of the instance *layout*: region, devices,
-    /// depot, radio model, and every UAV parameter **except** the battery
+    /// Fingerprint of the instance *layout*: region, devices, depot,
+    /// radio model, and every UAV parameter **except** the battery
     /// capacity. Each `f64` is folded in as its exact IEEE-754 bit
     /// pattern, so two scenarios hash equal iff their layouts are
-    /// bit-identical.
+    /// bit-identical (up to 64-bit collisions).
     ///
     /// Capacity is deliberately excluded: planner setup artifacts
     /// (candidate sets, initial tours) depend only on geometry, coverage,
     /// and energy *rates*, so capacity sweeps over one instance can share
-    /// them (the keying contract of `uavdc-core`'s artifact cache).
+    /// them (the keying contract of `uavdc-core`'s artifact cache). The
+    /// value is an in-process cache key only and is never persisted, so
+    /// the mixing function may change between versions.
+    ///
+    /// Each 64-bit word goes through one SplitMix64 step
+    /// (`h = splitmix(h ^ word)`), a full-avalanche finaliser, so a
+    /// 500-device layout (~1,500 words) costs ~1,500 rounds: the warm
+    /// request path computes this on every cache lookup.
     pub fn layout_fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut mix = |word: u64| {
-            for byte in word.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(PRIME);
-            }
+            let mut z = (h ^ word).wrapping_add(0x9e37_79b9_7f4a_7c15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            h = z ^ (z >> 31);
         };
         mix(self.region.min.x.to_bits());
         mix(self.region.min.y.to_bits());
