@@ -2,10 +2,12 @@
 //!
 //! Runs Algorithm 2, Algorithm 3 (K ∈ {2, 4}) and the benchmark pruner
 //! with both [`EngineMode::Lazy`] and [`EngineMode::Exhaustive`] across
-//! the paper's fig-3/4/5 sweeps, and writes `BENCH_planner.json`:
-//! candidates, iterations, evaluations performed vs. the `M × iterations`
-//! exhaustive bound, and wall-nanoseconds per phase. Every run also
-//! cross-checks that the two engines produced bit-identical plans.
+//! the paper's fig-3/4/5 sweeps, and writes `BENCH_planner.json` in the
+//! shape `bench_compare` reads (`uavdc_bench::json::write_report`). Each
+//! entry's `exact` holds the candidates, iterations, the `M × iterations`
+//! exhaustive bound, both engines' evaluation and tour counters, the
+//! plan hash and whether the two engines produced bit-identical plans;
+//! its `timing` holds the wall-nanoseconds per phase.
 //!
 //! The planners never read the clock. Each run plans under a
 //! [`CollectingRecorder`] (wall-clock [`uavdc_obs::MonotonicClock`]), and
@@ -26,14 +28,13 @@
 //! overrides the output path (default `BENCH_planner.json` in the
 //! working directory).
 //!
-//! Set `UAVDC_OBS=1` to embed each lazy run's `RunReport` (spans,
-//! counters, histograms) as an `"obs"` object per entry. `--obs-overhead`
-//! instead times whole planner calls with and without a collecting
-//! recorder on the fig-4 δ = 5 m sweep point and prints the relative
-//! overhead (the <3 % budget in DESIGN.md §10).
+//! `--obs-overhead` instead times whole planner calls with and without
+//! a collecting recorder on the fig-4 δ = 5 m sweep point and prints the
+//! relative overhead (the <3 % budget in DESIGN.md §10).
 
-use std::fmt::Write as _;
+use std::collections::BTreeSet;
 use std::time::Instant;
+use uavdc_bench::json::{write_report, Entry as Record, Json};
 use uavdc_bench::{delta_sweep, energy_sweep};
 use uavdc_core::{
     Alg2Config, Alg2Planner, Alg3Config, Alg3Planner, BenchmarkPlanner, CollectionPlan, EngineMode,
@@ -56,9 +57,6 @@ struct Entry {
     plans_identical: bool,
     /// FNV-1a fingerprint of the lazy plan (hex in the JSON).
     plan_hash: u64,
-    /// Single-line `RunReport` JSON for the lazy run, when `UAVDC_OBS`
-    /// was set.
-    obs: Option<String>,
 }
 
 /// One engine's run: its stats plus the setup and loop nanoseconds read
@@ -70,13 +68,11 @@ struct Timed {
 }
 
 impl Entry {
-    fn eval_reduction(&self) -> f64 {
-        self.exhaustive.stats.counters.evaluations as f64
-            / self.lazy.stats.counters.evaluations.max(1) as f64
-    }
-
-    fn wall_speedup(&self) -> f64 {
-        self.exhaustive.loop_ns as f64 / self.lazy.loop_ns.max(1) as f64
+    fn key(&self) -> String {
+        format!(
+            "{} {}={} {} seed={}",
+            self.figure, self.x_label, self.x, self.algorithm, self.seed
+        )
     }
 
     fn within_bound(&self) -> bool {
@@ -92,7 +88,7 @@ fn timed(
     [setup, run_loop]: Spans,
     scenario: &Scenario,
     engine: EngineMode,
-) -> (CollectionPlan, Timed, RunReport) {
+) -> (CollectionPlan, Timed) {
     let rec = CollectingRecorder::new();
     let (plan, stats) = run(scenario, engine, &rec);
     let report = rec.report();
@@ -101,7 +97,7 @@ fn timed(
         setup_ns: span_ns(&report, setup),
         loop_ns: span_ns(&report, run_loop),
     };
-    (plan, timed, report)
+    (plan, timed)
 }
 
 /// Duration of the span at `path`. The span must have closed exactly
@@ -125,11 +121,8 @@ fn measure(
     scenario: &Scenario,
     (algorithm, spans, run): &PlannerRun,
 ) -> Entry {
-    let (plan_lazy, lazy, report) = timed(run, *spans, scenario, EngineMode::Lazy);
-    let (plan_full, exhaustive, _) = timed(run, *spans, scenario, EngineMode::Exhaustive);
-    // Only the lazy report is embedded: it is the engine the baseline
-    // gates, and the exhaustive twin's counters are already in the entry.
-    let obs = uavdc_obs::env_enabled().then(|| report.to_json());
+    let (plan_lazy, lazy) = timed(run, *spans, scenario, EngineMode::Lazy);
+    let (plan_full, exhaustive) = timed(run, *spans, scenario, EngineMode::Exhaustive);
     Entry {
         figure,
         x_label,
@@ -140,7 +133,6 @@ fn measure(
         plan_hash: plan_lazy.fingerprint(),
         lazy,
         exhaustive,
-        obs,
     }
 }
 
@@ -263,32 +255,18 @@ fn run_sweeps(scale: f64, seeds: &[u64]) -> Vec<Entry> {
     entries
 }
 
-fn stats_json(t: &Timed) -> String {
+/// One engine's deterministic counters.
+fn counters_json(t: &Timed) -> Json {
     let c = &t.stats.counters;
-    format!(
-        concat!(
-            "{{\"evaluations\":{},\"marginal_evals\":{},\"delta_rescans\":{},",
-            "\"fixups\":{},\"heap_pops\":{},\"tour_patches\":{},",
-            "\"full_retours\":{},\"setup_ns\":{},\"loop_ns\":{}}}"
-        ),
-        c.evaluations,
-        c.marginal_evals,
-        c.delta_rescans,
-        c.fixups,
-        c.heap_pops,
-        c.tour_patches,
-        c.full_retours,
-        t.setup_ns,
-        t.loop_ns
-    )
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
+    Json::obj([
+        ("evaluations", c.evaluations.into()),
+        ("marginal_evals", c.marginal_evals.into()),
+        ("delta_rescans", c.delta_rescans.into()),
+        ("fixups", c.fixups.into()),
+        ("heap_pops", c.heap_pops.into()),
+        ("tour_patches", c.tour_patches.into()),
+        ("full_retours", c.full_retours.into()),
+    ])
 }
 
 /// Aggregate fig-4 δ = 5 m wall speedup of one algorithm: the per-PR
@@ -314,99 +292,78 @@ fn aggregate<'a>(entries: impl Iterator<Item = &'a Entry>) -> (u64, u64, u64, u6
     acc
 }
 
-fn render_json(entries: &[Entry], mode: &str, scale: f64, seeds: &[u64]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"uavdc-planner-baseline/3\",");
-    let _ = writeln!(out, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(out, "  \"scale\": {scale},");
-    let _ = writeln!(
-        out,
-        "  \"seeds\": [{}],",
-        seeds
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
+/// Both engines' evaluation and loop-ns totals over the entries `keep`
+/// selects, with exhaustive÷lazy ratios.
+fn aggregate_json(entries: &[Entry], keep: impl Fn(&Entry) -> bool) -> Vec<(&'static str, Json)> {
+    let (le, ee, ln, en) = aggregate(entries.iter().filter(|e| keep(e)));
+    vec![
+        ("lazy_evaluations", le.into()),
+        ("exhaustive_evaluations", ee.into()),
+        ("eval_reduction", (ee as f64 / le.max(1) as f64).into()),
+        ("lazy_loop_ns", ln.into()),
+        ("exhaustive_loop_ns", en.into()),
+        ("wall_speedup", (en as f64 / ln.max(1) as f64).into()),
+    ]
+}
+
+fn report_json(entries: &[Entry], mode: &str, scale: f64, seeds: &[u64]) -> String {
+    let header = Json::obj([
+        ("schema", "uavdc-planner-baseline/4".into()),
+        ("mode", mode.into()),
+        ("scale", scale.into()),
+        ("seeds", seeds.iter().copied().collect()),
+    ]);
 
     // Headline: the fig-4 δ = 5 m sweep point (the paper's largest
     // candidate sets), aggregated across its four algorithms and all
     // seeds — the acceptance gate of the lazy engine.
     // lint:allow(float-ord): sweep coordinates are exact literals carried through unmodified
-    let (le, ee, ln, en) = aggregate(entries.iter().filter(|e| e.figure == "fig4" && e.x == 5.0));
-    out.push_str("  \"headline_fig4_delta5\": {\n");
-    let _ = writeln!(out, "    \"lazy_evaluations\": {le},");
-    let _ = writeln!(out, "    \"exhaustive_evaluations\": {ee},");
-    let _ = writeln!(
-        out,
-        "    \"eval_reduction\": {},",
-        json_f64(ee as f64 / le.max(1) as f64)
-    );
-    let _ = writeln!(out, "    \"lazy_loop_ns\": {ln},");
-    let _ = writeln!(out, "    \"exhaustive_loop_ns\": {en},");
-    let _ = writeln!(
-        out,
-        "    \"wall_speedup\": {},",
-        json_f64(en as f64 / ln.max(1) as f64)
-    );
-    let _ = writeln!(
-        out,
-        "    \"alg2_wall_speedup\": {}",
-        json_f64(fig4_delta5_speedup(entries, "Algorithm 2"))
-    );
-    out.push_str("  },\n");
+    let mut headline = aggregate_json(entries, |e| e.figure == "fig4" && e.x == 5.0);
+    headline.push((
+        "alg2_wall_speedup",
+        fig4_delta5_speedup(entries, "Algorithm 2").into(),
+    ));
 
     // Per-algorithm aggregate across everything, for trend tracking.
-    out.push_str("  \"by_algorithm\": {\n");
-    let mut algs: Vec<&str> = entries.iter().map(|e| e.algorithm).collect();
-    algs.sort_unstable();
-    algs.dedup();
-    for (i, alg) in algs.iter().enumerate() {
-        let (le, ee, ln, en) = aggregate(entries.iter().filter(|e| e.algorithm == *alg));
-        let _ = writeln!(
-            out,
-            "    \"{alg}\": {{\"lazy_evaluations\": {le}, \"exhaustive_evaluations\": {ee}, \
-             \"eval_reduction\": {}, \"wall_speedup\": {}}}{}",
-            json_f64(ee as f64 / le.max(1) as f64),
-            json_f64(en as f64 / ln.max(1) as f64),
-            if i + 1 < algs.len() { "," } else { "" }
-        );
-    }
-    out.push_str("  },\n");
+    let algs: BTreeSet<&str> = entries.iter().map(|e| e.algorithm).collect();
+    let by_algorithm = algs.into_iter().map(|alg| {
+        let totals = aggregate_json(entries, |e| e.algorithm == alg);
+        (alg, Json::obj(totals))
+    });
 
-    out.push_str("  \"entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        let obs_field = match &e.obs {
-            Some(report) => format!(", \"obs\": {report}"),
-            None => String::new(),
-        };
-        let _ = writeln!(
-            out,
-            "    {{\"figure\": \"{}\", \"{}\": {}, \"algorithm\": \"{}\", \"seed\": {}, \
-             \"candidates\": {}, \"iterations\": {}, \"exhaustive_bound\": {}, \
-             \"eval_reduction\": {}, \"wall_speedup\": {}, \"plans_identical\": {}, \
-             \"plan_hash\": \"{:016x}\", \"lazy\": {}, \"exhaustive\": {}{}}}{}",
-            e.figure,
-            e.x_label,
-            e.x,
-            e.algorithm,
-            e.seed,
-            e.lazy.stats.counters.candidates,
-            e.lazy.stats.counters.iterations,
-            e.lazy.stats.counters.exhaustive_bound(),
-            json_f64(e.eval_reduction()),
-            json_f64(e.wall_speedup()),
-            e.plans_identical,
-            e.plan_hash,
-            stats_json(&e.lazy),
-            stats_json(&e.exhaustive),
-            obs_field,
-            if i + 1 < entries.len() { "," } else { "" }
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let records: Vec<Record> = entries
+        .iter()
+        .map(|e| {
+            let c = &e.lazy.stats.counters;
+            Record {
+                key: e.key(),
+                exact: Json::obj([
+                    ("figure", e.figure.into()),
+                    (e.x_label, e.x.into()),
+                    ("algorithm", e.algorithm.into()),
+                    ("seed", e.seed.into()),
+                    ("candidates", c.candidates.into()),
+                    ("iterations", c.iterations.into()),
+                    ("exhaustive_bound", c.exhaustive_bound().into()),
+                    ("plans_identical", e.plans_identical.into()),
+                    ("plan_hash", format!("{:016x}", e.plan_hash).into()),
+                    ("lazy", counters_json(&e.lazy)),
+                    ("exhaustive", counters_json(&e.exhaustive)),
+                ]),
+                timing: Json::obj([
+                    ("lazy.setup_ns", e.lazy.setup_ns.into()),
+                    ("lazy.loop_ns", e.lazy.loop_ns.into()),
+                    ("exhaustive.setup_ns", e.exhaustive.setup_ns.into()),
+                    ("exhaustive.loop_ns", e.exhaustive.loop_ns.into()),
+                ]),
+            }
+        })
+        .collect();
+    let summary = [
+        ("headline_fig4_delta5", Json::obj(headline)),
+        ("by_algorithm", Json::obj(by_algorithm)),
+    ];
+    write_report(&header, &summary, &records)
 }
 
 /// Measures the enabled-recorder overhead on the headline fig-4 δ = 5 m
@@ -516,7 +473,7 @@ fn main() {
         started.elapsed().as_secs_f64()
     );
 
-    let json = render_json(&entries, mode, scale, &seeds);
+    let json = report_json(&entries, mode, scale, &seeds);
     if let Err(e) = std::fs::write(&out_path, &json) {
         eprintln!("failed to write {out_path}: {e}");
         std::process::exit(1);
@@ -546,19 +503,12 @@ fn main() {
         let diverged: Vec<&Entry> = entries.iter().filter(|e| !e.plans_identical).collect();
         let over: Vec<&Entry> = entries.iter().filter(|e| !e.within_bound()).collect();
         for e in &diverged {
-            eprintln!(
-                "DIVERGED: {} {}={} {} seed {}",
-                e.figure, e.x_label, e.x, e.algorithm, e.seed
-            );
+            eprintln!("DIVERGED: {}", e.key());
         }
         for e in &over {
             eprintln!(
-                "OVER BOUND: {} {}={} {} seed {}: {} evaluations > bound {}",
-                e.figure,
-                e.x_label,
-                e.x,
-                e.algorithm,
-                e.seed,
+                "OVER BOUND: {}: {} evaluations > bound {}",
+                e.key(),
                 e.lazy.stats.counters.evaluations,
                 e.lazy.stats.counters.exhaustive_bound()
             );

@@ -13,15 +13,16 @@
 //! cargo run --release -p uavdc-bench --bin robustness_sweep -- --quick # CI smoke
 //! ```
 //!
-//! Every field in an entry is deterministic (seeded RNG streams, no
-//! wall-clock anywhere), so `bench_compare` diffs robustness artefacts
-//! with zero tolerance: any flipped bit is a behaviour change. `--check`
+//! Every value of a mission is deterministic (seeded RNG streams, no
+//! wall-clock anywhere), so each entry carries them all under `exact`
+//! and an empty `timing`: `bench_compare` diffs them with zero
+//! tolerance, and any flipped bit is a behaviour change. `--check`
 //! exits non-zero if any mission fails its safe-return contract — the
 //! belt-and-braces twin of the `controller_props` harness.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 use uavdc_bench::delta_sweep;
+use uavdc_bench::json::{write_report, Entry as Record, Json};
 use uavdc_core::{Alg2Config, Alg2Planner, Alg3Config, Alg3Planner, BenchmarkPlanner, EngineMode};
 use uavdc_net::generator::{uniform, ScenarioParams};
 use uavdc_net::units::Seconds;
@@ -109,6 +110,15 @@ struct Entry {
     safe: bool,
 }
 
+impl Entry {
+    fn key(&self) -> String {
+        format!(
+            "fig4 delta_m={} {} seed={} level={}",
+            self.delta, self.algorithm, self.seed, self.level
+        )
+    }
+}
+
 fn fly_point(
     delta: f64,
     algorithm: &'static str,
@@ -191,101 +201,72 @@ fn run_sweeps(scale: f64, seeds: &[u64], deltas: &[f64]) -> Vec<Entry> {
     entries
 }
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
+/// `part / whole`, or 1 when there is nothing to compare against.
+fn ratio(part: f64, whole: f64) -> f64 {
+    if whole > 0.0 {
+        part / whole
     } else {
-        "null".to_string()
+        1.0
     }
 }
 
-fn render_json(entries: &[Entry], mode: &str, scale: f64, seeds: &[u64]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"uavdc-robustness/1\",");
-    let _ = writeln!(out, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(out, "  \"scale\": {scale},");
-    let _ = writeln!(
-        out,
-        "  \"seeds\": [{}],",
-        seeds
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    let _ = writeln!(
-        out,
-        "  \"levels\": [{}],",
-        LEVELS
-            .iter()
-            .map(|l| format!("\"{l}\""))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
+fn report_json(entries: &[Entry], mode: &str, scale: f64, seeds: &[u64]) -> String {
+    let header = Json::obj([
+        ("schema", "uavdc-robustness/2".into()),
+        ("mode", mode.into()),
+        ("scale", scale.into()),
+        ("seeds", seeds.iter().copied().collect()),
+        ("levels", LEVELS.into_iter().collect()),
+    ]);
 
     // Headline: delivered volume per fault level, and its ratio to the
     // calm run — the degradation curve the sweep exists to measure.
-    out.push_str("  \"degradation\": {\n");
-    let calm_total: f64 = entries
-        .iter()
-        .filter(|e| e.level == 0)
-        .map(|e| e.delivered_mb)
-        .sum();
-    for (level, name) in LEVELS.iter().enumerate() {
-        let total: f64 = entries
+    let delivered = |level: usize| -> f64 {
+        entries
             .iter()
             .filter(|e| e.level == level)
             .map(|e| e.delivered_mb)
-            .sum();
-        let _ = writeln!(
-            out,
-            "    \"{name}\": {{\"delivered_mb\": {}, \"vs_calm\": {}}}{}",
-            json_f64(total),
-            json_f64(if calm_total > 0.0 {
-                total / calm_total
-            } else {
-                1.0
-            }),
-            if level + 1 < LEVELS.len() { "," } else { "" }
-        );
-    }
-    out.push_str("  },\n");
+            .sum()
+    };
+    let degradation = LEVELS.iter().enumerate().map(|(level, &name)| {
+        let total = delivered(level);
+        let fields = [
+            ("delivered_mb", total.into()),
+            ("vs_calm", ratio(total, delivered(0)).into()),
+        ];
+        (name, Json::obj(fields))
+    });
 
-    out.push_str("  \"entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"figure\": \"fig4\", \"delta_m\": {}, \"algorithm\": \"{}\", \"seed\": {}, \
-             \"fault_level\": {}, \"fault_name\": \"{}\", \
-             \"delivered_mb\": {}, \"planned_mb\": {}, \
-             \"delivered_frac\": {}, \"energy_bits\": \"{:016x}\", \
-             \"trace_fp\": \"{:016x}\", \"executed_fp\": \"{:016x}\", \
-             \"replans\": {}, \"trims\": {}, \"drops\": {}, \"safe\": {}}}{}",
-            e.delta,
-            e.algorithm,
-            e.seed,
-            e.level,
-            LEVELS[e.level],
-            json_f64(e.delivered_mb),
-            json_f64(e.planned_mb),
-            json_f64(if e.planned_mb > 0.0 {
-                e.delivered_mb / e.planned_mb
-            } else {
-                1.0
-            }),
-            e.energy_bits,
-            e.trace_fp,
-            e.executed_fp,
-            e.replans,
-            e.trims,
-            e.drops,
-            e.safe,
-            if i + 1 < entries.len() { "," } else { "" }
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let records: Vec<Record> = entries
+        .iter()
+        .map(|e| Record {
+            key: e.key(),
+            exact: Json::obj([
+                ("figure", "fig4".into()),
+                ("delta_m", e.delta.into()),
+                ("algorithm", e.algorithm.into()),
+                ("seed", e.seed.into()),
+                ("fault_level", e.level.into()),
+                ("fault_name", LEVELS[e.level].into()),
+                ("delivered_mb", e.delivered_mb.into()),
+                ("planned_mb", e.planned_mb.into()),
+                ("delivered_frac", ratio(e.delivered_mb, e.planned_mb).into()),
+                ("energy_bits", format!("{:016x}", e.energy_bits).into()),
+                ("trace_fp", format!("{:016x}", e.trace_fp).into()),
+                ("executed_fp", format!("{:016x}", e.executed_fp).into()),
+                ("replans", e.replans.into()),
+                ("trims", e.trims.into()),
+                ("drops", e.drops.into()),
+                ("safe", e.safe.into()),
+            ]),
+            timing: Json::obj([]),
+        })
+        .collect();
+    write_report(
+        &header,
+        &[("degradation", Json::obj(degradation))],
+        &records,
+    )
 }
 
 fn main() {
@@ -335,7 +316,7 @@ fn main() {
         started.elapsed().as_secs_f64()
     );
 
-    let json = render_json(&entries, mode, scale, &seeds);
+    let json = report_json(&entries, mode, scale, &seeds);
     if let Err(e) = std::fs::write(&out_path, &json) {
         eprintln!("failed to write {out_path}: {e}");
         std::process::exit(1);
@@ -364,10 +345,7 @@ fn main() {
     if check {
         let unsafe_runs: Vec<&Entry> = entries.iter().filter(|e| !e.safe).collect();
         for e in &unsafe_runs {
-            eprintln!(
-                "UNSAFE: fig4 delta_m={} {} seed={} level={}",
-                e.delta, e.algorithm, e.seed, e.level
-            );
+            eprintln!("UNSAFE: {}", e.key());
         }
         if !unsafe_runs.is_empty() {
             std::process::exit(1);

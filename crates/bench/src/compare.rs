@@ -1,54 +1,45 @@
 //! Noise-aware comparison of two baseline JSON artefacts
 //! (`planner_baseline`, `robustness_sweep`).
 //!
-//! The baseline file mixes two kinds of numbers. *Deterministic* fields —
-//! candidate counts, iteration counts, every evaluation and tour counter,
-//! plan hashes, the lazy/exhaustive identity bit — are products of the
-//! workspace's determinism discipline: any difference is a behaviour
-//! change and fails the comparison outright. *Timing* fields (`setup_ns`,
-//! `loop_ns`) are machine noise up to a point, so they are gated by a
-//! relative tolerance combined with a minimum absolute delta (tiny phases
-//! jitter by large ratios without meaning anything).
+//! Every artefact has one shape, written by
+//! [`write_report`](crate::json::write_report):
+//! `{"header": {…}, "summary": {…}, "entries": [{"key": "…", "exact":
+//! {…}, "timing": {…}}]}`. [`compare`] reads nothing else and knows no
+//! producer or field by name:
 //!
-//! [`compare`] pairs entries by (figure, x value, algorithm, seed[,
-//! fault level]) and returns a [`CompareReport`];
+//! - `header` (schema, mode, scale, seeds, …) is deep-diffed; any
+//!   difference is a structural failure;
+//! - entries pair by `key`; a key on one side only, or twice on one
+//!   side, is a structural failure — nothing is silently skipped;
+//! - `exact` holds deterministic values (counters, plan hashes,
+//!   fingerprints) and is deep-diffed: any difference diverges;
+//! - every `timing` field is integer nanoseconds of wall time, machine
+//!   noise up to a point. A field slower by more than [`TIMING_REL_TOL`]
+//!   *and* [`TIMING_MIN_ABS_NS`] is reported, but as an informational
+//!   note: run-to-run spread on one machine exceeds the tolerance, so it
+//!   cannot gate;
+//! - `summary` is derived from the entries and is not read.
+//!
 //! [`CompareReport::markdown`] renders the diff table CI posts to the
-//! job summary. Entries present on only one side and duplicate entry
-//! keys within one side are structural failures — nothing is silently
-//! skipped.
+//! job summary.
 
 use crate::json::Json;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
-/// Tolerances for the timing comparison.
-#[derive(Clone, Copy, Debug)]
-pub struct CompareConfig {
-    /// Relative tolerance for timings: a current value up to
-    /// `(1 + rel_tol) ×` baseline passes. Default `0.5` — CI runners are
-    /// noisy, and the deterministic counters are the real gate.
-    pub rel_tol: f64,
-    /// A timing difference below this many nanoseconds never fails,
-    /// whatever the ratio. Default 5 ms.
-    pub min_abs_ns: u64,
-}
+/// A timing up to `(1 + TIMING_REL_TOL) ×` its baseline is not reported.
+pub const TIMING_REL_TOL: f64 = 0.5;
 
-impl Default for CompareConfig {
-    fn default() -> Self {
-        CompareConfig {
-            rel_tol: 0.5,
-            min_abs_ns: 5_000_000,
-        }
-    }
-}
+/// A timing difference below this many nanoseconds is never reported,
+/// whatever the ratio: tiny phases jitter by large ratios.
+pub const TIMING_MIN_ABS_NS: u64 = 5_000_000;
 
 /// How one compared field fared.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Verdict {
-    /// Values match (deterministic) or are within tolerance (timing).
-    Ok,
-    /// Timing above tolerance — a regression when timings are gated.
+    /// Timing slower beyond both tolerances — informational.
     TimingRegression,
-    /// Deterministic field differs — always a failure.
+    /// Deterministic value differs — always a failure.
     Diverged,
 }
 
@@ -57,7 +48,7 @@ pub enum Verdict {
 pub struct Row {
     /// Entry key, e.g. `fig4 delta_m=5 Algorithm 2 seed=39582`.
     pub key: String,
-    /// Field path, e.g. `lazy.evaluations`.
+    /// Field path, e.g. `exact.lazy.evaluations`.
     pub field: String,
     /// Baseline value as text.
     pub baseline: String,
@@ -84,7 +75,7 @@ impl CompareReport {
         !self.structural.is_empty() || self.rows.iter().any(|r| r.verdict == Verdict::Diverged)
     }
 
-    /// Any timing above tolerance.
+    /// Any timing slower beyond tolerance.
     pub fn has_timing_regression(&self) -> bool {
         self.rows
             .iter()
@@ -109,8 +100,7 @@ impl CompareReport {
             out.push_str("|---|---|---:|---:|---|\n");
             for r in &self.rows {
                 let status = match r.verdict {
-                    Verdict::Ok => "within tolerance",
-                    Verdict::TimingRegression => "⚠️ timing regression",
+                    Verdict::TimingRegression => "⚠️ timing regression (informational)",
                     Verdict::Diverged => "❌ diverged",
                 };
                 let _ = writeln!(
@@ -124,121 +114,62 @@ impl CompareReport {
     }
 }
 
-/// Header fields that must match exactly for entries to be comparable at
-/// all.
-const HEADER_EXACT: [&str; 3] = ["schema", "mode", "scale"];
-
-/// Deterministic per-engine counters inside `lazy` / `exhaustive`.
-const ENGINE_COUNTERS: [&str; 7] = [
-    "evaluations",
-    "marginal_evals",
-    "delta_rescans",
-    "fixups",
-    "heap_pops",
-    "tour_patches",
-    "full_retours",
-];
-
-/// Timing fields inside `lazy` / `exhaustive`.
-const ENGINE_TIMINGS: [&str; 2] = ["setup_ns", "loop_ns"];
-
 fn render(v: Option<&Json>) -> String {
     match v {
         None => "∅".to_string(),
-        Some(Json::Null) => "null".to_string(),
-        Some(Json::Bool(b)) => b.to_string(),
-        Some(Json::Num(n)) => {
-            // lint:allow(float-ord): exactness probe — integral values round-trip bit-identically
-            if n.fract() == 0.0 && n.abs() < 2f64.powi(53) {
-                format!("{}", *n as i64)
-            } else {
-                format!("{n}")
-            }
-        }
         Some(Json::Str(s)) => s.clone(),
-        Some(other) => format!("{other:?}"),
+        Some(other) => other.to_string(),
     }
 }
 
-fn entry_key(e: &Json, x_label: &str) -> String {
-    let mut key = format!(
-        "{} {}={} {} seed={}",
-        e.get("figure").and_then(Json::as_str).unwrap_or("?"),
-        x_label,
-        render(e.get(x_label)),
-        e.get("algorithm").and_then(Json::as_str).unwrap_or("?"),
-        render(e.get("seed")),
-    );
-    // Robustness entries repeat each sweep point across the fault
-    // ladder; the level disambiguates the key.
-    if let Some(level) = e.get("fault_level") {
-        let _ = write!(key, " level={}", render(Some(level)));
-    }
-    key
-}
+/// What [`diff`] does with a pair of unequal leaves.
+type Leaf = fn(&mut Vec<Row>, &str, &str, Option<&Json>, Option<&Json>);
 
-/// The sweep-coordinate field of an entry (`capacity_j` or `delta_m`).
-fn x_label(e: &Json) -> &str {
-    if e.get("delta_m").is_some() {
-        "delta_m"
-    } else {
-        "capacity_j"
-    }
-}
-
-/// Recursively hard-diffs two JSON values field by field. Used for
-/// schemas whose entries are deterministic end to end (the robustness
-/// baseline): every scalar divergence is its own report row, objects
-/// walk the union of their keys, arrays pair elementwise.
-fn diff_exact(rows: &mut Vec<Row>, key: &str, path: &str, a: Option<&Json>, b: Option<&Json>) {
+/// Walks two JSON values in step and hands every unequal leaf to
+/// `leaf`: objects walk the union of their keys, equal-length arrays
+/// pair elementwise, anything else (a scalar, a missing side, a shape
+/// change) is a leaf.
+fn diff(
+    rows: &mut Vec<Row>,
+    key: &str,
+    path: &str,
+    a: Option<&Json>,
+    b: Option<&Json>,
+    leaf: Leaf,
+) {
     if a == b {
         return;
     }
     match (a, b) {
         (Some(Json::Obj(ao)), Some(Json::Obj(bo))) => {
-            let mut fields: Vec<&String> = ao.keys().chain(bo.keys()).collect();
-            fields.sort_unstable();
-            fields.dedup();
+            let fields: BTreeSet<&String> = ao.keys().chain(bo.keys()).collect();
             for field in fields {
-                let sub = if path.is_empty() {
-                    field.clone()
-                } else {
-                    format!("{path}.{field}")
-                };
-                diff_exact(rows, key, &sub, ao.get(field), bo.get(field));
+                let sub = format!("{path}.{field}");
+                diff(rows, key, &sub, ao.get(field), bo.get(field), leaf);
             }
         }
         (Some(Json::Arr(aa)), Some(Json::Arr(ba))) if aa.len() == ba.len() => {
             for (i, (ae, be)) in aa.iter().zip(ba).enumerate() {
-                diff_exact(rows, key, &format!("{path}[{i}]"), Some(ae), Some(be));
+                diff(rows, key, &format!("{path}[{i}]"), Some(ae), Some(be), leaf);
             }
         }
-        _ => push_if_diff(rows, key, path, a, b),
+        _ => leaf(rows, key, path, a, b),
     }
 }
 
-fn push_if_diff(rows: &mut Vec<Row>, key: &str, field: &str, a: Option<&Json>, b: Option<&Json>) {
-    if a != b {
-        rows.push(Row {
-            key: key.to_string(),
-            field: field.to_string(),
-            baseline: render(a),
-            current: render(b),
-            verdict: Verdict::Diverged,
-        });
-    }
+fn diverged(rows: &mut Vec<Row>, key: &str, field: &str, a: Option<&Json>, b: Option<&Json>) {
+    rows.push(Row {
+        key: key.to_string(),
+        field: field.to_string(),
+        baseline: render(a),
+        current: render(b),
+        verdict: Verdict::Diverged,
+    });
 }
 
-fn compare_timing(
-    rows: &mut Vec<Row>,
-    cfg: &CompareConfig,
-    key: &str,
-    field: &str,
-    a: Option<&Json>,
-    b: Option<&Json>,
-) {
+fn compare_timing(rows: &mut Vec<Row>, key: &str, field: &str, a: Option<&Json>, b: Option<&Json>) {
     let (Some(base), Some(cur)) = (a.and_then(Json::as_u64), b.and_then(Json::as_u64)) else {
-        push_if_diff(rows, key, field, a, b); // malformed timings: hard diff
+        diverged(rows, key, field, a, b); // missing or malformed timing
         return;
     };
     if cur <= base {
@@ -246,7 +177,7 @@ fn compare_timing(
     }
     let abs = cur - base;
     let rel = abs as f64 / (base.max(1)) as f64;
-    if abs >= cfg.min_abs_ns && rel > cfg.rel_tol {
+    if abs >= TIMING_MIN_ABS_NS && rel > TIMING_REL_TOL {
         rows.push(Row {
             key: key.to_string(),
             field: field.to_string(),
@@ -257,136 +188,70 @@ fn compare_timing(
     }
 }
 
-/// Compares two parsed baseline documents.
-///
-/// Returns `Err` only when a document is too malformed to walk (missing
-/// `entries` array); everything else is reported in the
-/// [`CompareReport`].
-pub fn compare(
-    baseline: &Json,
-    current: &Json,
-    cfg: &CompareConfig,
-) -> Result<CompareReport, String> {
-    let mut report = CompareReport::default();
-
-    for field in HEADER_EXACT {
-        let (a, b) = (baseline.get(field), current.get(field));
-        if a != b {
-            report.structural.push(format!(
-                "header `{field}` differs: baseline {} vs current {}",
-                render(a),
-                render(b)
-            ));
+/// The entries of one document by key, with duplicate keys reported.
+fn entries_by_key<'a>(
+    doc: &'a Json,
+    side: &str,
+    structural: &mut Vec<String>,
+) -> Result<BTreeMap<&'a str, &'a Json>, String> {
+    let entries = doc
+        .get("entries")
+        .and_then(Json::as_array)
+        .ok_or_else(|| format!("{side} has no `entries` array"))?;
+    let mut by_key = BTreeMap::new();
+    for (i, e) in entries.iter().enumerate() {
+        let key = e
+            .get("key")
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("{side} entry {i} has no string `key`"))?;
+        // A duplicate would silently shadow its twin in the map.
+        if by_key.insert(key, e).is_some() {
+            structural.push(format!("duplicate entry key in {side}: {key}"));
         }
     }
-    if baseline.get("seeds") != current.get("seeds") {
+    Ok(by_key)
+}
+
+/// Compares two parsed baseline documents.
+///
+/// Returns `Err` only when a document is too malformed to walk (no
+/// `entries` array, an entry without a string `key`); everything else is
+/// reported in the [`CompareReport`].
+pub fn compare(baseline: &Json, current: &Json) -> Result<CompareReport, String> {
+    let mut report = CompareReport::default();
+
+    let mut header = Vec::new();
+    let (a, b) = (baseline.get("header"), current.get("header"));
+    diff(&mut header, "", "header", a, b, diverged);
+    for r in header {
         report.structural.push(format!(
-            "header `seeds` differ: baseline {} vs current {}",
-            render(baseline.get("seeds")),
-            render(current.get("seeds"))
+            "`{}` differs: baseline {} vs current {}",
+            r.field, r.baseline, r.current
         ));
     }
 
-    let base_entries = baseline
-        .get("entries")
-        .and_then(Json::as_array)
-        .ok_or_else(|| "baseline has no `entries` array".to_string())?;
-    let cur_entries = current
-        .get("entries")
-        .and_then(Json::as_array)
-        .ok_or_else(|| "current has no `entries` array".to_string())?;
-
-    // Pair by key. Keys must be unique per file — a duplicate would
-    // silently shadow its twin in the map, so it is reported as a
-    // structural failure instead. The BTreeMap keeps the unpaired-entry
-    // report deterministic.
-    let mut cur_by_key = std::collections::BTreeMap::new();
-    for e in cur_entries {
-        let key = entry_key(e, x_label(e));
-        if cur_by_key.insert(key.clone(), e).is_some() {
-            report
-                .structural
-                .push(format!("duplicate entry key in current: {key}"));
-        }
-    }
-
-    // Robustness artefacts carry no timings: every entry field is
-    // deterministic, so they are diffed exactly, whatever their shape.
-    let all_deterministic = baseline
-        .get("schema")
-        .and_then(Json::as_str)
-        .is_some_and(|s| s.starts_with("uavdc-robustness/"));
-
-    let mut base_seen = std::collections::BTreeSet::new();
-    for base in base_entries {
-        let xl = x_label(base);
-        let key = entry_key(base, xl);
-        if !base_seen.insert(key.clone()) {
-            report
-                .structural
-                .push(format!("duplicate entry key in baseline: {key}"));
-            continue;
-        }
-        let Some(cur) = cur_by_key.remove(&key) else {
+    let base = entries_by_key(baseline, "baseline", &mut report.structural)?;
+    let mut cur = entries_by_key(current, "current", &mut report.structural)?;
+    for (key, b) in base {
+        let Some(c) = cur.remove(key) else {
             report.structural.push(format!(
                 "entry removed (baseline only, missing from current): {key}"
             ));
             continue;
         };
         report.paired_entries += 1;
-
-        if all_deterministic {
-            diff_exact(&mut report.rows, &key, "", Some(base), Some(cur));
-            continue;
-        }
-
-        for field in ["candidates", "iterations", "exhaustive_bound"] {
-            push_if_diff(
-                &mut report.rows,
-                &key,
-                field,
-                base.get(field),
-                cur.get(field),
-            );
-        }
-        push_if_diff(
-            &mut report.rows,
-            &key,
-            "plans_identical",
-            base.get("plans_identical"),
-            cur.get("plans_identical"),
+        let rows = &mut report.rows;
+        diff(rows, key, "exact", b.get("exact"), c.get("exact"), diverged);
+        diff(
+            rows,
+            key,
+            "timing",
+            b.get("timing"),
+            c.get("timing"),
+            compare_timing,
         );
-        push_if_diff(
-            &mut report.rows,
-            &key,
-            "plan_hash",
-            base.get("plan_hash"),
-            cur.get("plan_hash"),
-        );
-        for engine in ["lazy", "exhaustive"] {
-            let (be, ce) = (base.get(engine), cur.get(engine));
-            for counter in ENGINE_COUNTERS {
-                push_if_diff(
-                    &mut report.rows,
-                    &key,
-                    &format!("{engine}.{counter}"),
-                    be.and_then(|e| e.get(counter)),
-                    ce.and_then(|e| e.get(counter)),
-                );
-            }
-            for timing in ENGINE_TIMINGS {
-                compare_timing(
-                    &mut report.rows,
-                    cfg,
-                    &key,
-                    &format!("{engine}.{timing}"),
-                    be.and_then(|e| e.get(timing)),
-                    ce.and_then(|e| e.get(timing)),
-                );
-            }
-        }
     }
-    for key in cur_by_key.keys() {
+    for key in cur.keys() {
         report.structural.push(format!(
             "entry added (current only, missing from baseline): {key}"
         ));
@@ -401,21 +266,24 @@ mod tests {
 
     fn fixture(loop_ns: u64, evals: u64, patches: u64, retours: u64, hash: &str) -> Json {
         parse(&format!(
-            r#"{{"schema": "uavdc-planner-baseline/3", "mode": "quick", "scale": 0.2,
-                "seeds": [39582],
+            r#"{{"header": {{"schema": "planner-fixture/4", "mode": "quick",
+                            "scale": 0.2, "seeds": [39582]}},
+                "summary": {{"headline_fig4_delta5": {{"alg2_wall_speedup": 1.5}}}},
                 "entries": [
-                  {{"figure": "fig4", "delta_m": 5, "algorithm": "Algorithm 2",
-                    "seed": 39582, "candidates": 100, "iterations": 10,
-                    "exhaustive_bound": 1000, "plans_identical": true,
-                    "plan_hash": "{hash}",
-                    "lazy": {{"evaluations": {evals}, "marginal_evals": 5,
-                             "delta_rescans": 0, "fixups": 0, "heap_pops": 30,
-                             "tour_patches": {patches}, "full_retours": {retours},
-                             "setup_ns": 1000000, "loop_ns": {loop_ns}}},
-                    "exhaustive": {{"evaluations": 1000, "marginal_evals": 0,
-                             "delta_rescans": 0, "fixups": 0, "heap_pops": 0,
-                             "tour_patches": {patches}, "full_retours": {retours},
-                             "setup_ns": 1000000, "loop_ns": 9000000}}}}
+                  {{"key": "fig4 delta_m=5 Algorithm 2 seed=39582",
+                    "exact": {{"figure": "fig4", "delta_m": 5, "algorithm": "Algorithm 2",
+                      "seed": 39582, "candidates": 100, "iterations": 10,
+                      "exhaustive_bound": 1000, "plans_identical": true,
+                      "plan_hash": "{hash}",
+                      "lazy": {{"evaluations": {evals}, "marginal_evals": 5,
+                               "delta_rescans": 0, "fixups": 0, "heap_pops": 30,
+                               "tour_patches": {patches}, "full_retours": {retours}}},
+                      "exhaustive": {{"evaluations": 1000, "marginal_evals": 0,
+                               "delta_rescans": 0, "fixups": 0, "heap_pops": 0,
+                               "tour_patches": {patches}, "full_retours": {retours}}}}},
+                    "timing": {{"lazy.setup_ns": 1000000, "lazy.loop_ns": {loop_ns},
+                               "exhaustive.setup_ns": 1000000,
+                               "exhaustive.loop_ns": 9000000}}}}
                 ]}}"#
         ))
         .expect("fixture parses")
@@ -425,10 +293,26 @@ mod tests {
         fixture(loop_ns, evals, 40, 0, hash)
     }
 
+    /// The object at `path` below `doc`; numeric segments index arrays.
+    fn obj_at<'a>(doc: &'a mut Json, path: &[&str]) -> &'a mut BTreeMap<String, Json> {
+        let mut v = doc;
+        for seg in path {
+            v = match v {
+                Json::Obj(map) => map.get_mut(*seg).expect("field exists"),
+                Json::Arr(items) => &mut items[seg.parse::<usize>().expect("index")],
+                other => panic!("no container at {seg}: {other:?}"),
+            };
+        }
+        match v {
+            Json::Obj(map) => map,
+            other => panic!("not an object: {other:?}"),
+        }
+    }
+
     #[test]
     fn identical_documents_are_clean() {
         let a = doc(8_000_000, 120, "aa");
-        let r = compare(&a, &a, &CompareConfig::default()).expect("walkable");
+        let r = compare(&a, &a).expect("walkable");
         assert!(!r.has_divergence());
         assert!(!r.has_timing_regression());
         assert_eq!(r.paired_entries, 1);
@@ -439,24 +323,27 @@ mod tests {
     fn eval_count_change_diverges() {
         let a = doc(8_000_000, 120, "aa");
         let b = doc(8_000_000, 121, "aa");
-        let r = compare(&a, &b, &CompareConfig::default()).expect("walkable");
+        let r = compare(&a, &b).expect("walkable");
         assert!(r.has_divergence());
-        assert!(r.rows.iter().any(|row| row.field == "lazy.evaluations"));
+        assert!(r
+            .rows
+            .iter()
+            .any(|row| row.field == "exact.lazy.evaluations"));
     }
 
     #[test]
     fn plan_hash_change_diverges() {
         let a = doc(8_000_000, 120, "aa");
         let b = doc(8_000_000, 120, "bb");
-        let r = compare(&a, &b, &CompareConfig::default()).expect("walkable");
+        let r = compare(&a, &b).expect("walkable");
         assert!(r.has_divergence());
     }
 
     #[test]
     fn timing_jitter_within_tolerance_passes() {
         let a = doc(8_000_000, 120, "aa");
-        let b = doc(11_000_000, 120, "aa"); // +37% < 50% default rel_tol
-        let r = compare(&a, &b, &CompareConfig::default()).expect("walkable");
+        let b = doc(11_000_000, 120, "aa"); // +37% < 50% TIMING_REL_TOL
+        let r = compare(&a, &b).expect("walkable");
         assert!(!r.has_divergence());
         assert!(!r.has_timing_regression());
     }
@@ -465,17 +352,18 @@ mod tests {
     fn large_timing_jump_is_a_regression_not_divergence() {
         let a = doc(8_000_000, 120, "aa");
         let b = doc(40_000_000, 120, "aa"); // 5x, far over tolerance
-        let r = compare(&a, &b, &CompareConfig::default()).expect("walkable");
+        let r = compare(&a, &b).expect("walkable");
         assert!(!r.has_divergence());
         assert!(r.has_timing_regression());
+        assert!(r.rows.iter().any(|row| row.field == "timing.lazy.loop_ns"));
         assert!(r.markdown().contains("timing regression"));
     }
 
     #[test]
     fn small_absolute_timing_delta_never_fails() {
         let a = doc(100, 120, "aa");
-        let b = doc(1_000_000, 120, "aa"); // 10000x but < min_abs_ns
-        let r = compare(&a, &b, &CompareConfig::default()).expect("walkable");
+        let b = doc(1_000_000, 120, "aa"); // 10000x but < TIMING_MIN_ABS_NS
+        let r = compare(&a, &b).expect("walkable");
         assert!(!r.has_timing_regression());
     }
 
@@ -483,7 +371,7 @@ mod tests {
     fn getting_faster_is_fine() {
         let a = doc(80_000_000, 120, "aa");
         let b = doc(8_000_000, 120, "aa");
-        let r = compare(&a, &b, &CompareConfig::default()).expect("walkable");
+        let r = compare(&a, &b).expect("walkable");
         assert!(!r.has_divergence());
         assert!(!r.has_timing_regression());
     }
@@ -492,10 +380,8 @@ mod tests {
     fn header_mismatch_is_structural() {
         let a = doc(8_000_000, 120, "aa");
         let mut b = doc(8_000_000, 120, "aa");
-        if let Json::Obj(map) = &mut b {
-            map.insert("mode".to_string(), Json::Str("full".to_string()));
-        }
-        let r = compare(&a, &b, &CompareConfig::default()).expect("walkable");
+        obj_at(&mut b, &["header"]).insert("mode".to_string(), "full".into());
+        let r = compare(&a, &b).expect("walkable");
         assert!(r.has_divergence());
         assert!(r.structural.iter().any(|s| s.contains("mode")));
     }
@@ -504,10 +390,8 @@ mod tests {
     fn unpaired_entries_are_structural() {
         let a = doc(8_000_000, 120, "aa");
         let mut b = doc(8_000_000, 120, "aa");
-        if let Json::Obj(map) = &mut b {
-            map.insert("entries".to_string(), Json::Arr(Vec::new()));
-        }
-        let r = compare(&a, &b, &CompareConfig::default()).expect("walkable");
+        obj_at(&mut b, &[]).insert("entries".to_string(), Json::Arr(Vec::new()));
+        let r = compare(&a, &b).expect("walkable");
         assert!(r.has_divergence());
         assert_eq!(r.paired_entries, 0);
     }
@@ -516,65 +400,119 @@ mod tests {
     fn tour_counter_drift_diverges() {
         let a = doc(8_000_000, 120, "aa");
         let b = fixture(8_000_000, 120, 41, 0, "aa");
-        let r = compare(&a, &b, &CompareConfig::default()).expect("walkable");
+        let r = compare(&a, &b).expect("walkable");
         assert!(r.has_divergence());
-        assert!(r.rows.iter().any(|row| row.field == "lazy.tour_patches"));
+        assert!(r
+            .rows
+            .iter()
+            .any(|row| row.field == "exact.lazy.tour_patches"));
         let c = fixture(8_000_000, 120, 40, 2, "aa");
-        let r = compare(&a, &c, &CompareConfig::default()).expect("walkable");
+        let r = compare(&a, &c).expect("walkable");
         assert!(r.has_divergence());
-        assert!(r.rows.iter().any(|row| row.field == "lazy.full_retours"));
+        assert!(r
+            .rows
+            .iter()
+            .any(|row| row.field == "exact.lazy.full_retours"));
     }
 
     #[test]
     fn missing_tour_counter_diverges() {
         let a = doc(8_000_000, 120, "aa");
         let mut b = doc(8_000_000, 120, "aa");
-        if let Json::Obj(map) = &mut b {
-            if let Some(Json::Arr(entries)) = map.get_mut("entries") {
-                if let Json::Obj(entry) = &mut entries[0] {
-                    if let Some(Json::Obj(lazy)) = entry.get_mut("lazy") {
-                        lazy.remove("tour_patches");
-                    }
-                }
-            }
-        }
-        let r = compare(&a, &b, &CompareConfig::default()).expect("walkable");
+        obj_at(&mut b, &["entries", "0", "exact", "lazy"]).remove("tour_patches");
+        let r = compare(&a, &b).expect("walkable");
         assert!(r.has_divergence());
-        assert!(r.rows.iter().any(|row| row.field == "lazy.tour_patches"));
+        assert!(r
+            .rows
+            .iter()
+            .any(|row| row.field == "exact.lazy.tour_patches"));
     }
 
     #[test]
     fn schema_mismatch_is_structural() {
         let a = doc(8_000_000, 120, "aa");
         let mut b = doc(8_000_000, 120, "aa");
-        if let Json::Obj(map) = &mut b {
-            map.insert(
-                "schema".to_string(),
-                Json::Str("uavdc-planner-baseline/2".to_string()),
-            );
-        }
-        let r = compare(&a, &b, &CompareConfig::default()).expect("walkable");
+        obj_at(&mut b, &["header"]).insert("schema".to_string(), "planner-fixture/3".into());
+        let r = compare(&a, &b).expect("walkable");
         assert!(r.has_divergence());
         assert!(r.structural.iter().any(|s| s.contains("schema")));
     }
 
+    #[test]
+    fn unnamed_exact_field_change_diverges() {
+        // No code names `split_resolved`: it diverges because it sits
+        // under `exact`, both when it changes and when it appears.
+        let mut a = doc(8_000_000, 120, "aa");
+        let mut b = doc(8_000_000, 120, "aa");
+        let lazy = ["entries", "0", "exact", "lazy"];
+        obj_at(&mut a, &lazy).insert("split_resolved".to_string(), 7u64.into());
+        obj_at(&mut b, &lazy).insert("split_resolved".to_string(), 8u64.into());
+        let r = compare(&a, &b).expect("walkable");
+        assert!(r.has_divergence());
+        assert!(r
+            .rows
+            .iter()
+            .any(|row| row.field == "exact.lazy.split_resolved"));
+        let r = compare(&doc(8_000_000, 120, "aa"), &b).expect("walkable");
+        assert!(r.has_divergence());
+        assert!(r
+            .rows
+            .iter()
+            .any(|row| row.field == "exact.lazy.split_resolved" && row.baseline == "∅"));
+    }
+
+    #[test]
+    fn unknown_schema_compares_by_the_same_rules() {
+        let with_schema = |loop_ns, evals| {
+            let mut d = doc(loop_ns, evals, "aa");
+            obj_at(&mut d, &["header"]).insert("schema".to_string(), "elsewhere/9".into());
+            d
+        };
+        let a = with_schema(8_000_000, 120);
+        let r = compare(&a, &a).expect("walkable");
+        assert!(!r.has_divergence());
+        assert_eq!(r.paired_entries, 1);
+        let r = compare(&a, &with_schema(8_000_000, 121)).expect("walkable");
+        assert!(r.has_divergence());
+        assert!(r
+            .rows
+            .iter()
+            .any(|row| row.field == "exact.lazy.evaluations"));
+        let r = compare(&a, &with_schema(40_000_000, 120)).expect("walkable");
+        assert!(!r.has_divergence());
+        assert!(r.has_timing_regression());
+        // A timing that disappears is a shape change, not noise.
+        let mut c = with_schema(8_000_000, 120);
+        obj_at(&mut c, &["entries", "0", "timing"]).remove("exhaustive.loop_ns");
+        let r = compare(&a, &c).expect("walkable");
+        assert!(r.has_divergence());
+        assert!(r.rows.iter().any(
+            |row| row.field == "timing.exhaustive.loop_ns" && row.verdict == Verdict::Diverged
+        ));
+    }
+
     fn robustness_doc(trace_fp: &str, drops: u64) -> Json {
         parse(&format!(
-            r#"{{"schema": "uavdc-robustness/1", "mode": "quick", "scale": 0.2,
-                "seeds": [39582], "levels": ["calm", "storm"],
+            r#"{{"header": {{"schema": "robustness-fixture/1", "mode": "quick", "scale": 0.2,
+                            "seeds": [39582], "levels": ["calm", "storm"]}},
+                "summary": {{"degradation": {{"calm": {{"delivered_mb": 812.5}}}}}},
                 "entries": [
-                  {{"figure": "fig4", "delta_m": 5, "algorithm": "Algorithm 2",
-                    "seed": 39582, "fault_level": 0, "fault_name": "calm",
-                    "delivered_mb": 812.5, "planned_mb": 812.5,
-                    "delivered_frac": 1, "energy_bits": "4114b5318b4c842a",
-                    "trace_fp": "aaaaaaaaaaaaaaaa", "executed_fp": "cccccccccccccccc",
-                    "replans": 0, "trims": 0, "drops": 0, "safe": true}},
-                  {{"figure": "fig4", "delta_m": 5, "algorithm": "Algorithm 2",
-                    "seed": 39582, "fault_level": 1, "fault_name": "storm",
-                    "delivered_mb": 444.25, "planned_mb": 812.5,
-                    "delivered_frac": 0.55, "energy_bits": "4114b5318b4c842b",
-                    "trace_fp": "{trace_fp}", "executed_fp": "dddddddddddddddd",
-                    "replans": 1, "trims": 2, "drops": {drops}, "safe": true}}
+                  {{"key": "fig4 delta_m=5 Algorithm 2 seed=39582 level=0",
+                    "exact": {{"figure": "fig4", "delta_m": 5, "algorithm": "Algorithm 2",
+                      "seed": 39582, "level": 0, "fault_name": "calm",
+                      "delivered_mb": 812.5, "planned_mb": 812.5,
+                      "delivered_frac": 1, "energy_bits": "4114b5318b4c842a",
+                      "trace_fp": "aaaaaaaaaaaaaaaa", "executed_fp": "cccccccccccccccc",
+                      "replans": 0, "trims": 0, "drops": 0, "safe": true}},
+                    "timing": {{}}}},
+                  {{"key": "fig4 delta_m=5 Algorithm 2 seed=39582 level=1",
+                    "exact": {{"figure": "fig4", "delta_m": 5, "algorithm": "Algorithm 2",
+                      "seed": 39582, "level": 1, "fault_name": "storm",
+                      "delivered_mb": 444.25, "planned_mb": 812.5,
+                      "delivered_frac": 0.55, "energy_bits": "4114b5318b4c842b",
+                      "trace_fp": "{trace_fp}", "executed_fp": "dddddddddddddddd",
+                      "replans": 1, "trims": 2, "drops": {drops}, "safe": true}},
+                    "timing": {{}}}}
                 ]}}"#
         ))
         .expect("fixture parses")
@@ -583,30 +521,42 @@ mod tests {
     #[test]
     fn robustness_identical_documents_are_clean() {
         let a = robustness_doc("bbbbbbbbbbbbbbbb", 3);
-        let r = compare(&a, &a, &CompareConfig::default()).expect("walkable");
+        let r = compare(&a, &a).expect("walkable");
         assert!(!r.has_divergence());
         // Both fault levels of the sweep point pair separately.
         assert_eq!(r.paired_entries, 2);
     }
 
     #[test]
+    fn robustness_levels_header_change_is_structural() {
+        let a = robustness_doc("bbbbbbbbbbbbbbbb", 3);
+        let mut b = robustness_doc("bbbbbbbbbbbbbbbb", 3);
+        obj_at(&mut b, &["header"]).insert(
+            "levels".to_string(),
+            Json::Arr(vec!["calm".into(), "gale".into()]),
+        );
+        let r = compare(&a, &b).expect("walkable");
+        assert!(r.has_divergence());
+        assert!(r.rows.is_empty(), "entries are identical");
+        assert!(r.structural.iter().any(|s| s.contains("levels")));
+    }
+
+    #[test]
     fn duplicate_entry_keys_are_structural_not_silent() {
         let a = doc(8_000_000, 120, "aa");
         let mut b = doc(8_000_000, 120, "aa");
-        if let Json::Obj(map) = &mut b {
-            if let Some(Json::Arr(entries)) = map.get_mut("entries") {
-                let twin = entries[0].clone();
-                entries.push(twin);
-            }
+        if let Some(Json::Arr(entries)) = obj_at(&mut b, &[]).get_mut("entries") {
+            let twin = entries[0].clone();
+            entries.push(twin);
         }
         // current has the same key twice: must fail, both directions.
-        let r = compare(&a, &b, &CompareConfig::default()).expect("walkable");
+        let r = compare(&a, &b).expect("walkable");
         assert!(r.has_divergence());
         assert!(r
             .structural
             .iter()
             .any(|s| s.contains("duplicate entry key in current")));
-        let r = compare(&b, &a, &CompareConfig::default()).expect("walkable");
+        let r = compare(&b, &a).expect("walkable");
         assert!(r.has_divergence());
         assert!(r
             .structural
@@ -618,10 +568,8 @@ mod tests {
     fn entry_only_in_current_fails_hard() {
         let mut a = doc(8_000_000, 120, "aa");
         let b = doc(8_000_000, 120, "aa");
-        if let Json::Obj(map) = &mut a {
-            map.insert("entries".to_string(), Json::Arr(Vec::new()));
-        }
-        let r = compare(&a, &b, &CompareConfig::default()).expect("walkable");
+        obj_at(&mut a, &[]).insert("entries".to_string(), Json::Arr(Vec::new()));
+        let r = compare(&a, &b).expect("walkable");
         assert!(r.has_divergence());
         assert!(r
             .structural
@@ -633,11 +581,11 @@ mod tests {
     fn robustness_entries_hard_diff_every_field() {
         let a = robustness_doc("bbbbbbbbbbbbbbbb", 3);
         let b = robustness_doc("bbbbbbbbbbbbbbbc", 4); // flipped fp bit + drop count
-        let r = compare(&a, &b, &CompareConfig::default()).expect("walkable");
+        let r = compare(&a, &b).expect("walkable");
         assert!(r.has_divergence());
         assert!(!r.has_timing_regression(), "no timings in this schema");
-        assert!(r.rows.iter().any(|row| row.field == "trace_fp"));
-        assert!(r.rows.iter().any(|row| row.field == "drops"));
+        assert!(r.rows.iter().any(|row| row.field == "exact.trace_fp"));
+        assert!(r.rows.iter().any(|row| row.field == "exact.drops"));
         // The diverging rows belong to the storm-level entry only.
         assert!(r.rows.iter().all(|row| row.key.ends_with("level=1")));
     }

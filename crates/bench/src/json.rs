@@ -1,14 +1,16 @@
-//! A minimal recursive-descent JSON parser for the bench-compare gate.
+//! A minimal JSON reader and writer for the baseline artefacts.
 //!
 //! The build environment is fully offline (DESIGN.md §11), so instead of
-//! serde this module implements exactly the subset the baseline files
-//! need: the full JSON grammar into an owned tree with `BTreeMap` objects
-//! (deterministic iteration order; `clippy.toml` bans hash containers).
-//! It is a reader for trusted, repo-generated artefacts — errors
-//! carry byte offsets for debugging, not resilience against adversarial
-//! input.
+//! serde this module implements exactly what the baseline files need:
+//! the full JSON grammar into an owned tree with `BTreeMap` objects
+//! (deterministic iteration order; `clippy.toml` bans hash containers),
+//! `Display` back to text, and [`write_report`], the one layout every
+//! baseline producer writes. The parser reads trusted, repo-generated
+//! artefacts — errors carry byte offsets for debugging, not resilience
+//! against adversarial input.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// An owned JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -29,6 +31,16 @@ pub enum Json {
 }
 
 impl Json {
+    /// An object from `(name, value)` pairs.
+    pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(name, value)| (name.to_string(), value))
+                .collect(),
+        )
+    }
+
     /// Member lookup on an object; `None` on other variants.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -69,6 +81,131 @@ impl Json {
             _ => None,
         }
     }
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<f64> for Json {
+    fn from(v: f64) -> Json {
+        Json::Num(v)
+    }
+}
+
+/// Counters and nanosecond timings; exact below 2^53.
+impl From<u64> for Json {
+    fn from(v: u64) -> Json {
+        Json::Num(v as f64)
+    }
+}
+
+impl From<usize> for Json {
+    fn from(v: usize) -> Json {
+        Json::Num(v as f64)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
+}
+
+/// An array of the items.
+impl<T: Into<Json>> FromIterator<T> for Json {
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Json {
+        Json::Arr(items.into_iter().map(Into::into).collect())
+    }
+}
+
+/// Compact one-line JSON, `", "` between members. Numbers use Rust's
+/// shortest round-trip form, so [`parse`] reads back the same bits;
+/// non-finite numbers, which JSON cannot express, are written `null`.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Num(n) if n.is_finite() => write!(f, "{n}"),
+            Json::Num(_) => f.write_str("null"),
+            Json::Str(s) => write_string(f, s),
+            Json::Arr(items) => {
+                f.write_str("[")?;
+                for (i, item) in items.iter().enumerate() {
+                    let sep = if i == 0 { "" } else { ", " };
+                    write!(f, "{sep}{item}")?;
+                }
+                f.write_str("]")
+            }
+            Json::Obj(map) => {
+                f.write_str("{")?;
+                for (i, (name, value)) in map.iter().enumerate() {
+                    let sep = if i == 0 { "" } else { ", " };
+                    write!(f, "{sep}{}: {value}", Json::from(name.as_str()))?;
+                }
+                f.write_str("}")
+            }
+        }
+    }
+}
+
+fn write_string(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_str("\"")?;
+    for ch in s.chars() {
+        match ch {
+            '"' => f.write_str("\\\"")?,
+            '\\' => f.write_str("\\\\")?,
+            '\n' => f.write_str("\\n")?,
+            '\r' => f.write_str("\\r")?,
+            '\t' => f.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+            c => write!(f, "{c}")?,
+        }
+    }
+    f.write_str("\"")
+}
+
+/// One record of a baseline artefact, paired across runs by `key`.
+#[derive(Clone, Debug)]
+pub struct Entry {
+    /// Unique within the artefact, e.g. `fig4 delta_m=5 Algorithm 2 seed=39582`.
+    pub key: String,
+    /// Every deterministic value: any change between runs is a divergence.
+    pub exact: Json,
+    /// Integer-nanosecond wall times, compared with a noise tolerance.
+    pub timing: Json,
+}
+
+/// Renders a baseline artefact in the one shape `bench_compare` reads:
+/// `{"header": …, "summary": …, "entries": [{"key", "exact", "timing"}]}`,
+/// with one summary member and one entry per line.
+pub fn write_report(header: &Json, summary: &[(&str, Json)], entries: &[Entry]) -> String {
+    let mut out = format!("{{\n  \"header\": {header},\n  \"summary\": {{");
+    for (i, (name, value)) in summary.iter().enumerate() {
+        let sep = if i == 0 { "" } else { "," };
+        out += &format!("{sep}\n    {}: {value}", Json::from(*name));
+    }
+    out += "\n  },\n  \"entries\": [";
+    for (i, e) in entries.iter().enumerate() {
+        let sep = if i == 0 { "" } else { "," };
+        out += &format!(
+            "{sep}\n    {{\"key\": {}, \"exact\": {}, \"timing\": {}}}",
+            Json::from(e.key.as_str()),
+            e.exact,
+            e.timing
+        );
+    }
+    out += "\n  ]\n}\n";
+    out
 }
 
 /// Why parsing failed, with the byte offset of the defect.
@@ -351,21 +488,61 @@ mod tests {
 
     #[test]
     fn roundtrips_baseline_shape() {
-        let doc = parse(
-            r#"{"schema": "uavdc-planner-baseline/3", "entries": [
-                {"figure": "fig4", "delta_m": 5, "seed": 39582,
-                 "plans_identical": true, "plan_hash": "00ff",
-                 "lazy": {"evaluations": 1234, "loop_ns": 56789}}
-            ]}"#,
-        )
-        .expect("valid");
-        let entry = &doc.get("entries").and_then(|e| e.as_array()).expect("arr")[0];
+        // 0.1 + 0.2 needs all 17 significant digits to come back exact.
+        let frac = 0.1 + 0.2;
+        let exact = |vs_calm: Json| {
+            Json::obj([
+                ("figure", "fig4".into()),
+                ("delta_m", 5.0.into()),
+                ("seed", 39582u64.into()),
+                ("plans_identical", true.into()),
+                ("plan_hash", "00ff".into()),
+                ("note", "a\"b\\c\n\u{1}é".into()),
+                ("delivered_frac", frac.into()),
+                ("vs_calm", vs_calm),
+                ("lazy", Json::obj([("evaluations", 1234u64.into())])),
+            ])
+        };
+        let entry = Entry {
+            key: "fig4 delta_m=5 Algorithm 2 seed=39582".to_string(),
+            exact: exact(f64::NAN.into()),
+            timing: Json::obj([("lazy.loop_ns", 56789u64.into())]),
+        };
+        let header = Json::obj([
+            ("schema", "uavdc-planner-baseline/4".into()),
+            ("scale", 0.2.into()),
+            ("seeds", Json::Arr(vec![39582u64.into()])),
+        ]);
+        let text = write_report(
+            &header,
+            &[("total", 1.5.into())],
+            std::slice::from_ref(&entry),
+        );
+        let doc = parse(&text).expect("valid");
+        assert_eq!(doc.get("header"), Some(&header));
         assert_eq!(
-            entry.get("plans_identical").and_then(Json::as_bool),
+            doc.get("summary").and_then(|s| s.get("total")),
+            Some(&Json::Num(1.5))
+        );
+        let back = &doc.get("entries").and_then(Json::as_array).expect("arr")[0];
+        assert_eq!(
+            back.get("key").and_then(Json::as_str),
+            Some(entry.key.as_str())
+        );
+        assert_eq!(back.get("timing"), Some(&entry.timing));
+        // The non-finite value comes back as `null`, everything else as written.
+        let back_exact = back.get("exact").expect("exact");
+        assert_eq!(back_exact, &exact(Json::Null));
+        match back_exact.get("delivered_frac") {
+            Some(Json::Num(v)) => assert_eq!(v.to_bits(), frac.to_bits()),
+            other => panic!("delivered_frac lost: {other:?}"),
+        }
+        assert_eq!(
+            back_exact.get("plans_identical").and_then(Json::as_bool),
             Some(true)
         );
         assert_eq!(
-            entry
+            back_exact
                 .get("lazy")
                 .and_then(|l| l.get("evaluations"))
                 .and_then(Json::as_u64),

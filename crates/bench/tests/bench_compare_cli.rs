@@ -5,20 +5,20 @@ use std::path::PathBuf;
 use std::process::Command;
 
 const BASELINE: &str = r#"{
-  "schema": "uavdc-planner-baseline/3",
-  "mode": "quick",
-  "scale": 0.2,
-  "seeds": [39582],
+  "header": {"schema": "uavdc-planner-baseline/4", "mode": "quick", "scale": 0.2,
+             "seeds": [39582]},
+  "summary": {},
   "entries": [
-    {"figure": "fig4", "delta_m": 5, "algorithm": "Algorithm 2", "seed": 39582,
-     "candidates": 100, "iterations": 12, "exhaustive_bound": 1200,
-     "plans_identical": true, "plan_hash": "00aa11bb22cc33dd",
-     "lazy": {"evaluations": 250, "marginal_evals": 30, "delta_rescans": 2,
-              "fixups": 1, "heap_pops": 60, "tour_patches": 12, "full_retours": 0,
-              "setup_ns": 2000000, "loop_ns": 8000000},
-     "exhaustive": {"evaluations": 1200, "marginal_evals": 0, "delta_rescans": 0,
-              "fixups": 0, "heap_pops": 0, "tour_patches": 12, "full_retours": 0,
-              "setup_ns": 2000000, "loop_ns": 30000000}}
+    {"key": "fig4 delta_m=5 Algorithm 2 seed=39582",
+     "exact": {"figure": "fig4", "delta_m": 5, "algorithm": "Algorithm 2", "seed": 39582,
+       "candidates": 100, "iterations": 12, "exhaustive_bound": 1200,
+       "plans_identical": true, "plan_hash": "00aa11bb22cc33dd",
+       "lazy": {"evaluations": 250, "marginal_evals": 30, "delta_rescans": 2,
+                "fixups": 1, "heap_pops": 60, "tour_patches": 12, "full_retours": 0},
+       "exhaustive": {"evaluations": 1200, "marginal_evals": 0, "delta_rescans": 0,
+                "fixups": 0, "heap_pops": 0, "tour_patches": 12, "full_retours": 0}},
+     "timing": {"lazy.setup_ns": 2000000, "lazy.loop_ns": 8000000,
+                "exhaustive.setup_ns": 2000000, "exhaustive.loop_ns": 30000000}}
   ]
 }"#;
 
@@ -74,11 +74,11 @@ fn plan_hash_drift_exits_nonzero() {
 
 #[test]
 fn timing_only_jitter_exits_zero() {
-    // Loop time up 40% — below the default 50% tolerance.
+    // Loop time up 40% — below the 50% tolerance.
     let a = fixture("jitter_a.json", BASELINE);
     let b = fixture(
         "jitter_b.json",
-        &BASELINE.replace("\"loop_ns\": 8000000", "\"loop_ns\": 11200000"),
+        &BASELINE.replace("\"lazy.loop_ns\": 8000000", "\"lazy.loop_ns\": 11200000"),
     );
     let out = run(&[a.to_str().expect("utf8"), b.to_str().expect("utf8")]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
@@ -89,16 +89,12 @@ fn big_timing_regression_informational_without_gate() {
     let a = fixture("bigtiming_a.json", BASELINE);
     let b = fixture(
         "bigtiming_b.json",
-        &BASELINE.replace("\"loop_ns\": 8000000", "\"loop_ns\": 80000000"),
+        &BASELINE.replace("\"lazy.loop_ns\": 8000000", "\"lazy.loop_ns\": 80000000"),
     );
     let out = run(&[a.to_str().expect("utf8"), b.to_str().expect("utf8")]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
-    let gated = run(&[
-        a.to_str().expect("utf8"),
-        b.to_str().expect("utf8"),
-        "--gate-timings",
-    ]);
-    assert_eq!(gated.status.code(), Some(2), "{gated:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("timing.lazy.loop_ns"), "{stderr}");
 }
 
 #[test]
@@ -128,5 +124,13 @@ fn usage_errors_exit_three() {
     let a = fixture("badjson_a.json", "{not json");
     let b = fixture("badjson_b.json", BASELINE);
     let out = run(&[a.to_str().expect("utf8"), b.to_str().expect("utf8")]);
+    assert_eq!(out.status.code(), Some(3));
+    // Timings never gate, so no flag turns them into a gate.
+    let c = fixture("badflag.json", BASELINE);
+    let out = run(&[
+        c.to_str().expect("utf8"),
+        c.to_str().expect("utf8"),
+        "--gate-timings",
+    ]);
     assert_eq!(out.status.code(), Some(3));
 }

@@ -19,8 +19,8 @@
 //!
 //! A finished run renders to a [`RunReport`]: spans aggregated by path
 //! (children sorted by name), counters and histograms sorted by name,
-//! serialised by [`RunReport::to_json`] with a stable field order so the
-//! bench artifacts diff cleanly.
+//! serialised by [`RunReport::to_json`] with a stable field order so two
+//! reports diff cleanly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,7 +40,6 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Monotonic time source injected into a [`CollectingRecorder`].
@@ -344,7 +343,7 @@ impl RunReport {
 
     /// Renders the report as a single-line JSON object with a stable
     /// field order (sorted names, integer-only values), suitable for
-    /// embedding into bench artifacts and diffing across runs.
+    /// diffing across runs.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256);
         out.push_str("{\"spans\":[");
@@ -633,26 +632,6 @@ impl Recorder for CollectingRecorder {
     }
 }
 
-/// Whether the `UAVDC_OBS` environment toggle asks for collection
-/// (`1`/`true`/`on`, case-insensitive). Read once per process; binaries
-/// use it to decide between [`NoopRecorder`] and [`CollectingRecorder`].
-/// Library code never consults it — recorders are always passed in
-/// explicitly, so the toggle cannot change planning behaviour.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the one sanctioned UAVDC_OBS read; it picks a recorder and never reaches planning"
-)]
-pub fn env_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| match std::env::var("UAVDC_OBS") {
-        Ok(v) => matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "1" | "true" | "on" | "yes"
-        ),
-        Err(_) => false,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -801,12 +780,5 @@ mod tests {
     fn json_escapes_are_valid() {
         assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
         assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
-    }
-
-    #[test]
-    fn env_toggle_defaults_off() {
-        // The variable is unset in the test environment; the cached
-        // answer must be `false` (and never panic).
-        let _ = env_enabled();
     }
 }
