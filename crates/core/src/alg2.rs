@@ -22,12 +22,12 @@
 //! * [`TourMode::PaperChristofides`] recomputes a full Christofides tour
 //!   for every candidate evaluation, exactly as Algorithm 2 is written.
 //!   `O(M · n³)` per iteration — use only on small instances (the
-//!   ablation bench quantifies what FastInsertion gives up). By default
-//!   the rebuilds run through an incremental tour's cached distances and
-//!   odd-vertex matching memo ([`Alg2Config::speculative_cache`]), which
-//!   changes nothing about the produced plans — only their cost.
+//!   ablation bench quantifies what FastInsertion gives up). Each
+//!   score is a from-scratch `tourutil::christofides_order` over the
+//!   tour plus the candidate, and the winner's scoring tour is the tour
+//!   it commits.
 //!
-//! The lazy engine leans on the batch kernels of
+//! FastInsertion's lazy engine leans on the batch kernels of
 //! `uavdc_graph::incremental` (bit-identical per lane to the scalar scans
 //! they replace) and on an [`IncrementalTour`] mirror of the growing
 //! tour, so its *operation counts* — frozen by the perf baseline — stay
@@ -55,8 +55,9 @@ pub enum TourMode {
     /// Cheapest-insertion deltas + periodic 2-opt compaction (scalable).
     #[default]
     FastInsertion,
-    /// Full Christofides re-tour per candidate evaluation (faithful to
-    /// the paper's pseudocode; cubic — small instances only).
+    /// Full Christofides re-tour per candidate evaluation, the winner's
+    /// re-tour committed (faithful to the paper's pseudocode; cubic —
+    /// small instances only).
     PaperChristofides,
 }
 
@@ -75,16 +76,6 @@ pub struct Alg2Config {
     /// [`TourMode::PaperChristofides`] always rescans exhaustively
     /// because every candidate's Δtravel changes with each re-tour.
     pub engine: EngineMode,
-    /// Under [`TourMode::PaperChristofides`], score candidates through an
-    /// [`IncrementalTour`]'s speculative Christofides rebuilds (cached
-    /// distance matrix + odd-vertex matching memo) and reuse the winning
-    /// order at commit instead of re-touring from scratch. Plans are
-    /// bit-identical either way (differential-tested in
-    /// `tests/alg2_incremental_equivalence.rs`); the literal transcription
-    /// (`false`) additionally re-tours once per commit, which shows up in
-    /// [`EvalCounters::full_retours`]. Ignored by
-    /// [`TourMode::FastInsertion`].
-    pub speculative_cache: bool,
 }
 
 impl Default for Alg2Config {
@@ -94,7 +85,6 @@ impl Default for Alg2Config {
             tour_mode: TourMode::FastInsertion,
             prune_dominated: true,
             engine: EngineMode::Lazy,
-            speculative_cache: true,
         }
     }
 }
@@ -220,35 +210,17 @@ impl<'a> GreedyState<'a> {
     }
 
     /// Commits the chosen candidate under PaperChristofides: the stop is
-    /// appended and the whole tour re-ordered. With `Some(order)` (the
-    /// winner's speculative order over `tour_pts ∪ {cand}`, positions
-    /// `0..len()+1` with the candidate at position `len()`) the
-    /// evaluation's rebuild is reused; with `None` a fresh Christofides
-    /// re-tour runs here, exactly as the pseudocode is written. Both
-    /// orders are bit-identical, so the committed tours are too.
-    fn commit_paper(
-        &mut self,
-        eval: Evaluation,
-        order: Option<&[usize]>,
-        eta_h: f64,
-        rec: &dyn Recorder,
-    ) -> Vec<u32> {
+    /// appended and the whole tour re-ordered by `order`, the winner's
+    /// Christofides order over `tour_pts ∪ {cand}` (positions
+    /// `0..len()+1`, the candidate at position `len()`) from its
+    /// evaluation, which is the re-tour the pseudocode runs at commit.
+    fn commit_paper(&mut self, eval: Evaluation, order: &[usize], eta_h: f64) -> Vec<u32> {
         let cand = self.candidates.get(eval.cand);
         let drained = self.drain_devices(eval);
         self.tour_pts.push(cand.pos);
         self.stop_of.push(self.stops.len() - 1);
-        match order {
-            Some(order) => {
-                self.tour_pts = crate::tourutil::apply_order(&self.tour_pts, order);
-                self.stop_of = crate::tourutil::apply_order(&self.stop_of, order);
-            }
-            None => {
-                rec.add("alg2.christofides_retours", 1);
-                let order = crate::tourutil::christofides_order(&self.tour_pts, rec);
-                self.tour_pts = crate::tourutil::apply_order(&self.tour_pts, &order);
-                self.stop_of = crate::tourutil::apply_order(&self.stop_of, &order);
-            }
-        }
+        self.tour_pts = crate::tourutil::apply_order(&self.tour_pts, order);
+        self.stop_of = crate::tourutil::apply_order(&self.stop_of, order);
         self.tour_len = closed_tour_length(&self.tour_pts);
         self.hover_energy_total += eval.sojourn * eta_h;
         self.active[eval.cand] = false;
@@ -370,15 +342,11 @@ fn run_exhaustive(state: &mut GreedyState<'_>, eta_h: f64, counters: &mut EvalCo
 }
 
 /// Runs the PaperChristofides greedy loop: every candidate is scored by a
-/// full re-tour of the stop set with the candidate included, exactly as
-/// Algorithm 2 is written. With [`Alg2Config::speculative_cache`] the
-/// per-candidate rebuilds run as [`IncrementalTour::speculative_order`]
-/// (cached distance matrix, memoised odd-vertex matching) and the winning
-/// order is reused at commit; both paths produce bit-identical plans
-/// (differential-tested in `tests/alg2_incremental_equivalence.rs`).
+/// full Christofides re-tour of the stop set with the candidate included,
+/// exactly as Algorithm 2 is written, and the winner's re-tour is the one
+/// committed.
 fn run_paper(
     state: &mut GreedyState<'_>,
-    config: &Alg2Config,
     eta_h: f64,
     counters: &mut EvalCounters,
     rec: &dyn Recorder,
@@ -387,12 +355,11 @@ fn run_paper(
     let capacity = scenario.uav.capacity.value();
     let per_m = scenario.uav.travel_energy_per_meter().value();
     let m = state.candidates.len();
-    let mut inc = IncrementalTour::new((scenario.depot.x, scenario.depot.y));
     loop {
         counters.iterations += 1;
         counters.marginal_evals += m as u64;
         counters.evaluations += m as u64;
-        let mut best: Option<(Evaluation, Option<Vec<usize>>)> = None;
+        let mut best: Option<(Evaluation, Vec<usize>)> = None;
         for c in 0..m {
             if !state.active[c] {
                 continue;
@@ -401,16 +368,10 @@ fn run_paper(
             if vol <= 0.0 {
                 continue;
             }
-            rec.add("alg2.christofides_retours", 1);
             counters.full_retours += 1;
-            let cand_pos = state.candidates.get(c).pos;
             let mut pts = state.tour_pts.clone();
-            pts.push(cand_pos);
-            let order = if config.speculative_cache {
-                inc.speculative_order((cand_pos.x, cand_pos.y), rec)
-            } else {
-                crate::tourutil::christofides_order(&pts, rec)
-            };
+            pts.push(state.candidates.get(c).pos);
+            let order = crate::tourutil::christofides_order(&pts, rec);
             let new_len = closed_tour_length(&crate::tourutil::apply_order(&pts, &order));
             let delta_len = (new_len - state.tour_len).max(0.0);
             let extra = t * eta_h + delta_len * per_m;
@@ -425,31 +386,14 @@ fn run_paper(
                 insert_pos: usize::MAX,
             };
             if best.as_ref().is_none_or(|(b, _)| better(&eval, b)) {
-                best = Some((eval, config.speculative_cache.then_some(order)));
+                best = Some((eval, order));
             }
         }
         let Some((eval, order)) = best else {
             break;
         };
-        let cand_pos = state.candidates.get(eval.cand).pos;
-        state.commit_paper(eval, order.as_deref(), eta_h, rec);
+        state.commit_paper(eval, &order, eta_h);
         counters.tour_patches += 1;
-        match order {
-            Some(order) => {
-                // Mirror the commit into the incremental tour: append the
-                // winner at the tail (where the speculative phantom stop
-                // sat) and apply the reused order.
-                let id = inc.append_point((cand_pos.x, cand_pos.y));
-                let tail = inc.len();
-                inc.insert_id_at(id, tail);
-                inc.apply_permutation(&order);
-                debug_assert_eq!(inc.len(), state.tour_pts.len());
-            }
-            None => {
-                // The literal transcription re-toured once more at commit.
-                counters.full_retours += 1;
-            }
-        }
         state.deactivate_exhausted();
     }
 }
@@ -760,7 +704,7 @@ fn run_lazy(
         }
     }
     lazy_compact(state, &mut inc);
-    counters.tour_patches += inc.counters().tour_patches;
+    counters.tour_patches += inc.patches();
     split_resolved
 }
 
@@ -849,7 +793,7 @@ impl Alg2Planner {
         };
         let split_resolved = match (self.config.tour_mode, engine, pre.as_mut()) {
             (TourMode::PaperChristofides, _, _) => {
-                run_paper(&mut state, &self.config, eta_h, &mut stats.counters, rec);
+                run_paper(&mut state, eta_h, &mut stats.counters, rec);
                 0
             }
             (TourMode::FastInsertion, EngineMode::Lazy, Some(pre)) => {
@@ -982,36 +926,6 @@ mod tests {
         let plan = Alg2Planner::new(cfg).plan(&s);
         check_plan(&s, &plan, Profile::P2FullOverlap).unwrap();
         assert!(plan.collected_volume().value() > 0.0);
-    }
-
-    #[test]
-    fn paper_mode_speculative_cache_is_invisible() {
-        // The cached and literal Christofides paths must produce
-        // identical plans (the big differential harness lives in
-        // tests/alg2_incremental_equivalence.rs; this is the smoke case).
-        let s = scenario(12_000.0);
-        let cached = Alg2Planner::new(Alg2Config {
-            delta: 20.0,
-            tour_mode: TourMode::PaperChristofides,
-            speculative_cache: true,
-            ..Alg2Config::default()
-        })
-        .plan_prepared(&s, None);
-        let literal = Alg2Planner::new(Alg2Config {
-            delta: 20.0,
-            tour_mode: TourMode::PaperChristofides,
-            speculative_cache: false,
-            ..Alg2Config::default()
-        })
-        .plan_prepared(&s, None);
-        assert_eq!(cached.0, literal.0, "plans diverged");
-        // The literal path re-tours once more per commit.
-        let commits = cached.0.stops.len() as u64;
-        assert_eq!(
-            literal.1.counters.full_retours,
-            cached.1.counters.full_retours + commits
-        );
-        assert_eq!(cached.1.counters.tour_patches, commits);
     }
 
     #[test]

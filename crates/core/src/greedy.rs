@@ -818,8 +818,9 @@ pub struct EvalCounters {
     /// compactions that changed the tour). Deterministic: equal across
     /// engines because both drive the same state evolution.
     pub tour_patches: u64,
-    /// Full Christofides tour rebuilds (PaperChristofides evaluations and
-    /// uncached commits; always 0 under FastInsertion).
+    /// Full Christofides tour rebuilds: one per PaperChristofides
+    /// candidate evaluation (commits reuse the winner's), always 0 under
+    /// FastInsertion.
     pub full_retours: u64,
 }
 

@@ -46,7 +46,6 @@
 mod aabb;
 mod disc;
 mod grid;
-mod hull;
 mod order;
 mod point;
 mod polyline;
@@ -55,7 +54,6 @@ mod spatial;
 pub use aabb::Aabb;
 pub use disc::{disc_disc_overlap_area, Disc};
 pub use grid::{CellId, GridSpec};
-pub use hull::{convex_hull, polygon_area};
 pub use order::{cmp_f64, cmp_f64_desc, desc_key, from_total_key, total_key, TotalF64};
 pub use point::{Point2, Point3};
 pub use polyline::{distance_matrix, path_length, tour_length};

@@ -12,11 +12,10 @@
 //!   whose answer is certified equal to the dense O(n³) blossom's, which
 //!   is the fallback; plus a greedy mode), and a Hierholzer Euler circuit
 //!   ([`euler::euler_circuit`]).
-//! * **Tour construction heuristics** — nearest neighbour and cheapest
-//!   insertion ([`construction`]), the latter also exposing the O(n)
-//!   *insertion delta* used by the fast candidate-ranking mode of
-//!   Algorithm 2.
-//! * **Tour improvement** — 2-opt and Or-opt local search ([`improve`]).
+//! * **Tour improvement** — the 2-opt local-search kernel ([`improve`]).
+//! * **Incremental tour maintenance** — the cached-distance tour mirror
+//!   and batch insertion kernels of the lazy greedy loops
+//!   ([`incremental`]).
 //! * **Exact TSP** — Held–Karp dynamic programming for small instances
 //!   ([`exact::held_karp`]), used as ground truth in tests and for tiny
 //!   tours inside the planners.
@@ -54,7 +53,6 @@
 
 pub mod bound;
 pub mod christofides;
-pub mod construction;
 pub mod euler;
 pub mod exact;
 pub mod improve;

@@ -1,14 +1,14 @@
-//! Differential property harness for incremental Christofides tour
-//! maintenance (`uavdc_graph::incremental`, DESIGN.md §15).
+//! Differential property harness for incremental tour maintenance
+//! (`uavdc_graph::incremental`, DESIGN.md §15).
 //!
-//! Every property drives randomized insert / remove / local-repair /
-//! checkpoint sequences through an [`IncrementalTour`] and proves the
-//! patched state **bit-identical** to a from-scratch rebuild over the
-//! same stops: same order, same length bits, same kernels lane for lane.
-//! Coordinates are quantized to a coarse grid on purpose — axis-aligned
-//! and mirrored point pairs produce many exactly-equal distances, so the
-//! argmin tie-breaking rules (first-strict-`<`) are exercised constantly
-//! rather than almost never.
+//! Every property drives randomized splice / 2-opt sequences — the
+//! operations the lazy greedy loops make — through an [`IncrementalTour`]
+//! and checks the patched state **bit-identical** to a recomputation over
+//! the same stops: same order, same edge and length bits, same kernels
+//! lane for lane. Coordinates are quantized to a coarse grid on purpose —
+//! axis-aligned and mirrored point pairs produce many exactly-equal
+//! distances, so the argmin tie-breaking rules (first-strict-`<`) are
+//! exercised constantly rather than almost never.
 //!
 //! Run with `--features validate` to widen every property to >= 1024
 //! seeded cases (the CI equivalence gate); the default is a quick 64.
@@ -16,12 +16,10 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use uavdc_geom::Point2;
-use uavdc_graph::christofides::{christofides_with, ChristofidesConfig};
+use uavdc_graph::improve::two_opt_by;
 use uavdc_graph::incremental::{
     cheapest_insertion_cached, cheapest_insertion_cached4, distances_to_point, IncrementalTour,
-    InsertionKernel,
 };
-use uavdc_graph::DistMatrix;
 
 fn cases() -> u32 {
     if cfg!(feature = "validate") {
@@ -41,66 +39,80 @@ fn qpoint() -> impl Strategy<Value = (f64, f64)> {
 enum Op {
     /// Cheapest-insertion splice of a fresh stop.
     Insert((f64, f64)),
-    /// Removal splice of a pseudo-randomly selected non-depot stop
-    /// (skipped while fewer than 5 removable stops remain, keeping the
-    /// tour at n >= 4 so Christofides stays non-trivial).
-    Remove(usize),
     /// 2-opt compaction patch.
     TwoOpt,
-    /// Or-opt relocation patch.
-    OrOpt,
-    /// Mid-sequence full rebuild — exercises the matching memo across
-    /// checkpoints, not just at the final comparison.
-    Checkpoint,
 }
 
 fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
         4 => qpoint().prop_map(Op::Insert),
-        2 => (0usize..1_000_000).prop_map(Op::Remove),
         1 => Just(Op::TwoOpt),
-        1 => Just(Op::OrOpt),
-        1 => Just(Op::Checkpoint),
     ]
 }
 
 /// A generated test case: depot, seed stops, op tail.
 type History = ((f64, f64), Vec<(f64, f64)>, Vec<Op>);
 
-/// Depot + seed stops (guaranteeing n >= 5) + a free-form op tail.
-/// Tours stay within the paper-relevant n in 4..=64 band.
+/// Depot + seed stops + a free-form op tail. Tours stay within the
+/// paper-relevant n in 5..=64 band.
 fn history() -> impl Strategy<Value = History> {
     (qpoint(), vec(qpoint(), 4..16), vec(op(), 0..48))
 }
 
-/// Replays a history on a fresh tour; returns the tour and the ids of
-/// stops currently spliced in (depot excluded).
-fn drive(depot: (f64, f64), seed: &[(f64, f64)], ops: &[Op]) -> (IncrementalTour, Vec<usize>) {
+/// Appends `p` and splices it at the scalar reference scan's position
+/// over the tour's current points.
+fn insert_cheapest(t: &mut IncrementalTour, p: (f64, f64)) {
+    let (_, pos) = reference_cheapest(&pts_of(t), Point2::new(p.0, p.1));
+    let id = t.append_point(p);
+    t.insert_id_at(id, pos);
+}
+
+/// Replays a history on a fresh tour alongside a plain point-vector
+/// mirror (splices insert into it at the scalar scan's position,
+/// compactions run the 2-opt kernel on its recomputed distances),
+/// checking the tour against the mirror and the edge cache after every
+/// operation and the patch count at the end.
+fn drive(depot: (f64, f64), seed: &[(f64, f64)], ops: &[Op]) -> IncrementalTour {
     let mut t = IncrementalTour::new(depot);
-    let mut live: Vec<usize> = seed.iter().map(|&p| t.insert(p)).collect();
-    for op in ops {
-        match *op {
-            Op::Insert(p) => live.push(t.insert(p)),
-            Op::Remove(sel) => {
-                if live.len() >= 5 {
-                    let id = live.swap_remove(sel % live.len());
-                    t.remove(id);
-                }
+    let mut mirror = vec![Point2::new(depot.0, depot.1)];
+    let mut patches = 0u64;
+    let seeded = seed.iter().map(|&p| Op::Insert(p));
+    for op in seeded.chain(ops.iter().cloned()) {
+        match op {
+            Op::Insert(p) => {
+                let q = Point2::new(p.0, p.1);
+                let (_, pos) = reference_cheapest(&mirror, q);
+                let id = t.append_point(p);
+                t.insert_id_at(id, pos);
+                mirror.insert(pos, q);
+                patches += 1;
             }
             Op::TwoOpt => {
-                t.two_opt_compact();
-            }
-            Op::OrOpt => {
-                t.or_opt_pass();
-            }
-            Op::Checkpoint => {
-                if t.len() >= 4 {
-                    t.retour();
+                // The kernel on recomputed point distances, as the
+                // exhaustive engine's compaction runs it.
+                let mut want: Vec<usize> = (0..mirror.len()).collect();
+                let moves = two_opt_by(
+                    &mut want,
+                    |i, j| mirror[i].distance(mirror[j]),
+                    100,
+                    |_, _| {},
+                )
+                .moves;
+                let got = t.two_opt_compact();
+                if moves == 0 {
+                    prop_assert!(got.is_none(), "compaction changed a 2-opt-optimal tour");
+                } else {
+                    prop_assert_eq!(got.as_deref(), Some(&want[..]), "compaction diverged");
+                    mirror = want.iter().map(|&k| mirror[k]).collect();
+                    patches += 1;
                 }
             }
         }
+        prop_assert_eq!(&pts_of(&t), &mirror, "tour diverged from its mirror");
+        assert_edge_cache_exact(&t);
     }
-    (t, live)
+    prop_assert_eq!(t.patches(), patches);
+    t
 }
 
 fn pts_of(t: &IncrementalTour) -> Vec<Point2> {
@@ -111,15 +123,6 @@ fn pts_of(t: &IncrementalTour) -> Vec<Point2> {
             Point2::new(x, y)
         })
         .collect()
-}
-
-/// From-scratch Christofides over a point sequence, as the depot-rotated
-/// position permutation — the reference for [`IncrementalTour::retour`].
-fn scratch_order(pts: &[Point2]) -> Vec<usize> {
-    let m = DistMatrix::from_fn(pts.len(), |i, j| pts[i].distance(pts[j]));
-    let mut tour = christofides_with(&m, &ChristofidesConfig::default(), &uavdc_obs::NOOP);
-    tour.rotate_to_start(0);
-    tour.order().to_vec()
 }
 
 /// Scalar reference: first-strict-argmin cheapest insertion, distances
@@ -175,90 +178,19 @@ fn assert_edge_cache_exact(t: &IncrementalTour) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
-    /// **Tentpole**: after an arbitrary patch history, a full rebuild of
-    /// the patched tour is bit-identical — same permutation, same stop
-    /// order, same length bits — to a from-scratch Christofides over the
-    /// same (pre-rebuild) point sequence, and the edge cache survives
-    /// exact.
+    /// After an arbitrary splice / compaction history the tour equals a
+    /// plain point-vector replay of the same operations, and its edge
+    /// cache is exact after every step (checked inside `drive`).
     #[test]
-    fn patched_then_retoured_matches_from_scratch(h in history()) {
+    fn patched_tour_matches_point_replay(h in history()) {
         let (depot, seed, ops) = h;
-        let (mut t, _) = drive(depot, &seed, &ops);
-        assert_edge_cache_exact(&t);
-        let pts = pts_of(&t);
-        let ids_before: Vec<usize> = t.order().to_vec();
-        let retours_before = t.counters().full_retours;
-        let perm = t.retour();
-        let want = scratch_order(&pts);
-        prop_assert_eq!(&perm, &want, "retour permutation diverged from scratch");
-        let want_ids: Vec<usize> = want.iter().map(|&k| ids_before[k]).collect();
-        prop_assert_eq!(t.order(), &want_ids[..]);
-        prop_assert_eq!(t.counters().full_retours, retours_before + 1);
-        assert_edge_cache_exact(&t);
+        let t = drive(depot, &seed, &ops);
+        prop_assert_eq!(t.order()[0], 0, "depot must stay first");
     }
 
-    /// The matching memo and the patch history are invisible: a
-    /// memo-warmed clone, the cold original and a history-free fresh tour
-    /// over the same point sequence all rebuild to the same bits.
-    #[test]
-    fn retour_ignores_memo_warmth_and_history(h in history(), phantom in qpoint()) {
-        let (depot, seed, ops) = h;
-        let (mut t, _) = drive(depot, &seed, &ops);
-        // Memo-warmed twin: speculative scoring fills the matching memo
-        // (and must itself be deterministic).
-        let mut warm = t.clone();
-        let s1 = warm.speculative_order(phantom, &uavdc_obs::NOOP);
-        let s2 = warm.speculative_order(phantom, &uavdc_obs::NOOP);
-        prop_assert_eq!(&s1, &s2, "speculative scoring must be deterministic");
-        // History-free twin: same point sequence, contiguous ids, no
-        // removed-stop ghosts, cold memo.
-        let mut fresh = IncrementalTour::new(t.point(0));
-        for &id in &t.order()[1..] {
-            let fid = fresh.append_point(t.point(id));
-            let end = fresh.len();
-            fresh.insert_id_at(fid, end);
-        }
-        prop_assert_eq!(
-            &pts_of(&fresh), &pts_of(&t),
-            "fresh twin must start from the same point sequence"
-        );
-        let pw = warm.retour();
-        let pc = t.retour();
-        let pf = fresh.retour();
-        prop_assert_eq!(&pw, &pc, "memo-warm and cold retours diverged");
-        prop_assert_eq!(&pc, &pf, "patch history leaked into the rebuild");
-        prop_assert_eq!(warm.order(), t.order());
-        prop_assert_eq!(warm.total_cost().to_bits(), t.total_cost().to_bits());
-        prop_assert_eq!(&pts_of(&fresh), &pts_of(&t));
-        prop_assert_eq!(fresh.total_cost().to_bits(), t.total_cost().to_bits());
-    }
-
-    /// Speculative scoring equals commitment: `speculative_order(p)` is
-    /// bit-identical to a from-scratch Christofides over the tour's
-    /// points plus the phantom, and to actually appending the phantom at
-    /// the end and rebuilding — memo state included.
-    #[test]
-    fn speculative_order_matches_commit(h in history(), phantom in qpoint()) {
-        let (depot, seed, ops) = h;
-        let (mut t, _) = drive(depot, &seed, &ops);
-        let spec = t.speculative_order(phantom, &uavdc_obs::NOOP);
-        let mut all = pts_of(&t);
-        all.push(Point2::new(phantom.0, phantom.1));
-        prop_assert_eq!(&spec, &scratch_order(&all), "speculative vs scratch diverged");
-        // Commit the phantom at the end so the rebuild sees the same
-        // matrix vertex order the speculation used.
-        let id = t.append_point(phantom);
-        let end = t.len();
-        t.insert_id_at(id, end);
-        let perm = t.retour();
-        prop_assert_eq!(&spec, &perm, "speculation diverged from its own commit");
-        assert_edge_cache_exact(&t);
-    }
-
-    /// All four insertion paths agree lane for lane and bit for bit:
-    /// the scalar recomputing reference, the cached scan, the 4-lane
-    /// cached scan, the batch kernel, and the tour's own
-    /// `cheapest_insertion_of`.
+    /// The three insertion paths agree lane for lane and bit for bit:
+    /// the scalar recomputing reference, the cached scan and the 4-lane
+    /// cached scan.
     #[test]
     fn insertion_kernels_agree_bitwise(
         depot in qpoint(),
@@ -267,17 +199,13 @@ proptest! {
     ) {
         let mut t = IncrementalTour::new(depot);
         for &p in &stops {
-            t.insert(p);
+            insert_cheapest(&mut t, p);
         }
         let pts = pts_of(&t);
         // Stop coordinates indexed by stable id (ids are contiguous here).
         let nid = t.len();
         let xs: Vec<f64> = (0..nid).map(|id| t.point(id).0).collect();
         let ys: Vec<f64> = (0..nid).map(|id| t.point(id).1).collect();
-        let tour_xs: Vec<f64> = pts.iter().map(|p| p.x).collect();
-        let tour_ys: Vec<f64> = pts.iter().map(|p| p.y).collect();
-        let sat_xs: Vec<f64> = sats.iter().map(|p| p.0).collect();
-        let sat_ys: Vec<f64> = sats.iter().map(|p| p.1).collect();
 
         // Banked rows: cached satellite -> stop-id distances.
         let mut rows: Vec<Vec<f64>> = Vec::with_capacity(sats.len());
@@ -287,17 +215,12 @@ proptest! {
             rows.push(row);
         }
 
-        let mut kernel = InsertionKernel::new();
-        kernel.run(&tour_xs, &tour_ys, t.edge_costs(), &sat_xs, &sat_ys);
-
         let mut scalar = Vec::with_capacity(sats.len());
         for (j, &(sx, sy)) in sats.iter().enumerate() {
             let (want_d, want_pos) = reference_cheapest(&pts, Point2::new(sx, sy));
             let (got_d, got_pos) = cheapest_insertion_cached(&rows[j], t.order(), t.edge_costs());
             prop_assert_eq!(got_d.to_bits(), want_d.to_bits(), "cached delta, sat {}", j);
             prop_assert_eq!(got_pos as usize, want_pos, "cached pos, sat {}", j);
-            prop_assert_eq!(kernel.delta()[j].to_bits(), want_d.to_bits(), "kernel delta, sat {}", j);
-            prop_assert_eq!(kernel.pos()[j] as usize, want_pos, "kernel pos, sat {}", j);
             scalar.push((got_d, got_pos));
         }
         for (c, chunk) in rows.chunks_exact(4).enumerate() {
@@ -312,11 +235,5 @@ proptest! {
                 prop_assert_eq!(got4[k].1, want_pos, "4-lane pos, lane {}", k);
             }
         }
-        // The tour's own cached scan on an appended (not yet spliced) id.
-        let (sx, sy) = sats[0];
-        let id = t.append_point((sx, sy));
-        let (d, pos) = t.cheapest_insertion_of(id);
-        prop_assert_eq!(d.to_bits(), scalar[0].0.to_bits());
-        prop_assert_eq!(pos, scalar[0].1 as usize);
     }
 }
