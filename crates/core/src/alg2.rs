@@ -270,7 +270,14 @@ impl<'a> GreedyState<'a> {
     fn compact(&mut self) -> bool {
         let pts = &self.tour_pts;
         let mut order: Vec<usize> = (0..pts.len()).collect();
-        let moves = two_opt_by(&mut order, |i, j| pts[i].distance(pts[j]), 100, |_, _| {}).moves;
+        let moves = two_opt_by(
+            &mut order,
+            |i, j| pts[i].distance(pts[j]),
+            100,
+            None,
+            |_, _| {},
+        )
+        .moves;
         if moves == 0 {
             return false;
         }
@@ -341,6 +348,20 @@ fn run_exhaustive(state: &mut GreedyState<'_>, eta_h: f64, counters: &mut EvalCo
     }
 }
 
+/// A recorder that passes counters and histograms on to another and drops
+/// spans.
+struct CountersOnly<'r>(&'r dyn Recorder);
+
+impl Recorder for CountersOnly<'_> {
+    fn add(&self, counter: &'static str, delta: u64) {
+        self.0.add(counter, delta);
+    }
+
+    fn observe(&self, histogram: &'static str, value: u64) {
+        self.0.observe(histogram, value);
+    }
+}
+
 /// Runs the PaperChristofides greedy loop: every candidate is scored by a
 /// full Christofides re-tour of the stop set with the candidate included,
 /// exactly as Algorithm 2 is written, and the winner's re-tour is the one
@@ -355,6 +376,9 @@ fn run_paper(
     let capacity = scenario.uav.capacity.value();
     let per_m = scenario.uav.travel_energy_per_meter().value();
     let m = state.candidates.len();
+    // The per-candidate re-tours report counters and histograms only: a
+    // plan runs thousands of them, and their spans would outweigh them.
+    let retour_rec = CountersOnly(rec);
     loop {
         counters.iterations += 1;
         counters.marginal_evals += m as u64;
@@ -371,7 +395,7 @@ fn run_paper(
             counters.full_retours += 1;
             let mut pts = state.tour_pts.clone();
             pts.push(state.candidates.get(c).pos);
-            let order = crate::tourutil::christofides_order(&pts, rec);
+            let order = crate::tourutil::christofides_order(&pts, &retour_rec);
             let new_len = closed_tour_length(&crate::tourutil::apply_order(&pts, &order));
             let delta_len = (new_len - state.tour_len).max(0.0);
             let extra = t * eta_h + delta_len * per_m;

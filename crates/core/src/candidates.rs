@@ -362,16 +362,22 @@ impl CandidateSet {
         let volumes: Vec<MegaBytes> = scenario.devices.iter().map(|d| d.data).collect();
         // One `(desc_key(volume), index)` pair per candidate: the pairs
         // are unique and `desc_key` orders like `cmp_f64_desc`, so the
-        // unstable sort gives the stable comparator sort's order.
-        let mut keyed: Vec<(u64, u32)> = self
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                // lint:allow(unit-unwrap): desc_key needs the raw value for its NaN-safe total order
-                let volume = c.coverage_volume(&volumes).value();
-                (uavdc_geom::desc_key(volume), i as u32)
-            })
-            .collect();
+        // unstable sort gives the stable comparator sort's order. A
+        // candidate covering exactly what the one before it covers (the
+        // neighbouring cell, most often) is left out: it has the same
+        // volume and a higher index, so it comes right after a candidate
+        // that takes its devices or is refused for them, and is refused.
+        let mut keyed: Vec<(u64, u32)> = Vec::with_capacity(self.len());
+        keyed.extend(
+            self.iter()
+                .enumerate()
+                .filter(|&(i, c)| i == 0 || c.covered != self.covered(i - 1))
+                .map(|(i, c)| {
+                    // lint:allow(unit-unwrap): desc_key needs the raw value for its NaN-safe total order
+                    let volume = c.coverage_volume(&volumes).value();
+                    (uavdc_geom::desc_key(volume), i as u32)
+                }),
+        );
         keyed.sort_unstable();
         let mut order: Vec<usize> = keyed.iter().map(|&(_, i)| i as usize).collect();
         let mut taken_device = vec![false; scenario.num_devices()];

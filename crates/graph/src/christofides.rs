@@ -13,6 +13,7 @@ use crate::improve::two_opt;
 use crate::matching::{min_weight_perfect_matching_with, MatchingBackend};
 use crate::mst::{odd_degree_vertices, prim_mst};
 use crate::{DistMatrix, Tour};
+use uavdc_obs::Span;
 
 /// Tuning knobs for [`christofides_with`].
 #[derive(Clone, Copy, Debug)]
@@ -43,12 +44,13 @@ pub fn christofides(m: &DistMatrix) -> Tour {
 
 /// Christofides tour with explicit configuration, reporting per-call
 /// size statistics to `rec`: a `christofides.calls` counter plus
-/// `christofides.n` and `christofides.odd_vertices` histograms, and the
-/// `matching.*` counters of [`min_weight_perfect_matching_with`]. The
-/// recorder never influences the tour. This function sits inside the
-/// planners' selection loops and runs thousands of times per plan, so it
-/// deliberately emits no spans — the callers wrap their loops in one span
-/// and read the aggregate histograms instead.
+/// `christofides.n` and `christofides.odd_vertices` histograms, the
+/// `matching.*` counters of [`min_weight_perfect_matching_with`], and one
+/// root span `christofides` with the children `mst`, `matching`, `euler`
+/// and `polish` on tours of four or more vertices. The recorder never
+/// influences the tour. The planners call this once per set-up; Alg 2's
+/// paper mode, which calls it once per scored candidate, hands it a
+/// recorder that keeps the counters and drops the spans.
 pub fn christofides_with(
     m: &DistMatrix,
     cfg: &ChristofidesConfig,
@@ -66,10 +68,13 @@ pub fn christofides_with(
     if n == 3 {
         return Tour::new(vec![0, 1, 2]);
     }
+    let root = Span::root(rec, "christofides");
     // 1. Minimum spanning tree.
-    let mst = prim_mst(m);
-    let mut edges = mst.edges.clone();
+    let span = root.child("mst");
+    let mut edges = prim_mst(m).edges;
+    drop(span);
     // 2. Minimum-weight perfect matching on odd-degree vertices.
+    let span = root.child("matching");
     let odd = odd_degree_vertices(n, &edges);
     debug_assert_eq!(odd.len() % 2, 0);
     rec.observe("christofides.odd_vertices", odd.len() as u64);
@@ -80,8 +85,10 @@ pub fn christofides_with(
             edges.push((odd[a], odd[b]));
         }
     }
+    drop(span);
     // 3. Eulerian circuit of MST ∪ matching (all degrees now even, and the
     // union is connected because the MST spans).
+    let span = root.child("euler");
     #[expect(
         clippy::expect_used,
         reason = "Euler circuit existence is a theorem here — MST spans and the matching evens all degrees"
@@ -92,7 +99,9 @@ pub fn christofides_with(
     let order = shortcut_circuit(&circuit);
     debug_assert_eq!(order.len(), n, "shortcut must visit every vertex once");
     let mut tour = Tour::new(order);
+    drop(span);
     if cfg.polish {
+        let _span = root.child("polish");
         two_opt(&mut tour, m);
     }
     tour

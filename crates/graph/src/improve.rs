@@ -4,7 +4,9 @@
 //! call to it (DESIGN.md §15, "The 2-opt kernel"). It makes the same
 //! moves as a full first-improvement scan of all pairs, but from
 //! [`NEIGHBOUR_SCAN_MIN`] vertices on it visits only the pairs that pass
-//! a necessary test for an improving move.
+//! a necessary test for an improving move, and a caller that knows which
+//! edges are new since its last converged run can have it start from
+//! the pairs touching those edges only.
 
 use crate::{DistMatrix, Tour};
 
@@ -35,12 +37,24 @@ pub struct TwoOpt {
     pub saved: f64,
     /// Number of segment reversals applied.
     pub moves: usize,
+    /// The run stopped because a sweep found no improving pair (or the
+    /// tour has no pair to try), not at its sweep cap: no pair of the
+    /// final order improves. Only such a run certifies the order for a
+    /// later dirty-edge start.
+    pub converged: bool,
 }
 
 /// 2-opt: repeatedly reverse tour segments while that shortens the tour.
 /// Returns the total length reduction achieved.
 pub fn two_opt(tour: &mut Tour, m: &DistMatrix) -> f64 {
-    two_opt_by(tour.order_mut(), |u, v| m.get(u, v), MAX_SWEEPS, |_, _| {}).saved
+    two_opt_by(
+        tour.order_mut(),
+        |u, v| m.get(u, v),
+        MAX_SWEEPS,
+        None,
+        |_, _| {},
+    )
+    .saved
 }
 
 /// First-improvement 2-opt over the closed tour `order`, the one kernel
@@ -60,10 +74,37 @@ pub fn two_opt(tour: &mut Tour, m: &DistMatrix) -> f64 {
 /// (up to a rounding slack); every other pair provably fails the
 /// threshold, so the moves, the final order and the saved sum are those
 /// of the full scan bit for bit.
+///
+/// **Hot edges.** Below [`NEIGHBOUR_SCAN_MIN`] a sweep evaluates only the
+/// pairs with a *hot* edge: one that may have changed since the previous
+/// sweep began. A pair of two other edges was evaluated in the previous
+/// sweep (or skipped there for the same reason) on the operands it has
+/// now, and was found non-improving, so it computes the same delta again.
+/// A move at `(i, j)` changes the edges at positions `i..=j` (two new ones
+/// and the reversed ones between) and no other, so those positions turn
+/// hot for the rest of the sweep and for the next one. A cold row meets
+/// only the hot columns, in ascending order. The order of the evaluated
+/// pairs is the full scan's, so the moves are too.
+///
+/// **The last sweep.** After a sweep whose last move was the pair `(i,
+/// j)`, that sweep tried every later pair on the final order and none
+/// improved, so the next sweep, while it has moved nothing, ends at
+/// `(i, j)`. Both scans do this.
+///
+/// **Dirty-edge start.** `dirty`, when given, has one flag per position:
+/// `dirty[k]` marks the edge from `order[k]` to its successor as new
+/// since the caller's last run that returned `converged`. Edges the
+/// caller inserted or ejected vertices around are new; every other edge
+/// must be one that run left, with the same endpoints in the same
+/// direction (insertions and ejections keep them so). That run's last
+/// sweep found every pair of its edges non-improving, so the first sweep
+/// starts with only the dirty edges hot (without flags, every edge is).
+/// The neighbour scan, which already skips most pairs, ignores the flags.
 pub fn two_opt_by<C, R>(
     order: &mut [usize],
     cost: C,
     max_sweeps: usize,
+    dirty: Option<&[bool]>,
     mut on_reverse: R,
 ) -> TwoOpt
 where
@@ -71,7 +112,7 @@ where
     R: FnMut(usize, usize),
 {
     if order.len() < NEIGHBOUR_SCAN_MIN {
-        two_opt_full(order, cost, max_sweeps, &mut on_reverse)
+        full_scan(order, cost, max_sweeps, dirty, &mut on_reverse)
     } else {
         two_opt_neighbours(order, cost, max_sweeps, &mut on_reverse)
     }
@@ -90,39 +131,127 @@ where
     C: Fn(usize, usize) -> f64,
     R: FnMut(usize, usize),
 {
+    full_scan(order, cost, max_sweeps, None, on_reverse)
+}
+
+/// [`two_opt_full`] from the caller's dirty edges, if any; see
+/// [`two_opt_by`] on hot edges.
+fn full_scan<C, R>(
+    order: &mut [usize],
+    cost: C,
+    max_sweeps: usize,
+    dirty: Option<&[bool]>,
+    on_reverse: &mut R,
+) -> TwoOpt
+where
+    C: Fn(usize, usize) -> f64,
+    R: FnMut(usize, usize),
+{
     let n = order.len();
     let mut out = TwoOpt::default();
     if n < 4 {
+        out.converged = true;
         return out;
     }
+    // `cost(a, b)` and `cost(c, d)` of every pair come from here: the same
+    // call on the same arguments, so the same bits. A reversal keeps the
+    // lengths of the edges it reverses (the cost is symmetric bit for bit).
+    let mut len: Vec<f64> = (0..n)
+        .map(|k| cost(order[k], order[if k + 1 < n { k + 1 } else { 0 }]))
+        .collect();
+    // `hot[k]`: the edge at `k` may have changed since the previous sweep
+    // began (for the first sweep: since the caller's converged run). A pair
+    // of two other edges was found non-improving on its current operands.
+    // `fresh[k]`: it changed in this sweep, so it is hot in the next one.
+    let mut hot = dirty.map_or_else(|| vec![true; n], <[bool]>::to_vec);
+    debug_assert_eq!(hot.len(), n, "one dirty flag per tour edge");
+    let mut fresh = vec![false; n];
+    let mut hot_list: Vec<usize> = (0..n).filter(|&k| hot[k]).collect();
+    // The previous sweep's last move: a sweep that reaches it without a
+    // move of its own finds no move after it either.
+    let mut stop = None;
     for _ in 0..max_sweeps {
-        let mut improved = false;
+        let mut last = None;
         for i in 0..n - 1 {
             // j = n - 1 with i = 0 shares the closing edge: a no-op.
             let jmax = if i == 0 { n - 2 } else { n - 1 };
-            let a = order[i];
-            let mut b = order[i + 1];
-            let mut ab = cost(a, b);
-            for j in (i + 2)..=jmax {
-                let c = order[j];
-                let d = if j + 1 < n { order[j + 1] } else { order[0] };
-                let delta = cost(a, c) + cost(b, d) - ab - cost(c, d);
-                if delta < IMPROVES {
-                    order[i + 1..=j].reverse();
-                    on_reverse(i + 1, j);
-                    out.saved -= delta;
-                    out.moves += 1;
-                    improved = true;
-                    b = order[i + 1];
-                    ab = cost(a, b);
+            let at_stop = stop.filter(|&(si, _)| si == i);
+            let mut j = i + 2;
+            loop {
+                let limit = match at_stop {
+                    Some((_, sj)) if last.is_none() => sj,
+                    _ => jmax,
+                };
+                // A cold row pairs only with hot columns.
+                let found = if hot[i] {
+                    first_move(order, &len, &cost, i, j..=limit)
+                } else {
+                    let from = hot_list.partition_point(|&k| k < j);
+                    let cols = hot_list[from..].iter().copied();
+                    first_move(order, &len, &cost, i, cols.take_while(|&k| k <= limit))
+                };
+                let Some((j_move, ac, bd, delta)) = found else {
+                    break;
+                };
+                order[i + 1..=j_move].reverse();
+                on_reverse(i + 1, j_move);
+                out.saved -= delta;
+                out.moves += 1;
+                last = Some((i, j_move));
+                len[i + 1..j_move].reverse();
+                len[i] = ac;
+                len[j_move] = bd;
+                for k in i..=j_move {
+                    fresh[k] = true;
+                    if !hot[k] {
+                        hot[k] = true;
+                        let at = hot_list.partition_point(|&h| h < k);
+                        hot_list.insert(at, k);
+                    }
                 }
+                j = j_move + 1;
+            }
+            if at_stop.is_some() && last.is_none() {
+                break;
             }
         }
-        if !improved {
+        if last.is_none() {
+            out.converged = true;
             break;
         }
+        stop = last;
+        std::mem::swap(&mut hot, &mut fresh);
+        fresh.fill(false);
+        hot_list.clear();
+        hot_list.extend((0..n).filter(|&k| hot[k]));
     }
     out
+}
+
+/// The first improving pair `(i, j)` over the columns `cols`, in their
+/// order, as `(j, cost(a,c), cost(b,d), delta)`.
+fn first_move<C>(
+    order: &[usize],
+    len: &[f64],
+    cost: &C,
+    i: usize,
+    cols: impl Iterator<Item = usize>,
+) -> Option<(usize, f64, f64, f64)>
+where
+    C: Fn(usize, usize) -> f64,
+{
+    let n = order.len();
+    let (a, b, ab) = (order[i], order[i + 1], len[i]);
+    for j in cols {
+        let c = order[j];
+        let d = if j + 1 < n { order[j + 1] } else { order[0] };
+        let (ac, bd) = (cost(a, c), cost(b, d));
+        let delta = ac + bd - ab - len[j];
+        if delta < IMPROVES {
+            return Some((j, ac, bd, delta));
+        }
+    }
+    None
 }
 
 /// The neighbour-list scan of [`two_opt_by`], whatever the tour size.
@@ -142,6 +271,10 @@ where
 /// gathered afresh from `j + 1` with the new `b`. A reversal gives four
 /// vertices a new tour edge; a vertex whose new edge is longer than its
 /// radius gets the radius raised and its ball topped up from its row.
+///
+/// After a sweep whose last move was the pair `(i, j)`, that sweep tried
+/// every later pair on the final order and none improved, so the next
+/// sweep, while it has moved nothing, ends at `(i, j)`.
 #[doc(hidden)]
 pub fn two_opt_neighbours<C, R>(
     order: &mut [usize],
@@ -156,6 +289,7 @@ where
     let n = order.len();
     let mut out = TwoOpt::default();
     if n < 4 {
+        out.converged = true;
         return out;
     }
     let mut ids = order.to_vec();
@@ -176,24 +310,32 @@ where
     let radius = (0..n).map(|x| pred[x].max(pred[tour[(pos[x] + 1) % n]]));
     let mut balls = Balls::new(radius.collect(), &d);
     let mut cand: Vec<usize> = Vec::new();
+    // The previous sweep's last move.
+    let mut stop = None;
     for _ in 0..max_sweeps {
-        let mut improved = false;
-        for i in 0..n - 1 {
+        let mut last = None;
+        'sweep: for i in 0..n - 1 {
             let jmax = if i == 0 { n - 2 } else { n - 1 };
             let mut start = i + 2;
             while start <= jmax {
+                // In the previous sweep's last-move row, a sweep that has
+                // moved nothing needs the candidates up to that move only.
+                let (at_stop, limit) = match stop {
+                    Some((si, sj)) if si == i && last.is_none() => (true, sj),
+                    _ => (false, jmax),
+                };
                 let (a, b) = (tour[i], tour[i + 1]);
                 let ab = pred[b];
                 cand.clear();
                 for &(c, w) in &balls.ball[a] {
                     let j = pos[c];
-                    if w < ab * SLACK && j >= start && j <= jmax {
+                    if w < ab * SLACK && j >= start && j <= limit {
                         cand.push(j);
                     }
                 }
                 for &(v, w) in &balls.inv[b] {
                     let j = (pos[v] + n - 1) % n;
-                    if w < pred[v] * SLACK && j >= start && j <= jmax {
+                    if w < pred[v] * SLACK && j >= start && j <= limit {
                         cand.push(j);
                     }
                 }
@@ -206,6 +348,9 @@ where
                     (delta < IMPROVES).then_some((j, delta))
                 });
                 let Some((j, delta)) = found else {
+                    if at_stop {
+                        break 'sweep;
+                    }
                     break;
                 };
                 tour[i + 1..=j].reverse();
@@ -213,7 +358,7 @@ where
                 on_reverse(i + 1, j);
                 out.saved -= delta;
                 out.moves += 1;
-                improved = true;
+                last = Some((i, j));
                 for k in i + 1..=j + 1 {
                     let x = tour[k % n];
                     pos[x] = k % n;
@@ -226,9 +371,11 @@ where
                 start = j + 1;
             }
         }
-        if !improved {
+        if last.is_none() {
+            out.converged = true;
             break;
         }
+        stop = last;
     }
     out
 }

@@ -166,6 +166,7 @@ impl IncrementalTour {
             &mut self.order,
             |i, j| tri_cost(dist, i, j),
             100,
+            None,
             |lo, hi| perm[lo..=hi].reverse(),
         )
         .moves;
@@ -382,7 +383,14 @@ mod tests {
         let before = t.order().to_vec();
         let pts = pts_of(&t);
         let mut want: Vec<usize> = (0..pts.len()).collect();
-        let moves = two_opt_by(&mut want, |i, j| pts[i].distance(pts[j]), 100, |_, _| {}).moves;
+        let moves = two_opt_by(
+            &mut want,
+            |i, j| pts[i].distance(pts[j]),
+            100,
+            None,
+            |_, _| {},
+        )
+        .moves;
         assert!(moves > 0, "the seeded tour should need compaction");
         let got_perm = t.two_opt_compact();
         assert_eq!(got_perm.as_deref(), Some(want.as_slice()));

@@ -17,8 +17,8 @@
 //!   and batch insertion kernels of the lazy greedy loops
 //!   ([`incremental`]).
 //! * **Exact TSP** — Held–Karp dynamic programming for small instances
-//!   ([`exact::held_karp`]), used as ground truth in tests and for tiny
-//!   tours inside the planners.
+//!   ([`exact::held_karp`]), the ground truth of the tests. No planner
+//!   calls it.
 //!
 //! All algorithms operate on a [`DistMatrix`], a dense symmetric matrix of
 //! non-negative edge weights; tours are permutations of `0..n` wrapped in

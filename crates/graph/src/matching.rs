@@ -81,8 +81,12 @@ pub fn min_weight_perfect_matching(m: &DistMatrix) -> Matching {
 /// Minimum-weight perfect matching with an explicit backend.
 ///
 /// `Auto` above the DP size reports to `rec`: `matching.certified` or
-/// `matching.fallbacks` (one per call), and `matching.repairs` (sparse
-/// re-solves after adding violated pairs).
+/// `matching.fallbacks` (one per call), `matching.repairs` (sparse
+/// re-solves after adding violated pairs), and the sparse solver's effort
+/// summed over its solves: `matching.stages` (augmentations, plus the
+/// last stage that finds none), `matching.dual_steps` (dual adjustments)
+/// and `matching.blossoms` (blossoms formed). Each is added once per
+/// call.
 ///
 /// # Panics
 /// Panics when the vertex count is odd.
@@ -109,6 +113,9 @@ pub fn min_weight_perfect_matching_with(
             if attempt.repairs > 0 {
                 rec.add("matching.repairs", attempt.repairs);
             }
+            rec.add("matching.stages", attempt.effort.stages);
+            rec.add("matching.dual_steps", attempt.effort.dual_steps);
+            rec.add("matching.blossoms", attempt.effort.blossoms);
             match attempt.mates {
                 Some(mates) => {
                     rec.add("matching.certified", 1);

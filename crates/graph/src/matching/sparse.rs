@@ -47,6 +47,17 @@ pub(super) struct Attempt {
     pub mates: Option<Vec<usize>>,
     /// Repair rounds run (solves after the first).
     pub repairs: u64,
+    /// Solver effort summed over the solves.
+    pub effort: Effort,
+}
+
+/// What the sparse solves did: stages (one augmentation each), dual
+/// adjustments, and blossoms formed.
+#[derive(Clone, Copy, Debug, Default)]
+pub(super) struct Effort {
+    pub stages: u64,
+    pub dual_steps: u64,
+    pub blossoms: u64,
 }
 
 /// Solves the matching on a sparse edge set and certifies it; see the
@@ -54,33 +65,27 @@ pub(super) struct Attempt {
 pub(super) fn certified_matching(m: &DistMatrix) -> Attempt {
     let w = Weights::new(m);
     let mut pairs = knn_pairs(m, K);
-    let mut repairs = 0;
+    let mut attempt = Attempt {
+        mates: None,
+        repairs: 0,
+        effort: Effort::default(),
+    };
     loop {
-        let Some((mates, dual)) = solve_sparse(&w, &pairs) else {
-            return Attempt {
-                mates: None,
-                repairs,
-            };
+        let Some((mates, dual)) = solve_sparse(&w, &pairs, &mut attempt.effort) else {
+            return attempt;
         };
         match check(&w, &mates, &dual) {
             Verdict::Unique => {
-                return Attempt {
-                    mates: Some(mates),
-                    repairs,
-                }
+                attempt.mates = Some(mates);
+                return attempt;
             }
-            Verdict::Violated(extra) if repairs < MAX_REPAIRS => {
-                repairs += 1;
+            Verdict::Violated(extra) if attempt.repairs < MAX_REPAIRS => {
+                attempt.repairs += 1;
                 pairs.extend(extra);
                 pairs.sort_unstable();
                 pairs.dedup();
             }
-            Verdict::Violated(_) | Verdict::Rejected => {
-                return Attempt {
-                    mates: None,
-                    repairs,
-                }
-            }
+            Verdict::Violated(_) | Verdict::Rejected => return attempt,
         }
     }
 }
@@ -126,19 +131,22 @@ impl<'a> Weights<'a> {
 fn knn_pairs(m: &DistMatrix, k: usize) -> Vec<(usize, usize)> {
     let n = m.len();
     let mut pairs = Vec::with_capacity(n * k);
-    // The row's best `k` so far, nearest first.
-    let mut near: Vec<(f64, usize)> = Vec::with_capacity(k + 1);
+    let mut row: Vec<(f64, usize)> = Vec::with_capacity(n);
     for u in 0..n {
-        near.clear();
-        for (v, &d) in m.row(u).iter().enumerate() {
-            if v == u || near.len() == k && near.last().is_some_and(|&(far, _)| d >= far) {
-                continue;
-            }
-            let at = near.partition_point(|&(e, _)| e <= d);
-            near.insert(at, (d, v));
-            near.truncate(k);
+        row.clear();
+        row.extend(
+            m.row(u)
+                .iter()
+                .enumerate()
+                .filter(|&(v, _)| v != u)
+                .map(|(v, &d)| (d, v)),
+        );
+        if row.len() > k {
+            // The `k` least `(d, v)`: nearest first, lower index on ties.
+            row.select_nth_unstable_by(k, |a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            row.truncate(k);
         }
-        pairs.extend(near.iter().map(|&(_, v)| (u.min(v), u.max(v))));
+        pairs.extend(row.iter().map(|&(_, v)| (u.min(v), u.max(v))));
     }
     pairs.sort_unstable();
     pairs.dedup();
@@ -159,10 +167,17 @@ struct Dual {
 /// Runs the sparse solver on `pairs`. Returns 0-indexed mates (`NONE` for
 /// an unmatched vertex) and the final duals, or `None` if the solver hit
 /// one of its internal guards.
-fn solve_sparse(w: &Weights<'_>, pairs: &[(usize, usize)]) -> Option<(Vec<usize>, Dual)> {
+fn solve_sparse(
+    w: &Weights<'_>,
+    pairs: &[(usize, usize)],
+    effort: &mut Effort,
+) -> Option<(Vec<usize>, Dual)> {
     let weights: Vec<i64> = pairs.iter().map(|&(u, v)| w.prime(u, v)).collect();
     let mut s = Solver::new(w.m.len(), pairs, weights);
     s.maximise();
+    effort.stages += s.effort.stages;
+    effort.dual_steps += s.effort.dual_steps;
+    effort.blossoms += s.effort.blossoms;
     if s.broken {
         return None;
     }
@@ -239,6 +254,11 @@ fn check(w: &Weights<'_>, mates: &[usize], dual: &Dual) -> Verdict {
         chain_start.push(chain.len());
     }
     let chain_of = |v: usize| &chain[chain_start[v]..chain_start[v + 1]];
+    // Outermost positive blossom of each vertex: pairs under different
+    // ones share no blossom dual.
+    let outer: Vec<usize> = (0..n)
+        .map(|v| chain_of(v).first().copied().unwrap_or(NONE))
+        .collect();
 
     // Per node: the child at the same level its leaving `M` edge reaches,
     // whether that edge also leaves the node's parent, and (for blossoms)
@@ -252,19 +272,26 @@ fn check(w: &Weights<'_>, mates: &[usize], dual: &Dual) -> Verdict {
     for (u, &mate_u) in mates.iter().enumerate() {
         let cu_chain = chain_of(u);
         for (v, &d) in w.m.row(u).iter().enumerate().skip(u + 1) {
-            let wi = w.int(d);
             let cv_chain = chain_of(v);
-            let common = cu_chain
-                .iter()
-                .zip(cv_chain)
-                .take_while(|(a, b)| a == b)
-                .count();
+            let common = if outer[u] != NONE && outer[u] == outer[v] {
+                cu_chain
+                    .iter()
+                    .zip(cv_chain)
+                    .take_while(|(a, b)| a == b)
+                    .count()
+            } else {
+                0
+            };
             let z = if common > 0 {
                 zsum[cu_chain[common - 1]]
             } else {
                 0
             };
-            let rc = dual.value[u] + dual.value[v] + 2 * z + 4 * wi;
+            let rc = dual.value[u] + dual.value[v] + 2 * z + 4 * w.int(d);
+            if rc > 0 && mate_u != v {
+                // Slack and unmatched: the common case, nothing to record.
+                continue;
+            }
             if rc < 0 {
                 violated = true;
                 for (a, b) in [(u, v), (v, u)] {
@@ -430,14 +457,19 @@ struct Solver {
     /// "not listed": its vertices' edges are scanned instead.
     bestedges: Vec<Vec<usize>>,
     unused: Vec<usize>,
+    /// Blossoms in use (any level), ascending.
+    live: Vec<usize>,
     dual: Vec<i64>,
     allow: Vec<bool>,
     queue: Vec<usize>,
-    /// Scratch for `add_blossom`: per node, all `NONE` between calls.
+    /// Scratch for `add_blossom`: per node, all `NONE` between calls,
+    /// and the nodes it set.
     bestedgeto: Vec<usize>,
+    offered: Vec<usize>,
     scratch: Vec<usize>,
     /// Set when an internal guard trips; the result must not be used.
     broken: bool,
+    effort: Effort,
 }
 
 impl Solver {
@@ -481,12 +513,15 @@ impl Solver {
             bestedge: vec![NONE; 2 * n],
             bestedges: vec![Vec::new(); 2 * n],
             unused: (n..2 * n).rev().collect(),
+            live: Vec::new(),
             dual: vec![0; 2 * n],
             allow: vec![false; m],
             queue: Vec::new(),
             bestedgeto: vec![NONE; 2 * n],
+            offered: Vec::new(),
             scratch: Vec::new(),
             broken: false,
+            effort: Effort::default(),
         };
         s.greedy_start();
         s
@@ -529,6 +564,64 @@ impl Solver {
                 self.mate[u] = p ^ 1;
             }
         }
+        self.tight_paths();
+    }
+
+    /// Augments along alternating paths of tight edges found by a
+    /// depth-first search from each free vertex, so that fewer vertices
+    /// start the first stage free. Duals do not change, and every edge
+    /// the matching gains is tight, so the start stays a valid one.
+    fn tight_paths(&mut self) {
+        let n = self.n;
+        let mut seen = vec![NONE; n];
+        let mut path = Vec::new();
+        for r in 0..n {
+            if self.mate[r] != NONE {
+                continue;
+            }
+            seen[r] = r;
+            path.clear();
+            if self.tight_path_from(r, r, &mut seen, &mut path) {
+                for &p in &path {
+                    let (x, y) = (self.ends[p ^ 1], self.ends[p]);
+                    self.mate[x] = p;
+                    self.mate[y] = p ^ 1;
+                }
+            }
+        }
+    }
+
+    /// Depth-first search for a tight alternating path from `x` to a free
+    /// vertex other than `root`, pushing the unmatched endpoints taken.
+    fn tight_path_from(
+        &self,
+        x: usize,
+        root: usize,
+        seen: &mut [usize],
+        path: &mut Vec<usize>,
+    ) -> bool {
+        for &p in &self.adj[self.adj_start[x]..self.adj_start[x + 1]] {
+            let y = self.ends[p];
+            if seen[y] == root || self.slack(p / 2) != 0 {
+                continue;
+            }
+            seen[y] = root;
+            let m = self.mate[y];
+            let found = if m == NONE {
+                true
+            } else {
+                let z = self.ends[m];
+                seen[z] != root && {
+                    seen[z] = root;
+                    self.tight_path_from(z, root, seen, path)
+                }
+            };
+            if found {
+                path.push(p);
+                return true;
+            }
+        }
+        false
     }
 
     /// Twice the slack of edge `k` (valid between distinct top-level
@@ -607,6 +700,10 @@ impl Solver {
             self.broken = true;
             return;
         };
+        self.effort.blossoms += 1;
+        if let Err(at) = self.live.binary_search(&b) {
+            self.live.insert(at, b);
+        }
         let (mut v, mut w) = (self.ends[2 * k], self.ends[2 * k + 1]);
         let bb = self.inblossom[base];
         let mut bv = self.inblossom[v];
@@ -680,12 +777,14 @@ impl Solver {
         let mut list = take(&mut self.bestedges[b]);
         list.clear();
         let mut best = NONE;
-        for slot in &mut self.bestedgeto {
-            if *slot != NONE {
-                list.push(*slot);
-                *slot = NONE;
-            }
+        // The offered nodes in node order, as a sweep over all slots
+        // would list them.
+        self.offered.sort_unstable();
+        for &node in &self.offered {
+            list.push(self.bestedgeto[node]);
+            self.bestedgeto[node] = NONE;
         }
+        self.offered.clear();
         for &e in &list {
             if best == NONE || self.slack(e) < self.slack(best) {
                 best = e;
@@ -703,6 +802,9 @@ impl Solver {
             && self.label[bj] == 1
             && (self.bestedgeto[bj] == NONE || self.slack(k) < self.slack(self.bestedgeto[bj]))
         {
+            if self.bestedgeto[bj] == NONE {
+                self.offered.push(bj);
+            }
             self.bestedgeto[bj] = k;
         }
     }
@@ -807,6 +909,9 @@ impl Solver {
         self.bestedges[b].clear();
         self.bestedge[b] = NONE;
         self.unused.push(b);
+        if let Ok(at) = self.live.binary_search(&b) {
+            self.live.remove(at);
+        }
     }
 
     /// Swaps matched and unmatched edges on the even path from vertex `v`
@@ -941,9 +1046,10 @@ impl Solver {
         // bug from spinning.
         let mut budget = 64 * (n + 1) * (n + 1) + 16 * self.weight.len();
         for _stage in 0..n {
+            self.effort.stages += 1;
             self.label.fill(0);
             self.bestedge.fill(NONE);
-            for b in n..2 * n {
+            for &b in &self.live {
                 self.bestedges[b].clear();
             }
             self.allow.fill(false);
@@ -972,6 +1078,7 @@ impl Solver {
                     return;
                 }
                 budget -= 1;
+                self.effort.dual_steps += 1;
                 if !self.dual_step() {
                     break;
                 }
@@ -979,52 +1086,71 @@ impl Solver {
             if !augmented || self.broken {
                 return;
             }
-            for b in n..2 * n {
-                if self.parent[b] == NONE
-                    && self.base[b] != NONE
-                    && self.label[b] == 1
-                    && self.dual[b] == 0
-                {
-                    self.expand_blossom(b, true);
-                }
+            // Top-level blossoms are disjoint, so expanding one leaves the
+            // others' conditions as they were.
+            let ended: Vec<usize> = self
+                .live
+                .iter()
+                .copied()
+                .filter(|&b| self.parent[b] == NONE && self.label[b] == 1 && self.dual[b] == 0)
+                .collect();
+            for b in ended {
+                self.expand_blossom(b, true);
             }
         }
     }
 
     /// One dual adjustment. Returns false when no dual change can create a
     /// tight edge: the matching has maximum cardinality on this edge set.
+    ///
+    /// The candidates are weighed in a fixed order (free vertices' edges,
+    /// then S–S edges from vertices and from blossoms, then T blossoms'
+    /// duals), and a later one wins only when strictly smaller.
     fn dual_step(&mut self) -> bool {
         let n = self.n;
-        let mut kind = 0;
-        let mut delta = i64::MAX;
-        let mut edge = NONE;
-        let mut blossom = NONE;
+        let (mut free, mut s_s) = ((i64::MAX, NONE), (i64::MAX, NONE));
         for v in 0..n {
             let e = self.bestedge[v];
-            if self.label[self.inblossom[v]] == 0 && e != NONE {
+            if e == NONE {
+                continue;
+            }
+            if self.label[self.inblossom[v]] == 0 {
                 let d = self.slack(e);
-                if d < delta {
-                    (delta, kind, edge) = (d, 2, e);
+                if d < free.0 {
+                    free = (d, e);
                 }
             }
-        }
-        for b in 0..2 * n {
-            let e = self.bestedge[b];
-            if self.parent[b] == NONE && self.label[b] == 1 && e != NONE {
+            if self.parent[v] == NONE && self.label[v] == 1 {
                 let d = self.slack(e) / 2;
-                if d < delta {
-                    (delta, kind, edge) = (d, 3, e);
+                if d < s_s.0 {
+                    s_s = (d, e);
                 }
             }
         }
-        for b in n..2 * n {
-            if self.base[b] != NONE
-                && self.parent[b] == NONE
-                && self.label[b] == 2
-                && self.dual[b] < delta
-            {
-                (delta, kind, blossom) = (self.dual[b], 4, b);
+        let mut expand = (i64::MAX, NONE);
+        for &b in &self.live {
+            if self.parent[b] != NONE {
+                continue;
             }
+            let e = self.bestedge[b];
+            if self.label[b] == 1 && e != NONE {
+                let d = self.slack(e) / 2;
+                if d < s_s.0 {
+                    s_s = (d, e);
+                }
+            } else if self.label[b] == 2 && self.dual[b] < expand.0 {
+                expand = (self.dual[b], b);
+            }
+        }
+        let (mut delta, mut kind, mut edge, mut blossom) = (i64::MAX, 0, NONE, NONE);
+        if free.0 < delta {
+            (delta, kind, edge) = (free.0, 2, free.1);
+        }
+        if s_s.0 < delta {
+            (delta, kind, edge) = (s_s.0, 3, s_s.1);
+        }
+        if expand.0 < delta {
+            (delta, kind, blossom) = (expand.0, 4, expand.1);
         }
         if kind == 0 {
             return false;
@@ -1036,8 +1162,8 @@ impl Solver {
                 _ => {}
             }
         }
-        for b in n..2 * n {
-            if self.base[b] != NONE && self.parent[b] == NONE {
+        for &b in &self.live {
+            if self.parent[b] == NONE {
                 match self.label[b] {
                     1 => self.dual[b] += delta,
                     2 => self.dual[b] -= delta,
@@ -1090,7 +1216,8 @@ mod tests {
         let w = Weights::new(m);
         let mut pairs = knn_pairs(m, K);
         loop {
-            let (mates, dual) = solve_sparse(&w, &pairs).expect("solver guard tripped");
+            let (mates, dual) =
+                solve_sparse(&w, &pairs, &mut Effort::default()).expect("solver guard tripped");
             match check(&w, &mates, &dual) {
                 Verdict::Violated(extra) => {
                     pairs.extend(extra);

@@ -95,6 +95,7 @@ fn drive(depot: (f64, f64), seed: &[(f64, f64)], ops: &[Op]) -> IncrementalTour 
                     &mut want,
                     |i, j| mirror[i].distance(mirror[j]),
                     100,
+                    None,
                     |_, _| {},
                 )
                 .moves;

@@ -19,7 +19,8 @@
 //! matching, so the repair path runs), greedy traps, and arbitrary
 //! symmetric weights. A paper-scale case takes the MST odd set of 501
 //! uniform points in 1 km², as the benchmark heuristic does, and reports
-//! how many instances the certificate accepted.
+//! how many instances the certificate accepted, with the sparse solver's
+//! effort counters (stages, dual steps, blossoms) per call.
 //!
 //! Run with `--features validate` to widen to >= 1024 seeded cases (64
 //! paper-scale seeds).
@@ -333,15 +334,30 @@ fn far_odd_clusters_run_a_repair() {
 fn paper_scale_odd_sets_certify_and_equal_dense() {
     let seeds: u64 = if cfg!(feature = "validate") { 64 } else { 4 };
     let mut certified = 0;
+    let mut effort = [0u64; 3];
     for seed in 0..seeds {
         let mut rng = SmallRng::seed_from_u64(seed);
         let pts = cluster(&mut rng, 501, 0.0, 1000.0);
         let m = DistMatrix::from_euclidean(&pts);
         let odd = odd_degree_vertices(pts.len(), &prim_mst(&m).edges);
-        let rec = auto_equals_dense(&m.submatrix(&odd));
-        certified += rec.report().counter("matching.certified");
+        let r = auto_equals_dense(&m.submatrix(&odd)).report();
+        certified += r.counter("matching.certified");
+        for (sum, name) in effort.iter_mut().zip([
+            "matching.stages",
+            "matching.dual_steps",
+            "matching.blossoms",
+        ]) {
+            *sum += r.counter(name);
+        }
     }
-    println!("paper-scale odd sets certified: {certified}/{seeds}");
+    let [stages, steps, blossoms] = effort.map(|e| e as f64 / seeds as f64);
+    println!(
+        "paper-scale odd sets certified: {certified}/{seeds}; per call {stages:.1} stages, \
+         {steps:.1} dual steps, {blossoms:.1} blossoms"
+    );
+    // Every sparse solve runs at least the stage that finds no
+    // augmentation.
+    assert!(stages >= 1.0, "effort counters flushed");
     // The speed-up rests on the certificate accepting these instances.
     assert!(10 * certified >= 9 * seeds, "certified {certified}/{seeds}");
 }

@@ -16,6 +16,18 @@
 //! random permutations or the generation order, over the whole matrix or
 //! over a subset of its vertices, with sweep caps from 1 up to 200.
 //!
+//! Every entry point must also report `converged` exactly when the
+//! oracle stopped on a sweep without a move, so a run that hit its sweep
+//! cap certifies nothing.
+//!
+//! The dirty-edge start is checked against the oracle on the edits the
+//! orienteering search makes: a tour over part of the points is run to
+//! convergence, then vertices are ejected and outside vertices inserted
+//! (the edges each edit creates marked dirty), and the kernel started
+//! from those marks must make the oracle's moves from the edited tour,
+//! with any sweep cap, at sizes on both sides of the cross-over (the
+//! neighbour scan ignores the marks).
+//!
 //! Prim is checked against the two-pass Prim it replaced on the same
 //! matrices, all-equal weights included: same edge list, same weight
 //! bits.
@@ -40,16 +52,16 @@ fn cases() -> u64 {
     }
 }
 
-/// The full-scan 2-opt the kernel replaced: returns the move count and
-/// the saved sum.
+/// The full-scan 2-opt the kernel replaced: returns the move count, the
+/// saved sum and whether the last sweep moved nothing.
 fn oracle_two_opt(
     order: &mut [usize],
     cost: impl Fn(usize, usize) -> f64,
     max_sweeps: usize,
-) -> (usize, f64) {
+) -> (usize, f64, bool) {
     let n = order.len();
     if n < 4 {
-        return (0, 0.0);
+        return (0, 0.0, true);
     }
     let (mut moves, mut saved) = (0, 0.0);
     let mut improved = true;
@@ -74,7 +86,7 @@ fn oracle_two_opt(
             }
         }
     }
-    (moves, saved)
+    (moves, saved, !improved)
 }
 
 /// The two-pass Prim the fused-fringe Prim replaced.
@@ -265,7 +277,7 @@ fn run(entry: Entry, c: &Case) -> (Vec<usize>, TwoOpt, Vec<usize>) {
     let cost = |u: usize, v: usize| c.m.get(u, v);
     let mut on_reverse = |lo: usize, hi: usize| perm[lo..=hi].reverse();
     let out = match entry {
-        Entry::Dispatch => two_opt_by(&mut order, cost, c.max_sweeps, on_reverse),
+        Entry::Dispatch => two_opt_by(&mut order, cost, c.max_sweeps, None, on_reverse),
         Entry::Full => two_opt_full(&mut order, cost, c.max_sweeps, &mut on_reverse),
         Entry::Neighbours => two_opt_neighbours(&mut order, cost, c.max_sweeps, &mut on_reverse),
     };
@@ -277,12 +289,17 @@ fn kernel_matches_full_scan_oracle() {
     for seed in 0..cases() {
         let c = case(seed);
         let mut want = c.start.clone();
-        let (want_moves, want_saved) =
+        let (want_moves, want_saved, want_converged) =
             oracle_two_opt(&mut want, |u, v| c.m.get(u, v), c.max_sweeps);
         for entry in [Entry::Dispatch, Entry::Full, Entry::Neighbours] {
             let (order, out, perm) = run(entry, &c);
             assert_eq!(order, want, "{entry:?} order, {}", c.label);
             assert_eq!(out.moves, want_moves, "{entry:?} moves, {}", c.label);
+            assert_eq!(
+                out.converged, want_converged,
+                "{entry:?} converged, {}",
+                c.label
+            );
             assert_eq!(
                 out.saved.to_bits(),
                 want_saved.to_bits(),
@@ -295,12 +312,82 @@ fn kernel_matches_full_scan_oracle() {
     }
 }
 
+/// A converged tour over part of the points, edited as the orienteering
+/// search edits it, then run from the dirty edges; see the module docs.
+#[test]
+fn dirty_edge_start_matches_full_scan() {
+    let (mut runs, mut moved) = (0, 0);
+    for seed in 0..cases() {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xd127_ed9e);
+        let shape = [
+            Shape::Uniform,
+            Shape::UniformWide,
+            Shape::Lattice,
+            Shape::LatticeWide,
+            Shape::Coincident,
+            Shape::NearCollinear,
+        ][rng.gen_range(0..6usize)];
+        // Half the cases reach the neighbour scan's sizes.
+        let total = rng.gen_range(6..=[64, NEIGHBOUR_SCAN_MIN + 60][(seed % 2) as usize]);
+        let m = DistMatrix::from_euclidean(&points(shape, total, &mut rng));
+        let cost = |u: usize, v: usize| m.get(u, v);
+        let mut outside: Vec<usize> = (1..total).collect();
+        for k in (1..outside.len()).rev() {
+            outside.swap(k, rng.gen_range(0..=k));
+        }
+        let keep = rng.gen_range(2..total);
+        let mut tour = vec![0];
+        tour.extend(outside.drain(..keep));
+        if !two_opt_by(&mut tour, cost, 200, None, |_, _| {}).converged {
+            continue;
+        }
+        let mut dirty = vec![false; total];
+        for _ in 0..rng.gen_range(1..=6) {
+            if tour.len() > 1 && (outside.is_empty() || rng.gen_range(0..5u32) < 2) {
+                let i = rng.gen_range(1..tour.len());
+                tour.remove(i);
+                dirty[tour[i - 1]] = true;
+            } else if let Some(w) = outside.pop() {
+                let pos = rng.gen_range(1..=tour.len());
+                tour.insert(pos, w);
+                dirty[tour[pos - 1]] = true;
+                dirty[w] = true;
+            }
+        }
+        let flags: Vec<bool> = tour.iter().map(|&v| dirty[v]).collect();
+        let max_sweeps = [1, 2, 100, 200][rng.gen_range(0..4usize)];
+        let label = format!(
+            "seed {seed}: {shape:?}, {} of {total} vertices, cap {max_sweeps}",
+            tour.len()
+        );
+        let mut want = tour.clone();
+        let (want_moves, want_saved, want_converged) = oracle_two_opt(&mut want, cost, max_sweeps);
+        let mut got = tour.clone();
+        let mut perm: Vec<usize> = (0..tour.len()).collect();
+        let out = two_opt_by(&mut got, cost, max_sweeps, Some(&flags), |lo, hi| {
+            perm[lo..=hi].reverse()
+        });
+        assert_eq!(got, want, "order, {label}");
+        assert_eq!(out.moves, want_moves, "moves, {label}");
+        assert_eq!(out.saved.to_bits(), want_saved.to_bits(), "saved, {label}");
+        assert_eq!(out.converged, want_converged, "converged, {label}");
+        let replay: Vec<usize> = perm.iter().map(|&k| tour[k]).collect();
+        assert_eq!(replay, got, "callback permutation, {label}");
+        runs += 1;
+        moved += usize::from(out.moves > 1);
+    }
+    // Runs must also go on past their first move, with the edges it
+    // changed hot.
+    assert!(runs > cases() as usize / 2, "{runs} dirty runs");
+    assert!(moved > 0, "no dirty run made a second move");
+}
+
 #[test]
 fn christofides_polish_is_the_kernel_at_200_sweeps() {
     for seed in 0..cases().min(16) {
         let c = case(seed);
         let mut want = c.start.clone();
-        let (_, want_saved) = oracle_two_opt(&mut want, |u, v| c.m.get(u, v), 200);
+        let (_, want_saved, _) = oracle_two_opt(&mut want, |u, v| c.m.get(u, v), 200);
         let mut tour = Tour::new(c.start.clone());
         let saved = two_opt(&mut tour, &c.m);
         assert_eq!(tour.order(), want.as_slice(), "{}", c.label);

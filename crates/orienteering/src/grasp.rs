@@ -7,7 +7,7 @@
 //! deterministic for a fixed seed.
 
 use crate::insertion::Insertions;
-use crate::local::{fill_insertions, two_opt_cost};
+use crate::local::{fill_from, two_opt_from};
 use crate::{OrienteeringInstance, OrienteeringSolution};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -43,10 +43,24 @@ impl Default for GraspConfig {
 /// Reports `grasp.iterations` (constructions run), `grasp.improvements`
 /// (incumbent updates), `grasp.rescans` (full insertion rescans the
 /// [`Insertions`] caches fell back to), `grasp.two_opt_moves` (2-opt
-/// moves applied), `grasp.idle_two_opts` (2-opt runs that moved nothing)
-/// and `grasp.idle_fills` (fills that inserted nothing) to `rec`. Effort
-/// counters are accumulated locally and flushed once, so the recorder
-/// adds no work to the search loop itself.
+/// moves applied), `grasp.idle_two_opts` (2-opt runs that moved nothing),
+/// `grasp.idle_fills` (fills that inserted nothing), `grasp.resumed_fills`
+/// (fills that resumed the insertion cache instead of building one) and
+/// `grasp.dirty_two_opts` (2-opt runs started from the dirty edges) to
+/// `rec`. Effort counters are accumulated locally and flushed once, so
+/// the recorder adds no work to the search loop itself.
+///
+/// The search never re-proves what it already knows, and decides exactly
+/// as a search that rebuilds everything would (DESIGN.md §4):
+/// * an insertion cache describes the tour from the construction on;
+///   insertions keep it current and only a 2-opt move or an ejection
+///   invalidates it, so a fill after a 2-opt that moved nothing resumes
+///   it;
+/// * after a 2-opt that converged, every pair of its edges is known not
+///   to improve, so the next 2-opt starts from the pairs touching the
+///   edges inserted or ejected since ([`two_opt_by`]'s dirty-edge start).
+///
+/// [`two_opt_by`]: uavdc_graph::improve::two_opt_by
 pub fn solve_grasp(
     inst: &OrienteeringInstance,
     cfg: &GraspConfig,
@@ -64,50 +78,46 @@ pub fn solve_grasp(
     let mut improvements = 0u64;
     let mut effort = Effort::default();
     for _ in 0..cfg.iterations.max(1) {
-        let mut tour = randomized_construction(inst, cfg.alpha, &mut rng, &mut effort.rescans);
-        let mut cost = effort.two_opt(inst, &mut tour);
-        let mut in_tour = vec![false; inst.len()];
-        for &v in &tour {
-            in_tour[v] = true;
-        }
-        cost = effort.fill(inst, &mut tour, &mut in_tour, cost);
-        let prize = inst.tour_prize(&tour);
+        let mut walk = randomized_construction(inst, cfg.alpha, &mut rng);
+        let mut cost = walk.two_opt(&mut effort);
+        cost = walk.fill(cost, &mut effort);
+        let prize = inst.tour_prize(&walk.tour);
         if prize > best.prize {
             improvements += 1;
             best = OrienteeringSolution {
-                tour: tour.clone(),
+                tour: walk.tour.clone(),
                 cost,
                 prize,
             };
         }
         // Iterated local search: eject a few random vertices, refill.
         for _ in 0..cfg.ils_rounds {
-            if tour.len() <= 1 {
+            if walk.tour.len() <= 1 {
                 break;
             }
-            let evict = 1 + rng.gen_range(0..tour.len().div_ceil(4).max(1));
+            let evict = 1 + rng.gen_range(0..walk.tour.len().div_ceil(4).max(1));
             for _ in 0..evict {
-                if tour.len() <= 1 {
+                if walk.tour.len() <= 1 {
                     break;
                 }
-                let i = 1 + rng.gen_range(0..tour.len() - 1);
-                in_tour[tour[i]] = false;
-                tour.remove(i);
+                let i = 1 + rng.gen_range(0..walk.tour.len() - 1);
+                walk.eject(i);
             }
-            let c = effort.two_opt(inst, &mut tour);
-            let _ = effort.fill(inst, &mut tour, &mut in_tour, c);
-            let c = effort.two_opt(inst, &mut tour); // recomputes exactly
-            let cost = effort.fill(inst, &mut tour, &mut in_tour, c);
-            let prize = inst.tour_prize(&tour);
+            let c = walk.two_opt(&mut effort);
+            let _ = walk.fill(c, &mut effort);
+            let c = walk.two_opt(&mut effort); // recomputes exactly
+            let cost = walk.fill(c, &mut effort);
+            let prize = inst.tour_prize(&walk.tour);
             if prize > best.prize + 1e-12 || (prize >= best.prize - 1e-12 && cost < best.cost) {
                 improvements += 1;
                 best = OrienteeringSolution {
-                    tour: tour.clone(),
+                    tour: walk.tour.clone(),
                     cost,
                     prize,
                 };
             }
         }
+        effort.rescans += walk.rescans + walk.cache.rescans();
     }
     rec.add("grasp.iterations", cfg.iterations.max(1) as u64);
     rec.add("grasp.improvements", improvements);
@@ -115,6 +125,8 @@ pub fn solve_grasp(
     rec.add("grasp.two_opt_moves", effort.two_opt_moves);
     rec.add("grasp.idle_two_opts", effort.idle_two_opts);
     rec.add("grasp.idle_fills", effort.idle_fills);
+    rec.add("grasp.resumed_fills", effort.resumed_fills);
+    rec.add("grasp.dirty_two_opts", effort.dirty_two_opts);
     best
 }
 
@@ -130,42 +142,102 @@ struct Effort {
     idle_two_opts: u64,
     /// Fills that inserted nothing.
     idle_fills: u64,
+    /// Fills that resumed the kept insertion cache.
+    resumed_fills: u64,
+    /// 2-opt runs started from the dirty edges.
+    dirty_two_opts: u64,
 }
 
-impl Effort {
-    /// [`two_opt_cost`], counted.
-    fn two_opt(&mut self, inst: &OrienteeringInstance, tour: &mut [usize]) -> f64 {
-        let (cost, moves) = two_opt_cost(inst, tour);
-        self.two_opt_moves += moves as u64;
-        self.idle_two_opts += u64::from(moves == 0);
+/// One construction's tour and what the search knows about it.
+struct Walk<'a> {
+    inst: &'a OrienteeringInstance,
+    tour: Vec<usize>,
+    in_tour: Vec<bool>,
+    /// The insertion cache; it describes `tour` while `cache_current`.
+    cache: Insertions,
+    cache_current: bool,
+    /// Rescans of the caches this walk replaced.
+    rescans: u64,
+    /// Per vertex: the tour edge leaving it is new since the last 2-opt
+    /// that converged.
+    dirty: Vec<bool>,
+    /// The last 2-opt converged, so only pairs touching a `dirty` edge can
+    /// improve.
+    certified: bool,
+}
+
+impl Walk<'_> {
+    /// 2-opt in place, counted; returns the recomputed tour cost.
+    fn two_opt(&mut self, effort: &mut Effort) -> f64 {
+        let flags: Option<Vec<bool>> = self
+            .certified
+            .then(|| self.tour.iter().map(|&v| self.dirty[v]).collect());
+        effort.dirty_two_opts += u64::from(flags.is_some());
+        let run = two_opt_from(self.inst, &mut self.tour, flags.as_deref());
+        effort.two_opt_moves += run.moves as u64;
+        effort.idle_two_opts += u64::from(run.moves == 0);
+        if run.moves > 0 {
+            self.cache_current = false;
+        }
+        self.certified = run.converged;
+        if run.converged {
+            for &v in &self.tour {
+                self.dirty[v] = false;
+            }
+        }
+        self.inst.tour_cost(&self.tour)
+    }
+
+    /// [`fill_insertions`](crate::local::fill_insertions) on the kept
+    /// cache (rebuilt first when a 2-opt moved), counted.
+    fn fill(&mut self, cost: f64, effort: &mut Effort) -> f64 {
+        let inst = self.inst;
+        if self.cache_current {
+            effort.resumed_fills += 1;
+        } else {
+            let in_tour = &self.in_tour;
+            let fresh = Insertions::new(inst, &self.tour, |v| !in_tour[v] && inst.prize(v) > 0.0);
+            self.rescans += std::mem::replace(&mut self.cache, fresh).rescans();
+            self.cache_current = true;
+        }
+        let before = self.tour.len();
+        let dirty = &mut self.dirty;
+        let cost = fill_from(
+            inst,
+            &mut self.cache,
+            &mut self.tour,
+            &mut self.in_tour,
+            cost,
+            |tour, pos| {
+                dirty[tour[pos - 1]] = true;
+                dirty[tour[pos]] = true;
+            },
+        );
+        effort.idle_fills += u64::from(self.tour.len() == before);
         cost
     }
 
-    /// [`fill_insertions`], counted.
-    fn fill(
-        &mut self,
-        inst: &OrienteeringInstance,
-        tour: &mut Vec<usize>,
-        in_tour: &mut [bool],
-        cost: f64,
-    ) -> f64 {
-        let before = tour.len();
-        let cost = fill_insertions(inst, tour, in_tour, cost, &mut self.rescans);
-        self.idle_fills += u64::from(tour.len() == before);
-        cost
+    /// Removes the vertex at `i` (never the depot at 0). The cache no
+    /// longer describes the tour: replaying removals into it costs about
+    /// what a fresh build does.
+    fn eject(&mut self, i: usize) {
+        let v = self.tour.remove(i);
+        self.cache_current = false;
+        self.in_tour[v] = false;
+        self.dirty[self.tour[i - 1]] = true;
     }
 }
 
 /// Randomized greedy construction: repeatedly pick a random member of the
 /// restricted candidate list (feasible vertices whose ratio is within
 /// `alpha` of the best) and insert it at its cheapest position, read from
-/// one [`Insertions`] cache kept current across the construction.
-fn randomized_construction(
-    inst: &OrienteeringInstance,
+/// one [`Insertions`] cache kept current across the construction and
+/// handed on with the tour.
+fn randomized_construction<'a>(
+    inst: &'a OrienteeringInstance,
     alpha: f64,
     rng: &mut SmallRng,
-    rescans: &mut u64,
-) -> Vec<usize> {
+) -> Walk<'a> {
     let depot = inst.depot();
     let mut tour = vec![depot];
     let mut cache = Insertions::new(inst, &tour, |v| v != depot && inst.prize(v) > 0.0);
@@ -188,8 +260,7 @@ fn randomized_construction(
             candidates.push((v, ratio, pos, delta));
         }
         if candidates.is_empty() {
-            *rescans += cache.rescans();
-            return tour;
+            break;
         }
         #[expect(
             clippy::float_cmp,
@@ -205,6 +276,22 @@ fn randomized_construction(
         let pick = rcl[rng.gen_range(0..rcl.len())];
         cache.insert(inst, &mut tour, pick.2, pick.0);
         cost += pick.3;
+    }
+    let mut in_tour = vec![false; inst.len()];
+    for &v in &tour {
+        in_tour[v] = true;
+    }
+    // The cache tracks the vertices outside the tour with a positive
+    // prize, as a fill's fresh cache would.
+    Walk {
+        inst,
+        tour,
+        in_tour,
+        cache,
+        cache_current: true,
+        rescans: 0,
+        dirty: vec![false; inst.len()],
+        certified: false,
     }
 }
 

@@ -2,15 +2,25 @@
 
 use crate::insertion::Insertions;
 use crate::OrienteeringInstance;
-use uavdc_graph::improve::two_opt_by;
+use uavdc_graph::improve::{two_opt_by, TwoOpt};
 
 /// 2-opt cost reduction on a tour of *global* vertex indices, in place
 /// (the shared kernel at a 100-sweep cap). Prize is unaffected (the
 /// vertex set does not change); only the order — and thus cost —
 /// improves. Returns the new cost and the number of moves applied.
 pub fn two_opt_cost(inst: &OrienteeringInstance, tour: &mut [usize]) -> (f64, usize) {
-    let moves = two_opt_by(tour, |u, v| inst.dist(u, v), 100, |_, _| {}).moves;
-    (inst.tour_cost(tour), moves)
+    let run = two_opt_from(inst, tour, None);
+    (inst.tour_cost(tour), run.moves)
+}
+
+/// [`two_opt_cost`]'s kernel run, from the given dirty edges (see
+/// [`two_opt_by`]).
+pub(crate) fn two_opt_from(
+    inst: &OrienteeringInstance,
+    tour: &mut [usize],
+    dirty: Option<&[bool]>,
+) -> TwoOpt {
+    two_opt_by(tour, |u, v| inst.dist(u, v), 100, dirty, |_, _| {})
 }
 
 /// Greedily inserts every vertex that still fits, best prize/cost ratio
@@ -23,10 +33,28 @@ pub fn fill_insertions(
     inst: &OrienteeringInstance,
     tour: &mut Vec<usize>,
     in_tour: &mut [bool],
-    mut cost: f64,
+    cost: f64,
     rescans: &mut u64,
 ) -> f64 {
     let mut cache = Insertions::new(inst, tour, |v| !in_tour[v] && inst.prize(v) > 0.0);
+    let cost = fill_from(inst, &mut cache, tour, in_tour, cost, |_, _| {});
+    *rescans += cache.rescans();
+    cost
+}
+
+/// The loop of [`fill_insertions`] on a cache the caller kept. The cache
+/// must describe `tour` and track exactly the vertices a fresh one would
+/// (those outside the tour with a positive prize, in ascending order):
+/// then every entry and the iteration order equal a fresh cache's, and so
+/// do the fill's choices. `on_insert(pos, w)` runs after each insertion.
+pub(crate) fn fill_from(
+    inst: &OrienteeringInstance,
+    cache: &mut Insertions,
+    tour: &mut Vec<usize>,
+    in_tour: &mut [bool],
+    mut cost: f64,
+    mut on_insert: impl FnMut(&[usize], usize),
+) -> f64 {
     loop {
         let mut best_v = usize::MAX;
         let mut best_pos = 0;
@@ -50,12 +78,12 @@ pub fn fill_insertions(
             }
         }
         if best_v == usize::MAX {
-            *rescans += cache.rescans();
             return cost;
         }
         cache.insert(inst, tour, best_pos, best_v);
         in_tour[best_v] = true;
         cost += best_delta;
+        on_insert(tour, best_pos);
     }
 }
 

@@ -6,10 +6,13 @@
 //! insertions at random positions until the tour holds up to 60 vertices.
 //! After the build and after every insertion, every tracked vertex's
 //! cached `(delta, pos)` must equal a fresh `best_insertion` over the
-//! current tour: delta compared by bits, position exactly. Half the
-//! instances sit on a 6×6 integer lattice, where coincident and mirrored
-//! points make equal deltas common, so the lowest-position tie rule is
-//! exercised on most steps rather than almost never.
+//! current tour (delta compared by bits, position exactly), and the whole
+//! cache must equal one built fresh on that tour, `tracked()` order
+//! included: that is what lets the orienteering search resume a kept
+//! cache instead of building one. Half the instances sit on a 6×6 integer
+//! lattice, where coincident and mirrored points make equal deltas
+//! common, so the lowest-position tie rule and the split rule's strict
+//! test are exercised on most steps rather than almost never.
 //!
 //! Run with `--features validate` to widen the property to >= 1024
 //! seeded cases (the CI equivalence gate); the default is a quick 64.
@@ -43,7 +46,9 @@ fn instance(rng: &mut SmallRng, n: usize, lattice: bool) -> OrienteeringInstance
 }
 
 /// Asserts that every tracked vertex's cache entry equals a fresh scan,
-/// and that the tracked set is exactly the vertices outside the tour.
+/// that the tracked set is exactly the vertices outside the tour, and
+/// that a cache built fresh on the tour holds the same entries in the
+/// same order.
 fn assert_fresh(inst: &OrienteeringInstance, tour: &[usize], cache: &Insertions, step: usize) {
     let outside: Vec<usize> = (0..inst.len()).filter(|v| !tour.contains(v)).collect();
     assert_eq!(
@@ -51,6 +56,20 @@ fn assert_fresh(inst: &OrienteeringInstance, tour: &[usize], cache: &Insertions,
         outside.as_slice(),
         "tracked set at step {step}"
     );
+    let fresh = Insertions::new(inst, tour, |v| !tour.contains(&v));
+    assert_eq!(
+        fresh.tracked(),
+        cache.tracked(),
+        "fresh order at step {step}"
+    );
+    for &v in fresh.tracked() {
+        let (a, b) = (fresh.get(v), cache.get(v));
+        assert_eq!(
+            (a.0.to_bits(), a.1),
+            (b.0.to_bits(), b.1),
+            "fresh entry {v}"
+        );
+    }
     for &v in cache.tracked() {
         let (want_delta, want_pos) = best_insertion(inst, tour, v);
         let (got_delta, got_pos) = cache.get(v);
