@@ -15,6 +15,11 @@
 //! (awards may double-count when coverage overlaps, but the built plan
 //! still collects each device once — at its first covering stop).
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indexes candidate and aux-graph vertex ids it built itself; `alg1_goldens` and `alg1_reduction` check its plans"
+)]
+
 use crate::auxgraph::AuxGraph;
 use crate::candidates::CandidateSet;
 use crate::plan::{CollectionPlan, HoverStop};

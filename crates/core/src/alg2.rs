@@ -34,6 +34,11 @@
 //! exactly those of the exhaustive reference while each operation gets
 //! cheaper.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indexes candidate, device and tour-point ids it built itself; `lazy_equivalence`, `alg2_incremental_equivalence` and `alg2_paper_goldens` check it"
+)]
+
 use crate::candidates::CandidateSet;
 use crate::greedy::{
     self, touch, DistanceBank, EngineMode, EvalCounters, Fixup, InsertionCache, LazyHeap,

@@ -16,6 +16,11 @@
 //!   hover durations are recomputed from residuals as the tour grows
 //!   (the pseudocode's lines 11–12).
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indexes candidate, device and partition ids it built itself; `lazy_equivalence` and `obs_noop_equivalence` check it"
+)]
+
 use crate::candidates::CandidateSet;
 use crate::greedy::{
     self, touch, DistanceBank, EngineMode, EvalCounters, Fixup, InsertionCache, LazyHeap,

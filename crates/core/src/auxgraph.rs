@@ -15,6 +15,11 @@
 //! battery capacity as the budget therefore yields an energy-feasible
 //! data-collection tour.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indexes aux-graph vertices by candidate id; `alg1_reduction` checks the graph against true tour energies"
+)]
+
 use crate::candidates::CandidateSet;
 use uavdc_geom::Point2;
 use uavdc_graph::DistMatrix;

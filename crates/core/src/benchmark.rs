@@ -14,6 +14,11 @@
 //! *marginal* data loss of removing a stop: data nobody else on the tour
 //! still covers.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indexes stops, devices and tournament-tree slots it built itself; `prune_props` checks the lazy pruner against the exhaustive one"
+)]
+
 use crate::greedy::{EngineMode, EvalCounters, PlanStats};
 use crate::plan::{CollectionPlan, HoverStop};
 use crate::tourutil::{apply_order, christofides_order, closed_tour_length, removal_delta};

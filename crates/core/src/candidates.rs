@@ -15,6 +15,11 @@
 //! allocated per cell. Dominance pruning then keeps about 7% of the
 //! candidates on the paper instance at `δ = 10 m`.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indexes grid cells and device ids it built itself; `candidate_props` checks the grid against a query-centric oracle"
+)]
+
 use std::ops::Range;
 
 use uavdc_geom::{GridSpec, Point2};

@@ -49,6 +49,11 @@
 //! serial fold's comparator, so the winning candidate — and therefore the
 //! committed plan — matches the exhaustive scan bit for bit.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indexes heap slots and candidate ids it built itself; `lazy_heap_props` and `lazy_equivalence` check it"
+)]
+
 use crate::candidates::CandidateSet;
 use uavdc_geom::{from_total_key, total_key, Point2};
 use uavdc_graph::incremental::{

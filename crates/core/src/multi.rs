@@ -10,6 +10,11 @@
 //! so the fleet plan passes [`check_fleet`](crate::validate::check_fleet)
 //! against the *original* scenario.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indexes UAVs, sectors and candidate ids it built itself; the fleet tests in `tests/extensions.rs` validate and simulate every strategy"
+)]
+
 use crate::plan::CollectionPlan;
 use crate::Planner;
 use uavdc_geom::{cmp_f64, Point2};

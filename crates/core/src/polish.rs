@@ -8,6 +8,11 @@
 //! energy. The freed energy is returned so callers can try to extend the
 //! plan further.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indexes tour positions of the plan it polishes; `polishing_any_planner_preserves_collection_and_feasibility` checks it"
+)]
+
 use crate::plan::CollectionPlan;
 use uavdc_geom::Point2;
 use uavdc_net::units::Joules;

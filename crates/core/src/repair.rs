@@ -17,6 +17,11 @@
 //! each decision point where the live consumption estimate says the
 //! nominal remainder of the plan no longer fits.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indexes stops of the plan it repairs; `controller_props` and the module's unit tests check it"
+)]
+
 use uavdc_geom::{cmp_f64, Point2};
 use uavdc_net::units::{Joules, JoulesPerMeter, MegaBytes};
 

@@ -8,6 +8,11 @@
 //! shows how much the paper's data-aware planning actually buys over
 //! blind coverage.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indexes device and stop ids it built itself; the sweep tests in `tests/extensions.rs` and `validate_props` check it"
+)]
+
 use crate::plan::{CollectionPlan, HoverStop};
 use crate::Planner;
 use uavdc_geom::{Point2, SpatialGrid};

@@ -5,6 +5,11 @@
 //! keep that invariant while providing the usual construction and
 //! improvement moves.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indexes tour positions within the tour it is given; `lazy_equivalence` and `alg2_incremental_equivalence` check it"
+)]
+
 use uavdc_geom::Point2;
 use uavdc_graph::christofides::{christofides_with, ChristofidesConfig};
 use uavdc_graph::DistMatrix;

@@ -30,6 +30,11 @@
 //! * **auxiliary-graph metricity** — the Eq. 9 weights form a metric
 //!   (paper Lemma 1), so orienteering budgets translate to tour energy.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indexes stops and devices after checking their ids against the scenario; `validate_props` checks it"
+)]
+
 use crate::auxgraph::AuxGraph;
 use crate::multi::FleetPlan;
 use crate::plan::CollectionPlan;

@@ -1,5 +1,10 @@
 //! Axis-aligned bounding boxes over the ground plane.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "slices a fixed-size corner array; the module's unit tests check it"
+)]
+
 use crate::Point2;
 
 /// An axis-aligned rectangle `[min.x, max.x] x [min.y, max.y]` in metres.

@@ -1,5 +1,10 @@
 //! Path/tour length helpers and pairwise distance matrices.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indexes consecutive vertex pairs of a non-empty polyline; the module's unit tests check it"
+)]
+
 use crate::Point2;
 
 /// Total length of the open polyline through `pts`, in metres.

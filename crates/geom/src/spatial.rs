@@ -8,6 +8,11 @@
 //! it: each device enumerates its own cells through
 //! [`GridSpec::cells_with_center_within`](crate::GridSpec::cells_with_center_within).)
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indexes grid buckets computed from clamped cell coordinates; `candidate_props` uses the grid as its oracle"
+)]
+
 use crate::{Aabb, Point2};
 
 /// A spatial index of a fixed slice of points, bucketed on a uniform grid.

@@ -8,6 +8,11 @@
 //! set and certifies the result against the complete graph (see
 //! [`crate::matching`]), so the tour is the one the dense blossom gives.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indexes matrix vertices it selected itself; `two_opt_props` and `matching_fuzz` check the stages it calls"
+)]
+
 use crate::euler::{euler_circuit, shortcut_circuit};
 use crate::improve::two_opt;
 use crate::matching::{min_weight_perfect_matching_with, MatchingBackend};

@@ -1,5 +1,10 @@
 //! Eulerian circuits on multigraphs (Hierholzer's algorithm).
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indexes vertices and edge ids of the multigraph it is given; the module's unit tests and `two_opt_props` check it"
+)]
+
 /// Finds an Eulerian circuit of the multigraph on `n` vertices given by
 /// `edges`, starting from `start`.
 ///

@@ -1,5 +1,10 @@
 //! Exact TSP via Held–Karp dynamic programming (`O(2^n · n²)`).
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indexes Held-Karp subset tables sized by `n`; the module's unit tests and `matching_fuzz` check it"
+)]
+
 use crate::{DistMatrix, Tour};
 
 /// Practical vertex limit for [`held_karp`]; beyond this the table exceeds

@@ -8,6 +8,11 @@
 //! edges are new since its last converged run can have it start from
 //! the pairs touching those edges only.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indexes tour positions and neighbour lists it built itself; `two_opt_props` checks it against the full-scan oracle"
+)]
+
 use crate::{DistMatrix, Tour};
 
 /// Maximum number of full improvement sweeps before giving up; local search

@@ -26,6 +26,11 @@
 //! property-tested — to be bit-identical per lane to its scalar `Point2`
 //! counterpart.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indexes tour slots and edge ids it built itself; `incremental_props` checks it against a recomputation"
+)]
+
 use crate::improve::two_opt_by;
 
 /// A closed tour over appendable stops with cached distances and

@@ -20,6 +20,11 @@
 //! `mates`. The `matching.certified`, `matching.repairs` and
 //! `matching.fallbacks` counters report which way each call went.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indexes vertices of the matrix it is given; `matching_fuzz` checks every backend against a brute-force oracle"
+)]
+
 mod blossom;
 mod sparse;
 

@@ -18,6 +18,11 @@
 //! Correctness is established in the parent module's tests by comparison
 //! against exact bitmask DP over thousands of random instances.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indexes vertex, node and edge ids it created itself; `matching_fuzz` checks it against a brute-force oracle"
+)]
+
 use super::Matching;
 use crate::DistMatrix;
 use std::collections::VecDeque;

@@ -27,6 +27,11 @@
 //! `mwmatching`): memory is `O(n + m)` for `m` edges, and weights are read
 //! from the [`DistMatrix`] rows.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indexes vertex, node and edge ids it created itself; `matching_fuzz` checks it against the dense blossom"
+)]
+
 use crate::DistMatrix;
 use std::mem::take;
 

@@ -1,5 +1,10 @@
 //! Dense symmetric distance matrices.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indexes the `n * n` buffer it allocated itself; the module's unit tests and `two_opt_props` check it"
+)]
+
 /// A dense symmetric matrix of non-negative edge weights over `n` vertices.
 ///
 /// This is the input format for every algorithm in this crate. Weights are

@@ -1,5 +1,10 @@
 //! Minimum spanning trees on dense matrices (Prim, O(n²)).
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indexes vertices of the matrix it is given; `two_opt_props` checks Prim against its oracle"
+)]
+
 use crate::DistMatrix;
 
 /// A spanning tree: its edge list and total weight.

@@ -1,5 +1,10 @@
 //! Closed tours over the vertices of a [`DistMatrix`].
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indexes the tour's own vertices into the matrix it was built on; the module's unit tests and `two_opt_props` check it"
+)]
+
 use crate::DistMatrix;
 
 /// A closed tour: an ordering of a subset of vertices, visited cyclically.

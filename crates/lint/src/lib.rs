@@ -1,20 +1,20 @@
-//! `uavdc-lint` — dependency-free semantic analysis for the uavdc
-//! workspace.
+//! `uavdc-lint` — dependency-free dimension and ordering checks for the
+//! uavdc workspace.
 //!
 //! The planners' correctness rests on numeric invariants from the paper
 //! (energy feasibility, metric closure of the auxiliary orienteering
 //! graph, data conservation across virtual hovering locations). Those
-//! invariants are easy to violate silently with recurring Rust hazards,
-//! which this tool machine-checks on every `.rs` file in the workspace.
+//! invariants are easy to violate silently by mixing Joules, metres and
+//! megabytes or by ordering floats NaN-unsafely, which this tool
+//! machine-checks on every `.rs` file in the workspace.
 //!
-//! Since PR 3 the tool is a lightweight *semantic* analyzer, not a token
-//! grepper: a real lexer ([`lexer`]) produces the single token stream all
-//! rules consume (string/comment bytes can never match a rule), and an
-//! item-level parser ([`parser`]) models `fn` signatures, `struct`/`enum`
-//! fields, and `#[cfg(test)]` regions so rules can reason about
-//! visibility, types, and parameter names.
+//! The tool is one pass per file: a real lexer ([`lexer`]) produces the
+//! single token stream all rules consume (string/comment bytes can never
+//! match a rule), and an item-level parser ([`parser`]) models `fn`
+//! signatures, `struct`/`enum` fields, and `#[cfg(test)]` regions so
+//! rules can reason about visibility, types, and parameter names.
 //!
-//! Rules:
+//! Rules (JSON schema `uavdc-lint/6`):
 //!
 //! * [`Rule::FloatOrd`] — `partial_cmp` comparators (NaN-unsafe) and
 //!   `==`/`!=` against float literals, `0.0` included (clippy's
@@ -27,49 +27,24 @@
 //! * [`Rule::UnitUnwrap`] — `.value()` / `Unit(..).0` escapes from the
 //!   unit layer outside the declared perf-critical modules.
 //!
-//! Panic sites, hash-order containers, ambient env reads and float
-//! equality are clippy's job, not this tool's: the root `clippy.toml`
-//! bans `std::env::var{,_os,s}` and `HashMap`/`HashSet`/`RandomState`,
+//! Panic sites, out-of-bounds indexing, hash-order containers, ambient
+//! env and clock reads and float equality are clippy's job, not this
+//! tool's: the root `clippy.toml` bans `std::env::var{,_os,s}`,
+//! `Instant::now`, `SystemTime::now` and `HashMap`/`HashSet`/`RandomState`,
 //! and every library crate root warns on `unwrap_used`, `expect_used`,
 //! `panic`, `unreachable`, `todo`, `unimplemented` and `float_cmp`
-//! outside `cfg(test)`. A sanctioned site carries
-//! `#[expect(clippy::…, reason = "…")]` on the narrowest statement, and
+//! outside `cfg(test)`; the planner crates add `indexing_slicing`, which
+//! each bounds-audited file expects at its top. A sanctioned site carries
+//! `#[expect(clippy::…, reason = "…")]`, and
 //! `cargo clippy --workspace --all-targets -- -D warnings` fails on both
 //! unjustified sites and stale expectations.
-//!
-//! Since PR 6 the tool is *workspace-wide*: a resolver ([`resolve`])
-//! maps every `fn` to a `(crate, module)` coordinate and resolves call
-//! sites across crates, a call-graph builder ([`callgraph`]) attaches
-//! local hazard sites to each function, and a fixed-point dataflow
-//! layer ([`dataflow`]) propagates them. Three interprocedural rules run
-//! on top (introduced with JSON schema `uavdc-lint/3`):
-//!
-//! * [`Rule::PanicReach`] — non-audited indexing sites reachable from
-//!   planner entry points, with the shortest witness call path.
-//!   (`unwrap`/`panic!`-family sites need a local clippy justification,
-//!   so they never propagate.)
-//! * [`Rule::UnitFlow`] — raw `f64` produced by `.value()` escapes
-//!   tracked across function boundaries until re-wrapped in a unit
-//!   newtype.
-//! * [`Rule::ObsTwin`] — every `_obs` twin must have a plain sibling
-//!   that cleanly delegates to it (recorder invisibility coherence).
-//!
-//! Nondeterminism sources are clippy's too: the root `clippy.toml` bans
-//! `Instant::now`, `SystemTime::now`, env reads and hash containers at
-//! every site, not only at those a planner can reach, and the `rand`
-//! shim has no entropy-seeded constructor.
-//!
-//! Lock discipline is the type system's job, not this tool's: the
-//! collecting recorder is `!Sync` by type and the artifact cache's one
-//! Mutex holds its guard for a single map operation, so JSON schema
-//! `uavdc-lint/5` carries no concurrency rule.
 //!
 //! Findings are reported as `path:line: rule: message`, one per line.
 //! A finding is suppressed with a pragma comment on the same line or the
 //! line directly above (doc comments are never pragmas):
 //!
 //! ```text
-//! // lint:allow(panic-reach): index is in range by construction of `order`
+//! // lint:allow(unit-unwrap): boundary formatting of a report row
 //! ```
 //!
 //! The reason after the colon is mandatory, and pragmas that suppress
@@ -92,13 +67,10 @@
     )
 )]
 
-pub mod callgraph;
-pub mod dataflow;
 pub mod lexer;
 pub mod parser;
-pub mod resolve;
 
-use lexer::{Comment, Tok, TokKind};
+use lexer::{Comment, Lexed, Tok, TokKind};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -114,15 +86,6 @@ pub enum Rule {
     /// `.value()` / `Unit(..).0` escape from the unit layer outside a
     /// declared perf-critical module.
     UnitUnwrap,
-    /// A non-audited indexing site reachable from a public planner entry
-    /// point through the call graph.
-    PanicReach,
-    /// A raw `f64` produced by a unit escape (`.value()` / `Unit(..).0`)
-    /// crossing a function boundary without re-entering a unit newtype.
-    UnitFlow,
-    /// An `_obs` twin whose plain wrapper does not cleanly delegate to
-    /// it (recorder-invisibility coherence).
-    ObsTwin,
     /// A `lint:allow` pragma that suppressed nothing.
     UnusedAllow,
     /// A `lint:allow` pragma without a rule name or without a reason.
@@ -136,9 +99,6 @@ impl Rule {
             Rule::FloatOrd => "float-ord",
             Rule::RawQuantity => "raw-quantity",
             Rule::UnitUnwrap => "unit-unwrap",
-            Rule::PanicReach => "panic-reach",
-            Rule::UnitFlow => "unit-flow",
-            Rule::ObsTwin => "obs-twin",
             Rule::UnusedAllow => "unused-allow",
             Rule::MalformedAllow => "malformed-allow",
         }
@@ -150,26 +110,15 @@ impl Rule {
             "float-ord" => Some(Rule::FloatOrd),
             "raw-quantity" => Some(Rule::RawQuantity),
             "unit-unwrap" => Some(Rule::UnitUnwrap),
-            "panic-reach" => Some(Rule::PanicReach),
-            "unit-flow" => Some(Rule::UnitFlow),
-            "obs-twin" => Some(Rule::ObsTwin),
             "unused-allow" => Some(Rule::UnusedAllow),
             "malformed-allow" => Some(Rule::MalformedAllow),
             _ => None,
         }
     }
 
-    /// All rules that scan source directly (pragma meta-rules excluded):
-    /// the three per-file rules and the three interprocedural rules.
-    pub fn all_source_rules() -> [Rule; 6] {
-        [
-            Rule::FloatOrd,
-            Rule::RawQuantity,
-            Rule::UnitUnwrap,
-            Rule::PanicReach,
-            Rule::UnitFlow,
-            Rule::ObsTwin,
-        ]
+    /// All rules that scan source directly (pragma meta-rules excluded).
+    pub fn all_source_rules() -> [Rule; 3] {
+        [Rule::FloatOrd, Rule::RawQuantity, Rule::UnitUnwrap]
     }
 }
 
@@ -184,8 +133,7 @@ impl fmt::Display for Rule {
 pub enum FileKind {
     /// Library source: every rule applies.
     Library,
-    /// Tests, benches, examples, binaries: only float ordering applies,
-    /// and their fns are never planner entry points or hazard sites.
+    /// Tests, benches, examples, binaries: only float ordering applies.
     TestLike,
 }
 
@@ -259,7 +207,7 @@ impl Finding {
 /// The full machine-readable report for a scan: a single JSON document
 /// with a schema tag, the enabled rules, and the sorted findings.
 pub fn report_json(findings: &[Finding]) -> String {
-    let mut out = String::from("{\"schema\":\"uavdc-lint/5\",\"rules\":[");
+    let mut out = String::from("{\"schema\":\"uavdc-lint/6\",\"rules\":[");
     let mut first = true;
     for r in Rule::all_source_rules() {
         if !first {
@@ -278,43 +226,6 @@ pub fn report_json(findings: &[Finding]) -> String {
         out.push_str(&f.to_json());
     }
     out.push_str(&format!("],\"count\":{}}}", findings.len()));
-    out
-}
-
-/// The findings rendered as a SARIF 2.1.0 document, the interchange
-/// format GitHub code scanning ingests. Single-line, deterministic
-/// (rules in `all_source_rules` order plus the meta-rules, results in
-/// the already-sorted findings order), and dependency-free like the
-/// JSON reporter.
-pub fn report_sarif(findings: &[Finding]) -> String {
-    let mut out = String::from(
-        "{\"version\":\"2.1.0\",\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\"runs\":[{\"tool\":{\"driver\":{\"name\":\"uavdc-lint\",\"informationUri\":\"https://github.com/uavdc/uavdc\",\"rules\":[",
-    );
-    let mut first = true;
-    for r in Rule::all_source_rules()
-        .into_iter()
-        .chain([Rule::UnusedAllow, Rule::MalformedAllow])
-    {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!("{{\"id\":\"{}\"}}", r.name()));
-    }
-    out.push_str("]}},\"results\":[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"ruleId\":\"{}\",\"level\":\"error\",\"message\":{{\"text\":\"{}\"}},\"locations\":[{{\"physicalLocation\":{{\"artifactLocation\":{{\"uri\":\"{}\"}},\"region\":{{\"startLine\":{}}}}}}}]}}",
-            f.rule.name(),
-            json_escape(&f.message),
-            json_escape(&f.path.display().to_string().replace('\\', "/")),
-            f.line,
-        ));
-    }
-    out.push_str("]}]}");
     out
 }
 
@@ -424,85 +335,6 @@ pub const PERF_CRITICAL_MODULES: [&str; 9] = [
     "crates/core/src/repair.rs",
 ];
 
-/// Crates whose public functions are planner entry points for the
-/// reachability rule (panic-reach): the algorithm core, the orienteering
-/// solvers, and the mission simulator.
-const ENTRY_CRATES: [&str; 3] = [
-    "crates/core/src/",
-    "crates/orienteering/src/",
-    "crates/sim/src/",
-];
-
-/// Bounds-audited modules for `panic-reach`: indexing in these files is
-/// accepted as in-range by construction, backed by the invariant and
-/// property suites that already patrol them (energy feasibility, metric
-/// closure, matching validity, incremental-tour edge-cache exactness —
-/// see DESIGN.md §13 and §15). The sparse matcher indexes only by vertex,
-/// node and edge ids it created itself, and `matching_fuzz.rs` checks it
-/// against the dense blossom on >= 1024 cases per instance family. The
-/// orienteering insertion cache indexes by vertex and tour position only,
-/// and `insertion_props.rs` checks it against a fresh scan after every
-/// insertion on >= 1024 cases. This is a *ratchet*:
-/// new files start outside the list, so fresh indexing-heavy code must
-/// either be audited in or carry per-site pragmas.
-const INDEX_AUDITED: [&str; 50] = [
-    "crates/bench/src/json.rs",
-    "crates/bench/src/lib.rs",
-    "crates/core/src/alg1.rs",
-    "crates/core/src/alg2.rs",
-    "crates/core/src/alg3.rs",
-    "crates/core/src/auxgraph.rs",
-    "crates/core/src/benchmark.rs",
-    "crates/core/src/candidates.rs",
-    "crates/core/src/greedy.rs",
-    "crates/core/src/multi.rs",
-    "crates/core/src/plan.rs",
-    "crates/core/src/polish.rs",
-    "crates/core/src/repair.rs",
-    "crates/core/src/sweep.rs",
-    "crates/core/src/tourutil.rs",
-    "crates/core/src/validate.rs",
-    "crates/geom/src/aabb.rs",
-    "crates/geom/src/order.rs",
-    "crates/geom/src/polyline.rs",
-    "crates/geom/src/spatial.rs",
-    "crates/graph/src/christofides.rs",
-    "crates/graph/src/euler.rs",
-    "crates/graph/src/exact.rs",
-    "crates/graph/src/improve.rs",
-    "crates/graph/src/incremental.rs",
-    "crates/graph/src/matching.rs",
-    "crates/graph/src/matching/blossom.rs",
-    "crates/graph/src/matching/sparse.rs",
-    "crates/graph/src/matrix.rs",
-    "crates/graph/src/mst.rs",
-    "crates/graph/src/tour.rs",
-    "crates/net/src/generator.rs",
-    "crates/net/src/io.rs",
-    "crates/net/src/lib.rs",
-    "crates/net/src/scenario.rs",
-    "crates/net/src/topology.rs",
-    "crates/orienteering/src/exact.rs",
-    "crates/orienteering/src/grasp.rs",
-    "crates/orienteering/src/greedy.rs",
-    "crates/orienteering/src/insertion.rs",
-    "crates/orienteering/src/lib.rs",
-    "crates/orienteering/src/local.rs",
-    "crates/orienteering/src/problem.rs",
-    "crates/orienteering/src/team.rs",
-    "crates/sim/src/controller.rs",
-    "crates/sim/src/event.rs",
-    "crates/sim/src/periodic.rs",
-    "crates/sim/src/report.rs",
-    "crates/sim/src/sim.rs",
-    "src/viz.rs",
-];
-
-/// Is indexing in this file covered by the bounds-audited baseline?
-pub(crate) fn index_audited(norm: &str) -> bool {
-    path_ends(norm, &INDEX_AUDITED)
-}
-
 /// Dimension vocabulary for `raw-quantity`: an identifier *word* (after
 /// `_`/camelCase splitting) matching one of these marks the identifier
 /// as dimension-named. Plural forms are listed explicitly.
@@ -579,12 +411,10 @@ fn float_lit_at(toks: &[Tok], mut j: usize) -> Option<&Tok> {
     toks.get(j).filter(|t| t.kind == TokKind::Float)
 }
 
-/// Scan one file's contents in isolation. `display_path` is used for
-/// reports and for the path-scoped rules; `kind` decides which rules
-/// apply; `scope` decides whether crate scoping restricts the dimension
-/// rules. The interprocedural rules see a one-file workspace here, so
-/// only their intra-file findings can fire; use [`analyze`] (or the
-/// CLI) for whole-workspace analysis.
+/// Scan one file's contents. `display_path` is used for reports and
+/// for the path-scoped rules; `kind` decides which rules apply; `scope`
+/// decides whether crate scoping restricts the dimension rules.
+/// Findings come back sorted like [`analyze`]'s.
 pub fn scan_source(
     display_path: &Path,
     source: &str,
@@ -611,43 +441,38 @@ pub struct AnalysisInput {
     pub kind: FileKind,
 }
 
-/// Lex/parse every input into a [`resolve::FileCtx`] plus its pragmas.
-fn build_contexts(inputs: Vec<AnalysisInput>) -> (Vec<resolve::FileCtx>, Vec<Vec<Allow>>) {
-    let mut ctxs = Vec::with_capacity(inputs.len());
-    let mut allows = Vec::with_capacity(inputs.len());
-    for inp in inputs {
-        let lexed = lexer::lex(&inp.source);
-        let model = parser::parse(&lexed.toks);
-        let norm = inp.path.to_string_lossy().replace('\\', "/");
-        let (crate_ident, mods) = resolve::crate_and_module(&norm);
-        allows.push(parse_allows(&lexed.comments));
-        ctxs.push(resolve::FileCtx {
-            path: inp.path,
-            norm,
-            kind: inp.kind,
-            lexed,
-            model,
-            crate_ident,
-            mods,
-        });
-    }
-    (ctxs, allows)
+/// One lexed and parsed file.
+struct FileCtx {
+    /// Display path (workspace-relative for workspace scans).
+    path: PathBuf,
+    /// `/`-normalised path string used by all path-scoped decisions.
+    norm: String,
+    /// Library vs test-like classification.
+    kind: FileKind,
+    /// Token stream and comments.
+    lexed: Lexed,
+    /// Item model.
+    model: parser::Model,
 }
 
-/// Full analysis pipeline over a set of files: the per-file rules, then
-/// the interprocedural rules over the resolved workspace, then the
-/// pragma meta-rules last (so interprocedural justifications count as
-/// "used"). Findings come back sorted by (path, line, rule, message).
+/// Full analysis pipeline over a set of files, one file at a time: the
+/// three rules, then the pragma meta-rules (so a pragma a rule consumed
+/// counts as used). Findings come back sorted by (path, line, rule,
+/// message).
 pub fn analyze(inputs: Vec<AnalysisInput>, scope: ScanScope) -> Vec<Finding> {
-    let (ctxs, mut allows) = build_contexts(inputs);
-    let ws = resolve::Workspace::build(ctxs);
     let mut findings = Vec::new();
-    for (fi, ctx) in ws.files.iter().enumerate() {
-        findings.extend(per_file_rules(ctx, scope, &mut allows[fi]));
-    }
-    findings.extend(interprocedural_rules(&ws, scope, &mut allows));
-    for (fi, ctx) in ws.files.iter().enumerate() {
-        findings.extend(meta_rules(ctx, &allows[fi]));
+    for inp in inputs {
+        let lexed = lexer::lex(&inp.source);
+        let ctx = FileCtx {
+            norm: inp.path.to_string_lossy().replace('\\', "/"),
+            path: inp.path,
+            kind: inp.kind,
+            model: parser::parse(&lexed.toks),
+            lexed,
+        };
+        let mut allows = parse_allows(&ctx.lexed.comments);
+        findings.extend(per_file_rules(&ctx, scope, &mut allows));
+        findings.extend(meta_rules(&ctx, &allows));
     }
     findings.sort_by(|a, b| {
         a.path
@@ -661,11 +486,7 @@ pub fn analyze(inputs: Vec<AnalysisInput>, scope: ScanScope) -> Vec<Finding> {
 }
 
 /// The three per-file rules: float-ord, raw-quantity, unit-unwrap.
-fn per_file_rules(
-    ctx: &resolve::FileCtx,
-    scope: ScanScope,
-    allows: &mut Vec<Allow>,
-) -> Vec<Finding> {
+fn per_file_rules(ctx: &FileCtx, scope: ScanScope, allows: &mut [Allow]) -> Vec<Finding> {
     let toks = &ctx.lexed.toks[..];
     let model = &ctx.model;
     let display_path = ctx.path.as_path();
@@ -844,9 +665,9 @@ fn per_file_rules(
 }
 
 /// Meta-rules over the pragma stream: malformed pragmas, and pragmas
-/// that suppressed nothing anywhere in the pipeline. Runs last so that
-/// pragmas consumed by the interprocedural rules count as used.
-fn meta_rules(ctx: &resolve::FileCtx, allows: &[Allow]) -> Vec<Finding> {
+/// that suppressed nothing. Runs after the rules so that consumed
+/// pragmas count as used.
+fn meta_rules(ctx: &FileCtx, allows: &[Allow]) -> Vec<Finding> {
     let mut findings = Vec::new();
     for a in allows {
         if a.rule.is_none() || !a.has_reason {
@@ -871,231 +692,10 @@ fn meta_rules(ctx: &resolve::FileCtx, allows: &[Allow]) -> Vec<Finding> {
     findings
 }
 
-/// Renders a witness call path (`entry -> … -> site fn`) from the BFS
-/// breadcrumbs, as fn names joined by ` -> `.
-fn witness_names<P: Clone>(
-    ws: &resolve::Workspace,
-    g: &callgraph::CallGraph,
-    reach: &[Option<dataflow::ReachInfo<P>>],
-    from: usize,
-) -> String {
-    dataflow::witness_path(reach, from)
-        .iter()
-        .map(|&n| {
-            let (fi, ni) = g.nodes[n].id;
-            ws.files[fi].model.fns[ni].name.clone()
-        })
-        .collect::<Vec<_>>()
-        .join(" -> ")
-}
-
-/// Is this node a planner entry point for the reachability rules?
-fn is_entry(ws: &resolve::Workspace, node: &callgraph::Node, scope: ScanScope) -> bool {
-    node.is_public_api
-        && (scope == ScanScope::ForceAll || path_in(&ws.files[node.id.0].norm, &ENTRY_CRATES))
-}
-
-/// The whole-workspace rules: panic-reach, unit-flow and obs-twin
-/// (DESIGN.md §13).
-fn interprocedural_rules(
-    ws: &resolve::Workspace,
-    scope: ScanScope,
-    allows: &mut [Vec<Allow>],
-) -> Vec<Finding> {
-    let graph = callgraph::CallGraph::build(
-        ws,
-        |fi, rule, line| is_allowed(&mut allows[fi], rule, line),
-        index_audited,
-    );
-    let mut findings = Vec::new();
-    let entries: Vec<usize> = (0..graph.nodes.len())
-        .filter(|&n| is_entry(ws, &graph.nodes[n], scope))
-        .collect();
-
-    // --- panic-reach: nearest non-audited indexing site reachable from
-    // each entry point, reported at the entry point with the shortest
-    // witness call path.
-    let panic_sources: Vec<(usize, callgraph::Site)> = graph
-        .nodes
-        .iter()
-        .enumerate()
-        .filter_map(|(n, node)| {
-            node.index_sites
-                .iter()
-                .find(|s| !s.justified)
-                .map(|s| (n, s.clone()))
-        })
-        .collect();
-    let panic_reach = dataflow::reach(&graph, &panic_sources);
-    for &e in &entries {
-        let Some(info) = &panic_reach[e] else {
-            continue;
-        };
-        let site = &info.payload;
-        let (fi, ni) = graph.nodes[e].id;
-        let fun = &ws.files[fi].model.fns[ni];
-        let src_file = &ws.files[graph.nodes[info.source].id.0];
-        if !is_allowed(&mut allows[fi], Rule::PanicReach, fun.line) {
-            findings.push(Finding {
-                path: ws.files[fi].path.clone(),
-                line: fun.line,
-                rule: Rule::PanicReach,
-                message: format!(
-                    "public planner entry `{}` can reach a panic site ({} at {}:{}) via {}; prove the site unreachable (pragma at the site) or justify with lint:allow(panic-reach)",
-                    fun.name,
-                    site.what,
-                    src_file.path.display(),
-                    site.line,
-                    witness_names(ws, &graph, &panic_reach, e),
-                ),
-            });
-        }
-    }
-
-    // --- unit-flow: a call that receives raw f64 from a transitive
-    // `.value()` escape without immediately re-wrapping it in a unit
-    // newtype. Perf-critical modules are exempt (they own raw-f64
-    // math); method calls are opaque (receiver types untracked).
-    let raw = dataflow::raw_producers(&graph);
-    for n in 0..graph.nodes.len() {
-        let (fi, ni) = graph.nodes[n].id;
-        let ctx = &ws.files[fi];
-        let fun = &ctx.model.fns[ni];
-        if ctx.kind != FileKind::Library || fun.in_test {
-            continue;
-        }
-        let force = scope == ScanScope::ForceAll;
-        let in_scope = (force || path_in(&ctx.norm, &UNIT_UNWRAP_CRATES))
-            && !path_ends(&ctx.norm, &PERF_CRITICAL_MODULES);
-        if !in_scope {
-            continue;
-        }
-        for (call, targets) in &graph.nodes[n].calls {
-            if call.method {
-                continue;
-            }
-            let Some(&producer) = targets.iter().find(|&&t| {
-                t != graph.nodes[n].id && graph.node_of(t).is_some_and(|ix| raw[ix].is_some())
-            }) else {
-                continue;
-            };
-            // `Joules(f(..))`-style immediate re-wrap launders cleanly.
-            let call_start = call.name_tok.saturating_sub(2 * call.quals.len());
-            let toks = &ctx.lexed.toks;
-            let wrapped = call_start >= 2
-                && toks[call_start - 1].is_punct("(")
-                && toks[call_start - 2].kind == TokKind::Ident
-                && UNIT_TYPES.contains(&toks[call_start - 2].text.as_str());
-            if wrapped {
-                continue;
-            }
-            let pix = graph.node_of(producer).unwrap_or(n);
-            let Some(pinfo) = &raw[pix] else { continue };
-            let src_file = &ws.files[graph.nodes[pinfo.source].id.0];
-            if !is_allowed(&mut allows[fi], Rule::UnitFlow, call.line) {
-                findings.push(Finding {
-                    path: ctx.path.clone(),
-                    line: call.line,
-                    rule: Rule::UnitFlow,
-                    message: format!(
-                        "`{}` in `{}` receives raw f64 laundered from a unit escape ({}:{}, chain {}) without re-entering a unit newtype; wrap the call (e.g. Joules(..)) or justify with lint:allow(unit-flow)",
-                        call.name,
-                        fun.name,
-                        src_file.path.display(),
-                        pinfo.payload,
-                        witness_names(ws, &graph, &raw, pix),
-                    ),
-                });
-            }
-        }
-    }
-
-    // --- obs-twin coherence: every `X_obs` twin must have a same-file
-    // plain sibling that cleanly delegates to it (all non-plumbing
-    // callees of the sibling are the twin itself), so the recorder
-    // invisibility property cannot silently rot.
-    for (fi, ctx) in ws.files.iter().enumerate() {
-        if ctx.kind != FileKind::Library || callgraph::obs_sanctioned(&ctx.norm) {
-            continue;
-        }
-        for (ni, fun) in ctx.model.fns.iter().enumerate() {
-            if fun.in_test {
-                continue;
-            }
-            let Some(base) = fun.name.strip_suffix("_obs") else {
-                continue;
-            };
-            let sibs: Vec<usize> = ctx
-                .model
-                .fns
-                .iter()
-                .enumerate()
-                .filter(|(si, s)| *si != ni && !s.in_test && s.name == base)
-                .map(|(si, _)| si)
-                .collect();
-            if sibs.is_empty() {
-                if !is_allowed(&mut allows[fi], Rule::ObsTwin, fun.line) {
-                    findings.push(Finding {
-                        path: ctx.path.clone(),
-                        line: fun.line,
-                        rule: Rule::ObsTwin,
-                        message: format!(
-                            "`{}` has no plain sibling `{}` in this file; every _obs twin needs a recorder-free wrapper (or justify with lint:allow(obs-twin))",
-                            fun.name, base,
-                        ),
-                    });
-                }
-                continue;
-            }
-            let delegates = sibs.iter().any(|&si| {
-                let Some(nx) = graph.node_of((fi, si)) else {
-                    return false;
-                };
-                let node = &graph.nodes[nx];
-                let mut calls_twin = false;
-                let mut clean = true;
-                for (call, targets) in &node.calls {
-                    if call.name == fun.name {
-                        calls_twin = true;
-                        continue;
-                    }
-                    // Recorder plumbing (NOOP recorder construction,
-                    // obs/compat callees) does not break coherence.
-                    let plumbing = targets.is_empty()
-                        || targets
-                            .iter()
-                            .all(|&(cfi, _)| callgraph::obs_sanctioned(&ws.files[cfi].norm));
-                    if !plumbing {
-                        clean = false;
-                    }
-                }
-                calls_twin && clean
-            });
-            if !delegates {
-                let s0 = &ctx.model.fns[sibs[0]];
-                if !is_allowed(&mut allows[fi], Rule::ObsTwin, s0.line) {
-                    findings.push(Finding {
-                        path: ctx.path.clone(),
-                        line: s0.line,
-                        rule: Rule::ObsTwin,
-                        message: format!(
-                            "plain `{}` does not cleanly delegate to its twin `{}` (same callees modulo recorder plumbing required); re-align the pair or justify with lint:allow(obs-twin)",
-                            s0.name, fun.name,
-                        ),
-                    });
-                }
-            }
-        }
-    }
-
-    findings
-}
-
 /// Recursively collect workspace `.rs` files under `root`, skipping
 /// build output, VCS metadata, and nested packages that declare their
-/// own `[workspace]` (such as `perfbench/`): planners cannot call into
-/// them, and name-based call resolution would otherwise link planner
-/// entry points to their same-named fns.
+/// own `[workspace]` (such as `perfbench/`), which are not members of
+/// this one.
 pub fn collect_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
     let mut stack = vec![root.to_path_buf()];
@@ -1148,24 +748,10 @@ pub fn workspace_inputs(root: &Path) -> std::io::Result<Vec<AnalysisInput>> {
 }
 
 /// Scan every `.rs` file under `root` (classification by path) through
-/// the full pipeline — per-file, interprocedural, meta — and return all
-/// findings, sorted by path, line, rule, message.
+/// [`analyze`] and return all findings, sorted by path, line, rule,
+/// message.
 pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
     Ok(analyze(workspace_inputs(root)?, ScanScope::Workspace))
-}
-
-/// The `--graph` dump for a set of inputs: builds the same call graph
-/// the interprocedural rules use (pragmas honoured) and renders it
-/// deterministically.
-pub fn graph_dump(inputs: Vec<AnalysisInput>) -> String {
-    let (ctxs, mut allows) = build_contexts(inputs);
-    let ws = resolve::Workspace::build(ctxs);
-    let graph = callgraph::CallGraph::build(
-        &ws,
-        |fi, rule, line| is_allowed(&mut allows[fi], rule, line),
-        index_audited,
-    );
-    graph.dump(&ws)
 }
 
 /// Gather the analysis inputs for a CLI invocation: the workspace when
@@ -1272,7 +858,7 @@ fn fix_unused(findings: &[Finding], root: &Path, write: bool) -> std::io::Result
 
 /// CLI entry point. Returns the process exit code.
 ///
-/// Usage: `uavdc-lint [--json] [--sarif] [--graph]
+/// Usage: `uavdc-lint [--json]
 /// [--fix-unused [--write|--check]] [--list-rules] [paths…]`. With no
 /// paths, scans the workspace this crate is part of. Explicit paths are
 /// scanned with `Library` strictness and `ForceAll` scope regardless of
@@ -1281,8 +867,6 @@ fn fix_unused(findings: &[Finding], root: &Path, write: bool) -> std::io::Result
 pub fn run_cli() -> i32 {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut json = false;
-    let mut sarif = false;
-    let mut graph = false;
     let mut fix = false;
     let mut write = false;
     let mut check = false;
@@ -1290,8 +874,6 @@ pub fn run_cli() -> i32 {
     for a in &args {
         match a.as_str() {
             "--json" => json = true,
-            "--sarif" => sarif = true,
-            "--graph" => graph = true,
             "--fix-unused" => fix = true,
             "--write" => write = true,
             "--check" => check = true,
@@ -1305,11 +887,9 @@ pub fn run_cli() -> i32 {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: uavdc-lint [--json] [--sarif] [--graph] [--fix-unused [--write|--check]] [--list-rules] [paths...]"
+                    "usage: uavdc-lint [--json] [--fix-unused [--write|--check]] [--list-rules] [paths...]"
                 );
-                println!("  --json        machine-readable report (schema uavdc-lint/5)");
-                println!("  --sarif       SARIF 2.1.0 report for code-scanning upload");
-                println!("  --graph       dump the workspace call graph instead of linting");
+                println!("  --json        machine-readable report (schema uavdc-lint/6)");
                 println!("  --fix-unused  delete unused-allow pragmas (dry-run; --write applies,");
                 println!("                --check exits 1 when stale pragmas exist, for CI)");
                 println!("exit codes: 0 clean, 1 findings, 2 error");
@@ -1338,11 +918,6 @@ pub fn run_cli() -> i32 {
             return 2;
         }
     };
-
-    if graph {
-        print!("{}", graph_dump(inputs));
-        return 0;
-    }
 
     let findings = analyze(inputs, scope);
 
@@ -1373,9 +948,7 @@ pub fn run_cli() -> i32 {
         };
     }
 
-    if sarif {
-        println!("{}", report_sarif(&findings));
-    } else if json {
+    if json {
         println!("{}", report_json(&findings));
     } else {
         for f in &findings {
@@ -1409,13 +982,11 @@ mod tests {
     #[test]
     fn every_listed_path_exists() {
         let root = workspace_root();
-        let lists: [(&str, &[&str]); 6] = [
+        let lists: [(&str, &[&str]); 4] = [
             ("FLOAT_ORD_EXEMPT", &FLOAT_ORD_EXEMPT),
             ("RAW_QUANTITY_CRATES", &RAW_QUANTITY_CRATES),
             ("UNIT_UNWRAP_CRATES", &UNIT_UNWRAP_CRATES),
             ("PERF_CRITICAL_MODULES", &PERF_CRITICAL_MODULES),
-            ("ENTRY_CRATES", &ENTRY_CRATES),
-            ("INDEX_AUDITED", &INDEX_AUDITED),
         ];
         for (name, paths) in lists {
             for path in paths {
@@ -1611,8 +1182,8 @@ mod tests {
             message: "m".into(),
         }];
         let j = report_json(&f);
-        assert!(j.starts_with("{\"schema\":\"uavdc-lint/5\""));
-        assert!(j.contains("\"rules\":[\"float-ord\",\"raw-quantity\",\"unit-unwrap\",\"panic-reach\",\"unit-flow\",\"obs-twin\"]"));
+        assert!(j.starts_with("{\"schema\":\"uavdc-lint/6\""));
+        assert!(j.contains("\"rules\":[\"float-ord\",\"raw-quantity\",\"unit-unwrap\"]"));
         assert!(j.ends_with("\"count\":1}"));
     }
 

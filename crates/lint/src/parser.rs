@@ -5,7 +5,7 @@
 //! semantic rules need:
 //!
 //! * every `fn` signature (name, visibility, parameter names/types,
-//!   return type, body token range),
+//!   return type),
 //! * every named `struct`/`enum-variant` field (owner, name, type,
 //!   visibility),
 //! * which tokens sit inside a `#[cfg(test)]` region.
@@ -42,9 +42,6 @@ pub struct FnSig {
     pub params: Vec<Param>,
     /// Return type as space-joined tokens (`None` for `()`).
     pub ret: Option<String>,
-    /// Token-index range `[start, end)` of the body between its braces
-    /// (`None` for trait/extern declarations without a body).
-    pub body: Option<(usize, usize)>,
 }
 
 /// One named field of a struct or enum variant.
@@ -74,16 +71,6 @@ pub struct Model {
     pub fields: Vec<Field>,
     /// `tok_in_test[i]` — does token `i` sit inside `#[cfg(test)]`?
     pub tok_in_test: Vec<bool>,
-}
-
-impl Model {
-    /// Is the 1-based `line` inside a `#[cfg(test)]` region? (True when
-    /// any token on that line is.)
-    pub fn line_in_test(&self, toks: &[Tok], line: usize) -> bool {
-        toks.iter()
-            .zip(&self.tok_in_test)
-            .any(|(t, &it)| t.line == line && it)
-    }
 }
 
 /// Splits an identifier into lowercase words on `_` and camelCase
@@ -368,10 +355,8 @@ impl<'a> Parser<'a> {
             }
             self.bump();
         }
-        // Body range.
-        let mut body = None;
+        // Skip the body, so items nested in it are not modeled.
         if self.tok(self.i).is_some_and(|t| t.is_punct("{")) {
-            let body_start = self.i + 1;
             let mut bd = 0;
             while let Some(t) = self.tok(self.i) {
                 if t.is_punct("{") {
@@ -384,7 +369,6 @@ impl<'a> Parser<'a> {
                 }
                 self.bump();
             }
-            body = Some((body_start, self.i.min(self.toks.len())));
             self.bump(); // '}'
         }
         self.model.fns.push(FnSig {
@@ -394,7 +378,6 @@ impl<'a> Parser<'a> {
             in_test,
             params,
             ret,
-            body,
         });
     }
 
@@ -706,8 +689,10 @@ mod tests {
         let t_energy = m.fns.iter().find(|f| f.name == "t_energy").unwrap();
         assert!(t_energy.in_test);
         assert!(!m.fns.iter().find(|f| f.name == "live2").unwrap().in_test);
-        assert!(m.line_in_test(&toks, 4));
-        assert!(!m.line_in_test(&toks, 6));
+        let line_in_test =
+            |line| (toks.iter().zip(&m.tok_in_test)).any(|(t, &it)| t.line == line && it);
+        assert!(line_in_test(4));
+        assert!(!line_in_test(6));
     }
 
     #[test]
@@ -733,7 +718,6 @@ mod tests {
     fn trait_methods_without_bodies_parse() {
         let (m, _) = model("pub trait P { fn plan(&self, budget: f64) -> f64; }\n");
         let f = m.fns.iter().find(|f| f.name == "plan").unwrap();
-        assert!(f.body.is_none());
         assert_eq!(f.params.len(), 2);
     }
 
@@ -786,16 +770,12 @@ mod tests {
 
     #[test]
     fn nested_closures_stay_inside_owning_fn() {
-        // Closures are deliberately opaque to the call graph: calls inside
-        // them attribute to the owning fn, and closure params never become
+        // Closures belong to the owning fn: closure params never become
         // fns of their own.
         let src = "fn score(xs: &[f64]) -> f64 {\n    let outer = |a: f64| {\n        let inner = |b: f64| b * 2.0;\n        inner(a) + 1.0\n    };\n    xs.iter().map(|x| outer(*x)).sum()\n}\nfn tail() {}\n";
         let (m, _) = model(src);
         let names: Vec<&str> = m.fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["score", "tail"]);
-        let score = &m.fns[0];
-        let (b0, b1) = score.body.unwrap();
-        assert!(b1 > b0);
     }
 
     #[test]

@@ -4,6 +4,11 @@
 //! harness can average over 15 instances (as the paper does) while staying
 //! reproducible run to run.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indexes cluster centres by a draw below their count; the module's unit tests and `determinism` check it"
+)]
+
 use crate::radio::RadioModel;
 use crate::scenario::{IotDevice, Scenario, UavSpec};
 use crate::topology::{aggregate_network, RawDevice};

@@ -13,6 +13,11 @@
 //! device <x> <y> <data_mb>        (one line per device)
 //! ```
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indexes line fields after checking their count; the module's unit tests and `scenario_roundtrip_preserves_planning_results` check it"
+)]
+
 use crate::radio::RadioModel;
 use crate::scenario::{IotDevice, Scenario, UavSpec};
 use crate::units::{

@@ -8,6 +8,11 @@
 //! pre-processing step so scenarios can be generated from raw
 //! deployments, not just from hand-placed aggregates.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indexes device ids it built itself; the module's unit tests check it"
+)]
+
 use crate::scenario::IotDevice;
 use crate::units::{MegaBytes, Meters};
 use uavdc_geom::{cmp_f64, cmp_f64_desc, Point2, SpatialGrid};

@@ -6,6 +6,11 @@
 //! depot within budget; the answer is the feasible subset of maximum
 //! prize. `O(2^k · k²)` for `k = n - 1` non-depot vertices.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indexes DP tables sized by the instance; `exact_backend_dominates_greedy_on_small_instances` checks it"
+)]
+
 use crate::{OrienteeringInstance, OrienteeringSolution};
 
 /// Hard cap on the non-depot vertex count: `2^17 · 17` f64 entries ≈ 18 MB.

@@ -6,6 +6,11 @@
 //! shakes the solution by ejecting random vertices and refilling. Fully
 //! deterministic for a fixed seed.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indexes vertex ids and tour positions it built itself; `solver_goldens` and `insertion_props` check it"
+)]
+
 use crate::insertion::Insertions;
 use crate::local::{fill_from, two_opt_from};
 use crate::{OrienteeringInstance, OrienteeringSolution};

@@ -1,6 +1,11 @@
 //! Deterministic greedy solver: prize/cost-ratio cheapest insertion with
 //! 2-opt compaction between waves.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indexes vertex ids of the instance it is given; `solver_goldens` checks it"
+)]
+
 use crate::local::{fill_insertions, two_opt_cost};
 use crate::{OrienteeringInstance, OrienteeringSolution};
 

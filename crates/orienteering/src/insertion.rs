@@ -26,6 +26,11 @@
 //! keeps per tour edge. The matrix is symmetric bit for bit, so this is
 //! the same sum, in the same order, as `d(a, v) + d(v, b) − d(a, b)`.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indexes vertex ids and tour positions only; `insertion_props` checks it against a fresh scan after every insertion"
+)]
+
 use crate::OrienteeringInstance;
 
 /// Cyclic edge lengths of `tour`: entry `i` is `d(tour[i], tour[i + 1])`,

@@ -50,7 +50,8 @@
         clippy::unreachable,
         clippy::todo,
         clippy::unimplemented,
-        clippy::float_cmp
+        clippy::float_cmp,
+        clippy::indexing_slicing
     )
 )]
 

@@ -1,5 +1,10 @@
 //! Local-search building blocks shared by the greedy and GRASP solvers.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indexes tour positions it built itself; `solver_goldens` and `insertion_props` check it"
+)]
+
 use crate::insertion::Insertions;
 use crate::OrienteeringInstance;
 use uavdc_graph::improve::{two_opt_by, TwoOpt};

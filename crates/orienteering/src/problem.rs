@@ -1,5 +1,10 @@
 //! Instance and solution types for the orienteering problem.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indexes vertex ids of the instance it is given; the module's unit tests and `solver_goldens` check it"
+)]
+
 use uavdc_graph::DistMatrix;
 
 /// A closed-tour orienteering instance.

@@ -12,6 +12,11 @@
 //! instances come from brute-force vertex-to-tour assignment over the
 //! single-tour exact solver (tests only).
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indexes vertex ids and UAV tours it built itself; `solver_goldens` and `alg1_goldens` check it"
+)]
+
 use crate::insertion::Insertions;
 use crate::local::two_opt_cost;
 use crate::OrienteeringInstance;

@@ -55,7 +55,8 @@
         clippy::unreachable,
         clippy::todo,
         clippy::unimplemented,
-        clippy::float_cmp
+        clippy::float_cmp,
+        clippy::indexing_slicing
     )
 )]
 

@@ -9,6 +9,11 @@
 //! about — does the backlog stabilise, how much data is lost, how stale
 //! is it on arrival?
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indexes the round history it built itself; `periodic_campaign_with_real_planner_conserves_and_stabilises` checks it"
+)]
+
 use crate::sim::{simulate, SimConfig, SimOutcome};
 use uavdc_core::validate::{check_plan, Profile};
 use uavdc_core::{CollectionPlan, Planner};

@@ -1,5 +1,10 @@
 //! The mission simulator.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indexes plan stops and devices the plan names; `open_loop_props` and `planner_simulator_agreement` check it"
+)]
+
 use crate::event::{SimEvent, SimTrace};
 use crate::fault::FaultPlan;
 use crate::wind::{LinkModel, WindModel};
