@@ -1,25 +1,27 @@
 //! Experiment runner reproducing the paper's figures.
 //!
 //! ```text
-//! experiments <fig3|fig4|fig5|all> [--scale S] [--instances N] [--seed B]
+//! experiments <fig3|fig4|fig5|all|hover|wind|fleet|extras|ablation>
+//!             [--scale S] [--instances N] [--seed B]
 //!             [--serial] [--no-sim-check] [--out DIR]
 //! ```
 //!
 //! `--scale 1.0` (default) is the paper's full setting: 500 devices in
 //! 1000 m × 1000 m averaged over 15 instances. Use `--scale 0.2
 //! --instances 3` for a quick look. Tables print to stdout; CSVs land in
-//! `--out` (default `results/`).
+//! `--out` (default `results/`). `ablation` compares the design choices
+//! of DESIGN.md §6, each arm's quality next to its wall time.
 
 use std::path::PathBuf;
 use std::process::exit;
 use uavdc_bench::{
-    print_table, run_fig3, run_fig4, run_fig5, run_fleet_sweep, run_hover_sweep, run_wind_sweep,
-    write_csv, HarnessConfig,
+    print_ablation, print_table, run_ablation, run_fig3, run_fig4, run_fig5, run_fleet_sweep,
+    run_hover_sweep, run_wind_sweep, write_ablation_csv, write_csv, HarnessConfig,
 };
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments <fig3|fig4|fig5|hover|wind|fleet|all|extras> [--scale S] \
+        "usage: experiments <fig3|fig4|fig5|hover|wind|fleet|all|extras|ablation> [--scale S] \
          [--instances N] [--seed B] [--serial] [--no-sim-check] [--out DIR]"
     );
     exit(2);
@@ -86,7 +88,8 @@ fn main() {
     let run_hover = which == "hover" || which == "extras";
     let run_wind = which == "wind" || which == "extras";
     let run_fleet = which == "fleet" || which == "extras";
-    if !(run_3 || run_4 || run_5 || run_hover || run_wind || run_fleet) {
+    let ablation = which == "ablation";
+    if !(run_3 || run_4 || run_5 || run_hover || run_wind || run_fleet || ablation) {
         usage();
     }
     if run_3 {
@@ -130,6 +133,11 @@ fn main() {
             &pts,
         );
         write_csv(&out_dir.join("fleet.csv"), "fleet_size", &pts).expect("write fleet.csv");
+    }
+    if ablation {
+        let rows = run_ablation(&cfg);
+        print_ablation(&rows);
+        write_ablation_csv(&out_dir.join("ablation.csv"), &rows).expect("write ablation.csv");
     }
     println!("\nCSV written to {}", out_dir.display());
 }

@@ -9,10 +9,10 @@
 //! plan hash and whether the two engines produced bit-identical plans;
 //! its `timing` holds the wall-nanoseconds per phase.
 //!
-//! The planners never read the clock. Each engine plans [`REPEATS`]
-//! times, each under a fresh [`CollectingRecorder`] (wall-clock
-//! [`uavdc_obs::MonotonicClock`]), and `setup_ns` / `loop_ns` are the
-//! fastest durations of the planner's own setup and loop spans. The
+//! The planners never read the clock. The whole sweep runs [`REPEATS`]
+//! times; each plan runs under a fresh [`CollectingRecorder`]
+//! (wall-clock [`uavdc_obs::MonotonicClock`]), and an entry's `setup_ns`
+//! / `loop_ns` are the fastest of its repeats' setup and loop spans. The
 //! repeats must return equal plans and equal [`PlanStats`], or the run
 //! exits 1.
 //!
@@ -56,9 +56,8 @@ struct Entry {
     seed: u64,
     lazy: Timed,
     exhaustive: Timed,
-    plans_identical: bool,
-    /// FNV-1a fingerprint of the lazy plan (hex in the JSON).
-    plan_hash: u64,
+    /// The lazy and the exhaustive engine's plans.
+    plans: [CollectionPlan; 2],
 }
 
 /// One engine's run: its stats plus the setup and loop nanoseconds read
@@ -81,44 +80,60 @@ impl Entry {
         let c = &self.lazy.stats.counters;
         c.evaluations <= c.exhaustive_bound()
     }
+
+    fn plans_identical(&self) -> bool {
+        self.plans[0] == self.plans[1]
+    }
+
+    /// FNV-1a fingerprint of the lazy plan (hex in the JSON).
+    fn plan_hash(&self) -> u64 {
+        self.plans[0].fingerprint()
+    }
+
+    /// Keeps the faster span readings of this entry and its repeat
+    /// `again`. Exits 1 unless the repeat returned the same plans and
+    /// stats.
+    fn keep_faster(&mut self, again: &Entry) {
+        if again.plans != self.plans
+            || again.lazy.stats != self.lazy.stats
+            || again.exhaustive.stats != self.exhaustive.stats
+        {
+            eprintln!("{}: repeats returned different plans or stats", self.key());
+            std::process::exit(1);
+        }
+        for (best, t) in [
+            (&mut self.lazy, &again.lazy),
+            (&mut self.exhaustive, &again.exhaustive),
+        ] {
+            best.setup_ns = best.setup_ns.min(t.setup_ns);
+            best.loop_ns = best.loop_ns.min(t.loop_ns);
+        }
+    }
 }
 
-/// Plans per engine and measurement. A single span reading differs by up
-/// to +250% between back-to-back runs; the fastest of three is steadier.
+/// Sweeps per run. A single span reading differs by up to +250% between
+/// runs, so each entry keeps its fastest of three. The repeats are whole
+/// sweeps, not back-to-back plans, so a slow phase of the machine must
+/// outlast two sweeps to cover all three of an entry's readings.
 const REPEATS: usize = 3;
 
-/// Plans [`REPEATS`] times, each under a fresh collecting recorder, and
-/// keeps the fastest reading of each of the planner's `[setup, loop]`
-/// span paths. Exits 1 unless every repeat returns the first one's plan
-/// and stats.
+/// Plans once under a fresh collecting recorder and reads the planner's
+/// `[setup, loop]` span paths.
 fn timed(
     run: &RunFn,
     [setup, run_loop]: Spans,
     scenario: &Scenario,
     engine: EngineMode,
 ) -> (CollectionPlan, Timed) {
-    let once = || {
-        let rec = CollectingRecorder::new();
-        let (plan, stats) = run(scenario, engine, &rec);
-        let report = rec.report();
-        let timed = Timed {
-            stats,
-            setup_ns: span_ns(&report, setup),
-            loop_ns: span_ns(&report, run_loop),
-        };
-        (plan, timed)
+    let rec = CollectingRecorder::new();
+    let (plan, stats) = run(scenario, engine, &rec);
+    let report = rec.report();
+    let timed = Timed {
+        stats,
+        setup_ns: span_ns(&report, setup),
+        loop_ns: span_ns(&report, run_loop),
     };
-    let (plan, mut best) = once();
-    for _ in 1..REPEATS {
-        let (again, t) = once();
-        if again != plan || t.stats != best.stats {
-            eprintln!("{setup}: {engine:?} repeats returned different plans or stats");
-            std::process::exit(1);
-        }
-        best.setup_ns = best.setup_ns.min(t.setup_ns);
-        best.loop_ns = best.loop_ns.min(t.loop_ns);
-    }
-    (plan, best)
+    (plan, timed)
 }
 
 /// Duration of the span at `path`. The span must have closed exactly
@@ -150,10 +165,9 @@ fn measure(
         x,
         algorithm,
         seed,
-        plans_identical: plan_lazy == plan_full,
-        plan_hash: plan_lazy.fingerprint(),
         lazy,
         exhaustive,
+        plans: [plan_lazy, plan_full],
     }
 }
 
@@ -366,8 +380,8 @@ fn report_json(entries: &[Entry], mode: &str, scale: f64, seeds: &[u64]) -> Stri
                     ("candidates", c.candidates.into()),
                     ("iterations", c.iterations.into()),
                     ("exhaustive_bound", c.exhaustive_bound().into()),
-                    ("plans_identical", e.plans_identical.into()),
-                    ("plan_hash", format!("{:016x}", e.plan_hash).into()),
+                    ("plans_identical", e.plans_identical().into()),
+                    ("plan_hash", format!("{:016x}", e.plan_hash()).into()),
                     ("lazy", counters_json(&e.lazy)),
                     ("exhaustive", counters_json(&e.exhaustive)),
                 ]),
@@ -487,7 +501,12 @@ fn main() {
         reason = "the harness reports how long the whole sweep took"
     )]
     let started = Instant::now();
-    let entries = run_sweeps(scale, &seeds);
+    let mut entries = run_sweeps(scale, &seeds);
+    for _ in 1..REPEATS {
+        for (best, again) in entries.iter_mut().zip(run_sweeps(scale, &seeds)) {
+            best.keep_faster(&again);
+        }
+    }
     eprintln!(
         "planner_baseline: {} runs in {:.1}s (mode {mode}, scale {scale})",
         entries.len(),
@@ -521,7 +540,7 @@ fn main() {
     }
 
     if check {
-        let diverged: Vec<&Entry> = entries.iter().filter(|e| !e.plans_identical).collect();
+        let diverged: Vec<&Entry> = entries.iter().filter(|e| !e.plans_identical()).collect();
         let over: Vec<&Entry> = entries.iter().filter(|e| !e.within_bound()).collect();
         for e in &diverged {
             eprintln!("DIVERGED: {}", e.key());

@@ -38,11 +38,17 @@ use std::time::Instant;
 use uavdc_core::validate::{check_fleet, check_plan, Profile};
 use uavdc_core::{
     Alg1Config, Alg1Planner, Alg2Config, Alg2Planner, Alg3Config, Alg3Planner, BenchmarkPlanner,
-    CollectionPlan, Planner,
+    CollectionPlan, Planner, TourMode,
 };
+use uavdc_geom::Point2;
+use uavdc_graph::christofides::{christofides_with, ChristofidesConfig};
+use uavdc_graph::matching::MatchingBackend;
+use uavdc_graph::DistMatrix;
 use uavdc_net::generator::{uniform, ScenarioParams};
 use uavdc_net::units::{megabytes_as_gb, Joules};
 use uavdc_net::Scenario;
+use uavdc_obs::CollectingRecorder;
+use uavdc_orienteering::{Backend, GraspConfig};
 use uavdc_sim::{simulate, SimConfig};
 
 /// Harness-wide settings.
@@ -73,17 +79,6 @@ impl Default for HarnessConfig {
     }
 }
 
-impl HarnessConfig {
-    /// A configuration small enough for CI and Criterion.
-    pub fn quick() -> Self {
-        HarnessConfig {
-            num_instances: 3,
-            scale: 0.2,
-            ..HarnessConfig::default()
-        }
-    }
-}
-
 /// One averaged data point of a sweep.
 #[derive(Clone, Debug)]
 pub struct DataPoint {
@@ -101,26 +96,15 @@ pub struct DataPoint {
     pub stops: f64,
 }
 
-/// Which planner to run at a sweep point.
+/// Which planner to run at a sweep point, with its configuration.
 #[derive(Clone, Copy, Debug)]
 pub enum AlgorithmSpec {
-    /// Algorithm 1 with grid edge `δ`.
-    Alg1 {
-        /// Grid edge length, metres.
-        delta: f64,
-    },
-    /// Algorithm 2 with grid edge `δ`.
-    Alg2 {
-        /// Grid edge length, metres.
-        delta: f64,
-    },
-    /// Algorithm 3 with grid edge `δ` and `K` sojourn partitions.
-    Alg3 {
-        /// Grid edge length, metres.
-        delta: f64,
-        /// Sojourn partitions.
-        k: usize,
-    },
+    /// Algorithm 1.
+    Alg1(Alg1Config),
+    /// Algorithm 2.
+    Alg2(Alg2Config),
+    /// Algorithm 3.
+    Alg3(Alg3Config),
     /// The pruning benchmark (no parameters).
     Benchmark,
 }
@@ -129,33 +113,20 @@ impl AlgorithmSpec {
     /// Legend label.
     pub fn label(&self) -> &'static str {
         match self {
-            AlgorithmSpec::Alg1 { .. } => "Algorithm 1",
-            AlgorithmSpec::Alg2 { .. } => "Algorithm 2",
-            AlgorithmSpec::Alg3 { k: 2, .. } => "Algorithm 3 (K=2)",
-            AlgorithmSpec::Alg3 { k: 4, .. } => "Algorithm 3 (K=4)",
-            AlgorithmSpec::Alg3 { .. } => "Algorithm 3",
+            AlgorithmSpec::Alg1(_) => "Algorithm 1",
+            AlgorithmSpec::Alg2(_) => "Algorithm 2",
+            AlgorithmSpec::Alg3(c) if c.k == 2 => "Algorithm 3 (K=2)",
+            AlgorithmSpec::Alg3(c) if c.k == 4 => "Algorithm 3 (K=4)",
+            AlgorithmSpec::Alg3(_) => "Algorithm 3",
             AlgorithmSpec::Benchmark => "Benchmark",
         }
     }
 
     fn plan(&self, scenario: &Scenario) -> CollectionPlan {
         match *self {
-            AlgorithmSpec::Alg1 { delta } => Alg1Planner::new(Alg1Config {
-                delta,
-                ..Alg1Config::default()
-            })
-            .plan(scenario),
-            AlgorithmSpec::Alg2 { delta } => Alg2Planner::new(Alg2Config {
-                delta,
-                ..Alg2Config::default()
-            })
-            .plan(scenario),
-            AlgorithmSpec::Alg3 { delta, k } => Alg3Planner::new(Alg3Config {
-                delta,
-                k,
-                ..Alg3Config::default()
-            })
-            .plan(scenario),
+            AlgorithmSpec::Alg1(c) => Alg1Planner::new(c).plan(scenario),
+            AlgorithmSpec::Alg2(c) => Alg2Planner::new(c).plan(scenario),
+            AlgorithmSpec::Alg3(c) => Alg3Planner::new(c).plan(scenario),
             AlgorithmSpec::Benchmark => BenchmarkPlanner.plan(scenario),
         }
     }
@@ -163,11 +134,32 @@ impl AlgorithmSpec {
     /// The paper problem whose invariants the planner's plans keep.
     fn profile(&self) -> Profile {
         match self {
-            AlgorithmSpec::Alg1 { .. } | AlgorithmSpec::Benchmark => Profile::P1FullDisjoint,
-            AlgorithmSpec::Alg2 { .. } => Profile::P2FullOverlap,
-            AlgorithmSpec::Alg3 { .. } => Profile::P3Partial,
+            AlgorithmSpec::Alg1(_) | AlgorithmSpec::Benchmark => Profile::P1FullDisjoint,
+            AlgorithmSpec::Alg2(_) => Profile::P2FullOverlap,
+            AlgorithmSpec::Alg3(_) => Profile::P3Partial,
         }
     }
+}
+
+/// Algorithm 2 and Algorithm 3 (K = 2, 4) with grid edge `delta`: the
+/// overlap figures' roster without the benchmark.
+fn overlap_specs(delta: f64) -> [AlgorithmSpec; 3] {
+    [
+        AlgorithmSpec::Alg2(Alg2Config {
+            delta,
+            ..Alg2Config::default()
+        }),
+        AlgorithmSpec::Alg3(Alg3Config {
+            delta,
+            k: 2,
+            ..Alg3Config::default()
+        }),
+        AlgorithmSpec::Alg3(Alg3Config {
+            delta,
+            k: 4,
+            ..Alg3Config::default()
+        }),
+    ]
 }
 
 /// Runs one algorithm on one instance; returns (GB, seconds, J, stops).
@@ -262,7 +254,10 @@ pub fn run_fig3(cfg: &HarnessConfig) -> Vec<DataPoint> {
             .with_capacity(Joules(e));
         let make = move |seed: u64| uniform(&params, seed);
         for spec in [
-            AlgorithmSpec::Alg1 { delta: 10.0 },
+            AlgorithmSpec::Alg1(Alg1Config {
+                delta: 10.0,
+                ..Alg1Config::default()
+            }),
             AlgorithmSpec::Benchmark,
         ] {
             out.push(average_point(cfg, spec, e, &make));
@@ -277,12 +272,10 @@ pub fn run_fig4(cfg: &HarnessConfig) -> Vec<DataPoint> {
     for &delta in &delta_sweep() {
         let params = ScenarioParams::default().scaled(cfg.scale);
         let make = move |seed: u64| uniform(&params, seed);
-        for spec in [
-            AlgorithmSpec::Alg2 { delta },
-            AlgorithmSpec::Alg3 { delta, k: 2 },
-            AlgorithmSpec::Alg3 { delta, k: 4 },
-            AlgorithmSpec::Benchmark,
-        ] {
+        for spec in overlap_specs(delta)
+            .into_iter()
+            .chain([AlgorithmSpec::Benchmark])
+        {
             out.push(average_point(cfg, spec, delta, &make));
         }
     }
@@ -297,12 +290,10 @@ pub fn run_fig5(cfg: &HarnessConfig) -> Vec<DataPoint> {
             .scaled(cfg.scale)
             .with_capacity(Joules(e));
         let make = move |seed: u64| uniform(&params, seed);
-        for spec in [
-            AlgorithmSpec::Alg2 { delta: 10.0 },
-            AlgorithmSpec::Alg3 { delta: 10.0, k: 2 },
-            AlgorithmSpec::Alg3 { delta: 10.0, k: 4 },
-            AlgorithmSpec::Benchmark,
-        ] {
+        for spec in overlap_specs(10.0)
+            .into_iter()
+            .chain([AlgorithmSpec::Benchmark])
+        {
             out.push(average_point(cfg, spec, e, &make));
         }
     }
@@ -321,11 +312,7 @@ pub fn run_hover_sweep(cfg: &HarnessConfig) -> Vec<DataPoint> {
             ..ScenarioParams::default().scaled(cfg.scale)
         };
         let make = move |seed: u64| uniform(&params, seed);
-        for spec in [
-            AlgorithmSpec::Alg2 { delta: 10.0 },
-            AlgorithmSpec::Alg3 { delta: 10.0, k: 2 },
-            AlgorithmSpec::Alg3 { delta: 10.0, k: 4 },
-        ] {
+        for spec in overlap_specs(10.0) {
             out.push(average_point(cfg, spec, bw, &make));
         }
     }
@@ -447,6 +434,171 @@ pub fn run_fleet_sweep(cfg: &HarnessConfig) -> Vec<DataPoint> {
     out
 }
 
+/// One arm of the design ablation (DESIGN.md §6).
+#[derive(Clone, Debug)]
+pub struct AblationRow {
+    /// The design choice compared.
+    pub choice: &'static str,
+    /// The arm of that choice.
+    pub arm: &'static str,
+    /// Mean quality over the instances, in `unit`.
+    pub quality: f64,
+    /// `"GB"` (collected volume) for planner arms, `"m"` (tour length)
+    /// for matching arms.
+    pub unit: &'static str,
+    /// Mean wall time, seconds: the whole planner call for planner arms,
+    /// the `christofides` span for matching arms.
+    pub runtime_s: f64,
+}
+
+/// The design ablation on the default scenario family: Algorithm 2's
+/// tour upkeep at δ = 20 m (fast insertion vs the paper's per-candidate
+/// Christofides), its dominated-candidate pruning on/off at δ = 10 m,
+/// Algorithm 1's orienteering backend (GRASP vs greedy), and the
+/// Christofides matching backend on the benchmark's set-up tour over
+/// depot + devices. Planner arms run through the figures' harness, so
+/// every plan is checked (and simulated when
+/// [`HarnessConfig::simulate_check`] is set).
+pub fn run_ablation(cfg: &HarnessConfig) -> Vec<AblationRow> {
+    let params = ScenarioParams::default().scaled(cfg.scale);
+    let make = move |seed: u64| uniform(&params, seed);
+    let alg2 = |delta, tour_mode, prune_dominated| {
+        AlgorithmSpec::Alg2(Alg2Config {
+            delta,
+            tour_mode,
+            prune_dominated,
+            ..Alg2Config::default()
+        })
+    };
+    let alg1 = |backend| {
+        AlgorithmSpec::Alg1(Alg1Config {
+            backend,
+            ..Alg1Config::default()
+        })
+    };
+    let arms = [
+        (
+            "Alg 2 tour upkeep",
+            "fast insertion",
+            alg2(20.0, TourMode::FastInsertion, true),
+        ),
+        (
+            "Alg 2 tour upkeep",
+            "paper Christofides",
+            alg2(20.0, TourMode::PaperChristofides, true),
+        ),
+        (
+            "Alg 2 pruning",
+            "on",
+            alg2(10.0, TourMode::FastInsertion, true),
+        ),
+        (
+            "Alg 2 pruning",
+            "off",
+            alg2(10.0, TourMode::FastInsertion, false),
+        ),
+        (
+            "Alg 1 orienteering",
+            "GRASP",
+            alg1(Backend::Grasp(GraspConfig::default())),
+        ),
+        ("Alg 1 orienteering", "greedy", alg1(Backend::Greedy)),
+    ];
+    let mut rows: Vec<AblationRow> = arms
+        .into_iter()
+        .map(|(choice, arm, spec)| {
+            let p = average_point(cfg, spec, 0.0, &make);
+            AblationRow {
+                choice,
+                arm,
+                quality: p.collected_gb,
+                unit: "GB",
+                runtime_s: p.runtime_s,
+            }
+        })
+        .collect();
+
+    // The benchmark's set-up tour with only the matching backend swapped,
+    // timed by a collecting recorder's `christofides` span.
+    let n = cfg.num_instances.max(1);
+    let matrices: Vec<DistMatrix> = (0..n)
+        .map(|i| {
+            let scenario = make(cfg.base_seed + i as u64);
+            let pts: Vec<Point2> = std::iter::once(scenario.depot)
+                .chain(scenario.devices.iter().map(|d| d.pos))
+                .collect();
+            DistMatrix::from_fn(pts.len(), |a, b| pts[a].distance(pts[b]))
+        })
+        .collect();
+    for (arm, matching) in [
+        ("Blossom", MatchingBackend::Blossom),
+        ("Auto", MatchingBackend::Auto),
+        ("greedy", MatchingBackend::Greedy),
+    ] {
+        let christofides = ChristofidesConfig {
+            matching,
+            ..ChristofidesConfig::default()
+        };
+        let (mut length, mut ns) = (0.0, 0);
+        for m in &matrices {
+            let rec = CollectingRecorder::new();
+            length += christofides_with(m, &christofides, &rec).length(m);
+            let report = rec.report();
+            ns += report
+                .spans
+                .iter()
+                .find(|sp| sp.path == "christofides")
+                .map_or(0, |sp| sp.total_ns);
+        }
+        rows.push(AblationRow {
+            choice: "Christofides matching",
+            arm,
+            quality: length / n as f64,
+            unit: "m",
+            runtime_s: ns as f64 / 1e9 / n as f64,
+        });
+    }
+    rows
+}
+
+/// Prints the ablation as an aligned table.
+pub fn print_ablation(rows: &[AblationRow]) {
+    println!("\n== Ablation — design choices ==");
+    println!(
+        "{:<26} {:<20} {:>12} {:<4} {:>12}",
+        "choice", "arm", "quality", "unit", "time (ms)"
+    );
+    for r in rows {
+        println!(
+            "{:<26} {:<20} {:>12.2} {:<4} {:>12.3}",
+            r.choice,
+            r.arm,
+            r.quality,
+            r.unit,
+            r.runtime_s * 1e3
+        );
+    }
+}
+
+/// Writes the ablation as CSV (header + one row per arm).
+pub fn write_ablation_csv(path: &std::path::Path, rows: &[AblationRow]) -> std::io::Result<()> {
+    use std::io::Write;
+    let mut f = create_file(path)?;
+    writeln!(f, "choice,arm,quality,unit,runtime_s")?;
+    for r in rows {
+        writeln!(
+            f,
+            "{},{},{},{},{}",
+            csv_field(r.choice),
+            csv_field(r.arm),
+            r.quality,
+            r.unit,
+            r.runtime_s
+        )?;
+    }
+    Ok(())
+}
+
 /// Prints a figure's data points as an aligned table.
 pub fn print_table(title: &str, x_label: &str, points: &[DataPoint]) {
     println!("\n== {title} ==");
@@ -469,10 +621,7 @@ pub fn write_csv(
     points: &[DataPoint],
 ) -> std::io::Result<()> {
     use std::io::Write;
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let mut f = std::fs::File::create(path)?;
+    let mut f = create_file(path)?;
     writeln!(
         f,
         "{x_label},algorithm,collected_gb,runtime_s,energy_used_j,stops"
@@ -490,6 +639,14 @@ pub fn write_csv(
         )?;
     }
     Ok(())
+}
+
+/// Creates `path` and any missing parent directories.
+fn create_file(path: &std::path::Path) -> std::io::Result<std::fs::File> {
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
+    }
+    std::fs::File::create(path)
 }
 
 /// Quotes a CSV field that holds a comma, a quote or a line break,
@@ -590,6 +747,29 @@ mod tests {
                 assert!(w[1] >= w[0] - 0.05, "{alg} series not monotone: {series:?}");
             }
         }
+    }
+
+    #[test]
+    fn ablation_reports_every_arm_and_auto_matches_blossom() {
+        let rows = run_ablation(&tiny());
+        let arms: Vec<(&str, &str)> = rows.iter().map(|r| (r.choice, r.arm)).collect();
+        assert_eq!(
+            arms,
+            [
+                ("Alg 2 tour upkeep", "fast insertion"),
+                ("Alg 2 tour upkeep", "paper Christofides"),
+                ("Alg 2 pruning", "on"),
+                ("Alg 2 pruning", "off"),
+                ("Alg 1 orienteering", "GRASP"),
+                ("Alg 1 orienteering", "greedy"),
+                ("Christofides matching", "Blossom"),
+                ("Christofides matching", "Auto"),
+                ("Christofides matching", "greedy"),
+            ]
+        );
+        // Auto returns Blossom's mates, so the two tours are the same.
+        let tour = |arm| rows.iter().find(|r| r.arm == arm).unwrap().quality;
+        assert_eq!(tour("Auto").to_bits(), tour("Blossom").to_bits());
     }
 
     #[test]
