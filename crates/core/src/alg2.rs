@@ -353,17 +353,12 @@ fn run_exhaustive(state: &mut GreedyState<'_>, eta_h: f64, counters: &mut EvalCo
     }
 }
 
-/// A recorder that passes counters and histograms on to another and drops
-/// spans.
+/// A recorder that passes counters on to another and drops spans.
 struct CountersOnly<'r>(&'r dyn Recorder);
 
 impl Recorder for CountersOnly<'_> {
     fn add(&self, counter: &'static str, delta: u64) {
         self.0.add(counter, delta);
-    }
-
-    fn observe(&self, histogram: &'static str, value: u64) {
-        self.0.observe(histogram, value);
     }
 }
 
@@ -381,8 +376,8 @@ fn run_paper(
     let capacity = scenario.uav.capacity.value();
     let per_m = scenario.uav.travel_energy_per_meter().value();
     let m = state.candidates.len();
-    // The per-candidate re-tours report counters and histograms only: a
-    // plan runs thousands of them, and their spans would outweigh them.
+    // The per-candidate re-tours report counters only: a plan runs
+    // thousands of them, and their spans would outweigh them.
     let retour_rec = CountersOnly(rec);
     loop {
         counters.iterations += 1;
@@ -491,7 +486,6 @@ fn run_lazy(
     state: &mut GreedyState<'_>,
     eta_h: f64,
     counters: &mut EvalCounters,
-    rec: &dyn Recorder,
     pre: &mut LazyPre,
 ) -> u64 {
     let scenario = state.scenario;
@@ -596,9 +590,7 @@ fn run_lazy(
         );
         // Entries the heap took in since the last selection, this one's
         // re-queues and returned losers included (see `heap_pops`).
-        let pops = heap.take_entries();
-        counters.heap_pops += pops;
-        rec.observe("alg2.pops_per_iter", pops);
+        counters.heap_pops += heap.take_entries();
         let Some((winner, ratio)) = selected else {
             break;
         };
@@ -656,7 +648,6 @@ fn run_lazy(
             epoch,
             &mut dirty,
         );
-        rec.observe("alg2.dirty_batch", dirty.len() as u64);
         for &cu in &dirty {
             let c = cu as usize;
             if !state.active[c] {
@@ -750,10 +741,9 @@ impl Alg2Planner {
 
     /// Plans and returns the work breakdown alongside the plan, reporting
     /// spans (`alg2/setup`, `alg2/loop`, each opened once per call on
-    /// every path), end-of-run counters and per-iteration histograms to
-    /// `rec`. With the no-op recorder this is the same computation
-    /// producing bit-identical plans (property-tested in
-    /// `tests/obs_noop_equivalence.rs`).
+    /// every path) and end-of-run counters to `rec`. With the no-op
+    /// recorder this is the same computation producing bit-identical plans
+    /// (property-tested in `tests/obs_noop_equivalence.rs`).
     ///
     /// `prepared` optionally reuses a prebuilt candidate set instead of
     /// rebuilding it. It must be exactly what the cold path would build —
@@ -826,7 +816,7 @@ impl Alg2Planner {
                 0
             }
             (TourMode::FastInsertion, EngineMode::Lazy, Some(pre)) => {
-                run_lazy(&mut state, eta_h, &mut stats.counters, rec, pre)
+                run_lazy(&mut state, eta_h, &mut stats.counters, pre)
             }
             _ => {
                 run_exhaustive(&mut state, eta_h, &mut stats.counters);

@@ -369,17 +369,15 @@ fn run_exhaustive(
 /// selects through the CELF heap whose keys are the unconditional max-k
 /// ratios — exact upper bounds that [`Probe::Feasible`] decays as the
 /// battery filters out deeper sojourns. Produces the same plans as
-/// [`run_exhaustive`] (property-tested; DESIGN.md §8). Returns how many
-/// destroyed argmins the split rule settled without a rescan (the
-/// `alg3.split_resolved` counter).
+/// [`run_exhaustive`] (property-tested; DESIGN.md §8). Returns the
+/// loop's [`LazyTally`].
 fn run_lazy(
     state: &mut PartialState<'_>,
     config: &Alg3Config,
     eta_h: f64,
     max_iters: usize,
     counters: &mut EvalCounters,
-    rec: &dyn Recorder,
-) -> u64 {
+) -> LazyTally {
     let scenario = state.scenario;
     let power = Power {
         capacity: scenario.uav.capacity.value(),
@@ -469,7 +467,7 @@ fn run_lazy(
     let mut touched: Vec<u32> = Vec::new();
     let mut resolved: Vec<u32> = Vec::new();
     let mut rescan: Vec<u32> = Vec::new();
-    let mut split_resolved = 0u64;
+    let mut tally = LazyTally::default();
     let mut first_commit_done = false;
     for _ in 0..max_iters {
         counters.iterations += 1;
@@ -482,9 +480,7 @@ fn run_lazy(
         );
         // Entries the heap took in since the last selection, this one's
         // re-queues and returned losers included (see `heap_pops`).
-        let pops = heap.take_entries();
-        counters.heap_pops += pops;
-        rec.observe("alg3.pops_per_iter", pops);
+        counters.heap_pops += heap.take_entries();
         let Some((winner, ratio)) = selected else {
             break;
         };
@@ -508,7 +504,7 @@ fn run_lazy(
         };
         let (got, drained, inserted_at) = state.commit(eval, eta_h);
         if let Some(ins_pos) = inserted_at {
-            rec.add("alg3.tour_insertions", 1);
+            tally.tour_insertions += 1;
             // On the tour, its Δtravel is 0 and its cache is never read.
             ins.retire(winner);
             let id = inc.append_point(bank.pos(winner));
@@ -521,7 +517,7 @@ fn run_lazy(
                 "the incremental mirror's length must equal the recomputed one"
             );
         } else {
-            rec.add("alg3.sojourn_extensions", 1);
+            tally.sojourn_extensions += 1;
         }
         if got <= 1e-9 {
             break;
@@ -555,7 +551,6 @@ fn run_lazy(
             epoch,
             &mut dirty,
         );
-        rec.observe("alg3.dirty_batch", dirty.len() as u64);
         for &c in &dirty {
             let c = c as usize;
             if !state.active[c] {
@@ -589,7 +584,7 @@ fn run_lazy(
         let rederived = (resolved.len() + rescan.len()) as u64;
         counters.delta_rescans += rederived;
         counters.evaluations += rederived;
-        split_resolved += resolved.len() as u64;
+        tally.split_resolved += resolved.len() as u64;
         for &c in &resolved {
             touch(&mut tstamp, tepoch, &mut touched, c);
         }
@@ -614,7 +609,20 @@ fn run_lazy(
     // The iteration cap and the zero-gain exit can leave entries queued;
     // `heap_pops` counts every entry the heap took in.
     counters.heap_pops += heap.take_entries();
-    split_resolved
+    tally
+}
+
+/// Per-plan tallies of the lazy loop, kept in locals and flushed once by
+/// [`flush_counters`]; they stay out of [`EvalCounters`] (and so out of
+/// the committed baselines).
+#[derive(Default)]
+struct LazyTally {
+    /// Destroyed argmins the split rule settled without a rescan.
+    split_resolved: u64,
+    /// Commits that added a stop to the tour.
+    tour_insertions: u64,
+    /// Commits that extended an on-tour stop's sojourn.
+    sojourn_extensions: u64,
 }
 
 impl Alg3Planner {
@@ -630,10 +638,9 @@ impl Alg3Planner {
 
     /// Plans and returns the work breakdown alongside the plan, reporting
     /// spans (`alg3/setup`, `alg3/loop`, each opened once per call on
-    /// every path), end-of-run counters and per-iteration histograms to
-    /// `rec`. With the no-op recorder this is the same computation
-    /// producing bit-identical plans (property-tested in
-    /// `tests/obs_noop_equivalence.rs`).
+    /// every path) and end-of-run counters to `rec`. With the no-op
+    /// recorder this is the same computation producing bit-identical plans
+    /// (property-tested in `tests/obs_noop_equivalence.rs`).
     ///
     /// `prepared` optionally reuses a prebuilt candidate set instead of
     /// rebuilding it. It must be exactly what the cold path would build —
@@ -687,15 +694,14 @@ impl Alg3Planner {
         let Some(mut state) = state else {
             return (CollectionPlan::empty(), stats);
         };
-        let split_resolved = match self.config.engine {
-            EngineMode::Lazy => run_lazy(
+        let tally = match self.config.engine {
+            EngineMode::Lazy => Some(run_lazy(
                 &mut state,
                 &self.config,
                 eta_h,
                 max_iters,
                 &mut stats.counters,
-                rec,
-            ),
+            )),
             EngineMode::Exhaustive => {
                 run_exhaustive(
                     &mut state,
@@ -704,11 +710,11 @@ impl Alg3Planner {
                     max_iters,
                     &mut stats.counters,
                 );
-                0
+                None
             }
         };
         drop(loop_span);
-        flush_counters(rec, &stats.counters, split_resolved);
+        flush_counters(rec, &stats.counters, tally.as_ref());
         let plan = state.into_plan();
         crate::validate::debug_check_plan(
             "Alg3Planner",
@@ -721,9 +727,9 @@ impl Alg3Planner {
 }
 
 /// Publishes the end-of-run engine counters under the `alg3.` namespace,
-/// plus the split-rule tally, which stays out of [`EvalCounters`] (and so
-/// out of the committed baselines).
-fn flush_counters(rec: &dyn Recorder, c: &EvalCounters, split_resolved: u64) {
+/// plus the lazy loop's [`LazyTally`] (the exhaustive engine has none and
+/// reports a zero `alg3.split_resolved`).
+fn flush_counters(rec: &dyn Recorder, c: &EvalCounters, tally: Option<&LazyTally>) {
     rec.add("alg3.candidates", c.candidates as u64);
     rec.add("alg3.iterations", c.iterations);
     rec.add("alg3.evaluations", c.evaluations);
@@ -731,7 +737,11 @@ fn flush_counters(rec: &dyn Recorder, c: &EvalCounters, split_resolved: u64) {
     rec.add("alg3.delta_rescans", c.delta_rescans);
     rec.add("alg3.fixups", c.fixups);
     rec.add("alg3.heap_pops", c.heap_pops);
-    rec.add("alg3.split_resolved", split_resolved);
+    rec.add("alg3.split_resolved", tally.map_or(0, |t| t.split_resolved));
+    if let Some(t) = tally {
+        rec.add("alg3.tour_insertions", t.tour_insertions);
+        rec.add("alg3.sojourn_extensions", t.sojourn_extensions);
+    }
 }
 
 impl Planner for Alg3Planner {

@@ -356,7 +356,7 @@ impl RunningSum {
 /// rounding bound of the battery do the exact sums run (in the rescan's
 /// order, restarting the estimates); otherwise the estimate certifies
 /// "infeasible", which is the exact test's answer too.
-fn prune_lazy(state: &mut PruneState<'_>, counters: &mut EvalCounters, rec: &dyn Recorder) {
+fn prune_lazy(state: &mut PruneState<'_>, counters: &mut EvalCounters) {
     let scenario = state.scenario;
     let n = scenario.num_devices();
     let eta_h = scenario.uav.hover_power.value();
@@ -503,7 +503,6 @@ fn prune_lazy(state: &mut PruneState<'_>, counters: &mut EvalCounters, rec: &dyn
         dirty.clear();
         counters.marginal_evals += refreshed;
         counters.evaluations += refreshed;
-        rec.observe("bench.loss_refreshes_per_iter", refreshed);
         let (best_ratio, s) = tree.min();
         if best_ratio.is_infinite() {
             break;
@@ -598,10 +597,9 @@ impl BenchmarkPlanner {
     /// breakdown alongside the plan (`counters.candidates` is the initial
     /// tour's stop count: the benchmark has no grid candidates). Reports
     /// spans (`bench/setup` covering the initial Christofides tour,
-    /// `bench/prune`, each opened once per call on every path),
-    /// end-of-run counters and per-iteration histograms to `rec`. With
-    /// the no-op recorder this is the same computation producing
-    /// bit-identical plans (property-tested in
+    /// `bench/prune`, each opened once per call on every path) and
+    /// end-of-run counters to `rec`. With the no-op recorder this is the
+    /// same computation producing bit-identical plans (property-tested in
     /// `tests/obs_noop_equivalence.rs`).
     ///
     /// `prepared` optionally reuses a prebuilt [`BenchmarkSetup`] instead
@@ -652,7 +650,7 @@ impl BenchmarkPlanner {
             return (CollectionPlan::empty(), stats);
         };
         match engine {
-            EngineMode::Lazy => prune_lazy(&mut state, &mut stats.counters, rec),
+            EngineMode::Lazy => prune_lazy(&mut state, &mut stats.counters),
             EngineMode::Exhaustive => prune_exhaustive(&mut state, &mut stats.counters),
         }
         drop(prune_span);

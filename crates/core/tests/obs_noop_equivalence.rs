@@ -17,7 +17,7 @@ use uavdc_core::{
 };
 use uavdc_net::generator::{uniform, ScenarioParams};
 use uavdc_net::Scenario;
-use uavdc_obs::{Clock, CollectingRecorder, NoopRecorder, Recorder, RunReport};
+use uavdc_obs::{Clock, CollectingRecorder, ManualClock, NoopRecorder, Recorder, RunReport};
 
 fn small_scenario(seed: u64, scale: f64) -> Scenario {
     uniform(&ScenarioParams::default().scaled(scale), seed)
@@ -138,22 +138,75 @@ proptest! {
     }
 }
 
-/// The report of an instrumented lazy run is itself deterministic:
-/// running the same planner twice yields byte-identical JSON (modulo the
-/// wall-clock span timings, which use the manual clock here).
+/// The report of an instrumented run is itself deterministic: running
+/// the same planner twice yields equal [`RunReport`]s, spans and counters
+/// alike (the manual clock is frozen, so span timings are zero).
 #[test]
 fn collected_report_is_deterministic() {
+    fn assert_deterministic(tag: &str, plan: impl Fn(&dyn Recorder)) {
+        let run = || {
+            let rec = CollectingRecorder::with_clock(Box::new(ManualClock::new()));
+            plan(&rec);
+            rec.report()
+        };
+        let first = run();
+        assert!(!first.counters.is_empty(), "{tag}: nothing was recorded");
+        assert_eq!(first, run(), "{tag}: report differs between runs");
+    }
     let s = small_scenario(7, 0.1);
-    let planner = Alg2Planner::new(Alg2Config {
+    assert_deterministic("alg1", |r| {
+        let _ = Alg1Planner::default().plan_obs(&s, r);
+    });
+    let alg2 = Alg2Planner::new(Alg2Config {
         engine: EngineMode::Lazy,
         ..Alg2Config::default()
     });
-    let run = || {
-        let rec = CollectingRecorder::with_clock(Box::new(uavdc_obs::ManualClock::new()));
-        let _ = planner.plan_prepared_obs(&s, None, &rec);
-        rec.report().to_json()
-    };
-    assert_eq!(run(), run());
+    assert_deterministic("alg2", |r| {
+        let _ = alg2.plan_prepared_obs(&s, None, r);
+    });
+    let alg3 = Alg3Planner::new(Alg3Config {
+        engine: EngineMode::Lazy,
+        ..Alg3Config::default()
+    });
+    assert_deterministic("alg3", |r| {
+        let _ = alg3.plan_prepared_obs(&s, None, r);
+    });
+    assert_deterministic("bench", |r| {
+        let _ = BenchmarkPlanner.plan_prepared_obs(&s, EngineMode::Lazy, None, r);
+    });
+}
+
+/// The lazy Alg 3 loop tallies its tour insertions locally and reports
+/// them once per plan. A stop is only ever created by an insertion and
+/// the plan emits every stop, so the tally equals the plan's stop count.
+#[test]
+fn alg3_tour_insertions_count_the_plan_stops() {
+    for k in [1usize, 2, 4] {
+        let planner = Alg3Planner::new(Alg3Config {
+            k,
+            engine: EngineMode::Lazy,
+            ..Alg3Config::default()
+        });
+        for seed in 0..8u64 {
+            let s = small_scenario(seed, 0.15);
+            let rec = CollectingRecorder::new();
+            let (plan, _) = planner.plan_prepared_obs(&s, None, &rec);
+            let report = rec.report();
+            assert!(!plan.stops.is_empty(), "K={k} seed {seed}: empty plan");
+            assert_eq!(
+                report.counter("alg3.tour_insertions"),
+                plan.stops.len() as u64,
+                "K={k} seed {seed}"
+            );
+            assert!(
+                report
+                    .counters
+                    .iter()
+                    .any(|c| c.name == "alg3.sojourn_extensions"),
+                "K={k} seed {seed}: the extension tally is flushed with the plan"
+            );
+        }
+    }
 }
 
 /// How many span instances closed at `path`.

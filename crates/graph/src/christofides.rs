@@ -47,13 +47,11 @@ pub fn christofides(m: &DistMatrix) -> Tour {
     christofides_with(m, &ChristofidesConfig::default(), &uavdc_obs::NOOP)
 }
 
-/// Christofides tour with explicit configuration, reporting per-call
-/// size statistics to `rec`: a `christofides.calls` counter plus
-/// `christofides.n` and `christofides.odd_vertices` histograms, the
-/// `matching.*` counters of [`min_weight_perfect_matching_with`], and one
-/// root span `christofides` with the children `mst`, `matching`, `euler`
-/// and `polish` on tours of four or more vertices. The recorder never
-/// influences the tour. The planners call this once per set-up; Alg 2's
+/// Christofides tour with explicit configuration, reporting to `rec` a
+/// `christofides.calls` counter, the `matching.*` counters of
+/// [`min_weight_perfect_matching_with`], and one root span `christofides`
+/// with the children `mst`, `matching`, `euler` and `polish` on tours of
+/// four or more vertices. The recorder never influences the tour. The planners call this once per set-up; Alg 2's
 /// paper mode, which calls it once per scored candidate, hands it a
 /// recorder that keeps the counters and drops the spans.
 pub fn christofides_with(
@@ -63,7 +61,6 @@ pub fn christofides_with(
 ) -> Tour {
     let n = m.len();
     rec.add("christofides.calls", 1);
-    rec.observe("christofides.n", n as u64);
     if n <= 1 {
         return Tour::new((0..n).collect());
     }
@@ -82,7 +79,6 @@ pub fn christofides_with(
     let span = root.child("matching");
     let odd = odd_degree_vertices(n, &edges);
     debug_assert_eq!(odd.len() % 2, 0);
-    rec.observe("christofides.odd_vertices", odd.len() as u64);
     if !odd.is_empty() {
         let sub = m.submatrix(&odd);
         let matching = min_weight_perfect_matching_with(&sub, cfg.matching, rec);

@@ -1,6 +1,5 @@
 //! Dependency-free instrumentation for the uavdc workspace: hierarchical
-//! spans, named counters, and log2-bucketed histograms behind a
-//! [`Recorder`] trait.
+//! spans and named counters behind a [`Recorder`] trait.
 //!
 //! The default recorder is [`NoopRecorder`]: every hook is an empty
 //! default method on the trait, so an uninstrumented run and a run
@@ -12,15 +11,14 @@
 //!
 //! Time never enters the recorder implicitly: span durations come from a
 //! [`Clock`] injected at construction. Production uses [`MonotonicClock`]
-//! (a `std::time::Instant` anchor); replays and tests use [`ManualClock`]
-//! so recorded timings are deterministic. Timings therefore *never* feed
-//! back into planning decisions — the recorder is write-only from the
-//! planner's point of view.
+//! (a `std::time::Instant` anchor); tests use [`ManualClock`], frozen at
+//! zero, so recorded reports are deterministic. Timings therefore
+//! *never* feed back into planning decisions — the recorder is
+//! write-only from the planner's point of view.
 //!
 //! A finished run renders to a [`RunReport`]: spans aggregated by path
-//! (children sorted by name), counters and histograms sorted by name,
-//! serialised by [`RunReport::to_json`] with a stable field order so two
-//! reports diff cleanly.
+//! (children sorted by name) and counters sorted by name, so two reports
+//! compare with `==`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,7 +37,6 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Monotonic time source injected into a [`CollectingRecorder`].
@@ -83,33 +80,21 @@ impl Clock for MonotonicClock {
     }
 }
 
-/// Deterministic clock for replays and tests: time moves only when the
-/// caller advances it.
+/// Deterministic clock for tests: frozen at zero, so every span lasts
+/// 0 ns.
 #[derive(Debug, Default)]
-pub struct ManualClock {
-    now: AtomicU64,
-}
+pub struct ManualClock;
 
 impl ManualClock {
     /// A clock frozen at zero.
     pub fn new() -> Self {
-        ManualClock::default()
-    }
-
-    /// Advances the clock by `ns` nanoseconds.
-    pub fn advance(&self, ns: u64) {
-        self.now.fetch_add(ns, Ordering::SeqCst);
-    }
-
-    /// Sets the clock to an absolute reading.
-    pub fn set(&self, ns: u64) {
-        self.now.store(ns, Ordering::SeqCst);
+        ManualClock
     }
 }
 
 impl Clock for ManualClock {
     fn now_ns(&self) -> u64 {
-        self.now.load(Ordering::SeqCst)
+        0
     }
 }
 
@@ -151,11 +136,6 @@ pub trait Recorder {
     fn add(&self, counter: &'static str, delta: u64) {
         let _ = (counter, delta);
     }
-
-    /// Records one observation into the named log2-bucketed histogram.
-    fn observe(&self, histogram: &'static str, value: u64) {
-        let _ = (histogram, value);
-    }
 }
 
 /// The zero-cost default recorder: records nothing.
@@ -191,92 +171,11 @@ impl<'r> Span<'r> {
             id: self.rec.span_start(name, self.id),
         }
     }
-
-    /// The recorder this span reports to.
-    pub fn recorder(&self) -> &'r dyn Recorder {
-        self.rec
-    }
-
-    /// The underlying instance id (for handing to lower layers).
-    pub fn id(&self) -> SpanId {
-        self.id
-    }
 }
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
         self.rec.span_end(self.id);
-    }
-}
-
-/// Number of histogram buckets: one zero bucket plus one per power of
-/// two up to `2^63`.
-pub const NUM_BUCKETS: usize = 65;
-
-/// Bucket index of a value: bucket 0 holds exactly 0; bucket `i ≥ 1`
-/// holds `[2^(i-1), 2^i - 1]`.
-pub fn bucket_index(value: u64) -> usize {
-    if value == 0 {
-        0
-    } else {
-        64 - value.leading_zeros() as usize
-    }
-}
-
-/// Inclusive `[lo, hi]` range of a bucket. Indices ≥ 64 saturate to the
-/// top bucket `[2^63, u64::MAX]`.
-pub fn bucket_range(index: usize) -> (u64, u64) {
-    match index {
-        0 => (0, 0),
-        i if i >= 64 => (1u64 << 63, u64::MAX),
-        i => (1u64 << (i - 1), (1u64 << i) - 1),
-    }
-}
-
-/// A log2-bucketed histogram of `u64` observations.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    count: u64,
-    sum: u64,
-    buckets: [u64; NUM_BUCKETS],
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            count: 0,
-            sum: 0,
-            buckets: [0; NUM_BUCKETS],
-        }
-    }
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Histogram::default()
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, value: u64) {
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-        self.buckets[bucket_index(value)] += 1;
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Saturating sum of observations.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Per-bucket observation counts.
-    pub fn buckets(&self) -> &[u64; NUM_BUCKETS] {
-        &self.buckets
     }
 }
 
@@ -300,39 +199,18 @@ pub struct CounterStat {
     pub value: u64,
 }
 
-/// One histogram in a [`RunReport`]; only non-empty buckets are listed.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HistogramStat {
-    /// Histogram name.
-    pub name: String,
-    /// Number of observations.
-    pub count: u64,
-    /// Saturating sum of observations.
-    pub sum: u64,
-    /// `(bucket index, observation count)` for non-empty buckets, in
-    /// index order.
-    pub buckets: Vec<(usize, u64)>,
-}
-
 /// Aggregated result of one instrumented run, in stable order: spans in
-/// depth-first path order with children sorted by name, counters and
-/// histograms sorted by name.
+/// depth-first path order with children sorted by name, counters sorted
+/// by name.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RunReport {
     /// Aggregated spans.
     pub spans: Vec<SpanStat>,
     /// Counters.
     pub counters: Vec<CounterStat>,
-    /// Histograms.
-    pub histograms: Vec<HistogramStat>,
 }
 
 impl RunReport {
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty() && self.counters.is_empty() && self.histograms.is_empty()
-    }
-
     /// Value of a counter, zero when absent.
     pub fn counter(&self, name: &str) -> u64 {
         self.counters
@@ -340,80 +218,6 @@ impl RunReport {
             .find(|c| c.name == name)
             .map_or(0, |c| c.value)
     }
-
-    /// Renders the report as a single-line JSON object with a stable
-    /// field order (sorted names, integer-only values), suitable for
-    /// diffing across runs.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str("{\"spans\":[");
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"path\":{},\"calls\":{},\"total_ns\":{}}}",
-                json_string(&s.path),
-                s.calls,
-                s.total_ns
-            ));
-        }
-        out.push_str("],\"counters\":[");
-        for (i, c) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":{},\"value\":{}}}",
-                json_string(&c.name),
-                c.value
-            ));
-        }
-        out.push_str("],\"histograms\":[");
-        for (i, h) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":{},\"count\":{},\"sum\":{},\"buckets\":[",
-                json_string(&h.name),
-                h.count,
-                h.sum
-            ));
-            for (j, &(idx, n)) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let (lo, hi) = bucket_range(idx);
-                out.push_str(&format!(
-                    "{{\"bucket\":{idx},\"lo\":{lo},\"hi\":{hi},\"count\":{n}}}"
-                ));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// Escapes a string as a JSON string literal. Names here are ASCII
-/// identifiers, but escape defensively anyway.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// A span-tree node: identity is (parent, name), so repeated instances
@@ -441,7 +245,6 @@ struct Inner {
     active: Vec<Option<ActiveSpan>>,
     free: Vec<usize>,
     counters: BTreeMap<&'static str, u64>,
-    histograms: BTreeMap<&'static str, Histogram>,
 }
 
 /// Single-threaded collecting recorder: the whole state sits in one
@@ -457,8 +260,8 @@ pub struct CollectingRecorder {
     clock: Box<dyn Clock>,
     /// Reentrancy invariant: no method calls another state-borrowing
     /// method while holding its borrow — a nested borrow panics. Every
-    /// borrower (`report`, `span_start`, `span_end`, `add`, `observe`)
-    /// only touches plain `Inner` data; clock reads happen *before*
+    /// borrower (`report`, `span_start`, `span_end`, `add`) only
+    /// touches plain `Inner` data; clock reads happen *before*
     /// borrowing for the same reason.
     inner: RefCell<Inner>,
 }
@@ -482,7 +285,7 @@ impl CollectingRecorder {
     }
 
     /// A recorder timed by the given clock (inject a [`ManualClock`] for
-    /// deterministic replays).
+    /// deterministic reports).
     pub fn with_clock(clock: Box<dyn Clock>) -> Self {
         CollectingRecorder {
             clock,
@@ -496,7 +299,6 @@ impl CollectingRecorder {
                 active: Vec::new(),
                 free: Vec::new(),
                 counters: BTreeMap::new(),
-                histograms: BTreeMap::new(),
             }),
         }
     }
@@ -539,27 +341,7 @@ impl CollectingRecorder {
                 value,
             })
             .collect();
-        let histograms = inner
-            .histograms
-            .iter()
-            .map(|(&name, h)| HistogramStat {
-                name: name.to_string(),
-                count: h.count,
-                sum: h.sum,
-                buckets: h
-                    .buckets
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &n)| n > 0)
-                    .map(|(i, &n)| (i, n))
-                    .collect(),
-            })
-            .collect();
-        RunReport {
-            spans,
-            counters,
-            histograms,
-        }
+        RunReport { spans, counters }
     }
 }
 
@@ -625,16 +407,12 @@ impl Recorder for CollectingRecorder {
         let mut inner = self.inner.borrow_mut();
         *inner.counters.entry(counter).or_insert(0) += delta;
     }
-
-    fn observe(&self, histogram: &'static str, value: u64) {
-        let mut inner = self.inner.borrow_mut();
-        inner.histograms.entry(histogram).or_default().record(value);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn noop_recorder_records_nothing_and_returns_none() {
@@ -643,7 +421,6 @@ mod tests {
         assert!(id.is_none());
         r.span_end(id);
         r.add("c", 5);
-        r.observe("h", 5);
     }
 
     #[test]
@@ -689,7 +466,7 @@ mod tests {
             paths,
             vec![("plan", 1), ("plan/loop", 2), ("plan/setup", 1)]
         );
-        // Manual clock never advanced: all durations are zero.
+        // The manual clock is frozen at zero: all durations are zero.
         assert!(rep.spans.iter().all(|s| s.total_ns == 0));
     }
 
@@ -722,7 +499,6 @@ mod tests {
         let r = CollectingRecorder::new();
         let root = r.span_start("plan", SpanId::NONE);
         r.add("visited", 1);
-        r.observe("tour_len", 42);
         let child = r.span_start("greedy", root);
         // Reporting with spans still active borrows the same state the
         // open spans' bookkeeping lives in.
@@ -733,7 +509,6 @@ mod tests {
         let rep = r.report();
         assert_eq!(rep.spans.len(), 2);
         assert_eq!(rep.counter("visited"), 1);
-        assert_eq!(rep.histograms.len(), 1);
     }
 
     #[test]
@@ -753,32 +528,5 @@ mod tests {
         b.add("y", 2);
         b.add("x", 1);
         assert_eq!(a.report(), b.report());
-        assert_eq!(a.report().to_json(), b.report().to_json());
-    }
-
-    #[test]
-    fn json_shape_is_stable() {
-        let r = CollectingRecorder::with_clock(Box::new(ManualClock::new()));
-        r.add("evals", 3);
-        r.observe("pops", 0);
-        r.observe("pops", 5);
-        {
-            let _s = Span::root(&r, "plan");
-        }
-        let json = r.report().to_json();
-        let expected = concat!(
-            "{\"spans\":[{\"path\":\"plan\",\"calls\":1,\"total_ns\":0}],",
-            "\"counters\":[{\"name\":\"evals\",\"value\":3}],",
-            "\"histograms\":[{\"name\":\"pops\",\"count\":2,\"sum\":5,\"buckets\":[",
-            "{\"bucket\":0,\"lo\":0,\"hi\":0,\"count\":1},",
-            "{\"bucket\":3,\"lo\":4,\"hi\":7,\"count\":1}]}]}"
-        );
-        assert_eq!(json, expected);
-    }
-
-    #[test]
-    fn json_escapes_are_valid() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
     }
 }

@@ -73,28 +73,6 @@ impl MissionReport {
             },
         }
     }
-
-    /// CSV header matching [`MissionReport::csv_row`].
-    pub fn csv_header() -> &'static str {
-        "completed,collected_gb,energy_j,hover_j,travel_j,time_s,stops,legs,latency_s,headroom"
-    }
-
-    /// One CSV row.
-    pub fn csv_row(&self) -> String {
-        format!(
-            "{},{:.4},{:.1},{:.1},{:.1},{:.2},{},{},{:.2},{:.4}",
-            self.completed,
-            megabytes_as_gb(self.collected),
-            self.energy_used.value(),
-            self.hover_energy.value(),
-            self.travel_energy.value(),
-            self.mission_time.value(),
-            self.stops_reached,
-            self.legs_flown,
-            self.mean_collection_latency.value(),
-            self.energy_headroom,
-        )
-    }
 }
 
 impl std::fmt::Display for MissionReport {
@@ -252,16 +230,6 @@ mod tests {
         assert!(!r.completed);
         assert_eq!(r.energy_headroom, 0.0);
         assert_eq!(r.collected, MegaBytes::ZERO);
-    }
-
-    #[test]
-    fn csv_row_matches_header_field_count() {
-        let s = scenario();
-        let out = simulate(&s, &plan(), &SimConfig::default());
-        let r = MissionReport::new(&out, &s);
-        let header_fields = MissionReport::csv_header().split(',').count();
-        let row_fields = r.csv_row().split(',').count();
-        assert_eq!(header_fields, row_fields);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! | [`graph`] | MST, blossom matching, Euler tours, Christofides, TSP heuristics |
 //! | [`orienteering`] | exact/greedy/GRASP orienteering solvers |
 //! | [`net`] | units, radio model, UAV spec, scenarios, generators |
-//! | [`obs`] | recorders (spans, counters, histograms) the planners report to |
+//! | [`obs`] | recorders (spans, counters) the planners report to |
 //! | [`core`] | the planners: Algorithms 1–3 and the benchmark |
 //! | [`sim`] | discrete-event mission simulator |
 //!
