@@ -416,23 +416,32 @@ fn obs_overhead(budget_pct: f64) {
     }
     // Best-of-R per side: single passes on a busy machine jitter by more
     // than the effect under measurement; the minimum is the run least
-    // disturbed by the scheduler.
-    const REPS: usize = 5;
+    // disturbed by the scheduler. The side that runs first alternates
+    // between repeats (R is even), so neither side always inherits the
+    // other's warm caches.
+    const REPS: usize = 6;
     let mut noop_ns = u64::MAX;
     let mut coll_ns = u64::MAX;
-    for _ in 0..REPS {
+    for rep in 0..REPS {
         let mut pass_noop = 0u64;
         let mut pass_coll = 0u64;
         for (label, _, run) in overlap_roster(5.0) {
             let rec = CollectingRecorder::new();
-            let t0 = clock.now_ns();
-            let (_, base) = run(&scenario, EngineMode::Lazy, &uavdc_obs::NOOP);
-            let t1 = clock.now_ns();
-            let (_, inst) = run(&scenario, EngineMode::Lazy, &rec);
-            let t2 = clock.now_ns();
+            let timed = |r: &dyn Recorder| {
+                let t0 = clock.now_ns();
+                let (_, stats) = run(&scenario, EngineMode::Lazy, r);
+                (clock.now_ns() - t0, stats)
+            };
+            let ((t_noop, base), (t_coll, inst)) = if rep % 2 == 0 {
+                let noop = timed(&uavdc_obs::NOOP);
+                (noop, timed(&rec))
+            } else {
+                let coll = timed(&rec);
+                (timed(&uavdc_obs::NOOP), coll)
+            };
             assert_eq!(base, inst, "{label}: recorder changed the search");
-            pass_noop += t1 - t0;
-            pass_coll += t2 - t1;
+            pass_noop += t_noop;
+            pass_coll += t_coll;
         }
         noop_ns = noop_ns.min(pass_noop);
         coll_ns = coll_ns.min(pass_coll);

@@ -45,9 +45,9 @@ use crate::greedy::{
     PlanStats, Probe,
 };
 use crate::plan::{CollectionPlan, HoverStop};
-use crate::tourutil::{cheapest_insertion_point, closed_tour_length};
+use crate::tourutil::cheapest_insertion_point;
 use crate::Planner;
-use uavdc_geom::Point2;
+use uavdc_geom::{tour_length, Point2};
 use uavdc_graph::improve::two_opt_by;
 use uavdc_graph::incremental::IncrementalTour;
 use uavdc_net::units::Seconds;
@@ -226,7 +226,7 @@ impl<'a> GreedyState<'a> {
         self.stop_of.push(self.stops.len() - 1);
         self.tour_pts = crate::tourutil::apply_order(&self.tour_pts, order);
         self.stop_of = crate::tourutil::apply_order(&self.stop_of, order);
-        self.tour_len = closed_tour_length(&self.tour_pts);
+        self.tour_len = tour_length(&self.tour_pts);
         self.hover_energy_total += eval.sojourn * eta_h;
         self.active[eval.cand] = false;
         drained
@@ -288,7 +288,7 @@ impl<'a> GreedyState<'a> {
         }
         self.tour_pts = crate::tourutil::apply_order(&self.tour_pts, &order);
         self.stop_of = crate::tourutil::apply_order(&self.stop_of, &order);
-        self.tour_len = closed_tour_length(&self.tour_pts);
+        self.tour_len = tour_length(&self.tour_pts);
         true
     }
 
@@ -337,7 +337,7 @@ fn run_exhaustive(state: &mut GreedyState<'_>, eta_h: f64, counters: &mut EvalCo
             break;
         };
         state.commit(eval, eta_h);
-        state.tour_len = closed_tour_length(&state.tour_pts);
+        state.tour_len = tour_length(&state.tour_pts);
         counters.tour_patches += 1;
         state.deactivate_exhausted();
         since_compact += 1;
@@ -396,7 +396,7 @@ fn run_paper(
             let mut pts = state.tour_pts.clone();
             pts.push(state.candidates.get(c).pos);
             let order = crate::tourutil::christofides_order(&pts, &retour_rec);
-            let new_len = closed_tour_length(&crate::tourutil::apply_order(&pts, &order));
+            let new_len = tour_length(&crate::tourutil::apply_order(&pts, &order));
             let delta_len = (new_len - state.tour_len).max(0.0);
             let extra = t * eta_h + delta_len * per_m;
             let total = state.hover_energy_total + t * eta_h + new_len * per_m;
@@ -613,7 +613,7 @@ fn run_lazy(
         #[cfg(feature = "validate")]
         debug_assert_eq!(
             state.tour_len.to_bits(),
-            closed_tour_length(&state.tour_pts).to_bits(),
+            tour_length(&state.tour_pts).to_bits(),
             "the incremental mirror's length must equal the recomputed one"
         );
         since_compact += 1;

@@ -27,9 +27,9 @@ use crate::greedy::{
     PlanStats, Probe,
 };
 use crate::plan::{CollectionPlan, HoverStop};
-use crate::tourutil::{cheapest_insertion_point, closed_tour_length};
+use crate::tourutil::cheapest_insertion_point;
 use crate::Planner;
-use uavdc_geom::Point2;
+use uavdc_geom::{tour_length, Point2};
 use uavdc_graph::incremental::IncrementalTour;
 use uavdc_net::units::{MegaBytes, Seconds};
 use uavdc_net::{DeviceId, Scenario};
@@ -349,7 +349,7 @@ fn run_exhaustive(
             Some(eval) => {
                 let (got, _, inserted_at) = state.commit(eval, eta_h);
                 if inserted_at.is_some() {
-                    state.tour_len = closed_tour_length(&state.tour_pts);
+                    state.tour_len = tour_length(&state.tour_pts);
                 }
                 state.deactivate_exhausted();
                 if got <= 1e-9 {
@@ -513,7 +513,7 @@ fn run_lazy(
             #[cfg(feature = "validate")]
             debug_assert_eq!(
                 state.tour_len.to_bits(),
-                closed_tour_length(&state.tour_pts).to_bits(),
+                tour_length(&state.tour_pts).to_bits(),
                 "the incremental mirror's length must equal the recomputed one"
             );
         } else {

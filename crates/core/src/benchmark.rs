@@ -21,9 +21,9 @@
 
 use crate::greedy::{EngineMode, EvalCounters, PlanStats};
 use crate::plan::{CollectionPlan, HoverStop};
-use crate::tourutil::{apply_order, christofides_order, closed_tour_length, removal_delta};
+use crate::tourutil::{apply_order, christofides_order, removal_delta};
 use crate::Planner;
-use uavdc_geom::{Point2, SpatialGrid};
+use uavdc_geom::{tour_length, Point2, SpatialGrid};
 use uavdc_net::units::Seconds;
 use uavdc_net::{DeviceId, Scenario};
 use uavdc_obs::{Recorder, Span};
@@ -173,7 +173,7 @@ fn prune_exhaustive(state: &mut PruneState<'_>, counters: &mut EvalCounters) {
     loop {
         counters.iterations += 1;
         let (_, hover_s, hover_energy) = state.assignments();
-        let tour_len = closed_tour_length(&state.pts);
+        let tour_len = tour_length(&state.pts);
         if hover_energy + tour_len * per_m <= capacity || state.pts.len() <= 1 {
             break;
         }
@@ -440,7 +440,7 @@ fn prune_lazy(state: &mut PruneState<'_>, counters: &mut EvalCounters) {
     let mut tree = Tournament::new(len0);
 
     // Exact energy sums, in the rescan's order and operations: hover
-    // terms accumulated in tour order, and `closed_tour_length` (the
+    // terms accumulated in tour order, and `tour_length` (the
     // open path's `sum` plus the closing edge) over cached edges. Called
     // with at least two stops on the tour.
     let exact_sums = |next: &[usize], edge: &[f64], hover_s: &[f64]| {

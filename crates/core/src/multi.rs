@@ -284,7 +284,8 @@ impl JointFleetPlanner {
     pub fn plan_fleet(&self, scenario: &Scenario) -> FleetPlan {
         use crate::candidates::CandidateSet;
         use crate::plan::HoverStop;
-        use crate::tourutil::{cheapest_insertion_point, closed_tour_length};
+        use crate::tourutil::cheapest_insertion_point;
+        use uavdc_geom::tour_length;
         use uavdc_net::units::Seconds;
 
         let m = self.fleet_size;
@@ -373,7 +374,7 @@ impl JointFleetPlanner {
             let stop_idx = stops[u].len() - 1;
             tours[u].insert(pos, cand.pos);
             stop_of[u].insert(pos, stop_idx);
-            tour_len[u] = closed_tour_length(&tours[u]);
+            tour_len[u] = tour_length(&tours[u]);
             hover[u] += tau * eta_h;
             active[c] = false;
         }

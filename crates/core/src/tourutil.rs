@@ -10,16 +10,9 @@
     reason = "indexes tour positions within the tour it is given; `lazy_equivalence` and `alg2_incremental_equivalence` check it"
 )]
 
-use uavdc_geom::Point2;
+use uavdc_geom::{tour_length, Point2};
 use uavdc_graph::christofides::{christofides_with, ChristofidesConfig};
 use uavdc_graph::DistMatrix;
-
-/// Length of the closed tour through `pts` (first point is the depot),
-/// in raw metres: this module is crate-private hot-path machinery (a
-/// declared perf-critical module, DESIGN.md §9), so it stays in f64.
-pub(crate) fn closed_tour_length(pts: &[Point2]) -> f64 {
-    uavdc_geom::tour_length(pts)
-}
 
 /// Cheapest insertion of `p` into the closed tour `pts`: returns
 /// `(delta, pos)` with `pos >= 1` (the depot at index 0 is never
@@ -52,7 +45,7 @@ pub fn removal_delta(pts: &[Point2], idx: usize) -> f64 {
     debug_assert!(idx < n);
     if n <= 2 {
         // Removing one of <= 2 points removes the whole out-and-back leg.
-        return closed_tour_length(pts);
+        return tour_length(pts);
     }
     let prev = pts[(idx + n - 1) % n];
     let cur = pts[idx];
@@ -101,7 +94,7 @@ mod tests {
         let (delta, pos) = cheapest_insertion_point(&pts, p);
         let mut with = pts.clone();
         with.insert(pos, p);
-        assert!((closed_tour_length(&with) - closed_tour_length(&pts) - delta).abs() < 1e-9);
+        assert!((tour_length(&with) - tour_length(&pts) - delta).abs() < 1e-9);
         assert!((removal_delta(&with, pos) - delta).abs() < 1e-9);
     }
 
@@ -138,6 +131,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..12).collect::<Vec<_>>());
         let reordered = apply_order(&pts, &order);
-        assert!(closed_tour_length(&reordered) <= closed_tour_length(&pts) + 1e-9);
+        assert!(tour_length(&reordered) <= tour_length(&pts) + 1e-9);
     }
 }

@@ -57,14 +57,6 @@ impl Aabb {
         self.max.y = self.max.y.max(p.y);
     }
 
-    /// Returns a copy grown outward by `margin` on every side.
-    pub fn inflated(self, margin: f64) -> Self {
-        Aabb {
-            min: Point2::new(self.min.x - margin, self.min.y - margin),
-            max: Point2::new(self.max.x + margin, self.max.y + margin),
-        }
-    }
-
     /// Box width along x, in metres.
     #[inline]
     pub fn width(&self) -> f64 {
@@ -77,38 +69,10 @@ impl Aabb {
         self.max.y - self.min.y
     }
 
-    /// Geometric centre of the box.
-    #[inline]
-    pub fn center(&self) -> Point2 {
-        self.min.midpoint(self.max)
-    }
-
-    /// Area in square metres.
-    #[inline]
-    pub fn area(&self) -> f64 {
-        self.width() * self.height()
-    }
-
     /// True when `p` lies inside or on the boundary.
     #[inline]
     pub fn contains(&self, p: Point2) -> bool {
         p.x >= self.min.x && p.x <= self.max.x && p.y >= self.min.y && p.y <= self.max.y
-    }
-
-    /// True when the two boxes share at least one point.
-    #[inline]
-    pub fn intersects(&self, other: &Aabb) -> bool {
-        self.min.x <= other.max.x
-            && other.min.x <= self.max.x
-            && self.min.y <= other.max.y
-            && other.min.y <= self.max.y
-    }
-
-    /// Distance from `p` to the closest point of the box (zero if inside).
-    pub fn distance_to_point(&self, p: Point2) -> f64 {
-        let dx = (self.min.x - p.x).max(0.0).max(p.x - self.max.x);
-        let dy = (self.min.y - p.y).max(0.0).max(p.y - self.max.y);
-        (dx * dx + dy * dy).sqrt()
     }
 }
 
@@ -128,8 +92,7 @@ mod tests {
         let b = Aabb::square(1000.0);
         assert_eq!(b.width(), 1000.0);
         assert_eq!(b.height(), 1000.0);
-        assert_eq!(b.area(), 1e6);
-        assert_eq!(b.center(), Point2::new(500.0, 500.0));
+        assert_eq!(b.min, Point2::ORIGIN);
     }
 
     #[test]
@@ -154,29 +117,5 @@ mod tests {
         assert!(b.contains(Point2::new(0.0, 0.0)));
         assert!(b.contains(Point2::new(10.0, 10.0)));
         assert!(!b.contains(Point2::new(10.0001, 5.0)));
-    }
-
-    #[test]
-    fn intersection_detection() {
-        let a = Aabb::square(10.0);
-        let b = Aabb::new(Point2::new(9.0, 9.0), Point2::new(20.0, 20.0));
-        let c = Aabb::new(Point2::new(11.0, 11.0), Point2::new(20.0, 20.0));
-        assert!(a.intersects(&b));
-        assert!(b.intersects(&a));
-        assert!(!a.intersects(&c));
-    }
-
-    #[test]
-    fn point_distance_zero_inside_positive_outside() {
-        let b = Aabb::square(10.0);
-        assert_eq!(b.distance_to_point(Point2::new(5.0, 5.0)), 0.0);
-        assert_eq!(b.distance_to_point(Point2::new(13.0, 14.0)), 5.0);
-    }
-
-    #[test]
-    fn inflation_adds_margin() {
-        let b = Aabb::square(10.0).inflated(2.0);
-        assert_eq!(b.min, Point2::new(-2.0, -2.0));
-        assert_eq!(b.max, Point2::new(12.0, 12.0));
     }
 }

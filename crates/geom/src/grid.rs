@@ -34,21 +34,24 @@ impl GridSpec {
     /// Builds the partition of the `width` x `height` region anchored at
     /// `origin` into squares of edge `delta`.
     ///
+    /// A zero `width` or `height` (a line or point region) still gets
+    /// one column or row of cells.
+    ///
     /// # Panics
-    /// Panics when `delta`, `width` or `height` is non-positive or
-    /// non-finite.
+    /// Panics when `delta` is non-positive or non-finite, or when `width`
+    /// or `height` is negative or non-finite.
     pub fn new(origin: Point2, width: f64, height: f64, delta: f64) -> Self {
         assert!(
             delta.is_finite() && delta > 0.0,
             "delta must be positive, got {delta}"
         );
         assert!(
-            width.is_finite() && width > 0.0,
-            "width must be positive, got {width}"
+            width.is_finite() && width >= 0.0,
+            "width must be non-negative, got {width}"
         );
         assert!(
-            height.is_finite() && height > 0.0,
-            "height must be positive, got {height}"
+            height.is_finite() && height >= 0.0,
+            "height must be non-negative, got {height}"
         );
         let nx = (width / delta).ceil() as u32;
         let ny = (height / delta).ceil() as u32;
@@ -109,16 +112,6 @@ impl GridSpec {
         c.iy as usize * self.nx as usize + c.ix as usize
     }
 
-    /// Inverse of [`GridSpec::linear_index`].
-    #[inline]
-    pub fn cell_from_linear(&self, idx: usize) -> CellId {
-        debug_assert!(idx < self.num_cells());
-        CellId {
-            ix: (idx % self.nx as usize) as u32,
-            iy: (idx / self.nx as usize) as u32,
-        }
-    }
-
     /// Centre of a cell — a potential hovering location (projected).
     #[inline]
     pub fn cell_center(&self, c: CellId) -> Point2 {
@@ -126,18 +119,6 @@ impl GridSpec {
             self.origin.x + (c.ix as f64 + 0.5) * self.delta,
             self.origin.y + (c.iy as f64 + 0.5) * self.delta,
         )
-    }
-
-    /// The cell containing ground point `p`, clamped to the grid bounds.
-    ///
-    /// Points on a shared edge belong to the higher-index cell, matching
-    /// half-open cell intervals `[k·δ, (k+1)·δ)`.
-    pub fn cell_containing(&self, p: Point2) -> CellId {
-        let fx = ((p.x - self.origin.x) / self.delta).floor();
-        let fy = ((p.y - self.origin.y) / self.delta).floor();
-        let ix = fx.clamp(0.0, (self.nx - 1) as f64) as u32;
-        let iy = fy.clamp(0.0, (self.ny - 1) as f64) as u32;
-        CellId { ix, iy }
     }
 
     /// Iterates all cell ids in row-major order.
@@ -181,18 +162,6 @@ impl GridSpec {
             .flat_map(move |iy| (lo_x..=hi_x).map(move |ix| CellId { ix, iy }))
             .filter(move |&c| self.cell_center(c).distance_sq(p) <= r2)
     }
-
-    /// Bounding box of the whole grid (may exceed the requested region when
-    /// the side is not a multiple of `delta`).
-    pub fn bounds(&self) -> Aabb {
-        Aabb::new(
-            self.origin,
-            Point2::new(
-                self.origin.x + self.nx as f64 * self.delta,
-                self.origin.y + self.ny as f64 * self.delta,
-            ),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -216,13 +185,30 @@ mod tests {
         let g = GridSpec::new(Point2::ORIGIN, 105.0, 95.0, 10.0);
         assert_eq!(g.nx(), 11);
         assert_eq!(g.ny(), 10);
-        assert!(g.bounds().contains(Point2::new(104.9, 94.9)));
     }
 
     #[test]
     #[should_panic(expected = "delta must be positive")]
     fn zero_delta_panics() {
         let _ = GridSpec::new(Point2::ORIGIN, 10.0, 10.0, 0.0);
+    }
+
+    #[test]
+    fn zero_extent_region_has_one_row_or_column() {
+        for (w, h, nx, ny) in [(0.0, 0.0, 1, 1), (0.0, 300.0, 1, 30), (300.0, 0.0, 30, 1)] {
+            let g = GridSpec::new(Point2::new(10.0, 20.0), w, h, 10.0);
+            assert_eq!((g.nx(), g.ny()), (nx, ny), "{w} x {h}");
+            let cells: Vec<CellId> = g
+                .cells_with_center_within(Point2::new(10.0, 20.0), 10.0)
+                .collect();
+            assert_eq!(cells, vec![g.cell_at(0, 0)], "{w} x {h}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "width must be non-negative")]
+    fn negative_width_panics() {
+        let _ = GridSpec::new(Point2::ORIGIN, -1.0, 10.0, 1.0);
     }
 
     #[test]
@@ -234,28 +220,10 @@ mod tests {
     }
 
     #[test]
-    fn containing_cell_roundtrips_center() {
-        let g = grid_100x100_d10();
-        for c in g.cells() {
-            assert_eq!(g.cell_containing(g.cell_center(c)), c);
-        }
-    }
-
-    #[test]
-    fn containing_cell_clamps_outside_points() {
-        let g = grid_100x100_d10();
-        assert_eq!(g.cell_containing(Point2::new(-5.0, -5.0)), g.cell_at(0, 0));
-        assert_eq!(
-            g.cell_containing(Point2::new(500.0, 500.0)),
-            g.cell_at(9, 9)
-        );
-    }
-
-    #[test]
     fn linear_index_roundtrip() {
         let g = GridSpec::new(Point2::ORIGIN, 70.0, 30.0, 10.0);
-        for c in g.cells() {
-            assert_eq!(g.cell_from_linear(g.linear_index(c)), c);
+        for (i, c) in g.cells().enumerate() {
+            assert_eq!(g.linear_index(c), i);
         }
         assert_eq!(g.linear_index(g.cell_at(0, 0)), 0);
         assert_eq!(g.linear_index(g.cell_at(6, 2)), 2 * 7 + 6);

@@ -1,11 +1,11 @@
 //! Planar geometry substrate for UAV data-collection planning.
 //!
 //! This crate provides the geometric primitives needed by the planners in
-//! `uavdc-core`: 2-D/3-D points, axis-aligned bounding boxes, the square
-//! grid partition of the monitoring region (the paper's `δ`-squares), disc
-//! coverage predicates (the UAV's hovering coverage circle of radius `R0`),
-//! and a uniform-grid spatial index for fast "all points within radius `r`
-//! of a query point" lookups.
+//! `uavdc-core`: 2-D points, axis-aligned bounding boxes, the square grid
+//! partition of the monitoring region (the paper's `δ`-squares) with the
+//! coverage test of Eq. 2 (a cell centre within `R0` of a sensor), and a
+//! uniform-grid spatial index for fast "all points within radius `r` of a
+//! query point" lookups.
 //!
 //! Everything here is deterministic and allocation-conscious: queries write
 //! into caller-provided buffers or yield iterators where it matters, and
@@ -45,7 +45,6 @@
 )]
 
 mod aabb;
-mod disc;
 mod grid;
 mod order;
 mod point;
@@ -53,11 +52,10 @@ mod polyline;
 mod spatial;
 
 pub use aabb::Aabb;
-pub use disc::{disc_disc_overlap_area, Disc};
 pub use grid::{CellId, GridSpec};
 pub use order::{cmp_f64, cmp_f64_desc, desc_key, from_total_key, total_key, TotalF64};
-pub use point::{Point2, Point3};
-pub use polyline::{distance_matrix, path_length, tour_length};
+pub use point::Point2;
+pub use polyline::tour_length;
 pub use spatial::SpatialGrid;
 
 /// Numerical tolerance used by approximate geometric comparisons in this

@@ -1,13 +1,13 @@
-//! 2-D and 3-D points with the handful of vector operations the planners use.
+//! 2-D points with the handful of vector operations the planners use.
 
 use std::fmt;
-use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
+use std::ops::{AddAssign, Div};
 
 /// A point (or vector) in the ground plane, in metres.
 ///
 /// Sensor nodes live at `(x, y, 0)`; the paper projects UAV hovering
-/// locations onto the ground plane for coverage tests, so almost all
-/// planning geometry is 2-D.
+/// locations onto the ground plane for coverage tests (the altitude is
+/// folded into the coverage radius `R0`), so all planning geometry is 2-D.
 #[derive(Clone, Copy, PartialEq, Default)]
 pub struct Point2 {
     /// Easting coordinate in metres.
@@ -43,18 +43,6 @@ impl Point2 {
         dx * dx + dy * dy
     }
 
-    /// Euclidean norm of the vector from the origin.
-    #[inline]
-    pub fn norm(self) -> f64 {
-        self.distance(Point2::ORIGIN)
-    }
-
-    /// Dot product with `other`.
-    #[inline]
-    pub fn dot(self, other: Point2) -> f64 {
-        self.x * other.x + self.y * other.y
-    }
-
     /// Linear interpolation: returns `self` at `t = 0`, `other` at `t = 1`.
     #[inline]
     pub fn lerp(self, other: Point2, t: f64) -> Point2 {
@@ -62,19 +50,6 @@ impl Point2 {
             self.x + (other.x - self.x) * t,
             self.y + (other.y - self.y) * t,
         )
-    }
-
-    /// Midpoint of the segment from `self` to `other`.
-    #[inline]
-    pub fn midpoint(self, other: Point2) -> Point2 {
-        self.lerp(other, 0.5)
-    }
-
-    /// Lifts this ground point to altitude `h`, producing the hovering
-    /// location directly above it.
-    #[inline]
-    pub fn at_altitude(self, h: f64) -> Point3 {
-        Point3::new(self.x, self.y, h)
     }
 
     /// True when every coordinate is finite (not NaN/inf).
@@ -96,14 +71,6 @@ impl fmt::Display for Point2 {
     }
 }
 
-impl Add for Point2 {
-    type Output = Point2;
-    #[inline]
-    fn add(self, rhs: Point2) -> Point2 {
-        Point2::new(self.x + rhs.x, self.y + rhs.y)
-    }
-}
-
 impl AddAssign for Point2 {
     #[inline]
     fn add_assign(&mut self, rhs: Point2) {
@@ -112,96 +79,11 @@ impl AddAssign for Point2 {
     }
 }
 
-impl Sub for Point2 {
-    type Output = Point2;
-    #[inline]
-    fn sub(self, rhs: Point2) -> Point2 {
-        Point2::new(self.x - rhs.x, self.y - rhs.y)
-    }
-}
-
-impl SubAssign for Point2 {
-    #[inline]
-    fn sub_assign(&mut self, rhs: Point2) {
-        self.x -= rhs.x;
-        self.y -= rhs.y;
-    }
-}
-
-impl Mul<f64> for Point2 {
-    type Output = Point2;
-    #[inline]
-    fn mul(self, s: f64) -> Point2 {
-        Point2::new(self.x * s, self.y * s)
-    }
-}
-
 impl Div<f64> for Point2 {
     type Output = Point2;
     #[inline]
     fn div(self, s: f64) -> Point2 {
         Point2::new(self.x / s, self.y / s)
-    }
-}
-
-impl Neg for Point2 {
-    type Output = Point2;
-    #[inline]
-    fn neg(self) -> Point2 {
-        Point2::new(-self.x, -self.y)
-    }
-}
-
-/// A point in 3-D space: ground coordinates plus altitude, in metres.
-///
-/// Used for hovering locations `(x, y, H)`. The coverage radius on the
-/// ground is `R0 = sqrt(R^2 - H^2)` where `R` is the sensor transmission
-/// range (computed in `uavdc-net`'s radio model).
-#[derive(Clone, Copy, PartialEq, Default)]
-pub struct Point3 {
-    /// Easting coordinate in metres.
-    pub x: f64,
-    /// Northing coordinate in metres.
-    pub y: f64,
-    /// Altitude above ground in metres.
-    pub z: f64,
-}
-
-impl Point3 {
-    /// Creates a point from its coordinates.
-    #[inline]
-    pub const fn new(x: f64, y: f64, z: f64) -> Self {
-        Point3 { x, y, z }
-    }
-
-    /// Euclidean distance to `other` in 3-D.
-    #[inline]
-    pub fn distance(self, other: Point3) -> f64 {
-        let dx = self.x - other.x;
-        let dy = self.y - other.y;
-        let dz = self.z - other.z;
-        (dx * dx + dy * dy + dz * dz).sqrt()
-    }
-
-    /// Projection onto the ground plane (drops the altitude).
-    #[inline]
-    pub fn ground(self) -> Point2 {
-        Point2::new(self.x, self.y)
-    }
-
-    /// 3-D slant distance from this (airborne) point to a ground point.
-    ///
-    /// This is the actual radio link distance between the UAV and a sensor.
-    #[inline]
-    pub fn slant_to_ground(self, p: Point2) -> f64 {
-        let dxy = self.ground().distance_sq(p);
-        (dxy + self.z * self.z).sqrt()
-    }
-}
-
-impl fmt::Debug for Point3 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "({:.3}, {:.3}, {:.3})", self.x, self.y, self.z)
     }
 }
 
@@ -230,42 +112,16 @@ mod tests {
         let b = Point2::new(10.0, 0.0);
         assert_eq!(a.lerp(b, 0.0), a);
         assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.midpoint(b), Point2::new(5.0, 5.0));
+        assert_eq!(a.lerp(b, 0.5), Point2::new(5.0, 5.0));
     }
 
     #[test]
     fn vector_ops() {
-        let a = Point2::new(1.0, 2.0);
+        let mut a = Point2::new(1.0, 2.0);
         let b = Point2::new(3.0, -1.0);
-        assert_eq!(a + b, Point2::new(4.0, 1.0));
-        assert_eq!(a - b, Point2::new(-2.0, 3.0));
-        assert_eq!(a * 2.0, Point2::new(2.0, 4.0));
+        a += b;
+        assert_eq!(a, Point2::new(4.0, 1.0));
         assert_eq!(b / 2.0, Point2::new(1.5, -0.5));
-        assert_eq!(-a, Point2::new(-1.0, -2.0));
-        assert_eq!(a.dot(b), 1.0);
-    }
-
-    #[test]
-    fn altitude_projection_roundtrip() {
-        let g = Point2::new(4.0, 9.0);
-        let h = g.at_altitude(30.0);
-        assert_eq!(h.z, 30.0);
-        assert_eq!(h.ground(), g);
-    }
-
-    #[test]
-    fn slant_distance_includes_altitude() {
-        // UAV at 40 m altitude, sensor 30 m away on the ground: 50 m slant.
-        let uav = Point3::new(0.0, 0.0, 40.0);
-        let sensor = Point2::new(30.0, 0.0);
-        assert!((uav.slant_to_ground(sensor) - 50.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn point3_distance() {
-        let a = Point3::new(0.0, 0.0, 0.0);
-        let b = Point3::new(2.0, 3.0, 6.0);
-        assert_eq!(a.distance(b), 7.0);
     }
 
     #[test]

@@ -100,12 +100,6 @@ impl SpatialGrid {
         self.points.is_empty()
     }
 
-    /// The indexed points, in build order.
-    #[inline]
-    pub fn points(&self) -> &[Point2] {
-        &self.points
-    }
-
     /// Indices of all points within (closed) distance `radius` of `q`.
     pub fn query_radius(&self, q: Point2, radius: f64) -> Vec<usize> {
         let mut out = Vec::new();
@@ -142,89 +136,6 @@ impl SpatialGrid {
             }
         }
     }
-
-    /// Number of points within distance `radius` of `q` (no allocation).
-    pub fn count_within(&self, q: Point2, radius: f64) -> usize {
-        if self.points.is_empty() || !radius.is_finite() || radius < 0.0 {
-            return 0;
-        }
-        let r2 = radius * radius;
-        let lo_x =
-            (((q.x - radius - self.origin.x) / self.cell).floor() as i64).clamp(0, self.nx - 1);
-        let hi_x =
-            (((q.x + radius - self.origin.x) / self.cell).floor() as i64).clamp(0, self.nx - 1);
-        let lo_y =
-            (((q.y - radius - self.origin.y) / self.cell).floor() as i64).clamp(0, self.ny - 1);
-        let hi_y =
-            (((q.y + radius - self.origin.y) / self.cell).floor() as i64).clamp(0, self.ny - 1);
-        let mut n = 0;
-        for by in lo_y..=hi_y {
-            for bx in lo_x..=hi_x {
-                let b = (by * self.nx + bx) as usize;
-                let s = self.starts[b] as usize;
-                let e = self.starts[b + 1] as usize;
-                n += self.entries[s..e]
-                    .iter()
-                    .filter(|&&i| self.points[i as usize].distance_sq(q) <= r2)
-                    .count();
-            }
-        }
-        n
-    }
-
-    /// Index of the point nearest to `q`, or `None` when empty.
-    ///
-    /// Expands the bucket search ring by ring, so typical cost is O(1) for
-    /// well-distributed points.
-    pub fn nearest(&self, q: Point2) -> Option<usize> {
-        if self.points.is_empty() {
-            return None;
-        }
-        let qbx = (((q.x - self.origin.x) / self.cell).floor() as i64).clamp(0, self.nx - 1);
-        let qby = (((q.y - self.origin.y) / self.cell).floor() as i64).clamp(0, self.ny - 1);
-        let mut best: Option<(usize, f64)> = None;
-        let max_ring = self.nx.max(self.ny);
-        for ring in 0..=max_ring {
-            // Once a candidate is found, one extra ring suffices for
-            // correctness (points in further rings are at least
-            // (ring-1)*cell away from q).
-            if let Some((_, d2)) = best {
-                let safe = (ring - 1).max(0) as f64 * self.cell;
-                if safe * safe > d2 {
-                    break;
-                }
-            }
-            let lo_x = (qbx - ring).max(0);
-            let hi_x = (qbx + ring).min(self.nx - 1);
-            let lo_y = (qby - ring).max(0);
-            let hi_y = (qby + ring).min(self.ny - 1);
-            for by in lo_y..=hi_y {
-                for bx in lo_x..=hi_x {
-                    // Only the ring boundary is new.
-                    if ring > 0
-                        && bx != lo_x
-                        && bx != hi_x
-                        && by != lo_y
-                        && by != hi_y
-                        && (qbx - bx).abs() < ring
-                        && (qby - by).abs() < ring
-                    {
-                        continue;
-                    }
-                    let b = (by * self.nx + bx) as usize;
-                    let s = self.starts[b] as usize;
-                    let e = self.starts[b + 1] as usize;
-                    for &i in &self.entries[s..e] {
-                        let d2 = self.points[i as usize].distance_sq(q);
-                        if best.is_none_or(|(_, bd)| d2 < bd) {
-                            best = Some((i as usize, d2));
-                        }
-                    }
-                }
-            }
-        }
-        best.map(|(i, _)| i)
-    }
 }
 
 #[cfg(test)]
@@ -246,8 +157,6 @@ mod tests {
         let g = SpatialGrid::build(&[], 10.0);
         assert!(g.is_empty());
         assert!(g.query_radius(Point2::ORIGIN, 100.0).is_empty());
-        assert_eq!(g.count_within(Point2::ORIGIN, 100.0), 0);
-        assert_eq!(g.nearest(Point2::ORIGIN), None);
     }
 
     #[test]
@@ -255,7 +164,6 @@ mod tests {
         let g = SpatialGrid::build(&[Point2::new(3.0, 4.0)], 10.0);
         assert_eq!(g.query_radius(Point2::ORIGIN, 5.0), vec![0]);
         assert!(g.query_radius(Point2::ORIGIN, 4.99).is_empty());
-        assert_eq!(g.nearest(Point2::new(100.0, 100.0)), Some(0));
     }
 
     #[test]
@@ -283,18 +191,6 @@ mod tests {
     }
 
     #[test]
-    fn count_matches_query_len() {
-        let pts: Vec<Point2> = (0..100)
-            .map(|i| Point2::new((i * 37 % 100) as f64, (i * 61 % 100) as f64))
-            .collect();
-        let g = SpatialGrid::build(&pts, 10.0);
-        for r in [0.0, 5.0, 25.0, 200.0] {
-            let q = Point2::new(50.0, 50.0);
-            assert_eq!(g.count_within(q, r), g.query_radius(q, r).len());
-        }
-    }
-
-    #[test]
     fn negative_or_nan_radius_is_empty() {
         let g = SpatialGrid::build(&[Point2::ORIGIN], 1.0);
         assert!(g.query_radius(Point2::ORIGIN, -1.0).is_empty());
@@ -305,21 +201,6 @@ mod tests {
     #[should_panic(expected = "not finite")]
     fn non_finite_point_panics() {
         let _ = SpatialGrid::build(&[Point2::new(f64::NAN, 0.0)], 1.0);
-    }
-
-    #[test]
-    fn nearest_finds_true_nearest() {
-        let pts = vec![
-            Point2::new(0.0, 0.0),
-            Point2::new(10.0, 0.0),
-            Point2::new(10.0, 10.0),
-            Point2::new(0.0, 10.0),
-            Point2::new(4.0, 6.0),
-        ];
-        let g = SpatialGrid::build(&pts, 3.0);
-        assert_eq!(g.nearest(Point2::new(4.5, 5.5)), Some(4));
-        assert_eq!(g.nearest(Point2::new(-100.0, -100.0)), Some(0));
-        assert_eq!(g.nearest(Point2::new(11.0, 9.0)), Some(2));
     }
 
     proptest! {
@@ -339,24 +220,6 @@ mod tests {
             got.sort_unstable();
             want.sort_unstable();
             prop_assert_eq!(got, want);
-        }
-
-        #[test]
-        fn prop_nearest_matches_brute_force(
-            pts in proptest::collection::vec((0.0f64..500.0, 0.0f64..500.0), 1..80),
-            qx in -50.0f64..550.0,
-            qy in -50.0f64..550.0,
-        ) {
-            let points: Vec<Point2> = pts.iter().map(|&(x, y)| Point2::new(x, y)).collect();
-            let g = SpatialGrid::build(&points, 37.0);
-            let q = Point2::new(qx, qy);
-            let got = g.nearest(q).unwrap();
-            let best = points
-                .iter()
-                .map(|p| p.distance_sq(q))
-                .fold(f64::INFINITY, f64::min);
-            // Ties allowed: the returned point must be at the minimum distance.
-            prop_assert!((points[got].distance_sq(q) - best).abs() < 1e-9);
         }
     }
 }

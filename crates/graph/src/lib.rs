@@ -7,7 +7,7 @@
 //!   subroutine of the paper's Algorithm 2, Algorithm 3, and benchmark
 //!   heuristic. Built here from its three ingredients:
 //!   [`mst::prim_mst`], a minimum-weight perfect matching
-//!   ([`matching::min_weight_perfect_matching`]: exact DP for small
+//!   ([`matching::min_weight_perfect_matching_with`]: exact DP for small
 //!   instances, otherwise a sparse blossom on nearest-neighbour edges
 //!   whose answer is certified equal to the dense O(n³) blossom's, which
 //!   is the fallback; plus a greedy mode), and a Hierholzer Euler circuit

@@ -75,14 +75,6 @@ impl Matching {
     }
 }
 
-/// Minimum-weight perfect matching with the default backend.
-///
-/// # Panics
-/// Panics when the vertex count is odd (no perfect matching exists).
-pub fn min_weight_perfect_matching(m: &DistMatrix) -> Matching {
-    min_weight_perfect_matching_with(m, MatchingBackend::Auto, &uavdc_obs::NOOP)
-}
-
 /// Minimum-weight perfect matching with an explicit backend.
 ///
 /// `Auto` above the DP size reports to `rec`: `matching.certified` or
@@ -274,7 +266,7 @@ mod tests {
     #[test]
     fn empty_matching() {
         let m = DistMatrix::zeros(0);
-        let r = min_weight_perfect_matching(&m);
+        let r = min_weight_perfect_matching_with(&m, MatchingBackend::Auto, &NOOP);
         assert!(r.mates.is_empty());
         assert_eq!(r.weight, 0.0);
     }
@@ -283,7 +275,7 @@ mod tests {
     #[should_panic(expected = "even vertex count")]
     fn odd_count_panics() {
         let m = DistMatrix::zeros(3);
-        let _ = min_weight_perfect_matching(&m);
+        let _ = min_weight_perfect_matching_with(&m, MatchingBackend::Auto, &NOOP);
     }
 
     #[test]
@@ -374,7 +366,7 @@ mod tests {
     #[test]
     fn edges_listing_is_consistent() {
         let m = euclid(&[(0.0, 0.0), (1.0, 0.0), (5.0, 0.0), (6.0, 0.0)]);
-        let r = min_weight_perfect_matching(&m);
+        let r = min_weight_perfect_matching_with(&m, MatchingBackend::Auto, &NOOP);
         let es = r.edges();
         assert_eq!(es.len(), 2);
         for (u, v) in es {

@@ -14,8 +14,8 @@
 ///
 /// **Invariant: `get(i, j)` and `get(j, i)` are the same bits.** Every
 /// constructor and [`DistMatrix::set`] keeps it: `from_fn` and `set`
-/// write both mirrors, and `from_raw` rejects a buffer whose triangles
-/// differ in any bit. Readers rely on it: the 2-opt kernel's inverse
+/// write both mirrors, and no constructor takes a raw buffer. Readers
+/// rely on it: the 2-opt kernel's inverse
 /// neighbour lists test `d(y, x)` with a weight read as `d(x, y)`, and
 /// the sparse matching certifies against one well-defined optimum.
 #[derive(Clone, Debug, PartialEq)]
@@ -53,33 +53,6 @@ impl DistMatrix {
             }
         }
         m
-    }
-
-    /// Wraps an existing row-major `n x n` buffer.
-    ///
-    /// # Panics
-    /// Panics when the buffer length is not `n²`, the two triangles differ
-    /// in any bit, the diagonal is non-zero, or any weight is negative or
-    /// non-finite.
-    pub fn from_raw(n: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), n * n, "buffer must hold n*n weights");
-        #[expect(
-            clippy::float_cmp,
-            reason = "exact-zero diagonal is the documented storage invariant"
-        )]
-        for i in 0..n {
-            assert_eq!(data[i * n + i], 0.0, "diagonal entry {i} must be zero");
-            for j in (i + 1)..n {
-                let w = data[i * n + j];
-                assert!(w.is_finite() && w >= 0.0, "weight ({i},{j}) invalid: {w}");
-                assert_eq!(
-                    w.to_bits(),
-                    data[j * n + i].to_bits(),
-                    "matrix not symmetric at ({i},{j})"
-                );
-            }
-        }
-        DistMatrix { n, data }
     }
 
     /// Builds the Euclidean distance matrix over planar points given as
@@ -188,30 +161,6 @@ mod tests {
     #[should_panic(expected = "must be finite")]
     fn from_fn_rejects_negative() {
         let _ = DistMatrix::from_fn(3, |_, _| -1.0);
-    }
-
-    #[test]
-    fn from_raw_validates() {
-        let ok = DistMatrix::from_raw(2, vec![0.0, 3.0, 3.0, 0.0]);
-        assert_eq!(ok.get(0, 1), 3.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "not symmetric")]
-    fn from_raw_rejects_asymmetry() {
-        let _ = DistMatrix::from_raw(2, vec![0.0, 3.0, 4.0, 0.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "not symmetric")]
-    fn from_raw_rejects_one_ulp_asymmetry() {
-        let _ = DistMatrix::from_raw(2, vec![0.0, 3.0, f64::from_bits(3.0f64.to_bits() + 1), 0.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "diagonal")]
-    fn from_raw_rejects_nonzero_diagonal() {
-        let _ = DistMatrix::from_raw(2, vec![1.0, 3.0, 3.0, 0.0]);
     }
 
     #[test]

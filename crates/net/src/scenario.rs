@@ -159,6 +159,13 @@ impl Scenario {
         if !self.depot.is_finite() {
             return Err("depot position not finite".into());
         }
+        let r = &self.region;
+        if !(r.min.is_finite() && r.max.is_finite()) {
+            return Err("region corner not finite".into());
+        }
+        if r.min.x > r.max.x || r.min.y > r.max.y {
+            return Err(format!("region min {} above its max {}", r.min, r.max));
+        }
         if self.radio.coverage_radius(self.uav.altitude).is_none() {
             return Err(format!(
                 "flight altitude {} exceeds sensor transmission range {}",
@@ -323,6 +330,31 @@ mod tests {
             data: MegaBytes(1.0),
         });
         assert!(s.validate().unwrap_err().contains("outside region"));
+    }
+
+    #[test]
+    fn non_finite_or_inverted_region_rejected() {
+        for (min, max, want) in [
+            ((0.0, 0.0), (f64::INFINITY, 500.0), "not finite"),
+            ((f64::NAN, 0.0), (100.0, 100.0), "not finite"),
+            ((0.0, 0.0), (100.0, f64::NEG_INFINITY), "not finite"),
+            ((100.0, 0.0), (0.0, 100.0), "above its max"),
+            ((0.0, 100.0), (100.0, 0.0), "above its max"),
+        ] {
+            let mut s = tiny_scenario();
+            s.devices.clear();
+            s.region = Aabb {
+                min: Point2::new(min.0, min.1),
+                max: Point2::new(max.0, max.1),
+            };
+            let err = s.validate().unwrap_err();
+            assert!(err.contains(want), "{min:?}-{max:?}: {err}");
+        }
+        // A zero-extent region is a valid (degenerate) rectangle.
+        let mut s = tiny_scenario();
+        s.region = Aabb::new(Point2::new(10.0, 10.0), Point2::new(10.0, 10.0));
+        s.devices.truncate(1);
+        assert_eq!(s.validate(), Ok(()));
     }
 
     #[test]

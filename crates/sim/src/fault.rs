@@ -80,11 +80,6 @@ impl FaultPlan {
         FaultPlan::new(FaultConfig::none(), 0)
     }
 
-    /// True when this plan can perturb a mission at all.
-    pub fn is_active(&self) -> bool {
-        self.active
-    }
-
     /// The configuration this plan draws from.
     pub fn config(&self) -> &FaultConfig {
         &self.cfg
@@ -178,7 +173,6 @@ mod tests {
     #[test]
     fn inert_plan_is_exactly_identity() {
         let mut f = FaultPlan::none();
-        assert!(!f.is_active());
         assert_eq!(f.worst_leg_factor(), 1.0);
         for _ in 0..5 {
             assert_eq!(f.next_leg_factor(), 1.0);

@@ -39,14 +39,12 @@ impl WindModel {
 
     /// Draws the factor for the next leg.
     ///
-    /// **Stream contract:** the k-th call consumes exactly one RNG value
-    /// regardless of the current range, so draw k is a function of
+    /// **Stream contract:** every call consumes exactly one RNG value,
+    /// whatever the range, so the k-th draw's RNG value is a function of
     /// `(seed, k)` alone. Degenerate ranges (`lo == hi`) return exactly
     /// `lo` — the underlying inclusive-range sampler computes
     /// `lo + u·(hi−lo)` which is exact for `hi == lo` — so calm air still
-    /// yields `1.0` bit-for-bit while keeping the stream position in
-    /// lockstep with any other range. Changing the range (including
-    /// calm→uniform) therefore never shifts subsequent draws.
+    /// yields `1.0` bit-for-bit.
     pub fn next_leg_factor(&mut self) -> f64 {
         self.rng.gen_range(self.lo..=self.hi)
     }
@@ -55,23 +53,6 @@ impl WindModel {
     /// budget for.
     pub fn max_factor(&self) -> f64 {
         self.hi
-    }
-
-    /// Re-ranges the model mid-stream (e.g. a weather front arriving
-    /// part-way through an experiment) without touching the RNG: by the
-    /// stream contract of [`next_leg_factor`](Self::next_leg_factor),
-    /// draws after the switch match a same-seed model that had the new
-    /// range all along.
-    ///
-    /// # Panics
-    /// Same contract as [`uniform`](Self::uniform).
-    pub fn set_range(&mut self, lo: f64, hi: f64) {
-        assert!(
-            lo.is_finite() && hi.is_finite() && lo > 0.0 && lo <= hi,
-            "wind factors must satisfy 0 < lo <= hi, got [{lo}, {hi}]"
-        );
-        self.lo = lo;
-        self.hi = hi;
     }
 }
 
@@ -122,26 +103,6 @@ impl LinkModel {
     /// `lo`.
     pub fn next_stop_factor(&mut self) -> f64 {
         self.rng.gen_range(self.lo..=self.hi)
-    }
-
-    /// The smallest factor a stop can draw (the worst bandwidth
-    /// degradation under this model).
-    pub fn min_factor(&self) -> f64 {
-        self.lo
-    }
-
-    /// Re-ranges the model mid-stream without touching the RNG; see
-    /// [`WindModel::set_range`].
-    ///
-    /// # Panics
-    /// Same contract as [`uniform`](Self::uniform).
-    pub fn set_range(&mut self, lo: f64, hi: f64) {
-        assert!(
-            lo.is_finite() && hi.is_finite() && lo > 0.0 && lo <= hi && hi <= 1.0,
-            "link factors must satisfy 0 < lo <= hi <= 1, got [{lo}, {hi}]"
-        );
-        self.lo = lo;
-        self.hi = hi;
     }
 }
 
@@ -199,42 +160,6 @@ mod tests {
         let _ = WindModel::uniform(1.5, 1.0, 0);
     }
 
-    /// The regression for the old `lo == hi` short-circuit: a degenerate
-    /// draw must still advance the RNG, so a model that spends its first
-    /// k draws calm and is then widened stays in lockstep with a
-    /// same-seed model that was wide from the start.
-    #[test]
-    fn degenerate_draws_advance_the_stream() {
-        let mut wide = WindModel::uniform(1.0, 1.5, 7);
-        let mut staged = WindModel::uniform(1.0, 1.0, 7);
-        for _ in 0..5 {
-            let _ = wide.next_leg_factor();
-            assert_eq!(staged.next_leg_factor(), 1.0);
-        }
-        staged.set_range(1.0, 1.5);
-        for i in 0..50 {
-            assert_eq!(
-                wide.next_leg_factor(),
-                staged.next_leg_factor(),
-                "draw {i} diverged after calm->uniform switch"
-            );
-        }
-    }
-
-    #[test]
-    fn link_degenerate_draws_advance_the_stream() {
-        let mut wide = LinkModel::uniform(0.5, 1.0, 11);
-        let mut staged = LinkModel::uniform(1.0, 1.0, 11);
-        for _ in 0..3 {
-            let _ = wide.next_stop_factor();
-            assert_eq!(staged.next_stop_factor(), 1.0);
-        }
-        staged.set_range(0.5, 1.0);
-        for _ in 0..50 {
-            assert_eq!(wide.next_stop_factor(), staged.next_stop_factor());
-        }
-    }
-
     /// Seed-stability golden values: the exact bit patterns of the first
     /// draws for a fixed seed. Any change to the sampler, the seeding, or
     /// the draw-per-call contract flips these bits and must be a
@@ -254,10 +179,8 @@ mod tests {
     }
 
     #[test]
-    fn max_and_min_factor_expose_the_range() {
+    fn max_factor_exposes_the_range() {
         assert_eq!(WindModel::uniform(1.0, 1.5, 0).max_factor(), 1.5);
         assert_eq!(WindModel::calm().max_factor(), 1.0);
-        assert_eq!(LinkModel::uniform(0.4, 0.9, 0).min_factor(), 0.4);
-        assert_eq!(LinkModel::nominal().min_factor(), 1.0);
     }
 }

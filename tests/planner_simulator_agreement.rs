@@ -45,6 +45,44 @@ fn every_planner_validates_on_every_scenario_family() {
 }
 
 #[test]
+fn zero_extent_regions_plan_and_check() {
+    let base = generator::uniform(&ScenarioParams::default().scaled(0.01), 5);
+    let regions = [
+        (Point2::new(100.0, 100.0), Point2::new(100.0, 100.0)),
+        (Point2::new(100.0, 100.0), Point2::new(100.0, 400.0)),
+        (Point2::new(100.0, 100.0), Point2::new(400.0, 100.0)),
+    ];
+    let planners: Vec<Box<dyn Planner>> = vec![
+        Box::new(Alg1Planner::default()),
+        Box::new(Alg2Planner::default()),
+        Box::new(Alg3Planner::with_k(2)),
+        Box::new(BenchmarkPlanner),
+    ];
+    for (min, max) in regions {
+        let scenario = Scenario {
+            region: uavdc::geom::Aabb::new(min, max),
+            devices: vec![IotDevice {
+                pos: max,
+                data: MegaBytes(50.0),
+            }],
+            ..base.clone()
+        };
+        scenario.validate().unwrap();
+        for planner in &planners {
+            let plan = planner.plan(&scenario);
+            check_plan(&scenario, &plan, Profile::P3Partial)
+                .unwrap_or_else(|e| panic!("{} on {min}-{max}: {e}", planner.name()));
+            assert_eq!(
+                plan.collected_volume(),
+                MegaBytes(50.0),
+                "{} on {min}-{max}",
+                planner.name()
+            );
+        }
+    }
+}
+
+#[test]
 fn simulation_confirms_every_plan_end_to_end() {
     for (family, scenario) in scenarios() {
         for planner in planners() {
